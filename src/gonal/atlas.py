@@ -51,13 +51,22 @@ ENV_ATLAS_CAP = "GONAL_ATLAS_CAP"
 
 
 def resolve_atlas_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the GONAL_ATLAS_CAP variable, else 3^13."""
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(ENV_ATLAS_CAP)
-    if env:
-        return int(env)
-    return DEFAULT_ATLAS_CAP
+    """Explicit cap, else the GONAL_ATLAS_CAP variable, else 3^13.
+
+    A cap that is not a positive integer raises InvalidParamsError.
+    """
+    source = "atlas cap"
+    if cap is None:
+        cap, source = os.environ.get(ENV_ATLAS_CAP), ENV_ATLAS_CAP
+        if not cap:
+            return DEFAULT_ATLAS_CAP
+    try:
+        value = int(cap)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
+    return value
 
 
 def _check_cap(size: int, cap: int, what: str):

@@ -361,6 +361,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_params(parser: argparse.ArgumentParser):
     parser.add_argument("--p", type=int, required=True, help="odd prime order of the gonal action")
     parser.add_argument("--q", type=int, required=True, help="prime exponent of the homology cover")
@@ -383,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_atlas)
     p_atlas.add_argument("--orbits", action="store_true", help="list every orbit member")
     p_atlas.add_argument("--cores", action="store_true", help="include core bases")
-    p_atlas.add_argument("--limit", type=int, default=None, help="show at most N classes")
+    p_atlas.add_argument(
+        "--limit", type=_non_negative_int, default=None, help="show at most N classes"
+    )
     p_atlas.add_argument("--cap", type=int, default=None, help="override the enumeration cap")
     p_atlas.add_argument("--json", action="store_true")
     p_atlas.set_defaults(func=cmd_atlas)

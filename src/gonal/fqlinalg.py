@@ -11,9 +11,9 @@ cheap and orbit/core deduplication elsewhere in the package is exact.
 Everything here is immutable after construction and safe to share across
 threads.
 
-The `*_array` functions are the raw kernels on plain ndarrays; the public
-wrappers add modulus bookkeeping.  Hot loops (the hyperplane atlas) call
-the array layer directly.
+The `*_array` functions are the raw kernels on plain ndarrays, which hot
+loops call directly; the public wrappers add modulus bookkeeping.  Every
+null space costs a single elimination (see :func:`kernel_array`).
 """
 
 from __future__ import annotations
@@ -50,14 +50,12 @@ def check_prime_modulus(q: int) -> int:
 def inverse_table(q: int) -> np.ndarray:
     """inverse_table(q)[x] = x^-1 mod q for x in 1..q-1 (index 0 unused)."""
     # Exponentiation by q-2: branch-free and exact for the small primes used here.
-    table = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
-    return table
+    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
 
 
 def as_residues(a, q: int) -> np.ndarray:
     """Copy `a` into a fresh int64 array reduced mod q."""
-    arr = np.array(a, dtype=np.int64)
-    return arr % q
+    return np.array(a, dtype=np.int64) % q
 
 
 def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -75,40 +73,43 @@ def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * inv[a[r, c]]) % q
+        a[r] = a[r] * inv[a[r, c]] % q
         sel = a[:, c].copy()
         sel[r] = 0
-        if np.any(sel):
-            a = (a - np.outer(sel, a[r])) % q
+        # Full width in place: at these sizes slicing off reduced columns costs more.
+        if sel.any():
+            a -= sel[:, None] * a[r]
+            a %= q
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def kernel_array(a: np.ndarray, q: int) -> np.ndarray:
-    """Canonical RREF basis (rows) of {x : a @ x = 0} over F_q."""
-    a = np.atleast_2d(np.asarray(a))
-    rows, cols = a.shape
-    red, pivots = rref_array(a, q)
+    """Canonical RREF basis (rows) of {x : a @ x = 0} over F_q, read off one elimination.
+
+    Let J reverse the columns and R' = rref(a J), pivots p'_i.  Each free f gives x_f =
+    J (e_f - sum_i R'[i, f] e_{p'_i}) in ker(a): a 1 at n-1-f, all else right of it (R'[i, f] = 0
+    unless p'_i < f) on the n-1-p'_i, which lead no row.  So the x_f by descending f are the RREF.
+    """
+    red, pivots = rref_array(np.atleast_2d(np.asarray(a))[:, ::-1], q)
+    cols = red.shape[1]
     rank = len(pivots)
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
+    if rank == cols:
         return np.zeros((0, cols), dtype=np.int64)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-red[row, f]) % q
-    # The standard free-column basis is not itself in RREF; canonicalize.
-    red2, piv2 = rref_array(basis, q)
-    assert len(piv2) == len(free)
-    return red2[: len(free)]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)[::-1]
+    basis = np.zeros((cols - rank, cols), dtype=np.int64)
+    basis[np.arange(cols - rank), cols - 1 - free] = 1
+    basis[:, cols - 1 - np.array(pivots, dtype=np.intp)] = (-red[:rank, free].T) % q
+    return basis
 
 
 def row_space_array(a: np.ndarray, q: int) -> np.ndarray:
@@ -307,8 +308,6 @@ class Subspace:
         # solutions; u@A then spans the intersection.
         stacked = np.vstack([self._rows, other._rows])
         left = kernel_array(stacked.T, self.modulus)
-        if left.shape[0] == 0:
-            return Subspace.zero(self.ambient_dim, self.modulus)
         vecs = (left[:, : self.dim] @ self._rows) % self.modulus
         return Subspace(vecs, self.ambient_dim, self.modulus)
 

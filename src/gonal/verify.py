@@ -21,7 +21,7 @@ from .atlas import (
     read_fixture,
 )
 from .calculus import decomposition_report, genus_quotient_by_core
-from .errors import GonalError
+from .errors import GonalError, IdentityCheckError
 from .groupring import (
     build_group,
     composite_scalar,
@@ -38,6 +38,12 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _require(holds: bool, witness: str) -> None:
+    """Raise IdentityCheckError(witness) unless `holds`; unlike assert, survives -O."""
+    if not holds:
+        raise IdentityCheckError(witness)
 
 
 def _checked(name: str, fn) -> CheckResult:
@@ -58,11 +64,16 @@ def suite_counts(max_n: int = 6) -> list[CheckResult]:
                 for k in range(n + 1):
                     subs = enumerate_subgroups_brute(n, k, q)
                     expected = gaussian_count(n, k, q)
-                    assert len(subs) == expected, (
+                    _require(
+                        len(subs) == expected,
                         f"brute force found {len(subs)} {k}-dim subspaces "
-                        f"of F_{q}^{n}, formula says {expected}"
+                        f"of F_{q}^{n}, formula says {expected}",
                     )
-                    assert len(set(subs)) == len(subs)
+                    repeats = len(subs) - len(set(subs))
+                    _require(
+                        repeats == 0,
+                        f"brute force listed {repeats} duplicate {k}-dim subspaces of F_{q}^{n}",
+                    )
                 return f"all k checked against {sum(gaussian_count(n, k, q) for k in range(n + 1))} subspaces"
 
             results.append(_checked(f"counts-q{q}-n{n}", run))
@@ -82,8 +93,9 @@ def suite_identities() -> list[CheckResult]:
 
     def run_example():
         rep = decomposition_report(CoverParams(5, 2, 3))
-        assert (rep.t, rep.prym_dim, rep.g_t) == (3, 1, 3), (
-            f"expected (t, prym, g_T) = (3, 1, 3), got {(rep.t, rep.prym_dim, rep.g_t)}"
+        _require(
+            (rep.t, rep.prym_dim, rep.g_t) == (3, 1, 3),
+            f"expected (t, prym, g_T) = (3, 1, 3), got {(rep.t, rep.prym_dim, rep.g_t)}",
         )
         return "t=3, prym_dim=1, g_T=3"
 
@@ -115,7 +127,7 @@ def suite_groupring(cap: int = 512) -> list[CheckResult]:
                 verify_scalar_identity(group, h) for h in enumerate_hyperplanes(params)
             }
             expected = q ** (params.n - 1)
-            assert scalars == {expected}, f"scalars {scalars} != {{{expected}}}"
+            _require(scalars == {expected}, f"scalars {scalars} != {{{expected}}}")
             return f"scalar {expected} on all {params.m} hyperplanes"
 
         results.append(_checked(f"groupring-{tag}-scalar", run_scalar))
@@ -154,15 +166,16 @@ def suite_fixtures() -> list[CheckResult]:
 
         def run(name=name, core_dim=core_dim, group_desc=group_desc, genus=genus):
             sub = parse_generator_words(read_fixture(name + ".gens"), params)
-            assert sub.dim == params.n - 1, f"{name} is not a hyperplane"
+            _require(sub.dim == params.n - 1, f"{name} is not a hyperplane")
             h = Hyperplane.from_subspace(sub)
             report = galois_closure(h, params, action)
-            assert report.core_dim == core_dim, (
-                f"{name}: core dim {report.core_dim}, expected {core_dim}"
+            _require(
+                report.core_dim == core_dim,
+                f"{name}: core dim {report.core_dim}, expected {core_dim}",
             )
-            assert report.group == group_desc, f"{name}: group {report.group}"
+            _require(report.group == group_desc, f"{name}: group {report.group}")
             got_genus = genus_quotient_by_core(params, report.core_dim)
-            assert got_genus == genus, f"{name}: quotient genus {got_genus}"
+            _require(got_genus == genus, f"{name}: quotient genus {got_genus}")
             return f"core 3^{core_dim}, {group_desc}, quotient genus {genus}"
 
         results.append(_checked(f"fixture-{name}", run))
@@ -172,7 +185,7 @@ def suite_fixtures() -> list[CheckResult]:
             sub = parse_generator_words(read_fixture(lname + ".gens"), params)
             h = Hyperplane.from_subspace(sub)
             expected = parse_generator_words(read_fixture(kname + ".gens"), params)
-            assert core(h, action) == expected, f"{kname} does not span the core of {lname}"
+            _require(core(h, action) == expected, f"{kname} does not span the core of {lname}")
         return "published core generators span the computed cores"
 
     results.append(_checked("fixture-core-generators", run_cores))

@@ -85,6 +85,27 @@ def test_atlas_env_cap(capsys, monkeypatch):
     assert "GONAL_ATLAS_CAP" in err
 
 
+def test_atlas_env_cap_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("GONAL_ATLAS_CAP", "abc")
+    code, _, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4")
+    assert code == 2
+    assert "GONAL_ATLAS_CAP" in err and "abc" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_atlas_nonpositive_cap_exit_2(capsys, cap):
+    code, _, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--cap", cap)
+    assert code == 2
+    assert "positive integer" in err
+
+
+def test_atlas_negative_limit_exit_2(capsys):
+    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--limit" in err
+
+
 def test_galois_fixture(tmp_path, capsys):
     path = tmp_path / "L3.gens"
     path.write_text(read_fixture("L3.gens"))

@@ -2,6 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
@@ -11,7 +16,10 @@ from gonal.fqlinalg import (
     intersect,
     iter_subspace_bases,
     kernel,
+    kernel_array,
+    row_space_array,
     rref,
+    rref_array,
 )
 
 
@@ -224,3 +232,106 @@ def test_transform_and_invariance_guards():
         s.transform(FqMatrix([[1, 0], [0, 1]], 2))
     with pytest.raises(AmbientMismatchError):
         s.is_invariant_under(FqMatrix.identity(3, 3))
+
+
+def two_elimination_kernel(a, q):
+    """Oracle: the free-column null basis, put in canonical form by a second RREF."""
+    a = np.atleast_2d(np.asarray(a))
+    rows, cols = a.shape
+    red, pivots = rref_array(a, q)
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, pc in enumerate(pivots):
+            basis[i, pc] = (-red[row, f]) % q
+    red2, piv2 = rref_array(basis, q)
+    assert len(piv2) == len(free)
+    return red2[: len(free)]
+
+
+@st.composite
+def fq_matrices(draw):
+    """(a, q, rank or None): uniform entries, or L @ [I_k 0; 0 0] @ U of known rank k."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(1, 13)), draw(st.integers(1, 14))
+    entries = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, (rows, cols), elements=entries)), q, None
+    # Unit lower/upper triangular factors are invertible, so the rank is k.
+    k = draw(st.integers(0, min(rows, cols)))
+    lower = np.tril(draw(arrays(np.int64, (rows, rows), elements=entries)), -1)
+    upper = np.triu(draw(arrays(np.int64, (cols, cols), elements=entries)), 1)
+    middle = np.zeros((rows, cols), dtype=np.int64)
+    middle[range(k), range(k)] = 1
+    a = (lower + np.eye(rows, dtype=np.int64)) @ middle @ (upper + np.eye(cols, dtype=np.int64))
+    return a % q, q, k
+
+
+ZERO = (np.zeros((4, 6), dtype=np.int64), 3, 0)
+FULL_RANK_TALL = (np.vstack([np.eye(5, dtype=np.int64), np.ones((8, 5), dtype=np.int64)]), 2, 5)
+WIDE = (np.vstack([np.ones(14, dtype=np.int64), np.arange(14) % 7]), 7, 2)
+FULL_RANK_SQUARE = (np.triu(np.ones((13, 13), dtype=np.int64)), 5, 13)
+
+
+@settings(deadline=None)
+@given(fq_matrices())
+@example(ZERO)
+@example(FULL_RANK_TALL)
+@example(WIDE)
+@example(FULL_RANK_SQUARE)
+def test_rref_is_idempotent_and_finds_the_rank(case):
+    a, q, rank = case
+    red, pivots = rref_array(a, q)
+    again, pivots_again = rref_array(red, q)
+    assert np.array_equal(again, red) and pivots_again == pivots
+    if rank is not None:
+        assert len(pivots) == rank
+
+
+@settings(deadline=None)
+@given(fq_matrices())
+@example(ZERO)
+@example(FULL_RANK_TALL)
+@example(WIDE)
+@example(FULL_RANK_SQUARE)
+def test_kernel_is_the_canonical_null_space(case):
+    a, q, _ = case
+    rank = len(rref_array(a, q)[1])
+    k = kernel_array(a, q)
+    assert k.shape == (a.shape[1] - rank, a.shape[1])
+    assert not np.any((a @ k.T) % q)
+    assert np.array_equal(k, row_space_array(k, q))
+    assert np.array_equal(k, two_elimination_kernel(a, q))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_intersection_dimension_formula(data):
+    # dim(A meet B) = dim A + dim B - dim(A + B); empty meets go through the kernel too.
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 8))
+    entries = st.integers(0, q - 1)
+    a_rows = data.draw(arrays(np.int64, (data.draw(st.integers(0, n)), n), elements=entries))
+    b_rows = data.draw(arrays(np.int64, (data.draw(st.integers(0, n)), n), elements=entries))
+    a, b = Subspace(a_rows, n, q), Subspace(b_rows, n, q)
+    total = Subspace(np.vstack([a_rows, b_rows]), n, q)
+    meet = intersect(a, b)
+    assert meet.dim == a.dim + b.dim - total.dim
+    assert a.contains_rows(meet.basis_array) and b.contains_rows(meet.basis_array)
+
+
+DEPENDENT_ROWS_MOD_5 = (np.array([[1, 2, 3], [2, 4, 1]]), 5, 1)
+SUM_ROW_MOD_2 = (np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]]), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "case", [ZERO, FULL_RANK_TALL, WIDE, FULL_RANK_SQUARE, DEPENDENT_ROWS_MOD_5, SUM_ROW_MOD_2]
+)
+def test_nullity_matches_sympy_rank(case):
+    a, q, rank = case
+    sympy_rank = DomainMatrix.from_list(a.tolist(), GF(q)).rank()
+    assert sympy_rank == rank
+    assert kernel_array(a, q).shape[0] == a.shape[1] - sympy_rank
