@@ -60,6 +60,11 @@ def resolve_atlas_cap(cap: int | None = None) -> int:
         cap, source = os.environ.get(ENV_ATLAS_CAP), ENV_ATLAS_CAP
         if not cap:
             return DEFAULT_ATLAS_CAP
+    return positive_cap(cap, source)
+
+
+def positive_cap(cap, source: str) -> int:
+    """`cap` as an int; InvalidParamsError naming `source` unless it is a positive integer."""
     try:
         value = int(cap)
     except ValueError:

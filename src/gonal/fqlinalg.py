@@ -18,6 +18,7 @@ null space costs a single elimination (see :func:`kernel_array`).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -47,10 +48,16 @@ def check_prime_modulus(q: int) -> int:
     return q
 
 
+@cache
 def inverse_table(q: int) -> np.ndarray:
-    """inverse_table(q)[x] = x^-1 mod q for x in 1..q-1 (index 0 unused)."""
+    """inverse_table(q)[x] = x^-1 mod q for x in 1..q-1 (index 0 unused).
+
+    Built once per modulus and shared by every caller, hence read-only.
+    """
     # Exponentiation by q-2: branch-free and exact for the small primes used here.
-    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+    table = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def as_residues(a, q: int) -> np.ndarray:

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .action import AdaptedAction, CoverParams, build_action
-from .atlas import Hyperplane
+from .atlas import Hyperplane, _encode_rows, _lex_tails
 from .errors import (
     CapExceededError,
     IdentityCheckError,
@@ -45,8 +45,8 @@ class FrobeniusGroup:
 
     Elements are pairs (v, e) with v in Z_q^n and e in Z_p, multiplying by
     (v, e)(w, f) = (v + T^e w, e + f).  Elements are ordered twist-major,
-    translations by lexicographic code, so the kernel N comes first and the
-    identity is element 0.
+    translations by lexicographic code, so the kernel N comes first, the
+    identity is element 0 and (v, e) sits at index e q^n + code(v).
     """
 
     def __init__(self, params: CoverParams, action: AdaptedAction | None = None):
@@ -54,9 +54,9 @@ class FrobeniusGroup:
         self.action = action if action is not None else build_action(params)
         p, q, n = params.p, params.q, params.n
         self._tpow = [self.action.power_array(e) for e in range(p)]
-        self.elements: list[GroupElement] = [
-            (v, e) for e in range(p) for v in product(range(q), repeat=n)
-        ]
+        self._translations = _lex_tails(n, q)  # row i is the translation of element i
+        translations = [tuple(v) for v in self._translations.tolist()]
+        self.elements: list[GroupElement] = [(v, e) for e in range(p) for v in translations]
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity: GroupElement = ((0,) * n, 0)
         self._perm_cache: dict[GroupElement, np.ndarray] = {}
@@ -92,10 +92,18 @@ class FrobeniusGroup:
         return self.elements[: self.params.q**self.params.n]
 
     def left_perm(self, g: GroupElement) -> np.ndarray:
-        """perm with perm[i] = index(g * elements[i])."""
+        """perm with perm[i] = index(g * elements[i]).
+
+        For elements[f q^n + i] = (w_i, f) the product is (v + T^e w_i, e + f),
+        so one array product gives the codes of every moved translation.
+        """
         cached = self._perm_cache.get(g)
         if cached is None:
-            cached = np.array([self.index[self.mul(g, x)] for x in self.elements])
+            p, q = self.params.p, self.params.q
+            v, e = g
+            moved = (np.asarray(v, dtype=np.int64) + self._translations @ self._tpow[e].T) % q
+            twists = (e + np.arange(p, dtype=np.int64)) % p
+            cached = (twists[:, None] * q**self.params.n + _encode_rows(moved, q)).reshape(-1)
             cached.flags.writeable = False
             self._perm_cache[g] = cached
         return cached
@@ -179,7 +187,10 @@ def frobenius_check(group: FrobeniusGroup) -> FrobeniusReport:
             raise IdentityCheckError(f"twist orbit of {v} has size {len(orbit)} != {p}")
         seen |= orbit
         orbit_count += 1
-    assert orbit_count == (q**n - 1) // p
+    if orbit_count != (q**n - 1) // p:
+        raise IdentityCheckError(
+            f"{orbit_count} twist orbits on N - {{1}}, expected (q^n - 1)/p = {(q**n - 1) // p}"
+        )
     return FrobeniusReport(
         order=group.order,
         kernel_size=q**n,
@@ -254,41 +265,76 @@ class RegularModule:
         return out
 
 
-def _rational_kernel(mat: list[list[int]]) -> list[list[int]]:
-    """Exact null-space basis of an integer matrix, as primitive integer rows."""
-    rows = [[Fraction(x) for x in row] for row in mat]
+def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Apply sum_{h in L} h, for L the translations spanned by the rows of `basis`.
+
+    L is elementary abelian and every h in L is sum_b c_b b for unique c_b in
+    Z_q, so in Z[L] the sum is the product over rows b of (1 + b + ... +
+    b^(q-1)): (n-1)(q-1) permutations instead of q^(n-1).  Each factor holds
+    the inverse (q-j) b of every term j b, so gathering along the left
+    permutations (g z = z[perm of g^-1]) gives the same sum as scattering.
+    """
+    q = group.params.q
+    out = np.asarray(vec, dtype=np.int64)
+    for b in basis:
+        acc = out.copy()
+        for j in range(1, q):
+            acc += out.take(group.left_perm((tuple(((j * b) % q).tolist()), 0)), axis=-1)
+        out = acc
+    return out
+
+
+def _integer_rref(mat) -> tuple[list[list[int]], list[int]]:
+    """Echelon basis over Q of an integer matrix's row space: (rows, pivot columns).
+
+    Each row is primitive and zero at every other row's pivot, so dividing
+    each by its pivot entry gives the reduced row-echelon form.  Elimination
+    stays in integers; no Fraction is built.
+    """
+    rows = [[int(x) for x in row] for row in mat]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row = [top[c] * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1
+                rows[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return rows[: len(pivots)], pivots
+
+
+def _rational_kernel(mat: list[list[int]]) -> list[list[int]]:
+    """Exact null-space basis of an integer matrix, as primitive integer rows.
+
+    Row f is the RREF null vector with a 1 at free column f, scaled to the
+    primitive integer vector with a positive entry there.
+    """
+    rows, pivots = _integer_rref(mat)
+    ncols = len(mat[0]) if len(mat) else 0
+    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][f]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        basis.append([x // g for x in ints] if g else ints)
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f] * (scale // row[pc])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
+
+
+def _canonical_rowspan(basis: np.ndarray) -> tuple:
+    """Canonical form of a rational row space (its RREF), for subspace equality tests."""
+    rows, pivots = _integer_rref(basis)
+    return tuple(tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(rows, pivots))
 
 
 def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[GroupElement]):
@@ -300,11 +346,12 @@ def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[GroupElement]):
 
 
 def _default_transversal(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
-    ker = L.kernel()
-    for v in product(range(group.params.q), repeat=group.params.n):
-        if any(v) and not ker.contains(v):
-            return np.array(v, dtype=np.int64)
-    raise IdentityCheckError("hyperplane kernel exhausts the translation group")
+    """The first translation in element order outside L, i.e. with normal . u != 0."""
+    translations = group._translations
+    outside = np.flatnonzero(translations @ L.normal_array() % group.params.q)
+    if outside.size == 0:
+        raise IdentityCheckError("hyperplane kernel exhausts the translation group")
+    return translations[outside[0]].copy()
 
 
 def fixed_subspace(
@@ -331,10 +378,9 @@ def fixed_subspace(
         raise InvalidTransversalError(
             f"transversal element {tuple(int(x) for x in u)} lies inside the subgroup"
         )
-    subgroup_elems = [
-        (tuple(int(x) for x in vec), 0) for vec in ker.vectors()
-    ]
-    coset_idx, reps = _coset_partition(group, subgroup_elems)
+    # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
+    span = (_lex_tails(ker.dim, q) @ ker.basis_array) % q
+    coset_idx, reps = _coset_partition(group, [(tuple(v), 0) for v in span.tolist()])
     ncos = len(reps)
     smat = [[0] * ncos for _ in range(ncos)]
     for j in range(q):
@@ -348,29 +394,6 @@ def fixed_subspace(
     for i, coeffs in enumerate(coeff_rows):
         basis[i] = np.array(coeffs, dtype=np.int64)[coset_idx]
     return basis
-
-
-def _canonical_rowspan(basis: np.ndarray) -> tuple:
-    """Canonical form of a rational row space, for subspace equality tests."""
-    rows = [[Fraction(int(x)) for x in row] for row in basis]
-    ncols = basis.shape[1]
-    r = 0
-    out = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(r):
-        out.append(tuple(rows[i]))
-    return tuple(out)
 
 
 def fixed_subspace_canonical(group, L, transversal_elem) -> tuple:
@@ -390,11 +413,9 @@ def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_ele
     basis = fixed_subspace(group, L, transversal_elem)
     if basis.shape[0] == 0:
         raise IdentityCheckError(f"A_L is zero for {L}; nothing to verify")
-    subgroup = [(tuple(int(x) for x in v), 0) for v in L.kernel().vectors()]
-    l_sum = GroupRingOperator.subgroup_sum(group, subgroup)
     phi_sum = GroupRingOperator.twist_power_sum(group)
     scalar = q ** (n - 1)
-    image = l_sum.apply(phi_sum.apply(basis))
+    image = apply_subgroup_sum(group, L.kernel().basis_array, phi_sum.apply(basis))
     if not np.array_equal(image, scalar * basis):
         bad = next(
             i for i in range(basis.shape[0])
@@ -417,12 +438,11 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     if transversal_elem is None:
         transversal_elem = _default_transversal(group, L)
     basis = fixed_subspace(group, L, transversal_elem)
-    subgroup = [(tuple(int(x) for x in v), 0) for v in L.kernel().vectors()]
-    l_sum = GroupRingOperator.subgroup_sum(group, subgroup)
+    span = L.kernel().basis_array
     zero_vec = (0,) * n
     for k in range(p):
         twist = GroupRingOperator(group, {(zero_vec, k): 1})
-        image = l_sum.apply(twist.apply(basis))
+        image = apply_subgroup_sum(group, span, twist.apply(basis))
         expected = q ** (n - 1) * basis if k == 0 else np.zeros_like(basis)
         if not np.array_equal(image, expected):
             raise IdentityCheckError(f"cross term k = {k} fails on A_L of {L}")

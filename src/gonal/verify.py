@@ -18,11 +18,13 @@ from .atlas import (
     galois_closure,
     gaussian_count,
     parse_generator_words,
+    positive_cap,
     read_fixture,
 )
 from .calculus import decomposition_report, genus_quotient_by_core
 from .errors import GonalError, IdentityCheckError
 from .groupring import (
+    DEFAULT_GROUP_CAP,
     build_group,
     composite_scalar,
     frobenius_check,
@@ -103,7 +105,7 @@ def suite_identities() -> list[CheckResult]:
     return results
 
 
-def suite_groupring(cap: int = 512) -> list[CheckResult]:
+def suite_groupring(cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
     """Frobenius structure and the q^(n-1) operator identity, exhaustively."""
     results = []
     for p, q, r in [(5, 2, 3), (3, 2, 4)]:
@@ -193,15 +195,20 @@ def suite_fixtures() -> list[CheckResult]:
 
 
 def run_suite(suite: str, cap: int | None = None) -> list[CheckResult]:
+    """Rows of the named suite; `cap` bounds the group order (None: DEFAULT_GROUP_CAP).
+
+    A cap that is not a positive integer raises InvalidParamsError before any check runs.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    group_cap = DEFAULT_GROUP_CAP if cap is None else positive_cap(cap, "group-order cap")
     results = []
     if suite in ("counts", "all"):
         results += suite_counts()
     if suite in ("identities", "all"):
         results += suite_identities()
     if suite in ("groupring", "all"):
-        results += suite_groupring(cap=cap or 512)
+        results += suite_groupring(cap=group_cap)
     if suite in ("fixtures", "all"):
         results += suite_fixtures()
     return results

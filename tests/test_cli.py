@@ -99,6 +99,14 @@ def test_atlas_nonpositive_cap_exit_2(capsys, cap):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_nonpositive_cap_exit_2(capsys, cap):
+    code, out, err = run_cli(capsys, "verify", "--suite", "groupring", "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert "positive integer" in err
+
+
 def test_atlas_negative_limit_exit_2(capsys):
     code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--limit", "-1")
     assert code == 2

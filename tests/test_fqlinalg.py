@@ -14,6 +14,7 @@ from gonal.fqlinalg import (
     Subspace,
     contains,
     intersect,
+    inverse_table,
     iter_subspace_bases,
     kernel,
     kernel_array,
@@ -335,3 +336,11 @@ def test_nullity_matches_sympy_rank(case):
     sympy_rank = DomainMatrix.from_list(a.tolist(), GF(q)).rank()
     assert sympy_rank == rank
     assert kernel_array(a, q).shape[0] == a.shape[1] - sympy_rank
+
+
+@pytest.mark.parametrize("q", [2, 3, 13])
+def test_inverse_table_is_built_once_and_read_only(q):
+    table = inverse_table(q)
+    assert inverse_table(q) is table
+    assert not table.flags.writeable
+    assert [(x * int(table[x])) % q for x in range(1, q)] == [1] * (q - 1)

@@ -1,14 +1,23 @@
+import ast
+import inspect
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes, orbit_classes
-from gonal.errors import CapExceededError, InvalidTransversalError
+from gonal import groupring
+from gonal.errors import CapExceededError, IdentityCheckError, InvalidTransversalError
 from gonal.groupring import (
     GroupRingOperator,
     RegularModule,
+    apply_subgroup_sum,
     build_group,
     composite_scalar,
     fixed_subspace,
@@ -165,3 +174,83 @@ def test_composite_scalar_is_q_to_n():
     for cls in orbit_classes(params):
         verify_scalar_identity(group, cls.representative)
     assert composite_scalar(params) == 16
+
+
+def test_groupring_has_no_asserts():
+    # `python -O` strips assert statements, so a check written as one never fails.
+    tree = ast.parse(inspect.getsource(groupring))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 3), (5, 2, 3), (5, 3, 3)])
+def test_left_perm_matches_multiplication(p, q, r):
+    group = build_group(CoverParams(p, q, r, allow_small_genus=True))
+    for g in group.elements:
+        expected = [group.index[group.mul(g, x)] for x in group.elements]
+        assert group.left_perm(g).tolist() == expected
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 3, 3)])
+def test_factored_subgroup_sum_matches_the_term_sum(p, q, r):
+    params = CoverParams(p, q, r)
+    group = build_group(params)
+    rng = np.random.default_rng(p * q * r)
+    for h in enumerate_hyperplanes(params):
+        ker = h.kernel()
+        terms = GroupRingOperator.subgroup_sum(
+            group, [(tuple(int(x) for x in v), 0) for v in ker.vectors()]
+        )
+        vec = rng.integers(-50, 50, size=(3, group.order))
+        assert np.array_equal(apply_subgroup_sum(group, ker.basis_array, vec), terms.apply(vec))
+
+
+def test_scalar_identity_fails_when_the_product_drops_a_basis_row(monkeypatch):
+    params = CoverParams(3, 2, 4)
+    group = build_group(params)
+    full = groupring.apply_subgroup_sum
+    monkeypatch.setattr(
+        groupring, "apply_subgroup_sum", lambda g, basis, vec: full(g, basis[:-1], vec)
+    )
+    for h in enumerate_hyperplanes(params):
+        with pytest.raises(IdentityCheckError):
+            verify_scalar_identity(group, h)
+
+
+def _fraction_rref(mat):
+    """Reference: Gauss-Jordan over Fractions, returning (nonzero RREF rows, pivots)."""
+    rows = [[Fraction(int(x)) for x in row] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
+        lambda shape: arrays(np.int64, shape, elements=st.integers(-4, 4))
+    )
+)
+def test_rational_eliminations_match_a_fraction_elimination(mat):
+    rows, pivots = _fraction_rref(mat)
+    assert groupring._canonical_rowspan(mat) == tuple(tuple(row) for row in rows)
+    expected = []
+    for f in (c for c in range(mat.shape[1]) if c not in pivots):
+        vec = [Fraction(0)] * mat.shape[1]
+        vec[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][f]
+        ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+        expected.append([x // gcd(*ints) for x in ints])
+    assert groupring._rational_kernel(mat.tolist()) == expected
