@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfpoly
-from .errors import CapExceededError, InvalidParamsError, NoInvariantSubspaceError
+from .errors import (
+    CapExceededError,
+    IdentityCheckError,
+    InvalidParamsError,
+    NoInvariantSubspaceError,
+)
 from .fqlinalg import (
     FqMatrix,
     Subspace,
@@ -44,7 +49,8 @@ def order_mod(q: int, p: int) -> int:
     while acc != 1:
         acc = (acc * q) % p
         s += 1
-    assert (p - 1) % s == 0  # Fermat
+    if (p - 1) % s:
+        raise IdentityCheckError(f"ord_{p}({q}) = {s} does not divide p - 1 = {p - 1} (Fermat)")
     return s
 
 
@@ -107,10 +113,11 @@ class CoverParams:
     @property
     def t(self) -> int:
         """Number of conjugation orbits of maximal subgroups: m/p."""
-        m = self.m
         # gcd(p, q-1) = 1 forces p | m; anything else is a transcription bug.
-        assert m % self.p == 0, (self.p, self.q, self.r)
-        return m // self.p
+        t, rest = divmod(self.m, self.p)
+        if rest:
+            raise IdentityCheckError(f"p = {self.p} does not divide m = {self.m} for {self}")
+        return t
 
     @property
     def group_order(self) -> int:
@@ -183,13 +190,21 @@ def cyclotomic_factor(p: int, q: int) -> CyclotomicFactorization:
     phi = cyclotomic_poly(p)
     factors = tuple(gfpoly.equal_degree_factors(phi, s0, q))
     # Postconditions pin down the factorization exactly.
-    assert len(factors) == (p - 1) // s0
-    assert all(gfpoly.degree(f) == s0 for f in factors)
-    assert len(set(factors)) == len(factors)
+    if len(factors) != (p - 1) // s0:
+        raise IdentityCheckError(
+            f"Phi_{p} over F_{q} split into {len(factors)} factors, "
+            f"expected (p-1)/s0 = {(p - 1) // s0}"
+        )
+    wrong = [f for f in factors if gfpoly.degree(f) != s0]
+    if wrong:
+        raise IdentityCheckError(f"factor {wrong[0]} of Phi_{p} over F_{q} has degree != s0 = {s0}")
+    if len(set(factors)) != len(factors):
+        raise IdentityCheckError(f"Phi_{p} over F_{q} has a repeated factor: {factors}")
     prod = gfpoly.ONE
     for f in factors:
         prod = gfpoly.mul(prod, f, q)
-    assert prod == tuple(c % q for c in phi), "factor product must rebuild the cyclotomic polynomial"
+    if prod != tuple(c % q for c in phi):
+        raise IdentityCheckError(f"factors of Phi_{p} over F_{q} multiply to {prod}, not Phi_{p}")
     return CyclotomicFactorization(p=p, q=q, s0=s0, factors=factors)
 
 
@@ -226,10 +241,16 @@ class AdaptedAction:
         p, q = self.params.p, self.params.q
         n = self.params.n
         eye = np.eye(n, dtype=np.int64)
-        assert np.array_equal(matpow_array(self._matrix, p, q), eye), "action must have order p"
-        assert not np.array_equal(self._matrix, eye), "action must be nontrivial"
+        if not np.array_equal(matpow_array(self._matrix, p, q), eye):
+            raise IdentityCheckError(f"action for {self.params} does not have order p = {p}")
+        if np.array_equal(self._matrix, eye):
+            raise IdentityCheckError(f"action for {self.params} is trivial")
         annihilated = gfpoly.eval_at_matrix(cyclotomic_poly(p), self._matrix, q)
-        assert not annihilated.any(), "1 + T + ... + T^(p-1) must vanish"
+        if annihilated.any():
+            raise IdentityCheckError(
+                f"1 + T + ... + T^(p-1) does not vanish for {self.params}: "
+                f"nonzero entry at {tuple(int(i) for i in np.argwhere(annihilated)[0])}"
+            )
 
     @property
     def matrix(self) -> FqMatrix:
@@ -293,7 +314,9 @@ def invariant_subspace_of_dim(action: AdaptedAction, s: int) -> Subspace:
     block_kernels = [
         kernel_array(gfpoly.eval_at_matrix(f, block, q), q) for f in fact.factors
     ]
-    assert all(k.shape[0] == s0 for k in block_kernels)
+    dims = [k.shape[0] for k in block_kernels]
+    if any(dim != s0 for dim in dims):
+        raise IdentityCheckError(f"factor kernels on a block have dims {dims}, not s0 = {s0}")
     pieces = []
     needed = s // s0
     for j in range(params.r - 2):
@@ -305,8 +328,10 @@ def invariant_subspace_of_dim(action: AdaptedAction, s: int) -> Subspace:
             pieces.append(emb)
     rows = row_space_array(np.vstack(pieces), q)
     sub = Subspace._from_canonical(rows, n, q)
-    assert sub.dim == s
-    assert sub.is_invariant_under(action.matrix)
+    if sub.dim != s:
+        raise IdentityCheckError(f"assembled subspace has dim {sub.dim}, expected {s}")
+    if not sub.is_invariant_under(action.matrix):
+        raise IdentityCheckError(f"assembled subspace of dim {s} is not T-invariant")
     return sub
 
 

@@ -25,6 +25,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib.resources import files as _resource_files
+from math import comb
 
 import numpy as np
 
@@ -287,7 +288,8 @@ def orbit_classes(
 
     normals = all_normals_array(n, q)
     m = normals.shape[0]
-    assert m == params.m
+    if m != params.m:
+        raise IdentityCheckError(f"swept {m} normals, expected m = {params.m}")
     codes = np.empty((m, p), dtype=np.int64)
     codes[:, 0] = _encode_rows(normals, q)
     cur = normals
@@ -338,8 +340,31 @@ def gaussian_count(n: int, k: int, q: int) -> int:
     for j in range(k):
         num *= q ** (n - j) - 1
         den *= q ** (k - j) - 1
-    assert num % den == 0
-    return num // den
+    count, rest = divmod(num, den)
+    if rest:
+        raise IdentityCheckError(f"Gaussian binomial [{n} {k}]_{q}: {num} / {den} is not integral")
+    return count
+
+
+def core_histogram(params: CoverParams) -> dict[int, int]:
+    """Closed-form number of orbit classes of each core dimension, without enumeration.
+
+    Phi_p splits over F_q into k = (p-1)/s0 factors, so the dual space splits
+    into k components of dimension d = s0(r-2); a normal with nonzero
+    projection on exactly j of them has a core of dimension n - s0 j, and
+    C(k, j)(q^d - 1)^j / ((q - 1)p) classes do, for j = 1..k.
+    """
+    p, q, n, s0 = params.p, params.q, params.n, params.s0
+    k, d = (p - 1) // s0, s0 * (params.r - 2)
+    histogram = {}
+    for j in range(1, k + 1):
+        count, rest = divmod(comb(k, j) * (q**d - 1) ** j, (q - 1) * p)
+        if rest:
+            raise IdentityCheckError(
+                f"C({k},{j})(q^{d} - 1)^{j} is not divisible by (q - 1)p = {(q - 1) * p}"
+            )
+        histogram[n - s0 * j] = count
+    return histogram
 
 
 def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Subspace]:

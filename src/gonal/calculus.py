@@ -25,7 +25,8 @@ def genus_base(p: int, r: int) -> int:
     if r < 3:
         raise InvalidParamsError(f"r = {r} must be at least 3")
     num = (p - 1) * (r - 2)
-    assert num % 2 == 0
+    if num % 2:
+        raise IdentityCheckError(f"(p-1)(r-2) = {num} is odd for p = {p}")
     return num // 2
 
 
@@ -38,7 +39,8 @@ def genus_homology_cover(params: CoverParams) -> int:
 def genus_intermediate(params: CoverParams) -> int:
     """Genus 1 + q((p-1)(r-2) - 2)/2 of each index-q unramified cover Y_j."""
     num = params.q * (params.n - 2)
-    assert num % 2 == 0
+    if num % 2:
+        raise IdentityCheckError(f"q(n-2) = {num} is odd for {params}")
     return 1 + num // 2
 
 

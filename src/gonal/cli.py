@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .action import CoverParams, build_action
 from .atlas import (
     Hyperplane,
+    core_histogram,
     galois_closure,
     orbit_classes,
     subgroup_from_file,
@@ -172,6 +173,22 @@ def cmd_invariants(args) -> int:
     return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
 
 
+def _cores_check(params: CoverParams, facts: list[dict], histogram: dict[int, int]) -> dict:
+    """Row `cores-invariant-and-quantized`: every core dimension a multiple of s0
+    (OrbitClass.verify checks invariance per class) and the observed histogram
+    equal to the closed form core_histogram(params)."""
+    expected = core_histogram(params)
+    off = [f["core_dim"] for f in facts if f["core_dim"] % params.s0]
+    if off:
+        detail = f"core dim {off[0]} is not a multiple of s0 = {params.s0}"
+    elif histogram != expected:
+        detail = f"core-dim histogram {dict(sorted(histogram.items()))} != closed form {expected}"
+    else:
+        detail = f"core dims all multiples of {params.s0}"
+    status = "pass" if not off and histogram == expected else "fail"
+    return {"name": "cores-invariant-and-quantized", "status": status, "detail": detail}
+
+
 def cmd_atlas(args) -> int:
     start = time.perf_counter()
     params = _params_from_args(args)
@@ -194,11 +211,7 @@ def cmd_atlas(args) -> int:
             else "fail",
             "detail": "",
         },
-        {
-            "name": "cores-invariant-and-quantized",
-            "status": "pass",  # cls.verify would have raised otherwise
-            "detail": f"core dims all multiples of {params.s0}",
-        },
+        _cores_check(params, facts, histogram),
         {
             "name": "cores-meet-stated-bound",
             "status": "pass" if all(f["meets_stated_bound"] for f in facts) else "fail",

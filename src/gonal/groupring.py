@@ -60,6 +60,8 @@ class FrobeniusGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity: GroupElement = ((0,) * n, 0)
         self._perm_cache: dict[GroupElement, np.ndarray] = {}
+        # ((L, u), A_L basis, L's kernel basis) of the last fixed_subspace call
+        self._fixed_memo: tuple = (None, None, None)
 
     @property
     def order(self) -> int:
@@ -338,11 +340,19 @@ def _canonical_rowspan(basis: np.ndarray) -> tuple:
 
 
 def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[GroupElement]):
-    """Right cosets L x: returns (coset index per element, representative indices)."""
-    perms = np.stack([group.left_perm(h) for h in subgroup_elems])
-    rep_of = perms.min(axis=0)  # least index reachable by left L-translation
-    reps, coset_idx = np.unique(rep_of, return_inverse=True)
-    return coset_idx, reps
+    """Right cosets L x: returns (coset index per element, representative indices).
+
+    Each element's representative is the least index reachable by left
+    L-translation, a running minimum over the left permutations, so only one
+    |G| array is held.  A representative is its own minimum, and cosets are
+    numbered in the order of their representatives.
+    """
+    rep_of = np.arange(group.order, dtype=np.int64)
+    for h in subgroup_elems:
+        np.minimum(rep_of, group.left_perm(h), out=rep_of)
+    is_rep = rep_of == np.arange(group.order)
+    coset_idx = (np.cumsum(is_rep) - 1)[rep_of]
+    return coset_idx, np.flatnonzero(is_rep)
 
 
 def _default_transversal(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
@@ -357,7 +367,7 @@ def _default_transversal(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
 def fixed_subspace(
     group: FrobeniusGroup, L: Hyperplane, transversal_elem=None
 ) -> np.ndarray:
-    """Integer basis (rows) of A_L inside the regular module.
+    """Read-only integer basis (rows) of A_L inside the regular module.
 
     Conditions: fixed by every translation in L, annihilated by the sum of
     the q multiples of the transversal element (any vector outside L; the
@@ -365,35 +375,46 @@ def fixed_subspace(
     first one).  Vectors fixed by L are exactly the functions constant on
     right L-cosets, so the null space is computed on the coset space and
     expanded back.
+
+    The last result is kept on the group, keyed by L and the resolved
+    transversal, so the scalar and cross-term checks of one hyperplane
+    build A_L once.
     """
     params = group.params
     q, n = params.q, params.n
     if transversal_elem is None:
-        transversal_elem = _default_transversal(group, L)
-    ker = L.kernel()
-    u = np.asarray(transversal_elem, dtype=np.int64).reshape(-1) % q
+        u = _default_transversal(group, L)
+    else:
+        u = np.asarray(transversal_elem, dtype=np.int64).reshape(-1) % q
+    key = (L, tuple(u.tolist()))
+    if group._fixed_memo[0] == key:
+        return group._fixed_memo[1]
     if u.shape[0] != n:
         raise InvalidTransversalError(f"transversal has length {u.shape[0]}, need {n}")
-    if ker.contains(u):
+    if not u @ L.normal_array() % q:
         raise InvalidTransversalError(
-            f"transversal element {tuple(int(x) for x in u)} lies inside the subgroup"
+            f"transversal element {key[1]} lies inside the subgroup"
         )
+    ker = L.kernel()
     # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
     span = (_lex_tails(ker.dim, q) @ ker.basis_array) % q
     coset_idx, reps = _coset_partition(group, [(tuple(v), 0) for v in span.tolist()])
     ncos = len(reps)
-    smat = [[0] * ncos for _ in range(ncos)]
+    smat = np.zeros((ncos, ncos), dtype=np.int64)
     for j in range(q):
-        mult = (j * u) % q
-        elem = (tuple(int(x) for x in mult), 0)
-        perm = group.left_perm(elem)
-        for c in range(ncos):
-            smat[coset_idx[perm[reps[c]]]][c] += 1
-    coeff_rows = _rational_kernel(smat)
-    basis = np.zeros((len(coeff_rows), group.order), dtype=np.int64)
-    for i, coeffs in enumerate(coeff_rows):
-        basis[i] = np.array(coeffs, dtype=np.int64)[coset_idx]
+        perm = group.left_perm((tuple(((j * u) % q).tolist()), 0))
+        smat[coset_idx[perm[reps]], np.arange(ncos)] += 1
+    coeff_rows = np.array(_rational_kernel(smat.tolist()), dtype=np.int64).reshape(-1, ncos)
+    basis = coeff_rows[:, coset_idx]
+    basis.flags.writeable = False
+    group._fixed_memo = (key, basis, ker.basis_array)
     return basis
+
+
+def _fixed_subspace_and_kernel(group: FrobeniusGroup, L: Hyperplane, transversal_elem):
+    """A_L from fixed_subspace, and L's kernel basis from the memo that call leaves."""
+    basis = fixed_subspace(group, L, transversal_elem)
+    return basis, group._fixed_memo[2]
 
 
 def fixed_subspace_canonical(group, L, transversal_elem) -> tuple:
@@ -408,14 +429,12 @@ def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_ele
     """
     params = group.params
     q, n = params.q, params.n
-    if transversal_elem is None:
-        transversal_elem = _default_transversal(group, L)
-    basis = fixed_subspace(group, L, transversal_elem)
+    basis, span = _fixed_subspace_and_kernel(group, L, transversal_elem)
     if basis.shape[0] == 0:
         raise IdentityCheckError(f"A_L is zero for {L}; nothing to verify")
     phi_sum = GroupRingOperator.twist_power_sum(group)
     scalar = q ** (n - 1)
-    image = apply_subgroup_sum(group, L.kernel().basis_array, phi_sum.apply(basis))
+    image = apply_subgroup_sum(group, span, phi_sum.apply(basis))
     if not np.array_equal(image, scalar * basis):
         bad = next(
             i for i in range(basis.shape[0])
@@ -431,21 +450,22 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     """Check the twisted terms: sum_L h . twist^k annihilates A_L for k >= 1.
 
     The untwisted k = 0 term instead scales by |L| = q^(n-1); both facts are
-    returned, failures raise with the witness (k, row).
+    returned.  The sum over L is applied once to the p twisted copies of the
+    basis, stacked; a failure raises naming the first failing k.
     """
     params = group.params
     q, n, p = params.q, params.n, params.p
-    if transversal_elem is None:
-        transversal_elem = _default_transversal(group, L)
-    basis = fixed_subspace(group, L, transversal_elem)
-    span = L.kernel().basis_array
+    basis, span = _fixed_subspace_and_kernel(group, L, transversal_elem)
     zero_vec = (0,) * n
-    for k in range(p):
-        twist = GroupRingOperator(group, {(zero_vec, k): 1})
-        image = apply_subgroup_sum(group, span, twist.apply(basis))
-        expected = q ** (n - 1) * basis if k == 0 else np.zeros_like(basis)
-        if not np.array_equal(image, expected):
-            raise IdentityCheckError(f"cross term k = {k} fails on A_L of {L}")
+    twisted = np.stack(
+        [GroupRingOperator(group, {(zero_vec, k): 1}).apply(basis) for k in range(p)]
+    )
+    images = apply_subgroup_sum(group, span, twisted)
+    expected = np.zeros_like(twisted)
+    expected[0] = q ** (n - 1) * basis
+    if not np.array_equal(images, expected):
+        k = next(k for k in range(p) if not np.array_equal(images[k], expected[k]))
+        raise IdentityCheckError(f"cross term k = {k} fails on A_L of {L}")
     return {"k0_scalar": q ** (n - 1), "cross_terms_zero": True, "checked_k": list(range(p))}
 
 

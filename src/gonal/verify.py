@@ -52,7 +52,7 @@ def _checked(name: str, fn) -> CheckResult:
     try:
         detail = fn()
         return CheckResult(name, True, detail or "")
-    except (GonalError, AssertionError) as exc:
+    except GonalError as exc:
         return CheckResult(name, False, str(exc))
 
 
@@ -132,21 +132,25 @@ def suite_groupring(cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
             _require(scalars == {expected}, f"scalars {scalars} != {{{expected}}}")
             return f"scalar {expected} on all {params.m} hyperplanes"
 
-        results.append(_checked(f"groupring-{tag}-scalar", run_scalar))
+        scalar_row = _checked(f"groupring-{tag}-scalar", run_scalar)
 
         def run_cross(params=params, group=group):
             for h in enumerate_hyperplanes(params):
                 verify_cross_terms(group, h)
             return f"all twisted terms vanish on {params.m} hyperplanes"
 
-        results.append(_checked(f"groupring-{tag}-cross-terms", run_cross))
-        results.append(
-            CheckResult(
-                f"groupring-{tag}-composite-scalar",
-                True,
-                f"derived: composed diagram is multiplication by {composite_scalar(params)}",
-            )
-        )
+        cross_row = _checked(f"groupring-{tag}-cross-terms", run_cross)
+
+        def run_composite(params=params, rows=(scalar_row, cross_row)):
+            failed = [row.name for row in rows if not row.passed]
+            _require(not failed, f"derived from failed row {', '.join(failed)}")
+            expected = params.q * params.q ** (params.n - 1)
+            got = composite_scalar(params)
+            _require(got == expected, f"composite scalar {got} != q * q^(n-1) = {expected}")
+            return f"derived: composed diagram is multiplication by {got}"
+
+        composite_row = _checked(f"groupring-{tag}-composite-scalar", run_composite)
+        results += [scalar_row, cross_row, composite_row]
     return results
 
 

@@ -105,6 +105,18 @@ def test_cyclotomic_factor_shapes(p, q, factor_count, factor_degree):
     assert fact.s0 == factor_degree
 
 
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (13, 3), (11, 3), (7, 5)])
+def test_cyclotomic_factor_matches_sympy(p, q):
+    from sympy import Poly, cyclotomic_poly, symbols
+
+    x = symbols("x")
+    _, factors = Poly(cyclotomic_poly(p, x), x, modulus=q).factor_list()
+    assert [mult for _, mult in factors] == [1] * len(factors)
+    # sympy lists coefficients highest degree first, in the symmetric range.
+    expected = {tuple(int(c) % q for c in reversed(f.all_coeffs())) for f, _ in factors}
+    assert set(cyclotomic_factor(p, q).factors) == expected
+
+
 def test_invariant_subspace_trivial_dims():
     action = build_action(CoverParams(5, 2, 3))
     assert invariant_subspace_of_dim(action, 0) == Subspace.zero(4, 2)

@@ -6,6 +6,7 @@ from gonal.atlas import (
     all_normals_array,
     conjugate_hyperplane,
     core,
+    core_histogram,
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
@@ -325,3 +326,17 @@ def test_bundled_core_fixtures_span_the_computed_core(lname, kname):
     h = Hyperplane.from_subspace(sub)
     expected_core = parse_generator_words(read_fixture(kname + ".gens"), params)
     assert core(h, action) == expected_core
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 2, 3), (7, 2, 4), (5, 3, 4)])
+def test_core_histogram_matches_orbit_classes(p, q, r):
+    params = CoverParams(p, q, r)
+    observed = {}
+    for cls in orbit_classes(params):
+        observed[cls.core_dim] = observed.get(cls.core_dim, 0) + 1
+    assert core_histogram(params) == observed
+    assert sum(observed.values()) == params.t
+
+
+def test_core_histogram_closed_form_at_13_3_3():
+    assert core_histogram(CoverParams(13, 3, 3)) == {9: 4, 6: 156, 3: 2704, 0: 17576}

@@ -48,6 +48,16 @@ def test_atlas_small(capsys):
     )
 
 
+def test_atlas_cores_row_fails_on_a_corrupted_histogram(capsys, monkeypatch):
+    monkeypatch.setattr("gonal.cli.core_histogram", lambda params: {2: 4, 0: 1})
+    code, out, _ = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
+    assert code == 1
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    row = rows["cores-invariant-and-quantized"]
+    assert row["status"] == "fail"
+    assert row["detail"] == "core-dim histogram {2: 5} != closed form {2: 4, 0: 1}"
+
+
 def test_atlas_orbits_flag_lists_members(capsys):
     code, out, _ = run_cli(
         capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--orbits", "--json"

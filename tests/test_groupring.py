@@ -254,3 +254,77 @@ def test_rational_eliminations_match_a_fraction_elimination(mat):
         ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
         expected.append([x // gcd(*ints) for x in ints])
     assert groupring._rational_kernel(mat.tolist()) == expected
+
+
+def _stacked_partition(group, subgroup_elems):
+    """Reference: the coset partition from the minimum over all left permutations at once."""
+    rep_of = np.stack([group.left_perm(h) for h in subgroup_elems]).min(axis=0)
+    reps, coset_idx = np.unique(rep_of, return_inverse=True)
+    return coset_idx, reps
+
+
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3)])
+def test_streamed_coset_partition_matches_the_stacked_minimum(p, q, r):
+    params = CoverParams(p, q, r)
+    group = build_group(params)
+    for h in enumerate_hyperplanes(params):
+        elems = [(tuple(int(x) for x in v), 0) for v in h.kernel().vectors()]
+        got = groupring._coset_partition(group, elems)
+        expected = _stacked_partition(group, elems)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_scalar_and_cross_terms_build_a_l_once(monkeypatch):
+    group = build_group(CoverParams(3, 2, 4))
+    builds = []
+    partition = groupring._coset_partition
+
+    def counted(group, elems):
+        builds.append(len(elems))
+        return partition(group, elems)
+
+    monkeypatch.setattr(groupring, "_coset_partition", counted)
+    h, other = list(enumerate_hyperplanes(group.params))[:2]
+    verify_scalar_identity(group, h)
+    verify_cross_terms(group, h)
+    fixed_subspace(group, h)
+    assert len(builds) == 1
+    # Another hyperplane, or another transversal of the same one, rebuilds.
+    verify_cross_terms(group, other)
+    assert len(builds) == 2
+    u = next(
+        v for v in product(range(2), repeat=4)
+        if any(v) and not h.kernel().contains(v)
+        and v != tuple(groupring._default_transversal(group, h).tolist())
+    )
+    first = fixed_subspace(group, h)
+    assert len(builds) == 3
+    again = fixed_subspace(group, h, u)
+    assert len(builds) == 4
+    assert fixed_subspace_canonical(group, h, u) == groupring._canonical_rowspan(first)
+    assert again is fixed_subspace(group, h, np.array(u) + 2)  # same residues, memo hit
+    assert len(builds) == 4
+
+
+def test_memoised_basis_is_read_only():
+    group = build_group(CoverParams(5, 2, 3))
+    h = next(iter(enumerate_hyperplanes(group.params)))
+    basis = fixed_subspace(group, h)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 7
+    assert fixed_subspace(group, h) is basis
+
+
+def test_cross_terms_name_the_broken_twist(monkeypatch):
+    group = build_group(CoverParams(5, 2, 3))
+    broken = ((0,) * group.params.n, 3)
+    left_perm = group.left_perm
+    identity = np.arange(group.order)
+    monkeypatch.setattr(
+        group, "left_perm", lambda g: identity if g == broken else left_perm(g)
+    )
+    for h in enumerate_hyperplanes(group.params):
+        with pytest.raises(IdentityCheckError, match="cross term k = 3 fails"):
+            verify_cross_terms(group, h)

@@ -5,15 +5,47 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gonal.action as action
+import gonal.atlas as atlas
+import gonal.calculus as calculus
 import gonal.verify as verify
+from gonal.cli import main
+from gonal.errors import IdentityCheckError
 
 
 def test_verify_has_no_asserts():
     # `python -O` strips assert statements, which would turn every suite row
-    # into a pass without checking anything.
-    tree = ast.parse(inspect.getsource(verify))
-    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert asserts == []
+    # into a pass without checking anything; the suites' checks also live in
+    # the action, atlas and calculus modules.
+    found = {}
+    for module in (verify, action, atlas, calculus):
+        tree = ast.parse(inspect.getsource(module))
+        found[module.__name__] = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == {name: [] for name in found}
+
+
+def test_composite_row_fails_with_its_scalar_row(monkeypatch, capsys):
+    def broken(group, h, transversal_elem=None):
+        raise IdentityCheckError(f"broken scalar identity at {h}")
+
+    monkeypatch.setattr(verify, "verify_scalar_identity", broken)
+    rows = {row.name: row for row in verify.suite_groupring()}
+    for tag in ("5-2-3", "3-2-4"):
+        assert not rows[f"groupring-{tag}-scalar"].passed
+        assert rows[f"groupring-{tag}-cross-terms"].passed
+        composite = rows[f"groupring-{tag}-composite-scalar"]
+        assert not composite.passed
+        assert f"groupring-{tag}-scalar" in composite.detail
+    assert main(["verify", "--suite", "groupring", "--json"]) == 1
+    capsys.readouterr()
+
+
+def test_composite_row_checks_the_scalar(monkeypatch):
+    monkeypatch.setattr(verify, "composite_scalar", lambda params: params.q**params.n + 1)
+    rows = {row.name: row for row in verify.suite_groupring()}
+    composite = rows["groupring-5-2-3-composite-scalar"]
+    assert not composite.passed
+    assert "17 != q * q^(n-1) = 16" in composite.detail
 
 
 def test_failed_identity_is_reported_under_python_O():
