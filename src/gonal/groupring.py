@@ -60,8 +60,8 @@ class FrobeniusGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity: GroupElement = ((0,) * n, 0)
         self._perm_cache: dict[GroupElement, np.ndarray] = {}
-        # ((L, u), A_L basis, L's kernel basis) of the last fixed_subspace call
-        self._fixed_memo: tuple = (None, None, None)
+        # ((L, u), (A_L basis, L's kernel basis)) of the last _fixed call
+        self._fixed_last: tuple = (None, None)
 
     @property
     def order(self) -> int:
@@ -375,10 +375,17 @@ def fixed_subspace(
     first one).  Vectors fixed by L are exactly the functions constant on
     right L-cosets, so the null space is computed on the coset space and
     expanded back.
+    """
+    return _fixed(group, L, transversal_elem)[0]
 
-    The last result is kept on the group, keyed by L and the resolved
-    transversal, so the scalar and cross-term checks of one hyperplane
-    build A_L once.
+
+def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
+    """(A_L basis, L's kernel basis), see fixed_subspace.
+
+    Only the last result is kept on the group, keyed by L and the resolved
+    transversal: calls for one hyperplane made back to back (its scalar
+    check, then its cross terms) build A_L once, while a sweep over all
+    hyperplanes in turn holds one entry.
     """
     params = group.params
     q, n = params.q, params.n
@@ -387,8 +394,8 @@ def fixed_subspace(
     else:
         u = np.asarray(transversal_elem, dtype=np.int64).reshape(-1) % q
     key = (L, tuple(u.tolist()))
-    if group._fixed_memo[0] == key:
-        return group._fixed_memo[1]
+    if group._fixed_last[0] == key:
+        return group._fixed_last[1]
     if u.shape[0] != n:
         raise InvalidTransversalError(f"transversal has length {u.shape[0]}, need {n}")
     if not u @ L.normal_array() % q:
@@ -407,14 +414,8 @@ def fixed_subspace(
     coeff_rows = np.array(_rational_kernel(smat.tolist()), dtype=np.int64).reshape(-1, ncos)
     basis = coeff_rows[:, coset_idx]
     basis.flags.writeable = False
-    group._fixed_memo = (key, basis, ker.basis_array)
-    return basis
-
-
-def _fixed_subspace_and_kernel(group: FrobeniusGroup, L: Hyperplane, transversal_elem):
-    """A_L from fixed_subspace, and L's kernel basis from the memo that call leaves."""
-    basis = fixed_subspace(group, L, transversal_elem)
-    return basis, group._fixed_memo[2]
+    group._fixed_last = (key, (basis, ker.basis_array))
+    return group._fixed_last[1]
 
 
 def fixed_subspace_canonical(group, L, transversal_elem) -> tuple:
@@ -429,7 +430,7 @@ def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_ele
     """
     params = group.params
     q, n = params.q, params.n
-    basis, span = _fixed_subspace_and_kernel(group, L, transversal_elem)
+    basis, span = _fixed(group, L, transversal_elem)
     if basis.shape[0] == 0:
         raise IdentityCheckError(f"A_L is zero for {L}; nothing to verify")
     phi_sum = GroupRingOperator.twist_power_sum(group)
@@ -455,7 +456,7 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     """
     params = group.params
     q, n, p = params.q, params.n, params.p
-    basis, span = _fixed_subspace_and_kernel(group, L, transversal_elem)
+    basis, span = _fixed(group, L, transversal_elem)
     zero_vec = (0,) * n
     twisted = np.stack(
         [GroupRingOperator(group, {(zero_vec, k): 1}).apply(basis) for k in range(p)]

@@ -42,6 +42,12 @@ def test_atlas_small(capsys):
     data = json.loads(out)
     assert data["payload"]["class_count"] == "5"
     assert data["payload"]["core_dim_histogram"] == {"2": "5"}
+    rows = {c["name"]: c for c in data["checks"]}
+    assert rows["cores-invariant-and-quantized"] == {
+        "name": "cores-invariant-and-quantized",
+        "status": "pass",
+        "detail": "core-dim histogram {2: 5} equals the closed form",
+    }
     assert all(row["core_dim"] == "2" for row in data["payload"]["classes"])
     assert all(
         row["galois_group"] == "Z_2^2 ⋊ Z_3" for row in data["payload"]["classes"]

@@ -40,6 +40,39 @@ def test_composite_row_fails_with_its_scalar_row(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_groupring_suite_builds_each_a_l_once(monkeypatch):
+    import gonal.groupring as groupring
+
+    builds = []
+    partition = groupring._coset_partition
+
+    def counted(group, elems):
+        builds.append(len(elems))
+        return partition(group, elems)
+
+    monkeypatch.setattr(groupring, "_coset_partition", counted)
+    rows = verify.suite_groupring()
+    assert all(row.passed for row in rows)
+    # m = 15 hyperplanes for each of (5,2,3) and (3,2,4): scalar and cross
+    # terms share one A_L per hyperplane, so 30 builds, not 60.
+    assert len(builds) == 15 + 15
+
+
+def test_groupring_rows_keep_their_first_failure(monkeypatch):
+    calls = []
+
+    def broken(group, h, transversal_elem=None):
+        calls.append(h)
+        raise IdentityCheckError(f"broken cross terms at {h}")
+
+    monkeypatch.setattr(verify, "verify_cross_terms", broken)
+    rows = {row.name: row for row in verify.suite_groupring()}
+    first = next(iter(atlas.enumerate_hyperplanes(action.CoverParams(5, 2, 3))))
+    assert rows["groupring-5-2-3-cross-terms"].detail == f"broken cross terms at {first}"
+    assert rows["groupring-5-2-3-scalar"].detail == "scalar 8 on all 15 hyperplanes"
+    assert len(calls) == 2  # one per triple: a failed row is not rechecked
+
+
 def test_composite_row_checks_the_scalar(monkeypatch):
     monkeypatch.setattr(verify, "composite_scalar", lambda params: params.q**params.n + 1)
     rows = {row.name: row for row in verify.suite_groupring()}
