@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -208,6 +209,24 @@ def cyclotomic_factor(p: int, q: int) -> CyclotomicFactorization:
     return CyclotomicFactorization(p=p, q=q, s0=s0, factors=factors)
 
 
+@dataclass(frozen=True)
+class PrimaryProjections:
+    """The primary decomposition of the dual action v -> v T^(-1), per block.
+
+    Phi_p = f_1 ... f_k over F_q with k = (p-1)/s0, so each (p-1)-entry block
+    of a normal splits into components in ker f_i(B^(-1)), B the companion
+    block.  Both arrays are read-only:
+
+    cofactors: the (p-1, k(p-1)) stack [C_1 | ... | C_k], C_i = (Phi_p/f_i)(B^(-1));
+        a block v has v C_i != 0 exactly when its f_i-component is nonzero.
+    factors: (k, p-1, p-1), factors[i] = f_i(B^(-1)).
+    """
+
+    s0: int
+    cofactors: np.ndarray
+    factors: np.ndarray
+
+
 def _companion_block(p: int, q: int) -> np.ndarray:
     # Column i is the image of basis vector e_i: e_(i+1) for i < p-1,
     # and -(e_1 + ... + e_(p-1)) for the last one.
@@ -270,6 +289,24 @@ class AdaptedAction:
     def block_array(self) -> np.ndarray:
         """One (p-1) x (p-1) companion block (shared by all blocks)."""
         return self._block
+
+    @cached_property
+    def primary(self) -> PrimaryProjections:
+        """Primary projections of the dual action, built on first use.
+
+        The action is block-diagonal with one block repeated r-2 times, so
+        the projections are evaluated at that block of the inverse.
+        """
+        p, q = self.params.p, self.params.q
+        fact = cyclotomic_factor(p, q)
+        inv_block = self._inverse[: p - 1, : p - 1]
+        cofactors = np.hstack(
+            [gfpoly.eval_at_matrix(fact.cofactor(i), inv_block, q) for i in range(len(fact.factors))]
+        )
+        factors = np.stack([gfpoly.eval_at_matrix(f, inv_block, q) for f in fact.factors])
+        cofactors.flags.writeable = False
+        factors.flags.writeable = False
+        return PrimaryProjections(fact.s0, cofactors, factors)
 
     def power_array(self, e: int) -> np.ndarray:
         return matpow_array(self._matrix, e % self.params.p, self.params.q)

@@ -94,14 +94,14 @@ class Hyperplane:
         lead = int(vec[nz[0]])
         if lead != 1:
             vec = (vec * pow(lead, modulus - 2, modulus)) % modulus
-        object.__setattr__(self, "normal", tuple(vec.tolist()))
-        object.__setattr__(self, "modulus", modulus)
+        self.normal = tuple(vec.tolist())
+        self.modulus = modulus
 
     @classmethod
     def _from_normalized(cls, normal: tuple, modulus: int) -> "Hyperplane":
         self = cls.__new__(cls)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "modulus", modulus)
+        self.normal = normal
+        self.modulus = modulus
         return self
 
     @classmethod
@@ -125,9 +125,6 @@ class Hyperplane:
         """The subgroup itself: {x : normal . x = 0}, dimension n - 1."""
         rows = kernel_array(self.normal_array().reshape(1, -1), self.modulus)
         return Subspace._from_canonical(rows, self.ambient_dim, self.modulus)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Hyperplane is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hyperplane):
@@ -174,6 +171,37 @@ def core(h: Hyperplane, action: AdaptedAction) -> Subspace:
         row = (row @ action.inverse_array) % q
     rows = kernel_array(stack, q)
     return Subspace._from_canonical(rows, n, q)
+
+
+def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
+    """dim core(h) read off the primary decomposition, without an elimination.
+
+    The conjugate normals h T^(-j) span the cyclic module of h under
+    v -> v T^(-1), of dimension deg of h's minimal polynomial.  Phi_p is
+    squarefree, so that polynomial is the product of the f_i over
+    J = {i : h has a nonzero f_i-component}, found by one product with the
+    cofactor stack; core dim = n - s0 |J|.  h times prod_{i in J} f_i(T^(-1))
+    must vanish, which pins the minimal polynomial down to that product;
+    IdentityCheckError with a witness if it does not.
+    """
+    params = action.params
+    p, q, n = params.p, params.q, params.n
+    if h.modulus != q or h.ambient_dim != n:
+        raise InvalidParamsError("hyperplane and action live over different spaces")
+    primary = action.primary
+    blocks = np.array(h.normal, dtype=np.int64).reshape(params.r - 2, p - 1)
+    parts = ((blocks @ primary.cofactors) % q).reshape(params.r - 2, -1, p - 1)
+    components = np.flatnonzero(parts.any(axis=(0, 2)))
+    rest = blocks
+    for i in components:
+        rest = (rest @ primary.factors[i]) % q
+    if rest.any():
+        block, entry = np.argwhere(rest)[0].tolist()
+        raise IdentityCheckError(
+            f"{h} has components {components.tolist()} but the product of their factors "
+            f"at T^-1 leaves entry {block * (p - 1) + entry} nonzero"
+        )
+    return n - primary.s0 * components.size
 
 
 @dataclass(frozen=True)
@@ -265,24 +293,10 @@ def _normalize_rows(rows: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     return (rows * inv[lead][:, None]) % q
 
 
-def orbit_classes(
-    params: CoverParams,
-    cap: int | None = None,
-    action: AdaptedAction | None = None,
-) -> list[OrbitClass]:
-    """Classify all hyperplanes into their t conjugation orbits, with cores.
-
-    Deterministic: classes are ordered by representative normal, members by
-    successive conjugation starting at the representative.
-    """
+def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
+    """Codes of every orbit, (t, p): rows ordered by representative, each row
+    the representative's code followed by its successive conjugates'."""
     p, q, n = params.p, params.q, params.n
-    _check_cap(q**n, resolve_atlas_cap(cap), "orbit classification")
-    if action is None:
-        action = build_action(params)
-    elif action.params != params:
-        raise InvalidParamsError(
-            f"action built for {action.params} cannot classify {params}"
-        )
     inv = inverse_table(q)
     tinv = action.inverse_array
 
@@ -311,11 +325,30 @@ def orbit_classes(
         raise IdentityCheckError("an orbit has fewer than p distinct members")
     if np.unique(sorted_codes).size != m:
         raise IdentityCheckError("orbits do not partition the hyperplane set")
-    del codes, rep_codes, is_rep, sorted_codes
+    return orbit_codes
 
-    member_vecs = _decode_codes(orbit_codes, n, q)
+
+def orbit_classes(
+    params: CoverParams,
+    cap: int | None = None,
+    action: AdaptedAction | None = None,
+) -> list[OrbitClass]:
+    """Classify all hyperplanes into their t conjugation orbits, with cores.
+
+    Deterministic: classes are ordered by representative normal, members by
+    successive conjugation starting at the representative.
+    """
+    p, q, n = params.p, params.q, params.n
+    _check_cap(q**n, resolve_atlas_cap(cap), "orbit classification")
+    if action is None:
+        action = build_action(params)
+    elif action.params != params:
+        raise InvalidParamsError(
+            f"action built for {action.params} cannot classify {params}"
+        )
+    member_vecs = _decode_codes(_orbit_codes(params, action), n, q)
     classes = []
-    for i in range(rep_rows.size):
+    for i in range(member_vecs.shape[0]):
         vecs = member_vecs[i]
         members = tuple(
             Hyperplane._from_normalized(tuple(vecs[j].tolist()), q) for j in range(p)
@@ -403,8 +436,9 @@ def galois_closure(
 ) -> GaloisReport:
     """Describe the Galois closure Z_q^k x| Z_p of the composite cover.
 
-    k = n - dim(core).  The composite itself is never Galois here: under
-    gcd(p, q-1) = 1 no hyperplane is fixed by the action; hitting one raises
+    k = n - dim(core), the core dimension read by core_dim (no elimination).
+    The composite itself is never Galois here: under gcd(p, q-1) = 1 no
+    hyperplane is fixed by the action; hitting one raises
     InvariantHyperplaneError since it would mean the parameters lied.
     """
     if action is None:
@@ -415,8 +449,8 @@ def galois_closure(
         raise InvariantHyperplaneError(
             f"hyperplane {h} is invariant; gcd(p, q-1) = 1 must have been violated"
         )
-    c = core(h, action)
-    k = params.n - c.dim
+    dim = core_dim(h, action)
+    k = params.n - dim
     order_ok = pow(params.q, k, params.p) == 1
     if not order_ok:
         raise IdentityCheckError(f"q^k != 1 mod p for k = {k}; core computation is wrong")
@@ -427,7 +461,7 @@ def galois_closure(
         k=k,
         group=f"Z_{params.q}^{k} ⋊ Z_{params.p}",
         order_check=order_ok,
-        core_dim=c.dim,
+        core_dim=dim,
         exceeds_complement_range=k > params.p - 1,
     )
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 from .action import CoverParams, build_action
 from .atlas import (
+    GaloisReport,
     Hyperplane,
+    core,
     core_histogram,
     galois_closure,
     orbit_classes,
@@ -253,6 +255,24 @@ def cmd_atlas(args) -> int:
     return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
 
 
+def _closure_check(params: CoverParams, report: GaloisReport, eliminated_dim: int) -> dict:
+    """Row `closure-order-condition`: q^k = 1 mod p holds by construction once
+    k = s0 |J|, so the row also needs the elimination's core dimension to
+    equal the one read off the primary decomposition."""
+    detail = f"q^{report.k} = 1 mod {params.p}"
+    passed = report.order_check and eliminated_dim == report.core_dim
+    if eliminated_dim != report.core_dim:
+        detail += (
+            f", but the elimination gives core dim {eliminated_dim} "
+            f"and the primary decomposition {report.core_dim}"
+        )
+    return {
+        "name": "closure-order-condition",
+        "status": "pass" if passed else "fail",
+        "detail": detail,
+    }
+
+
 def cmd_galois(args) -> int:
     start = time.perf_counter()
     params = _params_from_args(args)
@@ -263,7 +283,8 @@ def cmd_galois(args) -> int:
             f"of Z_{params.q}^{params.n}"
         )
     h = Hyperplane.from_subspace(sub)
-    report = galois_closure(h, params)
+    action = build_action(params)
+    report = galois_closure(h, params, action)
     payload = jsonify(
         {
             "subgroup_file": args.subgroup,
@@ -278,13 +299,7 @@ def cmd_galois(args) -> int:
             "quotient_genus": genus_quotient_by_core(params, report.core_dim),
         }
     )
-    checks = [
-        {
-            "name": "closure-order-condition",
-            "status": "pass" if report.order_check else "fail",
-            "detail": f"q^{report.k} = 1 mod {params.p}",
-        }
-    ]
+    checks = [_closure_check(params, report, core(h, action).dim)]
     envelope = ReportEnvelope(
         command="galois",
         params=jsonify(params.describe()),

@@ -1,11 +1,21 @@
-import pytest
+from dataclasses import replace
+from itertools import combinations
 
-from gonal.action import CoverParams, build_action
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gonal import gfpoly
+from gonal.action import CoverParams, build_action, cyclotomic_factor
 from gonal.atlas import (
     Hyperplane,
+    _decode_codes,
+    _orbit_codes,
     all_normals_array,
     conjugate_hyperplane,
     core,
+    core_dim,
     core_histogram,
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
@@ -20,6 +30,7 @@ from gonal.atlas import (
 from gonal.errors import (
     CapExceededError,
     FixtureParseError,
+    IdentityCheckError,
     InvalidParamsError,
 )
 from gonal.fqlinalg import Subspace
@@ -340,3 +351,99 @@ def test_core_histogram_matches_orbit_classes(p, q, r):
 
 def test_core_histogram_closed_form_at_13_3_3():
     assert core_histogram(CoverParams(13, 3, 3)) == {9: 4, 6: 156, 3: 2704, 0: 17576}
+
+
+@pytest.mark.parametrize(
+    "p,q,r", [(3, 2, 4), (5, 2, 3), (5, 2, 4), (7, 2, 4), (5, 3, 4), (3, 2, 6)]
+)
+def test_core_dim_matches_elimination_on_every_class_member(p, q, r):
+    params = CoverParams(p, q, r)
+    action = build_action(params)
+    for cls in orbit_classes(params, action=action):
+        assert [core_dim(h, action) for h in cls.members] == [cls.core_dim] * p
+
+
+def _factor_matrices(action):
+    # f_i(T^-1) on the whole space, evaluated directly rather than per block.
+    p, q = action.params.p, action.params.q
+    factors = cyclotomic_factor(p, q).factors
+    return [gfpoly.eval_at_matrix(f, action.inverse_array, q) for f in factors]
+
+
+@pytest.mark.parametrize("triple", [(13, 3, 5), (13, 3, 3)])
+def test_core_dim_on_every_set_of_primary_components(triple):
+    # e_1 generates the whole block under T^-1, so killing the components
+    # outside `kept` leaves a normal with exactly those components.
+    params = CoverParams(*triple)
+    action = build_action(params)
+    mats = _factor_matrices(action)
+    for size in range(1, len(mats) + 1):
+        for kept in combinations(range(len(mats)), size):
+            v = np.eye(params.n, dtype=np.int64)[0]
+            for i in set(range(len(mats))) - set(kept):
+                v = (v @ mats[i]) % params.q
+            h = Hyperplane(v, params.q)
+            assert core_dim(h, action) == params.n - params.s0 * size == core(h, action).dim
+
+
+_ORACLE_ACTIONS = {t: build_action(CoverParams(*t)) for t in [(13, 3, 5), (11, 2, 4)]}
+_ORACLE_FACTORS = {t: _factor_matrices(a) for t, a in _ORACLE_ACTIONS.items()}
+
+
+@st.composite
+def _sparse_normals(draw):
+    """A triple and a normal with at most four nonzero entries, some of its
+    primary components killed by factor evaluations, so |J| < k occurs."""
+    triple = draw(st.sampled_from(sorted(_ORACLE_ACTIONS)))
+    params = _ORACLE_ACTIONS[triple].params
+    n, q = params.n, params.q
+    v = np.zeros(n, dtype=np.int64)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, q - 1)),
+                              min_size=1, max_size=4)):
+        v[i] = c
+    mats = _ORACLE_FACTORS[triple]
+    for i in draw(st.sets(st.integers(0, len(mats) - 1), max_size=len(mats) - 1)):
+        v = (v @ mats[i]) % q
+    assume(v.any())
+    return triple, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_normals())
+def test_core_dim_matches_elimination_on_sparse_normals(drawn):
+    triple, v = drawn
+    action = _ORACLE_ACTIONS[triple]
+    h = Hyperplane(v, action.params.q)
+    assert core_dim(h, action) == core(h, action).dim
+
+
+def test_core_dim_histogram_over_representatives_at_13_3_3():
+    params = CoverParams(13, 3, 3)
+    action = build_action(params)
+    reps = _decode_codes(_orbit_codes(params, action)[:, 0], params.n, params.q)
+    observed = {}
+    for row in reps.tolist():
+        dim = core_dim(Hyperplane._from_normalized(tuple(row), params.q), action)
+        observed[dim] = observed.get(dim, 0) + 1
+    assert observed == core_histogram(params) == {9: 4, 6: 156, 3: 2704, 0: 17576}
+
+
+def test_galois_closure_rejects_a_corrupted_cofactor_stack(monkeypatch):
+    params = CoverParams(13, 3, 3)
+    action = build_action(params)
+    primary = action.primary
+    assert not primary.cofactors.flags.writeable and not primary.factors.flags.writeable
+    # Zeroing C_1 hides every f_1-component: J loses index 0 and the product
+    # over the rest no longer annihilates the normal.
+    cofactors = primary.cofactors.copy()
+    cofactors[:, : params.p - 1] = 0
+    monkeypatch.setattr(action, "primary", replace(primary, cofactors=cofactors))
+    h = Hyperplane.from_subspace(parse_generator_words(read_fixture("L1.gens"), params))
+    with pytest.raises(IdentityCheckError, match="components"):
+        galois_closure(h, params, action)
+
+
+def test_core_dim_rejects_a_foreign_hyperplane():
+    action = build_action(CoverParams(3, 2, 4))
+    with pytest.raises(InvalidParamsError):
+        core_dim(Hyperplane([1, 0, 0, 0, 0, 0], 2), action)

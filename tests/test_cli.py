@@ -143,6 +143,27 @@ def test_galois_fixture(tmp_path, capsys):
     assert data["payload"]["galois_group"] == "Z_3^6 ⋊ Z_13"
     assert data["payload"]["quotient_genus"] == "3646"
     assert data["payload"]["is_composite_galois"] is False
+    assert data["checks"] == [
+        {"name": "closure-order-condition", "status": "pass", "detail": "q^6 = 1 mod 13"}
+    ]
+
+
+def test_galois_row_fails_when_core_dim_disagrees_with_the_elimination(tmp_path, capsys, monkeypatch):
+    from gonal import atlas
+
+    real = atlas.core_dim
+    # Off by s0 keeps q^k = 1 mod p, so only the elimination can catch it.
+    monkeypatch.setattr(atlas, "core_dim", lambda h, action: real(h, action) + action.params.s0)
+    path = tmp_path / "L3.gens"
+    path.write_text(read_fixture("L3.gens"))
+    code, out, _ = run_cli(
+        capsys,
+        "galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(path), "--json",
+    )
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["name"] == "closure-order-condition" and row["status"] == "fail"
+    assert "core dim 6" in row["detail"] and "primary decomposition 9" in row["detail"]
 
 
 def test_galois_not_a_hyperplane_exit_2(tmp_path, capsys):
