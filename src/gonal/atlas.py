@@ -35,7 +35,6 @@ from .errors import (
     FixtureParseError,
     IdentityCheckError,
     InvalidParamsError,
-    InvariantHyperplaneError,
 )
 from .fqlinalg import (
     Subspace,
@@ -145,12 +144,9 @@ def enumerate_hyperplanes(params: CoverParams, cap: int | None = None):
     """Yield all m hyperplane normals in lexicographic order, each once."""
     q, n = params.q, params.n
     _check_cap(q**n, resolve_atlas_cap(cap), "hyperplane enumeration")
-    import itertools
-
-    for lead in range(n - 1, -1, -1):
-        zeros = (0,) * lead
-        for tail in itertools.product(range(q), repeat=n - 1 - lead):
-            yield Hyperplane._from_normalized(zeros + (1,) + tail, q)
+    for block in _normal_blocks(n, q):
+        for row in block:
+            yield Hyperplane._from_normalized(tuple(row.tolist()), q)
 
 
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
@@ -249,27 +245,24 @@ class OrbitClass:
         }
 
 
-def _lex_tails(length: int, q: int) -> np.ndarray:
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    codes = np.arange(q**length, dtype=np.int64)
-    out = np.empty((codes.size, length), dtype=np.int64)
-    for i in range(length - 1, -1, -1):
-        out[:, i] = codes % q
-        codes = codes // q
-    return out
+def _normal_blocks(n: int, q: int):
+    """Yield the normalized normals by leading position, last position first.
+
+    Block `lead` holds the q^(n-1-lead) normals whose first nonzero entry,
+    a 1, sits at `lead`, tails in lexicographic order; the blocks in turn
+    list all m normals in lexicographic order.
+    """
+    for lead in range(n - 1, -1, -1):
+        width = n - 1 - lead
+        block = np.zeros((q**width, n), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1 :] = _decode_codes(np.arange(q**width), width, q)
+        yield block
 
 
 def all_normals_array(n: int, q: int) -> np.ndarray:
     """All normalized normals as an (m, n) array in lexicographic order."""
-    blocks = []
-    for lead in range(n - 1, -1, -1):
-        tails = _lex_tails(n - 1 - lead, q)
-        block = np.zeros((tails.shape[0], n), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1 :] = tails
-        blocks.append(block)
-    return np.concatenate(blocks)
+    return np.concatenate(list(_normal_blocks(n, q)))
 
 
 def _encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
@@ -436,19 +429,17 @@ def galois_closure(
 ) -> GaloisReport:
     """Describe the Galois closure Z_q^k x| Z_p of the composite cover.
 
-    k = n - dim(core), the core dimension read by core_dim (no elimination).
-    The composite itself is never Galois here: under gcd(p, q-1) = 1 no
-    hyperplane is fixed by the action; hitting one raises
-    InvariantHyperplaneError since it would mean the parameters lied.
+    k = n - dim(core), the core dimension read by core_dim (no elimination,
+    no conjugate built).  The composite itself is never Galois here: an
+    invariant hyperplane has h T^(-1) = c h, gcd(p, q-1) = 1 forces c = 1,
+    and then every f_i-component of h is nonzero while the product of all
+    f_i(T^(-1)) multiplies h by Phi_p(1) = p, a unit mod the prime q != p,
+    so core_dim raises IdentityCheckError on it.
     """
     if action is None:
         action = build_action(params)
     elif action.params != params:
         raise InvalidParamsError(f"action built for {action.params}, not {params}")
-    if conjugate_hyperplane(h, action) == h:
-        raise InvariantHyperplaneError(
-            f"hyperplane {h} is invariant; gcd(p, q-1) = 1 must have been violated"
-        )
     dim = core_dim(h, action)
     k = params.n - dim
     order_ok = pow(params.q, k, params.p) == 1

@@ -103,16 +103,6 @@ class ReportEnvelope:
         return "\n".join(lines)
 
 
-def envelope_from_dict(data: dict) -> ReportEnvelope:
-    return ReportEnvelope(
-        command=data["command"],
-        params=data["params"],
-        checks=data["checks"],
-        payload=data["payload"],
-        timing_s=data["timing_s"],
-    )
-
-
 def _render_payload(payload, indent: str) -> list[str]:
     lines = []
     for key, value in payload.items():

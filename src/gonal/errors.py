@@ -29,10 +29,6 @@ class NoInvariantSubspaceError(GonalError, ValueError):
     """Requested invariant-subspace dimension is not a multiple of ord_p(q)."""
 
 
-class InvariantHyperplaneError(GonalError):
-    """A hyperplane fixed by the action was found where none can exist."""
-
-
 class InvalidTransversalError(GonalError, ValueError):
     """Transversal element lies inside the subgroup it should complement."""
 

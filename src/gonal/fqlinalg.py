@@ -292,12 +292,7 @@ class Subspace:
             raise AmbientMismatchError(
                 f"vector length {v.shape[0]} != ambient dim {self.ambient_dim}"
             )
-        # Reduce against the RREF basis: each row clears its pivot column.
-        for row in self._rows:
-            pc = int(np.nonzero(row)[0][0])
-            if v[pc]:
-                v = (v - v[pc] * row) % self.modulus
-        return not np.any(v)
+        return self.contains_rows(v)
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of `rows` lies in this subspace."""

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 import numpy as np
 
 from .action import AdaptedAction, CoverParams, build_action
-from .atlas import Hyperplane, _encode_rows, _lex_tails
+from .atlas import Hyperplane, _decode_codes, _encode_rows
 from .errors import (
     CapExceededError,
     IdentityCheckError,
@@ -37,16 +36,14 @@ from .errors import (
 
 DEFAULT_GROUP_CAP = 512
 
-GroupElement = tuple  # (translation: tuple of residues, twist: int)
-
 
 class FrobeniusGroup:
-    """The semidirect product N x| P as an explicit element table.
+    """The semidirect product N x| P, its elements coded as integers.
 
     Elements are pairs (v, e) with v in Z_q^n and e in Z_p, multiplying by
-    (v, e)(w, f) = (v + T^e w, e + f).  Elements are ordered twist-major,
-    translations by lexicographic code, so the kernel N comes first, the
-    identity is element 0 and (v, e) sits at index e q^n + code(v).
+    (v, e)(w, f) = (v + T^e w, e + f).  The pair (v, e) is the integer
+    e q^n + code(v), code(v) the base-q number with digits v; codes are also
+    element indices, so the kernel N is 0 .. q^n - 1 and the identity is 0.
     """
 
     def __init__(self, params: CoverParams, action: AdaptedAction | None = None):
@@ -54,72 +51,70 @@ class FrobeniusGroup:
         self.action = action if action is not None else build_action(params)
         p, q, n = params.p, params.q, params.n
         self._tpow = [self.action.power_array(e) for e in range(p)]
-        self._translations = _lex_tails(n, q)  # row i is the translation of element i
-        translations = [tuple(v) for v in self._translations.tolist()]
-        self.elements: list[GroupElement] = [(v, e) for e in range(p) for v in translations]
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        self.identity: GroupElement = ((0,) * n, 0)
-        self._perm_cache: dict[GroupElement, np.ndarray] = {}
+        # row c is the translation with code c
+        self._translations = _decode_codes(np.arange(q**n), n, q)
+        self._perm_cache: dict[int, np.ndarray] = {}
         # ((L, u), (A_L basis, L's kernel basis)) of the last _fixed call
         self._fixed_last: tuple = (None, None)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.params.group_order
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        p, q = self.params.p, self.params.q
-        v, e = a
-        w, f = b
-        tw = self._tpow[e] @ np.array(w, dtype=np.int64)
-        moved = tuple(int(x) for x in (np.array(v, dtype=np.int64) + tw) % q)
-        return (moved, (e + f) % p)
+    def _split(self, g: int) -> tuple[int, np.ndarray]:
+        """(twist, translation) of the element with code g."""
+        e, c = divmod(g, len(self._translations))
+        return e, self._translations[c]
 
-    def inv(self, a: GroupElement) -> GroupElement:
-        p, q = self.params.p, self.params.q
-        v, e = a
-        w = (-(self._tpow[(-e) % p] @ np.array(v, dtype=np.int64))) % q
-        return (tuple(int(x) for x in w), (-e) % p)
+    def _code(self, v: np.ndarray, e: int) -> int:
+        """Code of (v mod q, e mod p)."""
+        q = self.params.q
+        return (e % self.params.p) * len(self._translations) + int(_encode_rows(v % q, q))
 
-    def element_order(self, a: GroupElement) -> int:
+    def mul(self, a: int, b: int) -> int:
+        e, v = self._split(a)
+        f, w = self._split(b)
+        return self._code(v + self._tpow[e] @ w, e + f)
+
+    def inv(self, a: int) -> int:
+        e, v = self._split(a)
+        return self._code(-(self._tpow[-e % self.params.p] @ v), -e)
+
+    def element_order(self, a: int) -> int:
         acc = a
         k = 1
-        while acc != self.identity:
+        while acc != 0:
             acc = self.mul(acc, a)
             k += 1
         return k
 
-    def kernel_elements(self) -> list[GroupElement]:
-        """The q^n elements of N, in element order."""
-        return self.elements[: self.params.q**self.params.n]
+    def left_perm(self, g: int) -> np.ndarray:
+        """perm with perm[x] = g * x, for every element code x.
 
-    def left_perm(self, g: GroupElement) -> np.ndarray:
-        """perm with perm[i] = index(g * elements[i]).
-
-        For elements[f q^n + i] = (w_i, f) the product is (v + T^e w_i, e + f),
-        so one array product gives the codes of every moved translation.
+        For x = f q^n + i, the element (w_i, f), the product is (v + T^e w_i,
+        e + f), so one array product gives the codes of every moved translation.
         """
         cached = self._perm_cache.get(g)
         if cached is None:
             p, q = self.params.p, self.params.q
-            v, e = g
-            moved = (np.asarray(v, dtype=np.int64) + self._translations @ self._tpow[e].T) % q
+            e, v = self._split(g)
+            moved = (v + self._translations @ self._tpow[e].T) % q
             twists = (e + np.arange(p, dtype=np.int64)) % p
-            cached = (twists[:, None] * q**self.params.n + _encode_rows(moved, q)).reshape(-1)
+            cached = (twists[:, None] * len(moved) + _encode_rows(moved, q)).reshape(-1)
             cached.flags.writeable = False
             self._perm_cache[g] = cached
         return cached
 
     def spot_check_axioms(self, trials: int = 64, seed: int = 0):
         """Identity and inverses exhaustively; associativity on random triples."""
-        for g in self.elements:
-            if self.mul(self.identity, g) != g or self.mul(g, self.identity) != g:
+        for g in range(self.order):
+            if self.mul(0, g) != g or self.mul(g, 0) != g:
                 raise IdentityCheckError(f"identity fails at {g}")
-            if self.mul(g, self.inv(g)) != self.identity:
+            if self.mul(g, self.inv(g)) != 0:
                 raise IdentityCheckError(f"inverse fails at {g}")
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            a, b, c = (self.elements[i] for i in rng.integers(0, self.order, size=3))
+            a, b, c = rng.integers(0, self.order, size=3).tolist()
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise IdentityCheckError(f"associativity fails at {(a, b, c)}")
 
@@ -142,13 +137,7 @@ def build_group(params: CoverParams, cap: int = DEFAULT_GROUP_CAP) -> FrobeniusG
 class FrobeniusReport:
     order: int
     kernel_size: int
-    complement_orders_ok: bool
-    centralizers_trivial: bool
     kernel_orbit_count: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.complement_orders_ok and self.centralizers_trivial
 
 
 def frobenius_check(group: FrobeniusGroup) -> FrobeniusReport:
@@ -161,55 +150,49 @@ def frobenius_check(group: FrobeniusGroup) -> FrobeniusReport:
     """
     params = group.params
     p, q, n = params.p, params.q, params.n
-    for g in group.elements:
-        if g[1] != 0 and group.element_order(g) != p:
+    size = q**n
+    for g in range(size, group.order):
+        if group.element_order(g) != p:
             raise IdentityCheckError(f"element {g} outside the kernel has order != {p}")
+    translations = group._translations
+    # powers[e][c] is the code of T^e applied to the translation with code c
+    powers = [_encode_rows((translations @ group._tpow[e].T) % q, q) for e in range(p)]
+    codes = np.arange(size)
     for e in range(1, p):
-        mat = group.action.power_array(e)
-        for v in product(range(q), repeat=n):
-            if not any(v):
-                continue
-            vec = np.array(v, dtype=np.int64)
-            if np.array_equal((mat @ vec) % q, vec):
-                raise IdentityCheckError(
-                    f"twist power {e} centralizes nonzero translation {v}"
-                )
-    seen: set[tuple] = set()
+        fixed = np.flatnonzero(powers[e][1:] == codes[1:])
+        if fixed.size:
+            raise IdentityCheckError(
+                f"twist power {e} centralizes nonzero translation "
+                f"{tuple(translations[fixed[0] + 1].tolist())}"
+            )
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
     orbit_count = 0
-    mat = group.action.matrix_array
-    for v in product(range(q), repeat=n):
-        if not any(v) or v in seen:
+    for c in range(1, size):
+        if seen[c]:
             continue
-        orbit = set()
-        vec = np.array(v, dtype=np.int64)
-        for _ in range(p):
-            orbit.add(tuple(int(x) for x in vec))
-            vec = (mat @ vec) % q
+        orbit = {int(moved[c]) for moved in powers}
         if len(orbit) != p:
-            raise IdentityCheckError(f"twist orbit of {v} has size {len(orbit)} != {p}")
-        seen |= orbit
+            raise IdentityCheckError(
+                f"twist orbit of {tuple(translations[c].tolist())} has size {len(orbit)} != {p}"
+            )
+        seen[list(orbit)] = True
         orbit_count += 1
     if orbit_count != (q**n - 1) // p:
         raise IdentityCheckError(
             f"{orbit_count} twist orbits on N - {{1}}, expected (q^n - 1)/p = {(q**n - 1) // p}"
         )
-    return FrobeniusReport(
-        order=group.order,
-        kernel_size=q**n,
-        complement_orders_ok=True,
-        centralizers_trivial=True,
-        kernel_orbit_count=orbit_count,
-    )
+    return FrobeniusReport(order=group.order, kernel_size=size, kernel_orbit_count=orbit_count)
 
 
 class GroupRingOperator:
-    """Finitely supported integer combination of group elements.
+    """Finitely supported integer combination of group elements, keyed by code.
 
-    Operators act on the regular module by permutation sums and compose by
-    convolution; integer coefficients keep everything exact.
+    Operators act on the regular module by permutation sums; integer
+    coefficients keep everything exact.
     """
 
-    def __init__(self, group: FrobeniusGroup, terms: dict):
+    def __init__(self, group: FrobeniusGroup, terms: dict[int, int]):
         self.group = group
         self.terms = {g: int(c) for g, c in terms.items() if c != 0}
 
@@ -219,23 +202,8 @@ class GroupRingOperator:
 
     @classmethod
     def twist_power_sum(cls, group: FrobeniusGroup) -> "GroupRingOperator":
-        n = group.params.n
-        zero = (0,) * n
-        return cls(group, {(zero, e): 1 for e in range(group.params.p)})
-
-    def __add__(self, other: "GroupRingOperator") -> "GroupRingOperator":
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return GroupRingOperator(self.group, terms)
-
-    def __mul__(self, other: "GroupRingOperator") -> "GroupRingOperator":
-        terms: dict = {}
-        for g, c in self.terms.items():
-            for h, d in other.terms.items():
-                gh = self.group.mul(g, h)
-                terms[gh] = terms.get(gh, 0) + c * d
-        return GroupRingOperator(self.group, terms)
+        params = group.params
+        return cls(group, {e * params.q**params.n: 1 for e in range(params.p)})
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to rows of an integer vector/matrix over the regular module."""
@@ -249,22 +217,9 @@ class GroupRingOperator:
         return out
 
 
-class RegularModule:
-    """The regular representation: basis indexed by group elements.
-
-    The left action permutes basis vectors ((g z) carries the mass of z at
-    x to g x); integer vectors stay integer under every operator here.
-    """
-
-    def __init__(self, group: FrobeniusGroup):
-        self.group = group
-        self.dimension = group.order
-
-    def apply(self, g: GroupElement, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.int64)
-        out = np.zeros_like(vec)
-        out[..., self.group.left_perm(g)] = vec
-        return out
+def _multiple_codes(rows: np.ndarray, q: int) -> list[list[int]]:
+    """codes[i][j] is the code of the translation j rows[i], for j = 0 .. q-1."""
+    return _encode_rows((rows[:, None, :] * np.arange(q)[:, None]) % q, q).tolist()
 
 
 def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -278,10 +233,10 @@ def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray
     """
     q = group.params.q
     out = np.asarray(vec, dtype=np.int64)
-    for b in basis:
+    for row_codes in _multiple_codes(basis, q):
         acc = out.copy()
-        for j in range(1, q):
-            acc += out.take(group.left_perm((tuple(((j * b) % q).tolist()), 0)), axis=-1)
+        for code in row_codes[1:]:
+            acc += out.take(group.left_perm(code), axis=-1)
         out = acc
     return out
 
@@ -339,7 +294,7 @@ def _canonical_rowspan(basis: np.ndarray) -> tuple:
     return tuple(tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(rows, pivots))
 
 
-def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[GroupElement]):
+def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[int]):
     """Right cosets L x: returns (coset index per element, representative indices).
 
     Each element's representative is the least index reachable by left
@@ -404,22 +359,18 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
         )
     ker = L.kernel()
     # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
-    span = (_lex_tails(ker.dim, q) @ ker.basis_array) % q
-    coset_idx, reps = _coset_partition(group, [(tuple(v), 0) for v in span.tolist()])
+    span = (_decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
+    coset_idx, reps = _coset_partition(group, _encode_rows(span, q).tolist())
     ncos = len(reps)
     smat = np.zeros((ncos, ncos), dtype=np.int64)
-    for j in range(q):
-        perm = group.left_perm((tuple(((j * u) % q).tolist()), 0))
+    for code in _multiple_codes(u[None], q)[0]:
+        perm = group.left_perm(code)
         smat[coset_idx[perm[reps]], np.arange(ncos)] += 1
     coeff_rows = np.array(_rational_kernel(smat.tolist()), dtype=np.int64).reshape(-1, ncos)
     basis = coeff_rows[:, coset_idx]
     basis.flags.writeable = False
     group._fixed_last = (key, (basis, ker.basis_array))
     return group._fixed_last[1]
-
-
-def fixed_subspace_canonical(group, L, transversal_elem) -> tuple:
-    return _canonical_rowspan(fixed_subspace(group, L, transversal_elem))
 
 
 def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_elem=None) -> int:
@@ -457,10 +408,7 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     params = group.params
     q, n, p = params.q, params.n, params.p
     basis, span = _fixed(group, L, transversal_elem)
-    zero_vec = (0,) * n
-    twisted = np.stack(
-        [GroupRingOperator(group, {(zero_vec, k): 1}).apply(basis) for k in range(p)]
-    )
+    twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
     images = apply_subgroup_sum(group, span, twisted)
     expected = np.zeros_like(twisted)
     expected[0] = q ** (n - 1) * basis

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gonal import gfpoly
-from gonal.action import CoverParams, build_action, cyclotomic_factor
+from gonal.action import CoverParams, PrimaryProjections, build_action, cyclotomic_factor
 from gonal.atlas import (
     Hyperplane,
     _decode_codes,
@@ -33,7 +33,7 @@ from gonal.errors import (
     IdentityCheckError,
     InvalidParamsError,
 )
-from gonal.fqlinalg import Subspace
+from gonal.fqlinalg import Subspace, iter_subspace_bases
 
 
 def test_hyperplane_normalization():
@@ -67,6 +67,19 @@ def test_enumerate_matches_array():
     rows = all_normals_array(params.n, params.q)
     gen = [h.normal for h in enumerate_hyperplanes(params)]
     assert gen == [tuple(r.tolist()) for r in rows]
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 3, 3)])
+def test_enumeration_matches_the_brute_force_hyperplanes(p, q, r):
+    # Independent of the normal blocks: every (n-1)-dim subspace from RREF bases.
+    params = CoverParams(p, q, r)
+    n = params.n
+    oracle = {Hyperplane.from_subspace(Subspace(b, n, q)) for b in iter_subspace_bases(n, n - 1, q)}
+    planes = list(enumerate_hyperplanes(params))
+    assert len(planes) == len(oracle) == params.m
+    assert set(planes) == oracle
+    assert [h.normal for h in planes] == sorted(h.normal for h in oracle)
+    assert [tuple(row) for row in all_normals_array(n, q).tolist()] == [h.normal for h in planes]
 
 
 def test_enumeration_cap(monkeypatch):
@@ -441,6 +454,25 @@ def test_galois_closure_rejects_a_corrupted_cofactor_stack(monkeypatch):
     h = Hyperplane.from_subspace(parse_generator_words(read_fixture("L1.gens"), params))
     with pytest.raises(IdentityCheckError, match="components"):
         galois_closure(h, params, action)
+
+
+@pytest.mark.parametrize("p,q,r", [(7, 2, 3), (5, 3, 3)])
+def test_galois_closure_raises_when_every_hyperplane_is_invariant(p, q, r):
+    # Projections evaluated at the identity block describe a trivial action,
+    # which fixes every hyperplane: core_dim's annihilation check must refuse
+    # each one, with no separate invariance guard.
+    params = CoverParams(p, q, r)
+    action = build_action(params)
+    fact = cyclotomic_factor(p, q)
+    eye = np.eye(p - 1, dtype=np.int64)
+    action.__dict__["primary"] = PrimaryProjections(
+        fact.s0,
+        np.hstack([gfpoly.eval_at_matrix(fact.cofactor(i), eye, q) for i in range(len(fact.factors))]),
+        np.stack([gfpoly.eval_at_matrix(f, eye, q) for f in fact.factors]),
+    )
+    for h in enumerate_hyperplanes(params):
+        with pytest.raises(IdentityCheckError, match="components"):
+            galois_closure(h, params, action)
 
 
 def test_core_dim_rejects_a_foreign_hyperplane():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gonal.atlas import read_fixture
-from gonal.cli import envelope_from_dict, jsonify, main
+from gonal.cli import ReportEnvelope, jsonify, main
 
 
 def run_cli(capsys, *argv):
@@ -227,7 +227,7 @@ def test_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "atlas", "--p", "5", "--q", "2", "--r", "3", "--json")
     assert code == 0
     data = json.loads(out)
-    envelope = envelope_from_dict(data)
+    envelope = ReportEnvelope(**data)
     assert envelope.to_dict() == data
     assert json.loads(envelope.to_json()) == data
 

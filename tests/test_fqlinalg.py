@@ -132,6 +132,9 @@ def test_contains_mismatch_raises():
     s = Subspace([[1, 0, 1, 0]], 4, 2)
     with pytest.raises(AmbientMismatchError):
         contains(s, [1, 0, 1])
+    # Two vectors of s laid end to end are one vector of the wrong length, not two rows.
+    with pytest.raises(AmbientMismatchError):
+        s.contains([1, 0, 1, 0] * 2)
 
 
 def _all_vectors(n, q):

@@ -16,18 +16,22 @@ from gonal import groupring
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidTransversalError
 from gonal.groupring import (
     GroupRingOperator,
-    RegularModule,
     apply_subgroup_sum,
     build_group,
     composite_scalar,
     fixed_subspace,
-    fixed_subspace_canonical,
     frobenius_check,
     verify_cross_terms,
     verify_scalar_identity,
 )
 
 TINY = CoverParams(3, 2, 3, allow_small_genus=True)
+
+
+def _code(group, v, e=0):
+    """Reference: the code e q^n + (v read as base-q digits) of the element (v, e)."""
+    q, n = group.params.q, group.params.n
+    return e * q**n + sum(int(x) * q ** (n - 1 - i) for i, x in enumerate(v))
 
 
 @pytest.mark.parametrize(
@@ -37,7 +41,8 @@ TINY = CoverParams(3, 2, 3, allow_small_genus=True)
 def test_build_group_orders(p, q, r, order):
     group = build_group(CoverParams(p, q, r, allow_small_genus=True))
     assert group.order == order
-    assert group.elements[0] == group.identity
+    # The identity is code 0 and acts trivially.
+    assert group.left_perm(0).tolist() == list(range(order))
 
 
 def test_build_group_cap():
@@ -47,14 +52,23 @@ def test_build_group_cap():
 
 
 def test_group_multiplication_semidirect_rule():
-    group = build_group(TINY)
-    # (v, e)(w, f) twists w by the e-th power of the action.
-    v, w = (1, 0), (1, 0)
-    prod1 = group.mul((v, 1), (w, 0))
-    tw = tuple(int(x) for x in (group.action.matrix_array @ np.array(w)) % 2)
-    assert prod1 == (tuple((a + b) % 2 for a, b in zip(v, tw)), 1)
-    for g in group.elements:
-        assert group.mul(g, group.inv(g)) == group.identity
+    # TINY's action matrix is symmetric; (5, 2, 3)'s is not, so T^e and its
+    # transpose give different products there.
+    for params in (TINY, CoverParams(5, 2, 3)):
+        group = build_group(params)
+        p, q, n = params.p, params.q, params.n
+        # (v, e)(w, f) = (v + T^e w, e + f), T^e a product of e copies of the action.
+        elements = [(v, e) for e in range(p) for v in product(range(q), repeat=n)]
+        for v, e in elements:
+            twist = np.eye(n, dtype=np.int64)
+            for _ in range(e):
+                twist = twist @ group.action.matrix_array % q
+            for w, f in elements:
+                moved = (np.array(v) + twist @ np.array(w)) % q
+                expected = _code(group, moved, (e + f) % p)
+                assert group.mul(_code(group, v, e), _code(group, w, f)) == expected
+        for g in range(group.order):
+            assert group.mul(g, group.inv(g)) == 0 == group.mul(group.inv(g), g)
 
 
 @pytest.mark.parametrize(
@@ -64,31 +78,62 @@ def test_group_multiplication_semidirect_rule():
 def test_frobenius_check(p, q, r, orbits):
     group = build_group(CoverParams(p, q, r))
     report = frobenius_check(group)
-    assert report.all_ok
+    n = group.params.n
+    assert (report.order, report.kernel_size) == (p * q**n, q**n)
     assert report.kernel_orbit_count == orbits == (q ** ((p - 1) * (r - 2)) - 1) // p
+
+
+def _trivial_twists(group):
+    group._tpow = [np.eye(group.params.n, dtype=np.int64)] * group.params.p
+
+
+def _second_power_is_first(group):
+    group._tpow = [group._tpow[0], group._tpow[1], group._tpow[1]] + group._tpow[3:]
+
+
+@pytest.mark.parametrize(
+    "corrupt,orders_ok,message",
+    [
+        (_trivial_twists, False, "element 17 outside the kernel has order != 5"),
+        (_trivial_twists, True, r"twist power 1 centralizes nonzero translation \(0, 0, 0, 1\)"),
+        (_second_power_is_first, True, r"twist orbit of \(0, 0, 0, 1\) has size 4 != 5"),
+    ],
+)
+def test_frobenius_check_names_its_witness(monkeypatch, corrupt, orders_ok, message):
+    group = build_group(CoverParams(5, 2, 3))
+    corrupt(group)
+    if orders_ok:
+        monkeypatch.setattr(group, "element_order", lambda g: 5)
+    with pytest.raises(IdentityCheckError, match=message):
+        frobenius_check(group)
 
 
 def test_regular_module_action_is_permutation():
     group = build_group(TINY)
-    module = RegularModule(group)
     vec = np.arange(group.order, dtype=np.int64)
-    for g in group.elements:
-        moved = module.apply(g, vec)
-        assert sorted(moved.tolist()) == sorted(vec.tolist())
+    for g in range(group.order):
+        moved = GroupRingOperator(group, {g: 1}).apply(vec)
+        assert sorted(moved.tolist()) == vec.tolist()
+        assert sorted(group.left_perm(g).tolist()) == vec.tolist()
     # Identity acts trivially.
-    assert np.array_equal(module.apply(group.identity, vec), vec)
+    assert np.array_equal(GroupRingOperator(group, {0: 1}).apply(vec), vec)
 
 
 def test_group_ring_operator_convolution():
     group = build_group(TINY)
-    a, b = group.elements[1], group.elements[5]
-    op = GroupRingOperator(group, {a: 2}) * GroupRingOperator(group, {b: 3})
-    assert op.terms == {group.mul(a, b): 6}
+    a, b = 1, 5
+    ab = group.mul(a, b)
+    # Applying 3b and then 2a is applying their convolution 6(ab).
+    op = GroupRingOperator(group, {ab: 6})
     vec = np.zeros(group.order, dtype=np.int64)
     vec[0] = 1
     out = op.apply(vec)
     assert out.sum() == 6
-    assert out[group.index[group.mul(group.mul(a, b), group.identity)]] == 6
+    assert out[group.mul(ab, 0)] == 6
+    rng = np.random.default_rng(0)
+    vec = rng.integers(-9, 9, size=(2, group.order))
+    composed = GroupRingOperator(group, {a: 2}).apply(GroupRingOperator(group, {b: 3}).apply(vec))
+    assert np.array_equal(composed, op.apply(vec))
 
 
 @pytest.mark.parametrize(
@@ -108,7 +153,7 @@ def test_fixed_subspace_dimension_is_uniform(p, q, r, dim):
         dims.add(basis.shape[0])
         # Conditions hold exactly: fixed by the subgroup, killed by the sum.
         for vtrans in ker.vectors():
-            g = (tuple(int(x) for x in vtrans), 0)
+            g = _code(group, vtrans)
             assert np.array_equal(
                 GroupRingOperator(group, {g: 1}).apply(basis), basis
             )
@@ -121,7 +166,7 @@ def test_fixed_subspace_transversal_independent():
     for h in list(enumerate_hyperplanes(params))[:4]:
         ker = h.kernel()
         forms = {
-            fixed_subspace_canonical(group, h, v)
+            groupring._canonical_rowspan(fixed_subspace(group, h, v))
             for v in product(range(2), repeat=4)
             if any(v) and not ker.contains(v)
         }
@@ -161,7 +206,7 @@ def test_cross_terms_annihilate(p, q, r):
 def test_zero_vector_is_annihilated():
     group = build_group(TINY)
     h = Hyperplane([1, 0], 2)
-    subgroup = [(tuple(int(x) for x in v), 0) for v in h.kernel().vectors()]
+    subgroup = [_code(group, v) for v in h.kernel().vectors()]
     op = GroupRingOperator.subgroup_sum(group, subgroup)
     zero = np.zeros(group.order, dtype=np.int64)
     assert np.array_equal(op.apply(zero), zero)
@@ -185,8 +230,8 @@ def test_groupring_has_no_asserts():
 @pytest.mark.parametrize("p,q,r", [(3, 2, 3), (5, 2, 3), (5, 3, 3)])
 def test_left_perm_matches_multiplication(p, q, r):
     group = build_group(CoverParams(p, q, r, allow_small_genus=True))
-    for g in group.elements:
-        expected = [group.index[group.mul(g, x)] for x in group.elements]
+    for g in range(group.order):
+        expected = [group.mul(g, x) for x in range(group.order)]
         assert group.left_perm(g).tolist() == expected
 
 
@@ -197,9 +242,7 @@ def test_factored_subgroup_sum_matches_the_term_sum(p, q, r):
     rng = np.random.default_rng(p * q * r)
     for h in enumerate_hyperplanes(params):
         ker = h.kernel()
-        terms = GroupRingOperator.subgroup_sum(
-            group, [(tuple(int(x) for x in v), 0) for v in ker.vectors()]
-        )
+        terms = GroupRingOperator.subgroup_sum(group, [_code(group, v) for v in ker.vectors()])
         vec = rng.integers(-50, 50, size=(3, group.order))
         assert np.array_equal(apply_subgroup_sum(group, ker.basis_array, vec), terms.apply(vec))
 
@@ -268,7 +311,7 @@ def test_streamed_coset_partition_matches_the_stacked_minimum(p, q, r):
     params = CoverParams(p, q, r)
     group = build_group(params)
     for h in enumerate_hyperplanes(params):
-        elems = [(tuple(int(x) for x in v), 0) for v in h.kernel().vectors()]
+        elems = [_code(group, v) for v in h.kernel().vectors()]
         got = groupring._coset_partition(group, elems)
         expected = _stacked_partition(group, elems)
         for a, b in zip(got, expected):
@@ -302,7 +345,7 @@ def test_scalar_and_cross_terms_build_a_l_once(monkeypatch):
     assert len(builds) == 3
     again = fixed_subspace(group, h, u)
     assert len(builds) == 4
-    assert fixed_subspace_canonical(group, h, u) == groupring._canonical_rowspan(first)
+    assert groupring._canonical_rowspan(again) == groupring._canonical_rowspan(first)
     assert again is fixed_subspace(group, h, np.array(u) + 2)  # same residues, memo hit
     assert len(builds) == 4
 
@@ -319,7 +362,7 @@ def test_memoised_basis_is_read_only():
 
 def test_cross_terms_name_the_broken_twist(monkeypatch):
     group = build_group(CoverParams(5, 2, 3))
-    broken = ((0,) * group.params.n, 3)
+    broken = 3 * group.params.q ** group.params.n
     left_perm = group.left_perm
     identity = np.arange(group.order)
     monkeypatch.setattr(
