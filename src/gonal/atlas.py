@@ -411,7 +411,6 @@ class GaloisReport:
     is_composite_galois: bool
     k: int
     group: str
-    order_check: bool
     core_dim: int
     exceeds_complement_range: bool
 
@@ -442,8 +441,7 @@ def galois_closure(
         raise InvalidParamsError(f"action built for {action.params}, not {params}")
     dim = core_dim(h, action)
     k = params.n - dim
-    order_ok = pow(params.q, k, params.p) == 1
-    if not order_ok:
+    if pow(params.q, k, params.p) != 1:
         raise IdentityCheckError(f"q^k != 1 mod p for k = {k}; core computation is wrong")
     return GaloisReport(
         params=params,
@@ -451,7 +449,6 @@ def galois_closure(
         is_composite_galois=False,
         k=k,
         group=f"Z_{params.q}^{k} ⋊ Z_{params.p}",
-        order_check=order_ok,
         core_dim=dim,
         exceeds_complement_range=k > params.p - 1,
     )
@@ -516,5 +513,13 @@ def read_fixture(name: str) -> str:
 
 
 def subgroup_from_file(path: str, params: CoverParams) -> Subspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_generator_words(fh.read(), params)
+    """Subgroup spanned by the generator words of a UTF-8 file; a file that
+    cannot be read as such raises FixtureParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FixtureParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError(f"{path} is not UTF-8 text") from exc
+    return parse_generator_words(text, params)

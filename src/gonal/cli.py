@@ -247,11 +247,12 @@ def cmd_atlas(args) -> int:
 
 def _closure_check(params: CoverParams, report: GaloisReport, eliminated_dim: int) -> dict:
     """Row `closure-order-condition`: q^k = 1 mod p holds by construction once
-    k = s0 |J|, so the row also needs the elimination's core dimension to
-    equal the one read off the primary decomposition."""
+    k = s0 |J| (galois_closure raises otherwise), so the row passes exactly
+    when the elimination's core dimension equals the one read off the
+    primary decomposition."""
     detail = f"q^{report.k} = 1 mod {params.p}"
-    passed = report.order_check and eliminated_dim == report.core_dim
-    if eliminated_dim != report.core_dim:
+    passed = eliminated_dim == report.core_dim
+    if not passed:
         detail += (
             f", but the elimination gives core dim {eliminated_dim} "
             f"and the primary decomposition {report.core_dim}"
@@ -451,7 +452,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_CAP
-    except (InvalidParamsError, FixtureParseError, FileNotFoundError) as exc:
+    except (InvalidParamsError, FixtureParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except IdentityCheckError as exc:

@@ -12,17 +12,21 @@ checked subspace is
 
     A_L = { z : h z = z for all h in L,  sum_j (j u) z = 0 },
 
-computed as an exact integer null space on the L-coset space.  The headline
-identity: (sum over h in L) composed with (sum over powers of the twist)
-acts on A_L as multiplication by q^(n-1), with every twisted cross term
-vanishing identically.
+read in closed form off the L-coset space, so no elimination runs.  The
+right coset L (v, e) is fixed by e and normal . v, and left multiplication
+by j u shifts normal . v by j (normal . u) != 0, so the q multiples of u
+sum each coset to all q cosets of its twist fibre: the coset matrix is one
+all-ones q x q block per fibre, and A_L is spanned by the differences of
+two cosets in one fibre, p(q-1) of them.  The headline identity: (sum over
+h in L) composed with (sum over powers of the twist) acts on A_L as
+multiplication by q^(n-1), with every twisted cross term vanishing
+identically.  The sum over L is applied once per hyperplane, to the p
+twisted copies of the basis stacked; the scalar image is their sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .atlas import Hyperplane, _decode_codes, _encode_rows
 from .errors import (
     CapExceededError,
     IdentityCheckError,
+    InvalidParamsError,
     InvalidTransversalError,
 )
 
@@ -54,7 +59,7 @@ class FrobeniusGroup:
         # row c is the translation with code c
         self._translations = _decode_codes(np.arange(q**n), n, q)
         self._perm_cache: dict[int, np.ndarray] = {}
-        # ((L, u), (A_L basis, L's kernel basis)) of the last _fixed call
+        # ((L, u), (A_L basis, sum_L of its p twists)) of the last _fixed call
         self._fixed_last: tuple = (None, None)
 
     @property
@@ -200,11 +205,6 @@ class GroupRingOperator:
     def subgroup_sum(cls, group: FrobeniusGroup, elements) -> "GroupRingOperator":
         return cls(group, {g: 1 for g in elements})
 
-    @classmethod
-    def twist_power_sum(cls, group: FrobeniusGroup) -> "GroupRingOperator":
-        params = group.params
-        return cls(group, {e * params.q**params.n: 1 for e in range(params.p)})
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to rows of an integer vector/matrix over the regular module."""
         vec = np.asarray(vec, dtype=np.int64)
@@ -241,59 +241,6 @@ def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray
     return out
 
 
-def _integer_rref(mat) -> tuple[list[list[int]], list[int]]:
-    """Echelon basis over Q of an integer matrix's row space: (rows, pivot columns).
-
-    Each row is primitive and zero at every other row's pivot, so dividing
-    each by its pivot entry gives the reduced row-echelon form.  Elimination
-    stays in integers; no Fraction is built.
-    """
-    rows = [[int(x) for x in row] for row in mat]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                row = [top[c] * x - f * y for x, y in zip(row, top)]
-                g = gcd(*row) or 1
-                rows[i] = [x // g for x in row]
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
-
-
-def _rational_kernel(mat: list[list[int]]) -> list[list[int]]:
-    """Exact null-space basis of an integer matrix, as primitive integer rows.
-
-    Row f is the RREF null vector with a 1 at free column f, scaled to the
-    primitive integer vector with a positive entry there.
-    """
-    rows, pivots = _integer_rref(mat)
-    ncols = len(mat[0]) if len(mat) else 0
-    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = scale
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f] * (scale // row[pc])
-        g = gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
-
-
-def _canonical_rowspan(basis: np.ndarray) -> tuple:
-    """Canonical form of a rational row space (its RREF), for subspace equality tests."""
-    rows, pivots = _integer_rref(basis)
-    return tuple(tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(rows, pivots))
-
-
 def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[int]):
     """Right cosets L x: returns (coset index per element, representative indices).
 
@@ -325,25 +272,31 @@ def fixed_subspace(
     """Read-only integer basis (rows) of A_L inside the regular module.
 
     Conditions: fixed by every translation in L, annihilated by the sum of
-    the q multiples of the transversal element (any vector outside L; the
-    resulting subspace does not depend on the choice, and None picks the
-    first one).  Vectors fixed by L are exactly the functions constant on
-    right L-cosets, so the null space is computed on the coset space and
-    expanded back.
+    the q multiples of the transversal element (any vector outside L; None
+    picks the first one).  Vectors fixed by L are exactly the functions
+    constant on right L-cosets, and the sum of the multiples adds up each
+    twist fibre's q cosets, so row i is coset f minus the first coset of
+    f's fibre, for the i-th coset f not first in its fibre.  The basis is
+    the same for every transversal.
     """
     return _fixed(group, L, transversal_elem)[0]
 
 
 def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
-    """(A_L basis, L's kernel basis), see fixed_subspace.
+    """(A_L basis, images): images[k] is sum_{h in L} h . twist^k on the basis.
 
-    Only the last result is kept on the group, keyed by L and the resolved
-    transversal: calls for one hyperplane made back to back (its scalar
-    check, then its cross terms) build A_L once, while a sweep over all
-    hyperplanes in turn holds one entry.
+    The coset matrix of the transversal sums is checked to be kron(I_p,
+    J_q), the closed form the basis is read from; a mismatch raises with
+    its first differing entry.  Only the last result is kept on the group,
+    keyed by L and the resolved transversal: calls for one hyperplane made
+    back to back (its scalar check, then its cross terms) build A_L and
+    apply the sum over L once, while a sweep over all hyperplanes in turn
+    holds one entry.
     """
     params = group.params
-    q, n = params.q, params.n
+    p, q, n = params.p, params.q, params.n
+    if L.modulus != q or L.ambient_dim != n:
+        raise InvalidParamsError("hyperplane and action live over different spaces")
     if transversal_elem is None:
         u = _default_transversal(group, L)
     else:
@@ -366,34 +319,39 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
     for code in _multiple_codes(u[None], q)[0]:
         perm = group.left_perm(code)
         smat[coset_idx[perm[reps]], np.arange(ncos)] += 1
-    coeff_rows = np.array(_rational_kernel(smat.tolist()), dtype=np.int64).reshape(-1, ncos)
-    basis = coeff_rows[:, coset_idx]
-    basis.flags.writeable = False
-    group._fixed_last = (key, (basis, ker.basis_array))
+    fibres = np.kron(np.eye(p, dtype=np.int64), np.ones((q, q), dtype=np.int64))
+    if smat.shape != fibres.shape:
+        raise IdentityCheckError(f"{L} has {ncos} right cosets, not p q = {p * q}")
+    if not np.array_equal(smat, fibres):
+        i, j = np.argwhere(smat != fibres)[0].tolist()
+        raise IdentityCheckError(
+            f"transversal sums of {L} with u = {key[1]} are not one block per twist "
+            f"fibre: coset matrix entry ({i}, {j}) is {smat[i, j]}, not {fibres[i, j]}"
+        )
+    # Row i: the i-th coset f not first in its fibre, minus that fibre's first coset.
+    free = np.flatnonzero(np.arange(ncos) % q)
+    basis = (coset_idx == free[:, None]).astype(np.int64)
+    basis -= coset_idx == (free - free % q)[:, None]
+    twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
+    images = apply_subgroup_sum(group, ker.basis_array, twisted)
+    basis.flags.writeable = images.flags.writeable = False
+    group._fixed_last = (key, (basis, images))
     return group._fixed_last[1]
 
 
 def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_elem=None) -> int:
     """Check that (sum_L h)(sum_k twist^k) is multiplication by q^(n-1) on A_L.
 
-    Exact integer arithmetic over the whole basis of A_L; a mismatch raises
-    with the witness vector.  Returns the verified scalar.
+    Exact integer arithmetic over the whole basis of A_L: the image is the
+    sum of the p twisted images _fixed computed.  A mismatch raises with
+    the witness row.  Returns the verified scalar.
     """
-    params = group.params
-    q, n = params.q, params.n
-    basis, span = _fixed(group, L, transversal_elem)
-    if basis.shape[0] == 0:
-        raise IdentityCheckError(f"A_L is zero for {L}; nothing to verify")
-    phi_sum = GroupRingOperator.twist_power_sum(group)
-    scalar = q ** (n - 1)
-    image = apply_subgroup_sum(group, span, phi_sum.apply(basis))
-    if not np.array_equal(image, scalar * basis):
-        bad = next(
-            i for i in range(basis.shape[0])
-            if not np.array_equal(image[i], scalar * basis[i])
-        )
+    scalar = group.params.q ** (group.params.n - 1)
+    basis, images = _fixed(group, L, transversal_elem)
+    bad = np.flatnonzero((images.sum(axis=0) != scalar * basis).any(axis=1))
+    if bad.size:
         raise IdentityCheckError(
-            f"operator is not multiplication by {scalar} on A_L; witness row {bad}"
+            f"operator is not multiplication by {scalar} on A_L; witness row {bad[0]}"
         )
     return scalar
 
@@ -402,15 +360,13 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     """Check the twisted terms: sum_L h . twist^k annihilates A_L for k >= 1.
 
     The untwisted k = 0 term instead scales by |L| = q^(n-1); both facts are
-    returned.  The sum over L is applied once to the p twisted copies of the
-    basis, stacked; a failure raises naming the first failing k.
+    returned.  The images are the ones _fixed computed with one pass of the
+    sum over L; a failure raises naming the first failing k.
     """
     params = group.params
     q, n, p = params.q, params.n, params.p
-    basis, span = _fixed(group, L, transversal_elem)
-    twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
-    images = apply_subgroup_sum(group, span, twisted)
-    expected = np.zeros_like(twisted)
+    basis, images = _fixed(group, L, transversal_elem)
+    expected = np.zeros_like(images)
     expected[0] = q ** (n - 1) * basis
     if not np.array_equal(images, expected):
         k = next(k for k in range(p) if not np.array_equal(images[k], expected[k]))

@@ -183,6 +183,25 @@ def test_galois_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_galois_directory_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_galois_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.gens"
+    path.write_bytes("a_1 # généré\n".encode("latin-1"))
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path} is not UTF-8 text"]
+
+
 def test_galois_malformed_word_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.gens"
     path.write_text("a_1\nb_9\n")

@@ -6,14 +6,16 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes, orbit_classes
 from gonal import groupring
-from gonal.errors import CapExceededError, IdentityCheckError, InvalidTransversalError
+from gonal.errors import (
+    CapExceededError,
+    IdentityCheckError,
+    InvalidParamsError,
+    InvalidTransversalError,
+)
 from gonal.groupring import (
     GroupRingOperator,
     apply_subgroup_sum,
@@ -166,7 +168,7 @@ def test_fixed_subspace_transversal_independent():
     for h in list(enumerate_hyperplanes(params))[:4]:
         ker = h.kernel()
         forms = {
-            groupring._canonical_rowspan(fixed_subspace(group, h, v))
+            fixed_subspace(group, h, v).tobytes()
             for v in product(range(2), repeat=4)
             if any(v) and not ker.contains(v)
         }
@@ -279,24 +281,20 @@ def _fraction_rref(mat):
     return rows[: len(pivots)], pivots
 
 
-@settings(deadline=None)
-@given(
-    st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
-        lambda shape: arrays(np.int64, shape, elements=st.integers(-4, 4))
-    )
-)
-def test_rational_eliminations_match_a_fraction_elimination(mat):
+def _fraction_kernel(mat):
+    """Reference: null-space basis from the Fraction RREF, each row the null
+    vector with a 1 at its free column, scaled to a primitive integer row."""
     rows, pivots = _fraction_rref(mat)
-    assert groupring._canonical_rowspan(mat) == tuple(tuple(row) for row in rows)
-    expected = []
-    for f in (c for c in range(mat.shape[1]) if c not in pivots):
-        vec = [Fraction(0)] * mat.shape[1]
+    basis = []
+    for f in (c for c in range(len(mat[0])) if c not in pivots):
+        vec = [Fraction(0)] * len(mat[0])
         vec[f] = Fraction(1)
         for i, pc in enumerate(pivots):
             vec[pc] = -rows[i][f]
-        ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
-        expected.append([x // gcd(*ints) for x in ints])
-    assert groupring._rational_kernel(mat.tolist()) == expected
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        basis.append([x // gcd(*ints) for x in ints])
+    return basis
 
 
 def _stacked_partition(group, subgroup_elems):
@@ -304,6 +302,70 @@ def _stacked_partition(group, subgroup_elems):
     rep_of = np.stack([group.left_perm(h) for h in subgroup_elems]).min(axis=0)
     reps, coset_idx = np.unique(rep_of, return_inverse=True)
     return coset_idx, reps
+
+
+def _coset_matrix(group, coset_idx, reps, u):
+    """Reference: column i counts the cosets of (j u) reps[i], j = 0 .. q-1, by group.mul."""
+    q = group.params.q
+    multiples = [_code(group, np.multiply(j, u) % q) for j in range(q)]
+    smat = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for i, rep in enumerate(reps.tolist()):
+        for g in multiples:
+            smat[coset_idx[group.mul(g, rep)], i] += 1
+    return smat
+
+
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3)])
+def test_fixed_subspace_is_the_null_space_of_the_coset_matrix(p, q, r):
+    # Every hyperplane with every transversal: the closed-form basis is the
+    # Fraction elimination's null space of the coset matrix, row for row.
+    params = CoverParams(p, q, r)
+    group = build_group(params)
+    kernels = {}  # the elimination once per distinct coset matrix
+    for h in enumerate_hyperplanes(params):
+        coset_idx, reps = _stacked_partition(group, [_code(group, v) for v in h.kernel().vectors()])
+        for u in product(range(q), repeat=params.n):
+            if np.dot(u, h.normal) % q:
+                smat = _coset_matrix(group, coset_idx, reps, u)
+                if smat.tobytes() not in kernels:
+                    kernels[smat.tobytes()] = _fraction_kernel(smat.tolist())
+                expected = np.array(kernels[smat.tobytes()], dtype=np.int64)[:, coset_idx]
+                got = fixed_subspace(group, h, u)
+                assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+                assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        # u itself acting trivially leaves the j = 0 and j = 1 sums on one
+        # coset, so the first fibre block reads 2 on its diagonal.
+        ((0, 0, 0, 1), r"u = \(0, 0, 0, 1\) .* coset matrix entry \(0, 0\) is 2, not 1"),
+        # An element of L acting trivially splits right cosets.
+        ((0, 0, 1, 0), r"has 12 right cosets, not p q = 6"),
+    ],
+)
+def test_coset_matrix_check_names_its_witness(monkeypatch, broken, message):
+    group = build_group(CoverParams(3, 2, 4))
+    h = next(iter(enumerate_hyperplanes(group.params)))
+    assert h.normal == (0, 0, 0, 1)
+    assert tuple(groupring._default_transversal(group, h).tolist()) == (0, 0, 0, 1)
+    left_perm = group.left_perm
+    identity = np.arange(group.order)
+    monkeypatch.setattr(
+        group, "left_perm", lambda g: identity if g == _code(group, broken) else left_perm(g)
+    )
+    with pytest.raises(IdentityCheckError, match=message):
+        fixed_subspace(group, h)
+
+
+@pytest.mark.parametrize("check", [fixed_subspace, verify_scalar_identity, verify_cross_terms])
+@pytest.mark.parametrize("normal,modulus", [([1, 2, 0, 0], 3), ([1, 0, 1], 2)])
+def test_group_ring_checks_refuse_a_foreign_hyperplane(check, normal, modulus):
+    # (3, 2, 4) acts on F_2^4: another field or another length is refused.
+    group = build_group(CoverParams(3, 2, 4))
+    with pytest.raises(InvalidParamsError, match="different spaces"):
+        check(group, Hyperplane(normal, modulus))
 
 
 @pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3)])
@@ -345,7 +407,7 @@ def test_scalar_and_cross_terms_build_a_l_once(monkeypatch):
     assert len(builds) == 3
     again = fixed_subspace(group, h, u)
     assert len(builds) == 4
-    assert groupring._canonical_rowspan(again) == groupring._canonical_rowspan(first)
+    assert again.tobytes() == first.tobytes()
     assert again is fixed_subspace(group, h, np.array(u) + 2)  # same residues, memo hit
     assert len(builds) == 4
 
@@ -371,3 +433,17 @@ def test_cross_terms_name_the_broken_twist(monkeypatch):
     for h in enumerate_hyperplanes(group.params):
         with pytest.raises(IdentityCheckError, match="cross term k = 3 fails"):
             verify_cross_terms(group, h)
+
+
+def test_scalar_identity_names_the_broken_twist_row(monkeypatch):
+    # A twist 3 acting trivially adds sum_L h = q^(n-1) to the image of A_L.
+    group = build_group(CoverParams(5, 2, 3))
+    broken = 3 * group.params.q ** group.params.n
+    left_perm = group.left_perm
+    identity = np.arange(group.order)
+    monkeypatch.setattr(
+        group, "left_perm", lambda g: identity if g == broken else left_perm(g)
+    )
+    for h in enumerate_hyperplanes(group.params):
+        with pytest.raises(IdentityCheckError, match="not multiplication by 8 on A_L; witness row 0"):
+            verify_scalar_identity(group, h)
