@@ -29,7 +29,6 @@ from .errors import (
     NoInvariantSubspaceError,
 )
 from .fqlinalg import (
-    FqMatrix,
     Subspace,
     is_prime,
     iter_subspace_bases,
@@ -272,10 +271,6 @@ class AdaptedAction:
             )
 
     @property
-    def matrix(self) -> FqMatrix:
-        return FqMatrix(self._matrix, self.params.q)
-
-    @property
     def matrix_array(self) -> np.ndarray:
         """Read-only n x n action matrix."""
         return self._matrix
@@ -310,12 +305,6 @@ class AdaptedAction:
 
     def power_array(self, e: int) -> np.ndarray:
         return matpow_array(self._matrix, e % self.params.p, self.params.q)
-
-    def apply(self, v) -> np.ndarray:
-        """Image T v of a column vector, as a 1-d residue array."""
-        q = self.params.q
-        v = np.asarray(v, dtype=np.int64) % q
-        return (self._matrix @ v) % q
 
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"
@@ -367,7 +356,7 @@ def invariant_subspace_of_dim(action: AdaptedAction, s: int) -> Subspace:
     sub = Subspace._from_canonical(rows, n, q)
     if sub.dim != s:
         raise IdentityCheckError(f"assembled subspace has dim {sub.dim}, expected {s}")
-    if not sub.is_invariant_under(action.matrix):
+    if not sub.is_invariant_under(action.matrix_array):
         raise IdentityCheckError(f"assembled subspace of dim {s} is not T-invariant")
     return sub
 
@@ -384,11 +373,10 @@ def enumerate_invariant_subspaces(action: AdaptedAction, max_ambient: int) -> li
         raise CapExceededError(
             f"invariant-subspace enumeration over F_{q}^{n}", required=size, cap=max_ambient
         )
-    tmat = action.matrix
     found = []
     for k in range(n + 1):
         for basis in iter_subspace_bases(n, k, q):
             sub = Subspace._from_canonical(basis, n, q)
-            if sub.is_invariant_under(tmat):
+            if sub.is_invariant_under(action.matrix_array):
                 found.append(sub)
     return found

@@ -40,6 +40,8 @@ from .fqlinalg import (
     Subspace,
     as_residues,
     check_prime_modulus,
+    decode_codes,
+    encode_rows,
     inverse_table,
     iter_subspace_bases,
     kernel_array,
@@ -86,7 +88,9 @@ class Hyperplane:
 
     def __init__(self, normal, modulus: int):
         modulus = check_prime_modulus(modulus)
-        vec = as_residues(normal, modulus).reshape(-1)
+        vec = as_residues(normal, modulus)
+        if vec.ndim != 1:
+            raise InvalidParamsError(f"a hyperplane normal must be a vector, got shape {vec.shape}")
         nz = np.nonzero(vec)[0]
         if nz.size == 0:
             raise InvalidParamsError("a hyperplane normal must be nonzero")
@@ -228,7 +232,7 @@ class OrbitClass:
         for a, b in zip(self.members, self.members[1:] + self.members[:1]):
             if conjugate_hyperplane(a, action) != b:
                 raise IdentityCheckError(f"conjugation chain broken at {a}")
-        if not self.core.is_invariant_under(action.matrix):
+        if not self.core.is_invariant_under(action.matrix_array):
             raise IdentityCheckError(f"core of {self.representative} not invariant")
         if self.core_dim % s0 != 0:
             raise IdentityCheckError(
@@ -256,28 +260,13 @@ def _normal_blocks(n: int, q: int):
         width = n - 1 - lead
         block = np.zeros((q**width, n), dtype=np.int64)
         block[:, lead] = 1
-        block[:, lead + 1 :] = _decode_codes(np.arange(q**width), width, q)
+        block[:, lead + 1 :] = decode_codes(np.arange(q**width), width, q)
         yield block
 
 
 def all_normals_array(n: int, q: int) -> np.ndarray:
     """All normalized normals as an (m, n) array in lexicographic order."""
     return np.concatenate(list(_normal_blocks(n, q)))
-
-
-def _encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
-    n = rows.shape[-1]
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return rows @ weights
-
-
-def _decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
-    codes = np.array(codes, dtype=np.int64)
-    out = np.empty(codes.shape + (n,), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[..., i] = codes % q
-        codes = codes // q
-    return out
 
 
 def _normalize_rows(rows: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
@@ -298,11 +287,11 @@ def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
     if m != params.m:
         raise IdentityCheckError(f"swept {m} normals, expected m = {params.m}")
     codes = np.empty((m, p), dtype=np.int64)
-    codes[:, 0] = _encode_rows(normals, q)
+    codes[:, 0] = encode_rows(normals, q)
     cur = normals
     for j in range(1, p):
         cur = _normalize_rows((cur @ tinv) % q, q, inv)
-        codes[:, j] = _encode_rows(cur, q)
+        codes[:, j] = encode_rows(cur, q)
     del cur, normals
 
     rep_codes = codes.min(axis=1)
@@ -339,7 +328,7 @@ def orbit_classes(
         raise InvalidParamsError(
             f"action built for {action.params} cannot classify {params}"
         )
-    member_vecs = _decode_codes(_orbit_codes(params, action), n, q)
+    member_vecs = decode_codes(_orbit_codes(params, action), n, q)
     classes = []
     for i in range(member_vecs.shape[0]):
         vecs = member_vecs[i]
@@ -475,7 +464,8 @@ def parse_word(word: str, params: CoverParams) -> np.ndarray:
             break
         matched_any = True
         idx = int(match.group(1))
-        exp = int(match.group(2)) if match.group(2) is not None else 1
+        # Reduced before it meets the int64 vector: the word is read mod q anyway.
+        exp = int(match.group(2)) % q if match.group(2) is not None else 1
         if 1 <= idx <= n:
             vec[idx - 1] += exp
         elif n < idx <= n + params.r - 2:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,11 +49,23 @@ EXIT_CAP = 3
 
 
 def jsonify(value):
-    """Recursively stringify ints (bool stays bool) for overflow-safe JSON."""
+    """Recursively stringify ints (bool stays bool) for overflow-safe JSON.
+
+    An int past the interpreter's int-to-str digit limit raises InvalidParamsError.
+    """
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            digits = int(abs(value).bit_length() * math.log10(2))  # the count or one less
+            digits += abs(value) >= 10**digits
+            limit = getattr(sys, "get_int_max_str_digits", lambda: "?")()
+            raise InvalidParamsError(
+                f"a result has {digits} decimal digits, over this interpreter's int-to-str "
+                f"limit of {limit} (PYTHONINTMAXSTRDIGITS raises it)"
+            ) from None
     if isinstance(value, float):
         return value
     if isinstance(value, str):

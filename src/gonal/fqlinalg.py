@@ -1,19 +1,18 @@
 """Exact dense linear algebra over the prime fields F_q.
 
-Values are numpy int64 arrays of residues in {0, ..., q-1}.  The modulus
-travels on every public value (:class:`FqMatrix`, :class:`Subspace`) and is
-checked whenever two values meet; a mismatch raises
-:class:`~gonal.errors.AmbientMismatchError`, never silent coercion.
+Values are numpy int64 arrays of residues in {0, ..., q-1}.  The `*_array`
+kernels take plain ndarrays and the modulus as an argument; hot loops call
+them directly.  :class:`Subspace` is the one value that carries its
+modulus: a matrix or vector handed to it is reduced mod that modulus, and
+input whose shape does not fit its ambient space raises
+:class:`~gonal.errors.AmbientMismatchError`, never silent reshaping.
 
 Subspaces are value objects: a subspace is identified with the unique
 reduced row-echelon basis of its row space, so equality and hashing are
 cheap and orbit/core deduplication elsewhere in the package is exact.
 Everything here is immutable after construction and safe to share across
-threads.
-
-The `*_array` functions are the raw kernels on plain ndarrays, which hot
-loops call directly; the public wrappers add modulus bookkeeping.  Every
-null space costs a single elimination (see :func:`kernel_array`).
+threads.  Every null space costs a single elimination (see
+:func:`kernel_array`).
 """
 
 from __future__ import annotations
@@ -138,6 +137,23 @@ def matpow_array(a: np.ndarray, e: int, q: int) -> np.ndarray:
     return result
 
 
+def encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of each residue row (last axis); codes sort like the rows."""
+    n = rows.shape[-1]
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return rows @ weights
+
+
+def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Residue rows of length n with base-q codes `codes` (any shape); inverts encode_rows."""
+    codes = np.array(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (n,), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        out[..., i] = codes % q
+        codes = codes // q
+    return out
+
+
 def iter_subspace_bases(n: int, k: int, q: int):
     """Yield the canonical RREF basis of every k-dim subspace of F_q^n.
 
@@ -166,71 +182,6 @@ def iter_subspace_bases(n: int, k: int, q: int):
             yield mat
 
 
-class FqMatrix:
-    """Immutable matrix of residues mod a prime q."""
-
-    __slots__ = ("_a", "modulus")
-
-    def __init__(self, entries, modulus: int):
-        self.modulus = check_prime_modulus(modulus)
-        a = as_residues(entries, self.modulus)
-        if a.ndim != 2:
-            raise ValueError("FqMatrix entries must be 2-dimensional")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> "FqMatrix":
-        return cls(np.eye(n, dtype=np.int64), modulus)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view of the entries."""
-        return self._a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    def _check_compatible(self, other: "FqMatrix"):
-        if self.modulus != other.modulus:
-            raise AmbientMismatchError(
-                f"moduli differ: {self.modulus} vs {other.modulus}"
-            )
-
-    def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
-        self._check_compatible(other)
-        if self.cols != other.rows:
-            raise AmbientMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        return FqMatrix((self._a @ other._a) % self.modulus, self.modulus)
-
-    def pow(self, e: int) -> "FqMatrix":
-        if self.rows != self.cols:
-            raise AmbientMismatchError("matrix power needs a square matrix")
-        return FqMatrix(matpow_array(self._a, e, self.modulus), self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FqMatrix):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self._a.shape == other._a.shape
-            and np.array_equal(self._a, other._a)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self._a.shape, self._a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FqMatrix({self._a.tolist()}, modulus={self.modulus})"
-
-
 class Subspace:
     """Subspace of F_q^n, held as the unique RREF basis of its row space."""
 
@@ -239,10 +190,7 @@ class Subspace:
     def __init__(self, basis_rows, ambient_dim: int, modulus: int):
         self.modulus = check_prime_modulus(modulus)
         self.ambient_dim = int(ambient_dim)
-        rows = row_space_array(
-            np.asarray(basis_rows, dtype=np.int64).reshape(-1, self.ambient_dim),
-            self.modulus,
-        )
+        rows = row_space_array(self._as_rows(basis_rows), self.modulus)
         rows.flags.writeable = False
         self._rows = rows
 
@@ -270,42 +218,48 @@ class Subspace:
         return self._rows.shape[0]
 
     @property
-    def basis(self) -> FqMatrix:
-        return FqMatrix(self._rows, self.modulus)
-
-    @property
     def basis_array(self) -> np.ndarray:
         """Read-only (dim x ambient_dim) RREF basis array."""
         return self._rows
 
-    def _check_compatible(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim or self.modulus != other.modulus:
+    def _as_rows(self, rows) -> np.ndarray:
+        """`rows` mod q as a 2-d array; only a vector or rows of length ambient_dim fit."""
+        a = as_residues(rows, self.modulus)
+        if a.ndim not in (1, 2) or a.shape[-1] != self.ambient_dim:
             raise AmbientMismatchError(
-                f"subspaces live in F_{self.modulus}^{self.ambient_dim} vs "
-                f"F_{other.modulus}^{other.ambient_dim}"
+                f"expected a vector or rows of length {self.ambient_dim}, got shape {a.shape}"
             )
+        return a.reshape(-1, self.ambient_dim)
+
+    def _image_rows(self, m) -> np.ndarray:
+        """Rows spanning {M v : v in self}, M a square integer matrix acting on columns."""
+        m = as_residues(m, self.modulus)
+        if m.shape != (self.ambient_dim, self.ambient_dim):
+            raise AmbientMismatchError(
+                f"expected a square matrix of side {self.ambient_dim}, got shape {m.shape}"
+            )
+        return (self._rows @ m.T) % self.modulus
 
     def contains(self, v) -> bool:
         """True iff the vector v lies in this subspace."""
-        v = as_residues(v, self.modulus).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise AmbientMismatchError(
-                f"vector length {v.shape[0]} != ambient dim {self.ambient_dim}"
-            )
+        if np.ndim(v) != 1:
+            raise AmbientMismatchError(f"expected a vector, got an array with {np.ndim(v)} axes")
         return self.contains_rows(v)
 
     def contains_rows(self, rows: np.ndarray) -> bool:
-        """True iff every row of `rows` lies in this subspace."""
-        rows = as_residues(rows, self.modulus).reshape(-1, self.ambient_dim)
+        """True iff every row of `rows` (or the vector `rows`) lies in this subspace."""
+        rows = self._as_rows(rows)
         for row_basis in self._rows:
             pc = int(np.nonzero(row_basis)[0][0])
             rows = (rows - np.outer(rows[:, pc], row_basis)) % self.modulus
         return not np.any(rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, self.modulus)
+        if self.ambient_dim != other.ambient_dim or self.modulus != other.modulus:
+            raise AmbientMismatchError(
+                f"subspaces live in F_{self.modulus}^{self.ambient_dim} vs "
+                f"F_{other.modulus}^{other.ambient_dim}"
+            )
         # Left-kernel method: (u, -w) with u@A = w@B spans the coefficient
         # solutions; u@A then spans the intersection.
         stacked = np.vstack([self._rows, other._rows])
@@ -313,16 +267,13 @@ class Subspace:
         vecs = (left[:, : self.dim] @ self._rows) % self.modulus
         return Subspace(vecs, self.ambient_dim, self.modulus)
 
-    def transform(self, m: FqMatrix) -> "Subspace":
-        """Image {M v : v in self} under a column-acting square matrix."""
-        if m.modulus != self.modulus or m.rows != m.cols or m.cols != self.ambient_dim:
-            raise AmbientMismatchError("transform needs a square matrix on the ambient space")
-        return Subspace((self._rows @ m.array.T) % self.modulus, self.ambient_dim, self.modulus)
+    def transform(self, m: np.ndarray) -> "Subspace":
+        """Image {M v : v in self}; M is reduced mod this subspace's modulus."""
+        return Subspace(self._image_rows(m), self.ambient_dim, self.modulus)
 
-    def is_invariant_under(self, m: FqMatrix) -> bool:
-        if m.modulus != self.modulus or m.rows != m.cols or m.cols != self.ambient_dim:
-            raise AmbientMismatchError("invariance check needs a square matrix on the ambient space")
-        return self.contains_rows((self._rows @ m.array.T) % self.modulus)
+    def is_invariant_under(self, m: np.ndarray) -> bool:
+        """True iff M maps this subspace into itself (M as for transform)."""
+        return self.contains_rows(self._image_rows(m))
 
     def vectors(self):
         """Iterate all q^dim vectors of the subspace (small spaces only)."""
@@ -348,22 +299,3 @@ class Subspace:
             f"modulus={self.modulus})"
         )
 
-
-def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
-    """Unique reduced row-echelon form of m and its rank."""
-    red, pivots = rref_array(m.array, m.modulus)
-    return FqMatrix(red, m.modulus), len(pivots)
-
-
-def kernel(m: FqMatrix) -> Subspace:
-    """Null space {x : m x = 0} as a canonical subspace of F_q^cols."""
-    rows = kernel_array(m.array, m.modulus)
-    return Subspace._from_canonical(rows, m.cols, m.modulus)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def contains(s: Subspace, v) -> bool:
-    return s.contains(v)

@@ -31,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import AdaptedAction, CoverParams, build_action
-from .atlas import Hyperplane, _decode_codes, _encode_rows
+from .atlas import Hyperplane
 from .errors import (
     CapExceededError,
     IdentityCheckError,
     InvalidParamsError,
     InvalidTransversalError,
 )
+from .fqlinalg import decode_codes, encode_rows
 
 DEFAULT_GROUP_CAP = 512
 
@@ -57,7 +58,7 @@ class FrobeniusGroup:
         p, q, n = params.p, params.q, params.n
         self._tpow = [self.action.power_array(e) for e in range(p)]
         # row c is the translation with code c
-        self._translations = _decode_codes(np.arange(q**n), n, q)
+        self._translations = decode_codes(np.arange(q**n), n, q)
         self._perm_cache: dict[int, np.ndarray] = {}
         # ((L, u), (A_L basis, sum_L of its p twists)) of the last _fixed call
         self._fixed_last: tuple = (None, None)
@@ -74,7 +75,7 @@ class FrobeniusGroup:
     def _code(self, v: np.ndarray, e: int) -> int:
         """Code of (v mod q, e mod p)."""
         q = self.params.q
-        return (e % self.params.p) * len(self._translations) + int(_encode_rows(v % q, q))
+        return (e % self.params.p) * len(self._translations) + int(encode_rows(v % q, q))
 
     def mul(self, a: int, b: int) -> int:
         e, v = self._split(a)
@@ -105,7 +106,7 @@ class FrobeniusGroup:
             e, v = self._split(g)
             moved = (v + self._translations @ self._tpow[e].T) % q
             twists = (e + np.arange(p, dtype=np.int64)) % p
-            cached = (twists[:, None] * len(moved) + _encode_rows(moved, q)).reshape(-1)
+            cached = (twists[:, None] * len(moved) + encode_rows(moved, q)).reshape(-1)
             cached.flags.writeable = False
             self._perm_cache[g] = cached
         return cached
@@ -161,7 +162,7 @@ def frobenius_check(group: FrobeniusGroup) -> FrobeniusReport:
             raise IdentityCheckError(f"element {g} outside the kernel has order != {p}")
     translations = group._translations
     # powers[e][c] is the code of T^e applied to the translation with code c
-    powers = [_encode_rows((translations @ group._tpow[e].T) % q, q) for e in range(p)]
+    powers = [encode_rows((translations @ group._tpow[e].T) % q, q) for e in range(p)]
     codes = np.arange(size)
     for e in range(1, p):
         fixed = np.flatnonzero(powers[e][1:] == codes[1:])
@@ -219,7 +220,7 @@ class GroupRingOperator:
 
 def _multiple_codes(rows: np.ndarray, q: int) -> list[list[int]]:
     """codes[i][j] is the code of the translation j rows[i], for j = 0 .. q-1."""
-    return _encode_rows((rows[:, None, :] * np.arange(q)[:, None]) % q, q).tolist()
+    return encode_rows((rows[:, None, :] * np.arange(q)[:, None]) % q, q).tolist()
 
 
 def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -312,8 +313,8 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
         )
     ker = L.kernel()
     # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
-    span = (_decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
-    coset_idx, reps = _coset_partition(group, _encode_rows(span, q).tolist())
+    span = (decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
+    coset_idx, reps = _coset_partition(group, encode_rows(span, q).tolist())
     ncos = len(reps)
     smat = np.zeros((ncos, ncos), dtype=np.int64)
     for code in _multiple_codes(u[None], q)[0]:

@@ -135,8 +135,8 @@ def test_invariant_plane_for_two_blocks():
     action = build_action(CoverParams(3, 2, 4))
     plane = invariant_subspace_of_dim(action, 2)
     assert plane.dim == 2
-    assert plane.is_invariant_under(action.matrix)
-    images = {tuple(action.apply(v)) for v in plane.vectors()}
+    assert plane.is_invariant_under(action.matrix_array)
+    images = {tuple((action.matrix_array @ v) % 2) for v in plane.vectors()}
     assert images == {tuple(v) for v in plane.vectors()}
 
 

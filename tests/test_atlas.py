@@ -10,7 +10,6 @@ from gonal import gfpoly
 from gonal.action import CoverParams, PrimaryProjections, build_action, cyclotomic_factor
 from gonal.atlas import (
     Hyperplane,
-    _decode_codes,
     _orbit_codes,
     all_normals_array,
     conjugate_hyperplane,
@@ -33,7 +32,7 @@ from gonal.errors import (
     IdentityCheckError,
     InvalidParamsError,
 )
-from gonal.fqlinalg import Subspace, iter_subspace_bases
+from gonal.fqlinalg import Subspace, decode_codes, iter_subspace_bases
 
 
 def test_hyperplane_normalization():
@@ -42,6 +41,13 @@ def test_hyperplane_normalization():
     assert h.kernel().dim == 3
     with pytest.raises(InvalidParamsError):
         Hyperplane([0, 0, 0], 3)
+
+
+def test_hyperplane_refuses_a_normal_that_is_not_a_vector():
+    # A 2x2 matrix used to be flattened into the normal (1, 0, 0, 1).
+    for bad in ([[1, 0], [0, 1]], [[1, 0, 2, 1]], 1):
+        with pytest.raises(InvalidParamsError, match="vector"):
+            Hyperplane(bad, 2)
 
 
 def test_hyperplane_from_subspace_roundtrip():
@@ -114,7 +120,7 @@ def test_conjugate_kernel_is_image_of_kernel():
     action = build_action(params)
     for h in enumerate_hyperplanes(params):
         conj = conjugate_hyperplane(h, action)
-        moved = {tuple(action.apply(v)) for v in h.kernel().vectors()}
+        moved = {tuple((action.matrix_array @ v) % params.q) for v in h.kernel().vectors()}
         assert moved == {tuple(v) for v in conj.kernel().vectors()}
 
 
@@ -198,10 +204,8 @@ def test_orbit_classes_match_subspace_oracle_under_both_conventions(p, q, r):
     params = CoverParams(p, q, r, allow_small_genus=True)
     classes = orbit_classes(params)
     got = {frozenset(c.members) for c in classes}
-    forward = _oracle_partition(params, lambda s, a: s.transform(a.matrix))
-    backward = _oracle_partition(
-        params, lambda s, a: s.transform(a.matrix.pow(a.params.p - 1))
-    )
+    forward = _oracle_partition(params, lambda s, a: s.transform(a.matrix_array))
+    backward = _oracle_partition(params, lambda s, a: s.transform(a.inverse_array))
     # Both conventions produce the same partition, which matches the atlas.
     assert got == forward == backward
 
@@ -289,6 +293,19 @@ def test_parse_word_negative_exponent():
     params = CoverParams(13, 3, 3)
     assert parse_word("a_1^-1", params).tolist() == [2] + [0] * 11
     assert parse_word("a_13^-1", params).tolist() == [1] * 12
+
+
+def test_parse_word_reduces_huge_exponents_mod_q():
+    # Exponents past int64 used to raise OverflowError, and two just inside it
+    # wrapped around: 2(2^63 - 1) = 2 mod 3, not the 1 the int64 sum left.
+    params = CoverParams(13, 3, 3)
+    big = 2**63 - 1
+    assert parse_word("a_1^100000000000000000000", params).tolist() == [1] + [0] * 11
+    assert parse_word(f"a_1^{big} a_1^{big}", params).tolist() == [2] + [0] * 11
+    assert parse_word(f"a_2^-{big} a_2^-{big}", params).tolist() == [0, 1] + [0] * 10
+    # The eliminated generator a_13 is minus the block sum.
+    assert parse_word("a_13^100000000000000000000", params).tolist() == [2] * 12
+    assert parse_word(f"a_13^{big} a_13^{big}", params).tolist() == [1] * 12
 
 
 def test_params_action_mismatch_rejected():
@@ -433,7 +450,7 @@ def test_core_dim_matches_elimination_on_sparse_normals(drawn):
 def test_core_dim_histogram_over_representatives_at_13_3_3():
     params = CoverParams(13, 3, 3)
     action = build_action(params)
-    reps = _decode_codes(_orbit_codes(params, action)[:, 0], params.n, params.q)
+    reps = decode_codes(_orbit_codes(params, action)[:, 0], params.n, params.q)
     observed = {}
     for row in reps.tolist():
         dim = core_dim(Hyperplane._from_normalized(tuple(row), params.q), action)

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from gonal.atlas import read_fixture
 from gonal.cli import ReportEnvelope, jsonify, main
+from gonal.errors import InvalidParamsError
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +212,49 @@ def test_galois_malformed_word_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "malformed" in err
+
+
+def test_galois_exponent_past_int64_is_read_mod_q(tmp_path, capsys):
+    # The extra word is a_1^(10^20) = a_1 mod 3, already in L3; it used to raise OverflowError.
+    path = tmp_path / "big.gens"
+    path.write_text(read_fixture("L3.gens") + "a_1^100000000000000000000\n")
+    code, out, _ = run_cli(
+        capsys, "galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(path), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["payload"]["galois_group"] == "Z_3^6 ⋊ Z_13"
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit here"
+)
+
+
+@pytest.fixture
+def int_str_limit_4300():
+    """The interpreter default, whatever PYTHONINTMAXSTRDIGITS says."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@needs_int_str_limit
+@pytest.mark.parametrize("command", ["invariants", "reps"])
+def test_results_past_the_int_to_str_limit_exit_2(capsys, int_str_limit_4300, command):
+    # n = 6396 at (3, 5, 3200): q^n alone has 4,471 digits.
+    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "5", "--r", "3200", "--json")
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: a result has 44") and "limit of 4300" in line
+
+
+@needs_int_str_limit
+def test_jsonify_names_the_exact_digit_count(int_str_limit_4300):
+    for value, digits in [(10**4300, 4301), (10**4301 - 1, 4301), (-(10**5000), 5001), (2**20000, 6021)]:
+        with pytest.raises(InvalidParamsError, match=f"has {digits} decimal digits.*limit of 4300"):
+            jsonify({"x": [value]})
+    assert jsonify([10**4300 - 1]) == ["9" * 4300]
 
 
 def test_reps_command(capsys):

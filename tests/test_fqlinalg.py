@@ -10,39 +10,40 @@ from sympy.polys.matrices import DomainMatrix
 
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
-    FqMatrix,
     Subspace,
-    contains,
-    intersect,
     inverse_table,
     iter_subspace_bases,
-    kernel,
     kernel_array,
     row_space_array,
-    rref,
     rref_array,
 )
 
 
+def _kernel(a, q):
+    """Null space of `a` as a Subspace of F_q^cols."""
+    a = np.atleast_2d(np.asarray(a))
+    return Subspace(kernel_array(a, q), a.shape[1], q)
+
+
 def test_rref_identity_fixed():
-    m = FqMatrix(np.eye(3, dtype=int), 2)
-    red, rank = rref(m)
-    assert red == m
-    assert rank == 3
+    m = np.eye(3, dtype=np.int64)
+    red, pivots = rref_array(m, 2)
+    assert np.array_equal(red, m)
+    assert pivots == [0, 1, 2]
 
 
 def test_rref_zero_fixed():
-    m = FqMatrix(np.zeros((2, 4), dtype=int), 3)
-    red, rank = rref(m)
-    assert red == m
-    assert rank == 0
+    m = np.zeros((2, 4), dtype=np.int64)
+    red, pivots = rref_array(m, 3)
+    assert np.array_equal(red, m)
+    assert pivots == []
 
 
 def test_rref_dependent_rows():
     # Third row is the sum of the first two over F_2.
-    m = FqMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2)
-    _, rank = rref(m)
-    assert rank == 2
+    red, pivots = rref_array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2)
+    assert len(pivots) == 2
+    assert np.array_equal(red, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
 
 
 def test_rref_invariant_under_row_operations():
@@ -51,7 +52,6 @@ def test_rref_invariant_under_row_operations():
         for _ in range(25):
             rows, cols = rng.integers(1, 6, size=2)
             a = rng.integers(0, q, size=(rows, cols))
-            m = FqMatrix(a, q)
             # Apply a random invertible row operation: composition of swaps,
             # scalings, and additions.
             b = a.copy()
@@ -64,24 +64,24 @@ def test_rref_invariant_under_row_operations():
                     b[i] = (b[i] * rng.integers(1, q)) % q
                 elif op == 2 and i != j:
                     b[i] = (b[i] + rng.integers(0, q) * b[j]) % q
-            assert rref(m)[0] == rref(FqMatrix(b, q))[0]
+            assert np.array_equal(rref_array(a, q)[0], rref_array(b, q)[0])
 
 
 def test_kernel_zero_row_is_full_space():
-    s = kernel(FqMatrix(np.zeros((1, 4), dtype=int), 2))
+    s = _kernel(np.zeros((1, 4), dtype=np.int64), 2)
     assert s == Subspace.full(4, 2)
     assert s.dim == 4
 
 
 def test_kernel_coordinate_hyperplane():
-    s = kernel(FqMatrix([[1, 0, 0, 0]], 2))
+    s = _kernel([[1, 0, 0, 0]], 2)
     assert s.dim == 3
     expected = Subspace([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4, 2)
     assert s == expected
 
 
 def test_kernel_sum_functional_mod_3():
-    s = kernel(FqMatrix([[1, 1, 1, 1]], 3))
+    s = _kernel([[1, 1, 1, 1]], 3)
     assert s.dim == 3
     for row in s.basis_array:
         assert int(row.sum()) % 3 == 0
@@ -92,20 +92,22 @@ def test_rank_nullity_random():
     for q in (2, 3, 5):
         for _ in range(30):
             rows, cols = rng.integers(1, 7, size=2)
-            m = FqMatrix(rng.integers(0, q, size=(rows, cols)), q)
-            _, rank = rref(m)
-            assert kernel(m).dim + rank == cols
+            m = rng.integers(0, q, size=(rows, cols))
+            _, pivots = rref_array(m, q)
+            assert _kernel(m, q).dim + len(pivots) == cols
 
 
 def test_intersect_idempotent():
     a = Subspace([[1, 0, 1, 0], [0, 1, 1, 1]], 4, 3)
-    assert intersect(a, a) == a
+    assert a.intersect(a) == a
+    zero = Subspace.zero(4, 3)
+    assert a.intersect(zero) == zero.intersect(a) == zero.intersect(zero) == zero
 
 
 def test_intersect_coordinate_hyperplanes():
-    a = kernel(FqMatrix([[1, 0, 0, 0]], 2))
-    b = kernel(FqMatrix([[0, 1, 0, 0]], 2))
-    meet = intersect(a, b)
+    a = _kernel([[1, 0, 0, 0]], 2)
+    b = _kernel([[0, 1, 0, 0]], 2)
+    meet = a.intersect(b)
     assert meet.dim == 2
     assert meet == Subspace([[0, 0, 1, 0], [0, 0, 0, 1]], 4, 2)
 
@@ -115,23 +117,25 @@ def test_intersect_mismatch_raises():
     b = Subspace.full(4, 2)
     c = Subspace.full(3, 3)
     with pytest.raises(AmbientMismatchError):
-        intersect(a, b)
+        a.intersect(b)
     with pytest.raises(AmbientMismatchError):
-        intersect(a, c)
+        a.intersect(c)
 
 
 def test_contains_basics():
     s = Subspace([[1, 0, 1, 0]], 4, 2)
-    assert contains(s, [0, 0, 0, 0])
-    assert contains(s, [1, 0, 1, 0])
-    assert not contains(s, [1, 0, 1, 1])
-    assert contains(Subspace.full(4, 2), [1, 1, 0, 1])
+    assert s.contains([0, 0, 0, 0])
+    assert s.contains([1, 0, 1, 0])
+    assert not s.contains([1, 0, 1, 1])
+    assert Subspace.full(4, 2).contains([1, 1, 0, 1])
+    assert s.contains_rows([[1, 0, 1, 0], [3, 0, 5, 2]])
+    assert not s.contains_rows([[1, 0, 1, 0], [1, 1, 0, 0]])
 
 
 def test_contains_mismatch_raises():
     s = Subspace([[1, 0, 1, 0]], 4, 2)
     with pytest.raises(AmbientMismatchError):
-        contains(s, [1, 0, 1])
+        s.contains([1, 0, 1])
     # Two vectors of s laid end to end are one vector of the wrong length, not two rows.
     with pytest.raises(AmbientMismatchError):
         s.contains([1, 0, 1, 0] * 2)
@@ -149,7 +153,7 @@ def test_intersection_is_largest_common_subspace(q, n):
         ka, kb = rng.integers(1, n, size=2)
         a = Subspace(rng.integers(0, q, size=(ka, n)), n, q)
         b = Subspace(rng.integers(0, q, size=(kb, n)), n, q)
-        meet = intersect(a, b)
+        meet = a.intersect(b)
         for v in vectors:
             assert meet.contains(v) == (a.contains(v) and b.contains(v))
 
@@ -163,7 +167,7 @@ def test_two_hyperplanes_meet_in_codimension_two(q, n):
     planes = _hyperplanes(n, q)
     assert len(planes) == (q**n - 1) // (q - 1)
     for a, b in itertools.combinations(planes, 2):
-        meet = intersect(a, b)
+        meet = a.intersect(b)
         assert meet.dim == n - 2
         # Any u in b, not in a, generates a transversal {0, u, ..., (q-1)u}
         # both of a in the full space and of (a meet b) in b.
@@ -201,7 +205,7 @@ def test_subspace_value_semantics():
 
 def test_modulus_must_be_prime():
     with pytest.raises(InvalidParamsError):
-        FqMatrix([[1]], 4)
+        Subspace([[1]], 1, 4)
     with pytest.raises(InvalidParamsError):
         Subspace([[1]], 1, 6)
 
@@ -212,30 +216,52 @@ def test_iter_subspace_bases_counts(n, k, q, count):
     assert len(seen) == count
 
 
-def test_matrix_pow_and_matmul():
-    t = FqMatrix([[0, 1], [1, 1]], 2)
-    assert t.pow(3) == FqMatrix.identity(2, 2)
-    assert t @ t == t.pow(2)
-
-
-def test_matmul_mismatch_raises():
-    a = FqMatrix([[1, 0]], 2)
-    with pytest.raises(AmbientMismatchError):
-        a @ FqMatrix([[1, 0]], 2)  # 1x2 times 1x2
-    with pytest.raises(AmbientMismatchError):
-        a @ FqMatrix([[1], [0]], 3)  # mixed moduli
+CYCLE = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # e1 -> e3 -> e2 -> e1
 
 
 def test_transform_and_invariance_guards():
     s = Subspace([[1, 0, 0]], 3, 2)
-    t = FqMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)  # e1 -> e3 -> e2 -> e1
-    assert s.transform(t) == Subspace([[0, 0, 1]], 3, 2)
-    assert not s.is_invariant_under(t)
-    assert Subspace.full(3, 2).is_invariant_under(t)
+    assert s.transform(CYCLE) == Subspace([[0, 0, 1]], 3, 2)
+    assert not s.is_invariant_under(CYCLE)
+    assert Subspace.full(3, 2).is_invariant_under(CYCLE)
+    # Entries are read mod the subspace's modulus: 3 = 1 and -1 = 1 over F_2.
+    assert s.transform(3 * CYCLE) == s.transform(-CYCLE) == s.transform(CYCLE)
+    for bad in (np.eye(2, dtype=np.int64), np.ones((3, 2), dtype=np.int64), np.eye(9)[0], 1):
+        with pytest.raises(AmbientMismatchError):
+            s.transform(bad)
+        with pytest.raises(AmbientMismatchError):
+            s.is_invariant_under(bad)
+
+
+def test_transform_is_the_image_of_every_vector():
+    rng = np.random.default_rng(5)
+    for q, n in [(2, 4), (3, 3), (5, 3)]:
+        for _ in range(10):
+            s = Subspace(rng.integers(0, q, size=(rng.integers(0, n + 1), n)), n, q)
+            m = rng.integers(-q, 2 * q, size=(n, n))
+            image = {tuple((m @ v) % q) for v in s.vectors()}
+            assert {tuple(v) for v in s.transform(m).vectors()} == image
+            assert s.is_invariant_under(m) == (image <= {tuple(v) for v in s.vectors()})
+
+
+def test_wrong_shaped_rows_are_refused_not_reshaped():
+    # Two rows of length 3 are not one subspace of F_2^2, and two length-2 rows are
+    # not one vector of F_2^4: both used to be reshaped silently.
     with pytest.raises(AmbientMismatchError):
-        s.transform(FqMatrix([[1, 0], [0, 1]], 2))
+        Subspace([[1, 0, 1], [0, 1, 1]], 2, 2)
+    s = Subspace([[1, 0, 0, 0]], 4, 2)
     with pytest.raises(AmbientMismatchError):
-        s.is_invariant_under(FqMatrix.identity(3, 3))
+        s.contains_rows([[1, 0], [0, 0]])
+    with pytest.raises(AmbientMismatchError):
+        s.contains([[1, 0, 0, 0]])  # one row, but contains takes a vector
+    for bad in ([1, 0, 1], np.zeros((1, 2, 4), dtype=np.int64), 1):
+        with pytest.raises(AmbientMismatchError):
+            Subspace(bad, 4, 2)
+        with pytest.raises(AmbientMismatchError):
+            s.contains_rows(bad)
+    # A vector and a stack of rows of the right length are both fine.
+    assert Subspace([1, 0, 0, 0], 4, 2) == s
+    assert s.contains_rows([1, 0, 0, 0]) and s.contains_rows(np.zeros((0, 4), dtype=np.int64))
 
 
 def two_elimination_kernel(a, q):
@@ -322,7 +348,7 @@ def test_intersection_dimension_formula(data):
     b_rows = data.draw(arrays(np.int64, (data.draw(st.integers(0, n)), n), elements=entries))
     a, b = Subspace(a_rows, n, q), Subspace(b_rows, n, q)
     total = Subspace(np.vstack([a_rows, b_rows]), n, q)
-    meet = intersect(a, b)
+    meet = a.intersect(b)
     assert meet.dim == a.dim + b.dim - total.dim
     assert a.contains_rows(meet.basis_array) and b.contains_rows(meet.basis_array)
 

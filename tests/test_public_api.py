@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CoverReport",
     "CyclotomicFactorization",
     "FixtureParseError",
-    "FqMatrix",
     "FrobeniusGroup",
     "GaloisReport",
     "GonalError",
@@ -27,7 +26,6 @@ PUBLIC_NAMES = [
     "build_group",
     "complex_table",
     "conjugate_hyperplane",
-    "contains",
     "core",
     "core_dim",
     "cyclotomic_factor",
@@ -45,10 +43,8 @@ PUBLIC_NAMES = [
     "genus_quotient_T",
     "genus_quotient_by_core",
     "induced_rep_count_by_kernel",
-    "intersect",
     "invariant_subspace_of_dim",
     "isotypical_report",
-    "kernel",
     "orbit_classes",
     "order_mod",
     "parameter_sweep",
@@ -57,7 +53,6 @@ PUBLIC_NAMES = [
     "rational_table",
     "read_fixture",
     "rep_table",
-    "rref",
     "verify_cross_terms",
     "verify_scalar_identity",
 ]
