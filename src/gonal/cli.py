@@ -5,11 +5,13 @@ Subcommands: `invariants` (genus/dimension formulas with identity checks),
 (closure of the cover attached to a subgroup file), `reps` (representation
 census), and `verify` (named check suites).
 
-Every command renders one ReportEnvelope either as text or, with --json,
-as JSON in which all integers are decimal strings (genus values overflow
-doubles long before they get interesting).  Exit codes: 0 success, 1 a
-verification check failed, 2 bad input, 3 a resource cap refused the run.
-The GONAL_ATLAS_CAP environment variable overrides the enumeration cap.
+Each `cmd_*(args, params)` returns its check rows and a payload; `_run`
+times it, serializes the result into one ReportEnvelope, renders it as
+text or, with --json, as JSON in which all integers are decimal strings
+(genus values overflow doubles long before they get interesting), and
+picks the exit code.  Exit codes: 0 success, 1 a verification check
+failed, 2 bad input, 3 a resource cap refused the run.  The
+GONAL_ATLAS_CAP environment variable overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .action import CoverParams, build_action
 from .atlas import (
-    GaloisReport,
     Hyperplane,
     core,
     core_histogram,
@@ -31,7 +32,7 @@ from .atlas import (
     orbit_classes,
     subgroup_from_file,
 )
-from .calculus import decomposition_report, genus_quotient_by_core
+from .calculus import decomposition_report, genus_homology_cover, genus_quotient_by_core
 from .errors import (
     CapExceededError,
     FixtureParseError,
@@ -48,27 +49,27 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 
-def jsonify(value):
-    """Recursively stringify ints (bool stays bool) for overflow-safe JSON.
+def _decimal(value: int) -> str:
+    """str(value); past the interpreter's int-to-str digit limit, InvalidParamsError."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(abs(value).bit_length() * math.log10(2))  # the count or one less
+        digits += abs(value) >= 10**digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: "?")()
+        raise InvalidParamsError(
+            f"a result has {digits} decimal digits, over this interpreter's int-to-str "
+            f"limit of {limit} (PYTHONINTMAXSTRDIGITS raises it)"
+        ) from None
 
-    An int past the interpreter's int-to-str digit limit raises InvalidParamsError.
-    """
+
+def jsonify(value):
+    """Recursively stringify ints (bool stays bool) for overflow-safe JSON."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        try:
-            return str(value)
-        except ValueError:
-            digits = int(abs(value).bit_length() * math.log10(2))  # the count or one less
-            digits += abs(value) >= 10**digits
-            limit = getattr(sys, "get_int_max_str_digits", lambda: "?")()
-            raise InvalidParamsError(
-                f"a result has {digits} decimal digits, over this interpreter's int-to-str "
-                f"limit of {limit} (PYTHONINTMAXSTRDIGITS raises it)"
-            ) from None
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
+        return _decimal(value)
+    if isinstance(value, (float, str)):
         return value
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
@@ -77,15 +78,20 @@ def jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _row(name: str, passed: bool, detail: str = "") -> dict:
+    """One check row of the envelope."""
+    return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
+
+
 @dataclass
 class ReportEnvelope:
     """One command's output: params echo, payload, and check statuses."""
 
     command: str
     params: dict | None
-    checks: list = field(default_factory=list)  # [{"name":..., "status":...}]
-    payload: dict = field(default_factory=dict)
-    timing_s: float = 0.0
+    checks: list  # _row dicts
+    payload: dict
+    timing_s: float
 
     def all_passed(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)
@@ -138,88 +144,48 @@ def _render_payload(payload, indent: str) -> list[str]:
     return lines
 
 
-def _params_from_args(args) -> CoverParams:
-    return CoverParams(args.p, args.q, args.r)
-
-
-def _emit(envelope: ReportEnvelope, as_json: bool) -> None:
-    print(envelope.to_json() if as_json else envelope.render_text())
-
-
-def cmd_invariants(args) -> int:
-    start = time.perf_counter()
-    params = _params_from_args(args)
+def cmd_invariants(args, params: CoverParams):
+    # g~ = 1 + q^n (g - 1) is the largest value printed and the first one serialized
+    # that can be too long: refuse it before decomposition_report builds n/s0 + 1
+    # genus values about its size.
+    _decimal(genus_homology_cover(params))
     report = decomposition_report(params)
-    payload = jsonify(
-        {
-            "g": report.g,
-            "g_tilde": report.g_tilde,
-            "g_y": report.g_y,
-            "g_t": report.g_t,
-            "prym_dim": report.prym_dim,
-            "m": report.m,
-            "t": report.t,
-            "s0": report.s0,
-            "genus_by_core_dim": report.genus_z,
-        }
-    )
-    checks = [
-        {"name": name, "status": "pass", "detail": ""}
-        for name in report.identity_names()
-    ]
-    envelope = ReportEnvelope(
-        command="invariants",
-        params=jsonify(params.describe()),
-        checks=checks,
-        payload=payload,
-        timing_s=time.perf_counter() - start,
-    )
-    _emit(envelope, args.json)
-    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
-
-
-def _cores_check(params: CoverParams, histogram: dict[int, int]) -> dict:
-    """Row `cores-invariant-and-quantized`: the observed core-dim histogram equals
-    the closed form core_histogram(params), whose dims are all n - s0 j
-    (OrbitClass.verify checks invariance and quantization per class)."""
-    expected = core_histogram(params)
-    passed = histogram == expected
-    return {
-        "name": "cores-invariant-and-quantized",
-        "status": "pass" if passed else "fail",
-        "detail": f"core-dim histogram {dict(sorted(histogram.items()))} "
-        + ("equals the closed form" if passed else f"!= closed form {expected}"),
+    payload = {
+        "g": report.g,
+        "g_tilde": report.g_tilde,
+        "g_y": report.g_y,
+        "g_t": report.g_t,
+        "prym_dim": report.prym_dim,
+        "m": report.m,
+        "t": report.t,
+        "s0": report.s0,
+        "genus_by_core_dim": report.genus_z,
     }
+    return [_row(name, True) for name in report.identity_names()], payload
 
 
-def cmd_atlas(args) -> int:
-    start = time.perf_counter()
-    params = _params_from_args(args)
+def cmd_atlas(args, params: CoverParams):
     action = build_action(params)
     classes = orbit_classes(params, cap=args.cap, action=action)
     histogram: dict[int, int] = {}
     for cls in classes:
         histogram[cls.core_dim] = histogram.get(cls.core_dim, 0) + 1
     facts = [cls.verify(action) for cls in classes]
+    # The observed core-dim histogram equals the closed form, whose dims are all
+    # n - s0 j (OrbitClass.verify checks invariance and quantization per class).
+    expected = core_histogram(params)
+    cores_detail = f"core-dim histogram {dict(sorted(histogram.items()))} " + (
+        "equals the closed form" if histogram == expected else f"!= closed form {expected}"
+    )
     checks = [
-        {
-            "name": "orbit-count-equals-t",
-            "status": "pass" if len(classes) == params.t else "fail",
-            "detail": f"{len(classes)} classes",
-        },
-        {
-            "name": "orbits-have-size-p",
-            "status": "pass"
-            if all(len(set(c.members)) == params.p for c in classes)
-            else "fail",
-            "detail": "",
-        },
-        _cores_check(params, histogram),
-        {
-            "name": "cores-meet-stated-bound",
-            "status": "pass" if all(f["meets_stated_bound"] for f in facts) else "fail",
-            "detail": f"bound {(params.p - 1) * (params.r - 3)}",
-        },
+        _row("orbit-count-equals-t", len(classes) == params.t, f"{_decimal(len(classes))} classes"),
+        _row("orbits-have-size-p", all(len(set(c.members)) == params.p for c in classes)),
+        _row("cores-invariant-and-quantized", histogram == expected, cores_detail),
+        _row(
+            "cores-meet-stated-bound",
+            all(f["meets_stated_bound"] for f in facts),
+            f"bound {_decimal((params.p - 1) * (params.r - 3))}",
+        ),
     ]
     limit = args.limit if args.limit is not None else len(classes)
     rows = []
@@ -234,52 +200,21 @@ def cmd_atlas(args) -> int:
         if args.cores:
             row["core_basis"] = [list(v) for v in cls.core.basis_array.tolist()]
         rows.append(row)
-    payload = jsonify(
-        {
-            "m": params.m,
-            "t": params.t,
-            "class_count": len(classes),
-            "core_dim_histogram": histogram,
-            "core_dim_min_observed": min(histogram),
-            "core_dim_bound_rank": max(0, params.n - params.p),
-            "core_dim_bound_stated": (params.p - 1) * (params.r - 3),
-            "classes_shown": len(rows),
-            "classes": rows,
-        }
-    )
-    envelope = ReportEnvelope(
-        command="atlas",
-        params=jsonify(params.describe()),
-        checks=checks,
-        payload=payload,
-        timing_s=time.perf_counter() - start,
-    )
-    _emit(envelope, args.json)
-    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
-
-
-def _closure_check(params: CoverParams, report: GaloisReport, eliminated_dim: int) -> dict:
-    """Row `closure-order-condition`: q^k = 1 mod p holds by construction once
-    k = s0 |J| (galois_closure raises otherwise), so the row passes exactly
-    when the elimination's core dimension equals the one read off the
-    primary decomposition."""
-    detail = f"q^{report.k} = 1 mod {params.p}"
-    passed = eliminated_dim == report.core_dim
-    if not passed:
-        detail += (
-            f", but the elimination gives core dim {eliminated_dim} "
-            f"and the primary decomposition {report.core_dim}"
-        )
-    return {
-        "name": "closure-order-condition",
-        "status": "pass" if passed else "fail",
-        "detail": detail,
+    payload = {
+        "m": params.m,
+        "t": params.t,
+        "class_count": len(classes),
+        "core_dim_histogram": histogram,
+        "core_dim_min_observed": min(histogram),
+        "core_dim_bound_rank": max(0, params.n - params.p),
+        "core_dim_bound_stated": (params.p - 1) * (params.r - 3),
+        "classes_shown": len(rows),
+        "classes": rows,
     }
+    return checks, payload
 
 
-def cmd_galois(args) -> int:
-    start = time.perf_counter()
-    params = _params_from_args(args)
+def cmd_galois(args, params: CoverParams):
     sub = subgroup_from_file(args.subgroup, params)
     if sub.dim != params.n - 1:
         raise InvalidParamsError(
@@ -289,106 +224,86 @@ def cmd_galois(args) -> int:
     h = Hyperplane.from_subspace(sub)
     action = build_action(params)
     report = galois_closure(h, params, action)
-    payload = jsonify(
-        {
-            "subgroup_file": args.subgroup,
-            "normal": list(h.normal),
-            "core_dim": report.core_dim,
-            "core_size": report.core_size,
-            "k": report.k,
-            "galois_group": report.group,
-            "galois_group_order": report.group_order,
-            "is_composite_galois": report.is_composite_galois,
-            "exceeds_complement_range": report.exceeds_complement_range,
-            "quotient_genus": genus_quotient_by_core(params, report.core_dim),
-        }
-    )
-    checks = [_closure_check(params, report, core(h, action).dim)]
-    envelope = ReportEnvelope(
-        command="galois",
-        params=jsonify(params.describe()),
-        checks=checks,
-        payload=payload,
-        timing_s=time.perf_counter() - start,
-    )
-    _emit(envelope, args.json)
-    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
+    # q^k = 1 mod p holds by construction once k = s0 |J| (galois_closure raises
+    # otherwise), so the row passes exactly when the elimination's core dimension
+    # equals the one read off the primary decomposition.
+    eliminated_dim = core(h, action).dim
+    passed = eliminated_dim == report.core_dim
+    detail = f"q^{_decimal(report.k)} = 1 mod {_decimal(params.p)}"
+    if not passed:
+        detail += (
+            f", but the elimination gives core dim {_decimal(eliminated_dim)} "
+            f"and the primary decomposition {_decimal(report.core_dim)}"
+        )
+    payload = {
+        "subgroup_file": args.subgroup,
+        "normal": list(h.normal),
+        "core_dim": report.core_dim,
+        "core_size": report.core_size,
+        "k": report.k,
+        "galois_group": report.group,
+        "galois_group_order": report.group_order,
+        "is_composite_galois": report.is_composite_galois,
+        "exceeds_complement_range": report.exceeds_complement_range,
+        "quotient_genus": genus_quotient_by_core(params, report.core_dim),
+    }
+    return [_row("closure-order-condition", passed, detail)], payload
 
 
-def cmd_reps(args) -> int:
-    start = time.perf_counter()
-    params = _params_from_args(args)
+def cmd_reps(args, params: CoverParams):
     table = rep_table(params)
     sum_squares = sum(e.count * e.degree**2 for e in table.complex_entries)
-    payload = jsonify(
-        {
-            "complex": [
-                {"label": e.label, "degree": e.degree, "count": e.count}
-                for e in table.complex_entries
-            ],
-            "rational": [
-                {"label": e.label, "degree": e.degree, "count": e.count}
-                for e in table.rational_entries
-            ],
-            "isotypical_factors": [
-                {
-                    "rep": f.rep_label,
-                    "factor": f.factor,
-                    "dim": f.dim,
-                    "count": f.count,
-                }
-                for f in table.pairing
-            ],
-            "coset_representations": coset_rep_decomposition(params),
-        }
-    )
     checks = [
-        {
-            "name": "sum-of-squares",
-            "status": "pass" if sum_squares == params.group_order else "fail",
-            "detail": f"{sum_squares} = |G|",
-        },
-        {
-            "name": "rational-grouping",
-            "status": "pass",  # rep_table raises if the grouping breaks
-            "detail": f"{table.rational_irreducible_count} rational irreducibles",
-        },
+        _row("sum-of-squares", sum_squares == params.group_order, f"{_decimal(sum_squares)} = |G|"),
+        # rep_table raises if the grouping breaks
+        _row(
+            "rational-grouping",
+            True,
+            f"{_decimal(table.rational_irreducible_count)} rational irreducibles",
+        ),
     ]
-    envelope = ReportEnvelope(
-        command="reps",
-        params=jsonify(params.describe()),
-        checks=checks,
-        payload=payload,
-        timing_s=time.perf_counter() - start,
-    )
-    _emit(envelope, args.json)
-    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
-
-
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
-    results = run_suite(args.suite, cap=args.cap)
-    checks = [
-        {"name": r.name, "status": "pass" if r.passed else "fail", "detail": r.detail}
-        for r in results
-    ]
-    failures = [r for r in results if not r.passed]
     payload = {
-        "suite": args.suite,
-        "checks_run": str(len(results)),
-        "failures": str(len(failures)),
+        "complex": [
+            {"label": e.label, "degree": e.degree, "count": e.count}
+            for e in table.complex_entries
+        ],
+        "rational": [
+            {"label": e.label, "degree": e.degree, "count": e.count}
+            for e in table.rational_entries
+        ],
+        "isotypical_factors": [
+            {"rep": f.rep_label, "factor": f.factor, "dim": f.dim, "count": f.count}
+            for f in table.pairing
+        ],
+        "coset_representations": coset_rep_decomposition(params),
     }
+    return checks, payload
+
+
+def cmd_verify(args, params):
+    results = run_suite(args.suite, cap=args.cap)
+    failures = [r for r in results if not r.passed]
+    payload = {"suite": args.suite, "checks_run": len(results), "failures": len(failures)}
     if failures:
         payload["first_witness"] = f"{failures[0].name}: {failures[0].detail}"
+    return [_row(r.name, r.passed, r.detail) for r in results], payload
+
+
+def _run(args) -> int:
+    """Time one command, serialize and print its envelope, and pick the exit code."""
+    start = time.perf_counter()
+    params = None if args.subcommand == "verify" else CoverParams(args.p, args.q, args.r)
+    checks, payload = args.func(args, params)
+    payload = jsonify(payload)
     envelope = ReportEnvelope(
-        command="verify",
-        params=None,
+        command=args.subcommand,
+        params=None if params is None else jsonify(params.describe()),
         checks=checks,
         payload=payload,
         timing_s=time.perf_counter() - start,
     )
-    _emit(envelope, args.json)
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    print(envelope.to_json() if args.json else envelope.render_text())
+    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
 
 
 def _non_negative_int(text: str) -> int:
@@ -457,7 +372,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(

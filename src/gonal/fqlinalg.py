@@ -60,8 +60,14 @@ def inverse_table(q: int) -> np.ndarray:
 
 
 def as_residues(a, q: int) -> np.ndarray:
-    """Copy `a` into a fresh int64 array reduced mod q."""
-    return np.array(a, dtype=np.int64) % q
+    """Copy `a` into a fresh int64 array reduced mod q.
+
+    Python ints past int64 are reduced exactly, through an object array.
+    """
+    try:
+        return np.array(a, dtype=np.int64) % q
+    except OverflowError:
+        return (np.array(a, dtype=object) % q).astype(np.int64)
 
 
 def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -69,7 +75,7 @@ def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
     R keeps the input shape (zero rows trail); rank = len(pivots).
     """
-    a = np.array(a, dtype=np.int64) % q
+    a = as_residues(a, q)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
     rows, cols = a.shape
@@ -128,7 +134,7 @@ def matpow_array(a: np.ndarray, e: int, q: int) -> np.ndarray:
     """a^e mod q by repeated squaring; e >= 0."""
     n = a.shape[0]
     result = np.eye(n, dtype=np.int64)
-    base = np.array(a, dtype=np.int64) % q
+    base = as_residues(a, q)
     while e > 0:
         if e & 1:
             result = (result @ base) % q

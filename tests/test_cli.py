@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gonal
 from gonal.atlas import read_fixture
 from gonal.cli import ReportEnvelope, jsonify, main
 from gonal.errors import InvalidParamsError
@@ -240,13 +244,30 @@ def int_str_limit_4300():
 
 
 @needs_int_str_limit
-@pytest.mark.parametrize("command", ["invariants", "reps"])
-def test_results_past_the_int_to_str_limit_exit_2(capsys, int_str_limit_4300, command):
-    # n = 6396 at (3, 5, 3200): q^n alone has 4,471 digits.
-    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "5", "--r", "3200", "--json")
+@pytest.mark.parametrize(
+    "command, triple, digits",
+    [
+        # n = 6396 at (3, 5, 3200): q^n alone has 4,471 digits; g~ has 4,475 and
+        # |G| = p q^n, the sum-of-squares row, 4,472.
+        pytest.param("invariants", (3, 5, 3200), 4475, id="invariants"),
+        pytest.param("reps", (3, 5, 3200), 4472, id="reps"),
+        # n = 131070: the report would build 7,711 genus values of about 39,460 digits.
+        pytest.param("invariants", (131071, 2, 3), 39461, id="invariants-131071-2-3"),
+    ],
+)
+def test_results_past_the_int_to_str_limit_exit_2(
+    capsys, monkeypatch, int_str_limit_4300, command, triple, digits
+):
+    def unbounded(params):
+        pytest.fail("decomposition_report ran before the oversized result was refused")
+
+    monkeypatch.setattr("gonal.cli.decomposition_report", unbounded)
+    p, q, r = (str(x) for x in triple)
+    code, out, err = run_cli(capsys, command, "--p", p, "--q", q, "--r", r, "--json")
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
-    assert line.startswith("error: a result has 44") and "limit of 4300" in line
+    assert line.startswith(f"error: a result has {digits} decimal digits")
+    assert "limit of 4300" in line
 
 
 @needs_int_str_limit
@@ -350,3 +371,23 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert data["payload"]["first_witness"] == "bad: witness detail"
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses == {"good": "pass", "bad": "fail"}
+
+
+def test_console_entry_point_under_python_O():
+    # `python -O` strips asserts; the rows, the exit code and the error line must not
+    # depend on them.
+    env = {**os.environ, "PYTHONPATH": str(Path(gonal.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "gonal.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = run("verify", "--suite", "fixtures", "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["failures"] == "0"
+    done = run("invariants", "--p", "4", "--q", "2", "--r", "3")
+    assert (done.returncode, done.stdout) == (2, "")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ")

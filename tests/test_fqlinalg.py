@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from gonal.atlas import Hyperplane
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
     Subspace,
@@ -242,6 +243,19 @@ def test_transform_is_the_image_of_every_vector():
             image = {tuple((m @ v) % q) for v in s.vectors()}
             assert {tuple(v) for v in s.transform(m).vectors()} == image
             assert s.is_invariant_under(m) == (image <= {tuple(v) for v in s.vectors()})
+
+
+def test_ints_past_int64_are_reduced_exactly():
+    # Each used to raise OverflowError on the int64 conversion.
+    big = 2**70
+    assert Hyperplane([big, 1], 3) == Hyperplane([big % 3, 1], 3)
+    assert Hyperplane([-big, 1], 3) == Hyperplane([-big % 3, 1], 3)
+    assert Subspace([[big, 1]], 2, 3) == Subspace([[big % 3, 1]], 2, 3)
+    line = Subspace([[1, 0]], 2, 3)
+    assert [line.contains([big, x]) for x in (0, 1)] == [True, False]
+    assert [line.contains([big % 3, x]) for x in (0, 1)] == [True, False]
+    for kernel in (rref_array, row_space_array, kernel_array):
+        assert str(kernel([[big, 1]], 3)) == str(kernel([[big % 3, 1]], 3))
 
 
 def test_wrong_shaped_rows_are_refused_not_reshaped():
