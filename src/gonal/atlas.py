@@ -35,6 +35,7 @@ from .errors import (
     FixtureParseError,
     IdentityCheckError,
     InvalidParamsError,
+    quoted,
 )
 from .fqlinalg import (
     Subspace,
@@ -76,9 +77,9 @@ def positive_cap(cap, source: str) -> int:
     return value
 
 
-def _check_cap(size: int, cap: int, what: str):
+def check_cap(size: int, cap: int, what: str):
     if size > cap:
-        raise CapExceededError(f"{what} needs ambient size {size}", required=size, cap=cap)
+        raise CapExceededError(f"{what} needs ambient size {quoted(size)}", size, cap)
 
 
 class Hyperplane:
@@ -147,7 +148,7 @@ class Hyperplane:
 def enumerate_hyperplanes(params: CoverParams, cap: int | None = None):
     """Yield all m hyperplane normals in lexicographic order, each once."""
     q, n = params.q, params.n
-    _check_cap(q**n, resolve_atlas_cap(cap), "hyperplane enumeration")
+    check_cap(q**n, resolve_atlas_cap(cap), "hyperplane enumeration")
     for block in _normal_blocks(n, q):
         for row in block:
             yield Hyperplane._from_normalized(tuple(row.tolist()), q)
@@ -321,7 +322,7 @@ def orbit_classes(
     successive conjugation starting at the representative.
     """
     p, q, n = params.p, params.q, params.n
-    _check_cap(q**n, resolve_atlas_cap(cap), "orbit classification")
+    check_cap(q**n, resolve_atlas_cap(cap), "orbit classification")
     if action is None:
         action = build_action(params)
     elif action.params != params:
@@ -385,7 +386,7 @@ def core_histogram(params: CoverParams) -> dict[int, int]:
 def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Subspace]:
     """All k-dim subspaces of F_q^n by direct RREF enumeration (oracle)."""
     check_prime_modulus(q)
-    _check_cap(q**n, cap, "brute-force subgroup enumeration")
+    check_cap(q**n, cap, "brute-force subgroup enumeration")
     return [
         Subspace._from_canonical(basis, n, q) for basis in iter_subspace_bases(n, k, q)
     ]

@@ -5,13 +5,13 @@ Subcommands: `invariants` (genus/dimension formulas with identity checks),
 (closure of the cover attached to a subgroup file), `reps` (representation
 census), and `verify` (named check suites).
 
-Each `cmd_*(args, params)` returns its check rows and a payload; `_run`
-times it, serializes the result into one ReportEnvelope, renders it as
-text or, with --json, as JSON in which all integers are decimal strings
-(genus values overflow doubles long before they get interesting), and
-picks the exit code.  Exit codes: 0 success, 1 a verification check
-failed, 2 bad input, 3 a resource cap refused the run.  The
-GONAL_ATLAS_CAP environment variable overrides the enumeration cap.
+Each `cmd_*(args, params)` returns its `verify.CheckResult` rows and a
+payload; `_run` alone times it, serializes the result into one
+ReportEnvelope, renders it as text or, with --json, as JSON in which all
+integers are decimal strings (genus values overflow doubles long before
+they get interesting), and picks the exit code.  Exit codes: 0 success,
+1 a verification check failed, 2 bad input, 3 a resource cap refused the
+run.  The GONAL_ATLAS_CAP environment variable overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -21,15 +21,17 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .action import CoverParams, build_action
 from .atlas import (
     Hyperplane,
+    check_cap,
     core,
     core_histogram,
     galois_closure,
     orbit_classes,
+    resolve_atlas_cap,
     subgroup_from_file,
 )
 from .calculus import decomposition_report, genus_homology_cover, genus_quotient_by_core
@@ -39,9 +41,13 @@ from .errors import (
     GonalError,
     IdentityCheckError,
     InvalidParamsError,
+    decimal,
+    int_str_limit,
+    quoted,
+    too_many_digits,
 )
 from .reps import coset_rep_decomposition, rep_table
-from .verify import SUITES, run_suite
+from .verify import SUITES, CheckResult, census_rows, identity_rows, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,18 +55,18 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 
-def _decimal(value: int) -> str:
-    """str(value); past the interpreter's int-to-str digit limit, InvalidParamsError."""
-    try:
-        return str(value)
-    except ValueError:
-        digits = int(abs(value).bit_length() * math.log10(2))  # the count or one less
-        digits += abs(value) >= 10**digits
-        limit = getattr(sys, "get_int_max_str_digits", lambda: "?")()
-        raise InvalidParamsError(
-            f"a result has {digits} decimal digits, over this interpreter's int-to-str "
-            f"limit of {limit} (PYTHONINTMAXSTRDIGITS raises it)"
-        ) from None
+def _refuse_unprintable(log10_value: float, build) -> None:
+    """Refuse, as `decimal` would, the largest value a command prints, before it is built.
+
+    `log10_value`, its logarithm in floating point, is off by far less than
+    1e-9 + 1e-14 log10_value; unless that bound reaches an integer,
+    floor(log10_value) + 1 is the exact digit count, else `build()` is counted.
+    """
+    digits = math.floor(log10_value) + 1
+    if abs(log10_value - round(log10_value)) < 1e-9 + 1e-14 * log10_value:
+        decimal(build())
+    elif 0 < int_str_limit() < digits:
+        raise too_many_digits(digits)
 
 
 def jsonify(value):
@@ -68,7 +74,7 @@ def jsonify(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return _decimal(value)
+        return decimal(value)
     if isinstance(value, (float, str)):
         return value
     if isinstance(value, dict):
@@ -78,23 +84,15 @@ def jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _row(name: str, passed: bool, detail: str = "") -> dict:
-    """One check row of the envelope."""
-    return {"name": name, "status": "pass" if passed else "fail", "detail": detail}
-
-
 @dataclass
 class ReportEnvelope:
     """One command's output: params echo, payload, and check statuses."""
 
     command: str
     params: dict | None
-    checks: list  # _row dicts
+    checks: list  # {name, status, detail} dicts
     payload: dict
     timing_s: float
-
-    def all_passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -145,26 +143,21 @@ def _render_payload(payload, indent: str) -> list[str]:
 
 
 def cmd_invariants(args, params: CoverParams):
-    # g~ = 1 + q^n (g - 1) is the largest value printed and the first one serialized
-    # that can be too long: refuse it before decomposition_report builds n/s0 + 1
-    # genus values about its size.
-    _decimal(genus_homology_cover(params))
+    # g~ = 1 + q^n (g - 1) is the largest value printed: refuse it before
+    # decomposition_report builds n/s0 + 1 genus values about its size.
+    _refuse_unprintable(
+        params.n * math.log10(params.q) + math.log10(params.g - 1),
+        lambda: genus_homology_cover(params),
+    )
     report = decomposition_report(params)
-    payload = {
-        "g": report.g,
-        "g_tilde": report.g_tilde,
-        "g_y": report.g_y,
-        "g_t": report.g_t,
-        "prym_dim": report.prym_dim,
-        "m": report.m,
-        "t": report.t,
-        "s0": report.s0,
-        "genus_by_core_dim": report.genus_z,
-    }
-    return [_row(name, True) for name in report.identity_names()], payload
+    payload = {k: v for k, v in vars(report).items() if k not in ("params", "genus_z")}
+    payload["genus_by_core_dim"] = report.genus_z
+    return identity_rows(report), payload
 
 
 def cmd_atlas(args, params: CoverParams):
+    # Refuse past the cap before build_action spends O(n^3) on an n x n matrix.
+    check_cap(params.q**params.n, resolve_atlas_cap(args.cap), "orbit classification")
     action = build_action(params)
     classes = orbit_classes(params, cap=args.cap, action=action)
     histogram: dict[int, int] = {}
@@ -178,13 +171,15 @@ def cmd_atlas(args, params: CoverParams):
         "equals the closed form" if histogram == expected else f"!= closed form {expected}"
     )
     checks = [
-        _row("orbit-count-equals-t", len(classes) == params.t, f"{_decimal(len(classes))} classes"),
-        _row("orbits-have-size-p", all(len(set(c.members)) == params.p for c in classes)),
-        _row("cores-invariant-and-quantized", histogram == expected, cores_detail),
-        _row(
+        CheckResult(
+            "orbit-count-equals-t", len(classes) == params.t, f"{decimal(len(classes))} classes"
+        ),
+        CheckResult("orbits-have-size-p", all(len(set(c.members)) == params.p for c in classes)),
+        CheckResult("cores-invariant-and-quantized", histogram == expected, cores_detail),
+        CheckResult(
             "cores-meet-stated-bound",
             all(f["meets_stated_bound"] for f in facts),
-            f"bound {_decimal((params.p - 1) * (params.r - 3))}",
+            f"bound {decimal((params.p - 1) * (params.r - 3))}",
         ),
     ]
     limit = args.limit if args.limit is not None else len(classes)
@@ -229,11 +224,11 @@ def cmd_galois(args, params: CoverParams):
     # equals the one read off the primary decomposition.
     eliminated_dim = core(h, action).dim
     passed = eliminated_dim == report.core_dim
-    detail = f"q^{_decimal(report.k)} = 1 mod {_decimal(params.p)}"
+    detail = f"q^{decimal(report.k)} = 1 mod {decimal(params.p)}"
     if not passed:
         detail += (
-            f", but the elimination gives core dim {_decimal(eliminated_dim)} "
-            f"and the primary decomposition {_decimal(report.core_dim)}"
+            f", but the elimination gives core dim {decimal(eliminated_dim)} "
+            f"and the primary decomposition {decimal(report.core_dim)}"
         )
     payload = {
         "subgroup_file": args.subgroup,
@@ -247,37 +242,25 @@ def cmd_galois(args, params: CoverParams):
         "exceeds_complement_range": report.exceeds_complement_range,
         "quotient_genus": genus_quotient_by_core(params, report.core_dim),
     }
-    return [_row("closure-order-condition", passed, detail)], payload
+    return [CheckResult("closure-order-condition", passed, detail)], payload
 
 
 def cmd_reps(args, params: CoverParams):
+    # |G| = p q^n, in the sum-of-squares row, is the largest value printed.
+    _refuse_unprintable(
+        math.log10(params.p) + params.n * math.log10(params.q), lambda: params.group_order
+    )
     table = rep_table(params)
-    sum_squares = sum(e.count * e.degree**2 for e in table.complex_entries)
-    checks = [
-        _row("sum-of-squares", sum_squares == params.group_order, f"{_decimal(sum_squares)} = |G|"),
-        # rep_table raises if the grouping breaks
-        _row(
-            "rational-grouping",
-            True,
-            f"{_decimal(table.rational_irreducible_count)} rational irreducibles",
-        ),
-    ]
     payload = {
-        "complex": [
-            {"label": e.label, "degree": e.degree, "count": e.count}
-            for e in table.complex_entries
-        ],
-        "rational": [
-            {"label": e.label, "degree": e.degree, "count": e.count}
-            for e in table.rational_entries
-        ],
+        "complex": [asdict(e) for e in table.complex_entries],
+        "rational": [asdict(e) for e in table.rational_entries],
         "isotypical_factors": [
             {"rep": f.rep_label, "factor": f.factor, "dim": f.dim, "count": f.count}
             for f in table.pairing
         ],
         "coset_representations": coset_rep_decomposition(params),
     }
-    return checks, payload
+    return census_rows(table), payload
 
 
 def cmd_verify(args, params):
@@ -286,7 +269,7 @@ def cmd_verify(args, params):
     payload = {"suite": args.suite, "checks_run": len(results), "failures": len(failures)}
     if failures:
         payload["first_witness"] = f"{failures[0].name}: {failures[0].detail}"
-    return [_row(r.name, r.passed, r.detail) for r in results], payload
+    return results, payload
 
 
 def _run(args) -> int:
@@ -298,12 +281,13 @@ def _run(args) -> int:
     envelope = ReportEnvelope(
         command=args.subcommand,
         params=None if params is None else jsonify(params.describe()),
-        checks=checks,
+        checks=[{"name": c.name, "status": "pass" if c.passed else "fail", "detail": c.detail}
+                for c in checks],
         payload=payload,
         timing_s=time.perf_counter() - start,
     )
     print(envelope.to_json() if args.json else envelope.render_text())
-    return EXIT_OK if envelope.all_passed() else EXIT_CHECK_FAILED
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def _non_negative_int(text: str) -> int:
@@ -375,8 +359,9 @@ def main(argv=None) -> int:
         return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        required = quoted(exc.required)
         print(
-            f"hint: re-run with --cap {exc.required} or set GONAL_ATLAS_CAP={exc.required}",
+            f"hint: re-run with --cap {required} or set GONAL_ATLAS_CAP={required}",
             file=sys.stderr,
         )
         return EXIT_CAP

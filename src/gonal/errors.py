@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all gonal modules."""
+"""Exception hierarchy shared by all gonal modules, and the int-to-str guard."""
+
+import math
+import sys
 
 
 class GonalError(Exception):
@@ -20,7 +23,7 @@ class CapExceededError(GonalError):
     """
 
     def __init__(self, message: str, required: int, cap: int):
-        super().__init__(f"{message} (required cap {required}, current cap {cap})")
+        super().__init__(f"{message} (required cap {quoted(required)}, current cap {quoted(cap)})")
         self.required = required
         self.cap = cap
 
@@ -39,3 +42,37 @@ class FixtureParseError(GonalError, ValueError):
 
 class IdentityCheckError(GonalError):
     """An exact identity that must hold failed; carries a witness message."""
+
+
+def int_str_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def too_many_digits(digits: int) -> InvalidParamsError:
+    return InvalidParamsError(
+        f"a result has {digits} decimal digits, over this interpreter's int-to-str "
+        f"limit of {int_str_limit()} (PYTHONINTMAXSTRDIGITS raises it)"
+    )
+
+
+def digit_count(value: int) -> int:
+    """Decimal digits of |value| > 0, counted without str."""
+    digits = int(abs(value).bit_length() * math.log10(2))  # the count or one less
+    return digits + (abs(value) >= 10**digits)
+
+
+def decimal(value: int) -> str:
+    """str(value) of a printed result; past the int-to-str limit, InvalidParamsError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise too_many_digits(digit_count(value)) from None
+
+
+def quoted(value: int) -> str:
+    """str(value) on an error line; past the int-to-str limit, its digit count."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{digit_count(value)} digits>"

@@ -1,8 +1,8 @@
-"""Named verification suites aggregating the package's exact checks.
+"""Every check row the CLI reports, and the named suites of `gonal verify`.
 
-Each suite returns CheckResult rows; a row is the outcome of one exact
-check (no tolerances anywhere).  The CLI `verify` command renders these
-and exits nonzero if any row failed.
+A CheckResult row is the outcome of one exact check, with no tolerances;
+`identity_rows` and `census_rows` check the closed forms of `calculus` and
+`reps` for `gonal invariants`, `gonal reps` and the `identities` suite.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .atlas import (
     positive_cap,
     read_fixture,
 )
-from .calculus import decomposition_report, genus_quotient_by_core
-from .errors import GonalError, IdentityCheckError
+from .calculus import CoverReport, decomposition_report, genus_quotient_by_core
+from .errors import GonalError, IdentityCheckError, decimal
 from .groupring import (
     DEFAULT_GROUP_CAP,
     build_group,
@@ -31,6 +31,7 @@ from .groupring import (
     verify_cross_terms,
     verify_scalar_identity,
 )
+from .reps import RepTable, rep_table
 
 SUITES = ("groupring", "counts", "identities", "fixtures", "all")
 
@@ -54,6 +55,41 @@ def _checked(name: str, fn) -> CheckResult:
         return CheckResult(name, True, detail or "")
     except GonalError as exc:
         return CheckResult(name, False, str(exc))
+
+
+def _equal(name: str, identity: str, lhs, rhs, detail: str = "") -> CheckResult:
+    """Row `name`: passes with `detail` iff lhs == rhs, else names both sides of `identity`."""
+    if lhs == rhs:
+        return CheckResult(name, True, detail)
+    lhs, rhs = (f"({', '.join(map(decimal, v))})" if isinstance(v, tuple) else decimal(v)
+                for v in (lhs, rhs))
+    return CheckResult(name, False, f"{identity}: {lhs} vs {rhs}")
+
+
+def identity_rows(report: CoverReport) -> list[CheckResult]:
+    """The rows of `gonal invariants`: the decomposition identities between the closed forms."""
+    g_ends = (report.genus_z[0], report.genus_z[report.params.n])
+    return [
+        _equal("jacobian-dimension-identity", "g~ = g + m * prym",
+               report.g_tilde, report.g + report.m * report.prym_dim),
+        _equal("prym-sum-equals-quotient-jacobian", "t * prym = g_T",
+               report.t * report.prym_dim, report.g_t),
+        _equal("riemann-hurwitz-endpoints", "g(X~/K) at ranks (0, n) = (g~, g)",
+               g_ends, (report.g_tilde, report.g)),
+    ]
+
+
+def census_rows(table: RepTable) -> list[CheckResult]:
+    """The rows of `gonal reps`: the sum of squared degrees and the rational grouping."""
+    p, q, t = table.params.p, table.params.q, table.params.t
+    squares = sum(e.count * e.degree**2 for e in table.complex_entries)
+    return [
+        _equal("sum-of-squares", "sum of count * degree^2 = |G|",
+               squares, table.params.group_order, f"{decimal(squares)} = |G|"),
+        _equal("rational-grouping", "1 + (p-1) + t(q-1) = complex irreducibles",
+               1 + (p - 1) + t * (q - 1), table.complex_irreducible_count,
+               f"{decimal(table.rational_irreducible_count)} rational irreducibles"),
+    ]
 
 
 def suite_counts(max_n: int = 6) -> list[CheckResult]:
@@ -83,12 +119,13 @@ def suite_counts(max_n: int = 6) -> list[CheckResult]:
 
 
 def suite_identities() -> list[CheckResult]:
-    """Dimension identities across the whole parameter sweep."""
+    """The rows of `gonal invariants` and `gonal reps` across the whole parameter sweep."""
     sweep = parameter_sweep()
 
     def run_all():
         for params in sweep:
-            decomposition_report(params)
+            for row in identity_rows(decomposition_report(params)) + census_rows(rep_table(params)):
+                _require(row.passed, f"{row.name} for {params}: {row.detail}")
         return f"{len(sweep)} parameter triples"
 
     results = [_checked("identities-sweep", run_all)]

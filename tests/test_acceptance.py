@@ -121,7 +121,7 @@ def test_criterion_6_groupring_identity():
 def test_criterion_7_representation_census():
     start = time.perf_counter()
     for params in parameter_sweep(max_p=13, max_q=7, max_r=6):
-        entries = complex_table(params)  # raises if sum of squares breaks
+        entries = complex_table(params)  # closed form; census_rows and this line check it
         assert sum(e.count * e.degree**2 for e in entries) == params.p * params.q ** params.n
     for p, q, r in [(3, 2, 4), (5, 2, 3)]:
         params = CoverParams(p, q, r)

@@ -253,15 +253,19 @@ def int_str_limit_4300():
         pytest.param("reps", (3, 5, 3200), 4472, id="reps"),
         # n = 131070: the report would build 7,711 genus values of about 39,460 digits.
         pytest.param("invariants", (131071, 2, 3), 39461, id="invariants-131071-2-3"),
+        # n = 3,999,996: building q^n alone takes seconds; the count is read off log10.
+        pytest.param("invariants", (3, 5, 2000000), 2795884, id="invariants-3-5-2000000"),
+        pytest.param("reps", (3, 5, 2000000), 2795878, id="reps-3-5-2000000"),
     ],
 )
 def test_results_past_the_int_to_str_limit_exit_2(
     capsys, monkeypatch, int_str_limit_4300, command, triple, digits
 ):
     def unbounded(params):
-        pytest.fail("decomposition_report ran before the oversized result was refused")
+        pytest.fail("the report was built before the oversized result was refused")
 
-    monkeypatch.setattr("gonal.cli.decomposition_report", unbounded)
+    for builder in ("genus_homology_cover", "decomposition_report", "rep_table"):
+        monkeypatch.setattr(f"gonal.cli.{builder}", unbounded)
     p, q, r = (str(x) for x in triple)
     code, out, err = run_cli(capsys, command, "--p", p, "--q", q, "--r", r, "--json")
     assert (code, out) == (2, "")
@@ -278,6 +282,26 @@ def test_jsonify_names_the_exact_digit_count(int_str_limit_4300):
     assert jsonify([10**4300 - 1]) == ["9" * 4300]
 
 
+def test_atlas_past_the_cap_exits_3_before_building_the_action(capsys, monkeypatch):
+    def unbounded(params):
+        pytest.fail("build_action ran before the cap refused the run")
+
+    monkeypatch.setattr("gonal.cli.build_action", unbounded)
+    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", "2000")
+    assert (code, out) == (3, "")
+    assert str(5**3996) in err
+
+
+@needs_int_str_limit
+def test_atlas_cap_refusal_past_the_int_to_str_limit_exit_3(capsys, int_str_limit_4300):
+    # n = 6396: the required cap 5^n has 4,471 digits, too many to print.
+    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", "3200")
+    assert (code, out) == (3, "")
+    error, hint = err.splitlines()
+    assert error.startswith("error: orbit classification needs ambient size <4471 digits>")
+    assert hint == "hint: re-run with --cap <4471 digits> or set GONAL_ATLAS_CAP=<4471 digits>"
+
+
 def test_reps_command(capsys):
     code, out, _ = run_cli(capsys, "reps", "--p", "3", "--q", "2", "--r", "4", "--json")
     assert code == 0
@@ -286,6 +310,53 @@ def test_reps_command(capsys):
     assert complexes["V_j"]["count"] == "5"
     assert complexes["V_j"]["degree"] == "3"
     assert any(c["name"] == "sum-of-squares" and c["status"] == "pass" for c in data["checks"])
+
+
+@pytest.mark.parametrize(
+    "command, corrupt, row, detail",
+    [
+        ("invariants", "genus_homology_cover", "jacobian-dimension-identity",
+         "g~ = g + m * prym: 18 vs 17"),
+        ("invariants", "genus_quotient_T", "prym-sum-equals-quotient-jacobian",
+         "t * prym = g_T: 5 vs 6"),
+        ("invariants", "genus_quotient_by_core", "riemann-hurwitz-endpoints",
+         "g(X~/K) at ranks (0, n) = (g~, g): (18, 3) vs (17, 2)"),
+        ("reps", "complex_table", "sum-of-squares",
+         "sum of count * degree^2 = |G|: 57 vs 48"),
+        ("reps", "complex_table", "rational-grouping",
+         "1 + (p-1) + t(q-1) = complex irreducibles: 8 vs 9"),
+    ],
+    ids=["jacobian", "prym-sum", "riemann-hurwitz", "sum-of-squares", "rational-grouping"],
+)
+def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, detail):
+    # One closed form off by one at (3, 2, 4), the first triple of the sweep; for
+    # complex_table, the V_j count.
+    from gonal import calculus, reps
+    from gonal.action import CoverParams
+
+    module = reps if corrupt == "complex_table" else calculus
+    real = getattr(module, corrupt)
+    if corrupt == "complex_table":
+        def wrong(params):
+            return tuple(
+                reps.RepEntry(e.label, e.degree, e.count + (e.label == "V_j")) for e in real(params)
+            )
+    else:
+        def wrong(*args):
+            return real(*args) + 1
+    monkeypatch.setattr(module, corrupt, wrong)
+
+    code, out, _ = run_cli(capsys, command, "--p", "3", "--q", "2", "--r", "4", "--json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert {"name": row, "status": "fail", "detail": detail} in checks
+    first = next(c for c in checks if c["status"] == "fail")
+    # The identities suite builds the same rows over the sweep, so it reports the same witness.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--json")
+    assert code == 1
+    assert json.loads(out)["payload"]["first_witness"] == (
+        f"identities-sweep: {first['name']} for {CoverParams(3, 2, 4)}: {first['detail']}"
+    )
 
 
 def test_verify_suites_pass(capsys):
