@@ -27,6 +27,7 @@ from .errors import (
     IdentityCheckError,
     InvalidParamsError,
     NoInvariantSubspaceError,
+    quoted,
 )
 from .fqlinalg import (
     Subspace,
@@ -81,6 +82,15 @@ class CoverParams:
             raise InvalidParamsError("p and q must be distinct primes")
         if r < 3:
             raise InvalidParamsError(f"r = {r} must be at least 3")
+        # Size refusals read log10(q^n) = n log10(q) off a float, before q^n is built.
+        try:
+            log_size = self.n * math.log10(q)
+        except OverflowError:
+            log_size = math.inf
+        if not math.isfinite(log_size):
+            raise InvalidParamsError(
+                f"r = {quoted(r)} makes n = (p-1)(r-2) too large to estimate q^n in floating point"
+            )
         if math.gcd(p, q - 1) != 1:
             raise InvalidParamsError(
                 f"gcd(p, q-1) must be 1, got gcd({p}, {q - 1}) = {math.gcd(p, q - 1)}"

@@ -11,12 +11,15 @@ gcd(p, q-1) = 1 rules out fixed hyperplanes.  The core of a hyperplane is
 the intersection of its p conjugate kernels, i.e. the kernel of the stacked
 conjugate normals; it determines the Galois group of the composite cover.
 
-The full classification (`orbit_classes`) runs one vectorized sweep over
-all (q^n - 1)/(q - 1) normals: codes of all p conjugates are computed in
-p - 1 matrix products, a normal is an orbit representative iff its own code
-is its orbit minimum, and cores are extracted per class afterwards.  Output
-order (by representative) is deterministic; per-class work is independent,
-so the merge would be identical under any parallel schedule.
+The full classification (`orbit_classes`) applies the conjugation to the
+m = (q^n - 1)/(q - 1) normals once, in fixed-size chunks, as a successor
+permutation of their indices in lexicographic order.  p - 1 gathers give
+every normal its orbit minimum, a normal is an orbit representative iff it
+is its own minimum, and p - 1 more gathers read the orbits off the
+representatives.  Cores are extracted per class afterwards, one chunk of
+classes at a time.  Output order (by representative) is deterministic;
+per-class work is independent, so the merge would be identical under any
+parallel schedule.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from .errors import (
     IdentityCheckError,
     InvalidParamsError,
     quoted,
+    quoted_power,
 )
 from .fqlinalg import (
     Subspace,
     as_residues,
+    check_code_width,
     check_prime_modulus,
     decode_codes,
     encode_rows,
@@ -77,9 +82,21 @@ def positive_cap(cap, source: str) -> int:
     return value
 
 
-def check_cap(size: int, cap: int, what: str):
-    if size > cap:
-        raise CapExceededError(f"{what} needs ambient size {quoted(size)}", size, cap)
+def check_cap(q: int, n: int, cap: int, what: str):
+    """CapExceededError unless the ambient space F_q^n has at most `cap` vectors.
+
+    (b - 1) n >= the bit length of cap, b that of q, already means q^n > cap:
+    then q^n is built only if its digits are printed.  Otherwise q^n stays
+    below (2 cap)^2 and is compared exactly.
+    """
+    if (q.bit_length() - 1) * n < cap.bit_length():
+        size = q**n
+        if size <= cap:
+            return
+        text = quoted(size)
+    else:
+        size, text = quoted_power(q, n)
+    raise CapExceededError(f"{what} needs ambient size {text}", size, cap, required_text=text)
 
 
 class Hyperplane:
@@ -148,10 +165,11 @@ class Hyperplane:
 def enumerate_hyperplanes(params: CoverParams, cap: int | None = None):
     """Yield all m hyperplane normals in lexicographic order, each once."""
     q, n = params.q, params.n
-    check_cap(q**n, resolve_atlas_cap(cap), "hyperplane enumeration")
-    for block in _normal_blocks(n, q):
-        for row in block:
-            yield Hyperplane._from_normalized(tuple(row.tolist()), q)
+    check_cap(q, n, resolve_atlas_cap(cap), "hyperplane enumeration")
+    codes = normal_codes(n, q)
+    for start in range(0, codes.size, _SWEEP_CHUNK):
+        for row in decode_codes(codes[start : start + _SWEEP_CHUNK], n, q).tolist():
+            yield Hyperplane._from_normalized(tuple(row), q)
 
 
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
@@ -159,7 +177,12 @@ def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
     q = action.params.q
     if h.modulus != q or h.ambient_dim != action.params.n:
         raise InvalidParamsError("hyperplane and action live over different spaces")
-    return Hyperplane((h.normal_array() @ action.inverse_array) % q, q)
+    # T^(-1) is invertible, so the image of a normal is nonzero.
+    image = (h.normal_array() @ action.inverse_array) % q
+    lead = image[image.nonzero()[0][0]]
+    if lead != 1:
+        image = image * inverse_table(q)[lead] % q
+    return Hyperplane._from_normalized(tuple(image.tolist()), q)
 
 
 def core(h: Hyperplane, action: AdaptedAction) -> Subspace:
@@ -250,24 +273,24 @@ class OrbitClass:
         }
 
 
-def _normal_blocks(n: int, q: int):
-    """Yield the normalized normals by leading position, last position first.
+# Rows decoded at once by the sweep, and classes whose members are decoded at once.
+_SWEEP_CHUNK = 1 << 14
+_CLASS_CHUNK = 1 << 10
 
-    Block `lead` holds the q^(n-1-lead) normals whose first nonzero entry,
-    a 1, sits at `lead`, tails in lexicographic order; the blocks in turn
-    list all m normals in lexicographic order.
+
+def normal_codes(n: int, q: int) -> np.ndarray:
+    """Base-q codes of all m normalized normals, ascending, i.e. in lexicographic order.
+
+    A normal whose leading 1 has w entries after it has code q^w + (its tail's
+    code), so the codes are q^w + arange(q^w) for w = 0, ..., n - 1.
     """
-    for lead in range(n - 1, -1, -1):
-        width = n - 1 - lead
-        block = np.zeros((q**width, n), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1 :] = decode_codes(np.arange(q**width), width, q)
-        yield block
+    check_code_width(n, q)
+    return np.concatenate([q**w + np.arange(q**w, dtype=np.int64) for w in range(n)])
 
 
 def all_normals_array(n: int, q: int) -> np.ndarray:
     """All normalized normals as an (m, n) array in lexicographic order."""
-    return np.concatenate(list(_normal_blocks(n, q)))
+    return decode_codes(normal_codes(n, q), n, q)
 
 
 def _normalize_rows(rows: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
@@ -276,39 +299,75 @@ def _normalize_rows(rows: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     return (rows * inv[lead][:, None]) % q
 
 
+def _successors(codes: np.ndarray, action: AdaptedAction) -> np.ndarray:
+    """succ[i] = index in `codes` of the normal v T^(-1), v the normal with code codes[i].
+
+    Filled _SWEEP_CHUNK normals at a time.  IdentityCheckError, naming the
+    normal and its image, if an image is not a listed normal.
+    """
+    q, n = action.params.q, action.params.n
+    inv = inverse_table(q)
+    succ = np.empty(codes.size, dtype=np.intp)
+    for start in range(0, codes.size, _SWEEP_CHUNK):
+        rows = decode_codes(codes[start : start + _SWEEP_CHUNK], n, q)
+        images = encode_rows(_normalize_rows((rows @ action.inverse_array) % q, q, inv), q)
+        found = np.searchsorted(codes, images)
+        np.minimum(found, codes.size - 1, out=found)
+        missed = np.flatnonzero(codes[found] != images)
+        if missed.size:
+            i = missed[0]
+            raise IdentityCheckError(
+                f"conjugation maps the normal {tuple(rows[i].tolist())} to "
+                f"{tuple(decode_codes(images[i], n, q).tolist())}, which is not a listed normal"
+            )
+        succ[start : start + rows.shape[0]] = found
+    return succ
+
+
 def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
     """Codes of every orbit, (t, p): rows ordered by representative, each row
-    the representative's code followed by its successive conjugates'."""
-    p, q, n = params.p, params.q, params.n
-    inv = inverse_table(q)
-    tinv = action.inverse_array
+    the representative's code followed by its successive conjugates'.
 
-    normals = all_normals_array(n, q)
-    m = normals.shape[0]
+    The conjugation is applied once, as a successor permutation of the m
+    normals (`_successors`); orbit minima and orbit rows are gathers along it.
+    """
+    p, q, n = params.p, params.q, params.n
+    codes = normal_codes(n, q)
+    m = codes.size
     if m != params.m:
         raise IdentityCheckError(f"swept {m} normals, expected m = {params.m}")
-    codes = np.empty((m, p), dtype=np.int64)
-    codes[:, 0] = encode_rows(normals, q)
-    cur = normals
-    for j in range(1, p):
-        cur = _normalize_rows((cur @ tinv) % q, q, inv)
-        codes[:, j] = encode_rows(cur, q)
-    del cur, normals
+    succ = _successors(codes, action)
 
-    rep_codes = codes.min(axis=1)
-    is_rep = codes[:, 0] == rep_codes
-    rep_rows = np.nonzero(is_rep)[0]
-    if rep_rows.size != params.t:
+    index = np.arange(m)
+    least = index.copy()
+    cur = index
+    for _ in range(p - 1):
+        cur = succ[cur]
+        np.minimum(least, cur, out=least)
+    reps = np.flatnonzero(least == index)
+    del index, least, cur
+
+    orbits = np.empty((reps.size, p), dtype=np.intp)
+    orbits[:, 0] = reps
+    for j in range(1, p):
+        orbits[:, j] = succ[orbits[:, j - 1]]
+    back = succ[orbits[:, -1]]
+    broken = np.flatnonzero(back != reps)
+    if broken.size:
+        i = broken[0]
         raise IdentityCheckError(
-            f"found {rep_rows.size} orbit classes, expected t = {params.t}"
+            f"the {p}th conjugate of the representative "
+            f"{tuple(decode_codes(codes[reps[i]], n, q).tolist())} is "
+            f"{tuple(decode_codes(codes[back[i]], n, q).tolist())}, not itself"
         )
-    orbit_codes = codes[rep_rows]
-    sorted_codes = np.sort(orbit_codes, axis=1)
-    if not np.all(np.diff(sorted_codes, axis=1) > 0):
+    if reps.size != params.t:
+        raise IdentityCheckError(f"found {reps.size} orbit classes, expected t = {params.t}")
+    sorted_orbits = np.sort(orbits, axis=1)
+    if not np.all(np.diff(sorted_orbits, axis=1) > 0):
         raise IdentityCheckError("an orbit has fewer than p distinct members")
-    if np.unique(sorted_codes).size != m:
+    if np.unique(sorted_orbits).size != m:
         raise IdentityCheckError("orbits do not partition the hyperplane set")
-    return orbit_codes
+    return codes[orbits]
 
 
 def orbit_classes(
@@ -321,29 +380,27 @@ def orbit_classes(
     Deterministic: classes are ordered by representative normal, members by
     successive conjugation starting at the representative.
     """
-    p, q, n = params.p, params.q, params.n
-    check_cap(q**n, resolve_atlas_cap(cap), "orbit classification")
+    q, n = params.q, params.n
+    check_cap(q, n, resolve_atlas_cap(cap), "orbit classification")
     if action is None:
         action = build_action(params)
     elif action.params != params:
         raise InvalidParamsError(
             f"action built for {action.params} cannot classify {params}"
         )
-    member_vecs = decode_codes(_orbit_codes(params, action), n, q)
+    orbit_codes = _orbit_codes(params, action)
     classes = []
-    for i in range(member_vecs.shape[0]):
-        vecs = member_vecs[i]
-        members = tuple(
-            Hyperplane._from_normalized(tuple(vecs[j].tolist()), q) for j in range(p)
-        )
-        core_rows = kernel_array(vecs, q)
-        classes.append(
-            OrbitClass(
-                representative=members[0],
-                members=members,
-                core=Subspace._from_canonical(core_rows, n, q),
+    for start in range(0, orbit_codes.shape[0], _CLASS_CHUNK):
+        vecs = decode_codes(orbit_codes[start : start + _CLASS_CHUNK], n, q)
+        for rows, normals in zip(vecs, vecs.tolist()):
+            members = tuple(Hyperplane._from_normalized(tuple(v), q) for v in normals)
+            classes.append(
+                OrbitClass(
+                    representative=members[0],
+                    members=members,
+                    core=Subspace._from_canonical(kernel_array(rows, q), n, q),
+                )
             )
-        )
     return classes
 
 
@@ -386,7 +443,7 @@ def core_histogram(params: CoverParams) -> dict[int, int]:
 def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Subspace]:
     """All k-dim subspaces of F_q^n by direct RREF enumeration (oracle)."""
     check_prime_modulus(q)
-    check_cap(q**n, cap, "brute-force subgroup enumeration")
+    check_cap(q, n, cap, "brute-force subgroup enumeration")
     return [
         Subspace._from_canonical(basis, n, q) for basis in iter_subspace_bases(n, k, q)
     ]

@@ -42,8 +42,8 @@ from .errors import (
     IdentityCheckError,
     InvalidParamsError,
     decimal,
+    digits_from_log10,
     int_str_limit,
-    quoted,
     too_many_digits,
 )
 from .reps import coset_rep_decomposition, rep_table
@@ -58,14 +58,11 @@ EXIT_CAP = 3
 def _refuse_unprintable(log10_value: float, build) -> None:
     """Refuse, as `decimal` would, the largest value a command prints, before it is built.
 
-    `log10_value`, its logarithm in floating point, is off by far less than
-    1e-9 + 1e-14 log10_value; unless that bound reaches an integer,
-    floor(log10_value) + 1 is the exact digit count, else `build()` is counted.
+    The digit count is read off `log10_value`, its logarithm in floating
+    point (see `digits_from_log10`).
     """
-    digits = math.floor(log10_value) + 1
-    if abs(log10_value - round(log10_value)) < 1e-9 + 1e-14 * log10_value:
-        decimal(build())
-    elif 0 < int_str_limit() < digits:
+    digits = digits_from_log10(log10_value, build)
+    if 0 < int_str_limit() < digits:
         raise too_many_digits(digits)
 
 
@@ -157,7 +154,7 @@ def cmd_invariants(args, params: CoverParams):
 
 def cmd_atlas(args, params: CoverParams):
     # Refuse past the cap before build_action spends O(n^3) on an n x n matrix.
-    check_cap(params.q**params.n, resolve_atlas_cap(args.cap), "orbit classification")
+    check_cap(params.q, params.n, resolve_atlas_cap(args.cap), "orbit classification")
     action = build_action(params)
     classes = orbit_classes(params, cap=args.cap, action=action)
     histogram: dict[int, int] = {}
@@ -359,7 +356,7 @@ def main(argv=None) -> int:
         return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        required = quoted(exc.required)
+        required = exc.required_text
         print(
             f"hint: re-run with --cap {required} or set GONAL_ATLAS_CAP={required}",
             file=sys.stderr,

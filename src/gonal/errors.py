@@ -19,13 +19,15 @@ class AmbientMismatchError(GonalError, ValueError):
 class CapExceededError(GonalError):
     """An enumeration would exceed its resource cap.
 
-    `required` is the cap value that would let the call proceed.
+    `required` is the cap value that would let the call proceed, or None
+    where it was too large to build; `required_text` quotes it either way.
     """
 
-    def __init__(self, message: str, required: int, cap: int):
-        super().__init__(f"{message} (required cap {quoted(required)}, current cap {quoted(cap)})")
+    def __init__(self, message: str, required: int | None, cap: int, required_text: str | None = None):
         self.required = required
+        self.required_text = quoted(required) if required_text is None else required_text
         self.cap = cap
+        super().__init__(f"{message} (required cap {self.required_text}, current cap {quoted(cap)})")
 
 
 class NoInvariantSubspaceError(GonalError, ValueError):
@@ -62,6 +64,18 @@ def digit_count(value: int) -> int:
     return digits + (abs(value) >= 10**digits)
 
 
+def digits_from_log10(log10_value: float, build) -> int:
+    """Decimal digits of a positive integer from its logarithm `log10_value`.
+
+    That logarithm, taken in floating point, is off by far less than
+    1e-9 + 1e-14 log10_value; unless that bound reaches an integer,
+    floor(log10_value) + 1 is the exact count, else `build()` is counted.
+    """
+    if abs(log10_value - round(log10_value)) < 1e-9 + 1e-14 * log10_value:
+        return digit_count(build())
+    return math.floor(log10_value) + 1
+
+
 def decimal(value: int) -> str:
     """str(value) of a printed result; past the int-to-str limit, InvalidParamsError."""
     try:
@@ -76,3 +90,14 @@ def quoted(value: int) -> str:
         return str(value)
     except ValueError:
         return f"<{digit_count(value)} digits>"
+
+
+def quoted_power(base: int, exp: int) -> tuple[int | None, str]:
+    """(base**exp, its `quoted` text), base >= 2; past the int-to-str limit
+    (None, its digit count) without building the power."""
+    if int_str_limit():
+        digits = digits_from_log10(exp * math.log10(base), lambda: base**exp)
+        if digits > int_str_limit():
+            return None, f"<{digits} digits>"
+    value = base**exp
+    return value, str(value)

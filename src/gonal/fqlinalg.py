@@ -143,15 +143,30 @@ def matpow_array(a: np.ndarray, e: int, q: int) -> np.ndarray:
     return result
 
 
+def check_code_width(n: int, q: int) -> None:
+    """Refuse rows of length n over F_q whose largest code, q^n - 1, is past int64.
+
+    (b - 1) n >= 64, b the bit length of q, already means q^n >= 2^64: the
+    power is built only when it is below 2^128.
+    """
+    if (q.bit_length() - 1) * n >= 64 or q**n > 2**63:
+        raise InvalidParamsError(
+            f"rows of length {n} over F_{q} have base-{q} codes up to {q}^{n} - 1, "
+            f"past the int64 maximum 2^63 - 1"
+        )
+
+
 def encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
     """Base-q code of each residue row (last axis); codes sort like the rows."""
     n = rows.shape[-1]
+    check_code_width(n, q)
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return rows @ weights
 
 
 def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
     """Residue rows of length n with base-q codes `codes` (any shape); inverts encode_rows."""
+    check_code_width(n, q)
     codes = np.array(codes, dtype=np.int64)
     out = np.empty(codes.shape + (n,), dtype=np.int64)
     for i in range(n - 1, -1, -1):

@@ -53,6 +53,13 @@ def test_cover_params_rejects(p, q, r):
         CoverParams(p, q, r)
 
 
+@pytest.mark.parametrize("r", [10**400, 10**308, 2**1023])
+def test_cover_params_refuses_an_n_past_floating_point(r):
+    # The size refusals read log10(q^n) = n log10(q) as a float before building q^n.
+    with pytest.raises(InvalidParamsError, match="too large to estimate q\\^n in floating point"):
+        CoverParams(3, 5, r)
+
+
 def test_cover_params_small_genus_escape_hatch():
     params = CoverParams(3, 2, 3, allow_small_genus=True)
     assert params.g == 1

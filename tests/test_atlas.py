@@ -1,12 +1,14 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gonal import gfpoly
+from gonal import atlas, gfpoly
 from gonal.action import CoverParams, PrimaryProjections, build_action, cyclotomic_factor
 from gonal.atlas import (
     Hyperplane,
@@ -16,6 +18,7 @@ from gonal.atlas import (
     core,
     core_dim,
     core_histogram,
+    check_cap,
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
@@ -32,7 +35,7 @@ from gonal.errors import (
     IdentityCheckError,
     InvalidParamsError,
 )
-from gonal.fqlinalg import Subspace, decode_codes, iter_subspace_bases
+from gonal.fqlinalg import Subspace, decode_codes, encode_rows, inverse_table, iter_subspace_bases
 
 
 def test_hyperplane_normalization():
@@ -496,3 +499,109 @@ def test_core_dim_rejects_a_foreign_hyperplane():
     action = build_action(CoverParams(3, 2, 4))
     with pytest.raises(InvalidParamsError):
         core_dim(Hyperplane([1, 0, 0, 0, 0, 0], 2), action)
+
+
+def _matrix_power_orbit_codes(params, action):
+    """The sweep as it was before the successor permutation: all m normals moved
+    by p - 1 matrix products, each conjugate normalized and encoded (oracle)."""
+    p, q, n = params.p, params.q, params.n
+    inv = inverse_table(q)
+    normals = all_normals_array(n, q)
+    codes = np.empty((normals.shape[0], p), dtype=np.int64)
+    codes[:, 0] = encode_rows(normals, q)
+    cur = normals
+    for j in range(1, p):
+        cur = (cur @ action.inverse_array) % q
+        lead = cur[np.arange(cur.shape[0]), np.argmax(cur != 0, axis=1)]
+        cur = (cur * inv[lead][:, None]) % q
+        codes[:, j] = encode_rows(cur, q)
+    return codes[codes[:, 0] == codes.min(axis=1)]
+
+
+SWEEP_TRIPLES = [(3, 2, 4), (5, 2, 3), (5, 2, 4), (7, 2, 4), (5, 3, 4), (3, 2, 6), (7, 2, 5), (13, 3, 3)]
+
+
+@pytest.mark.parametrize("triple", SWEEP_TRIPLES, ids=lambda t: "-".join(map(str, t)))
+def test_orbit_codes_match_the_matrix_power_sweep(triple):
+    params = CoverParams(*triple)
+    action = build_action(params)
+    got = _orbit_codes(params, action)
+    expected = _matrix_power_orbit_codes(params, action)
+    assert got.shape == (params.t, params.p)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_orbit_codes_peak_memory_at_13_3_3():
+    # The matrix-power sweep peaked at about 152 MB here: five (m, n) int64 arrays.
+    params = CoverParams(13, 3, 3)
+    action = build_action(params)
+    tracemalloc.start()
+    try:
+        _orbit_codes(params, action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_orbit_codes_reject_a_successor_array_with_two_entries_swapped(monkeypatch):
+    # Normals 0 and 1 lie in different orbits of (5,2,3), so the swap merges
+    # two p-cycles into one of length 2p.
+    params = CoverParams(5, 2, 3)
+    action = build_action(params)
+    honest = atlas._successors
+
+    def swapped(codes, action):
+        succ = honest(codes, action)
+        succ[[0, 1]] = succ[[1, 0]]
+        return succ
+
+    monkeypatch.setattr(atlas, "_successors", swapped)
+    with pytest.raises(IdentityCheckError, match=r"5th conjugate of the representative .* not itself"):
+        _orbit_codes(params, action)
+
+
+def test_orbit_codes_reject_an_action_whose_inverse_is_the_identity():
+    params = CoverParams(5, 2, 3)
+    fake = SimpleNamespace(params=params, inverse_array=np.eye(params.n, dtype=np.int64))
+    with pytest.raises(IdentityCheckError, match=f"found {params.m} orbit classes, expected t = {params.t}"):
+        _orbit_codes(params, fake)
+
+
+def test_orbit_codes_reject_a_successor_off_the_list_of_normals():
+    # A singular T^(-1) sends e_0 to the zero row, which is no normal.
+    params = CoverParams(5, 2, 3)
+    inverse = build_action(params).inverse_array.copy()
+    inverse[0] = 0
+    fake = SimpleNamespace(params=params, inverse_array=inverse)
+    with pytest.raises(IdentityCheckError, match=r"\(1, 0, 0, 0\) to \(0, 0, 0, 0\), which is not a listed normal"):
+        _orbit_codes(params, fake)
+
+
+def test_conjugate_hyperplane_matches_the_normalizing_constructor():
+    # q = 3: half the images lead with a 2 and must be scaled by its inverse.
+    params = CoverParams(5, 3, 3)
+    action = build_action(params)
+    for h in enumerate_hyperplanes(params):
+        expected = Hyperplane((h.normal_array() @ action.inverse_array) % params.q, params.q)
+        assert conjugate_hyperplane(h, action) == expected
+
+
+def test_check_cap_decides_from_bit_lengths_without_building_the_power():
+    # 5^(10^12) has about 7 * 10^11 digits: building it would not finish.
+    with pytest.raises(CapExceededError) as exc:
+        check_cap(5, 10**12, 3**13, "sweep")
+    assert exc.value.required is None
+    assert exc.value.required_text == "<698970004337 digits>"
+    assert str(exc.value) == (
+        "sweep needs ambient size <698970004337 digits> "
+        "(required cap <698970004337 digits>, current cap 1594323)"
+    )
+    # At and just past the cap the comparison is exact.
+    check_cap(3, 13, 3**13, "sweep")
+    with pytest.raises(CapExceededError) as exc:
+        check_cap(3, 13, 3**13 - 1, "sweep")
+    assert exc.value.required == 3**13 and exc.value.required_text == str(3**13)
+    check_cap(2, 64, 2**64, "sweep")
+    with pytest.raises(CapExceededError):
+        check_cap(2, 65, 2**64, "sweep")

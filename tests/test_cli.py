@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,31 @@ def test_atlas_cap_refusal_past_the_int_to_str_limit_exit_3(capsys, int_str_limi
     error, hint = err.splitlines()
     assert error.startswith("error: orbit classification needs ambient size <4471 digits>")
     assert hint == "hint: re-run with --cap <4471 digits> or set GONAL_ATLAS_CAP=<4471 digits>"
+
+
+@needs_int_str_limit
+def test_atlas_cap_refusal_builds_no_power(capsys, int_str_limit_4300):
+    # n = 3,999,996: building 5^n and counting its digits exactly took about 6 s.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", "2000000")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    error, hint = err.splitlines()
+    assert error == (
+        "error: orbit classification needs ambient size <2795878 digits> "
+        "(required cap <2795878 digits>, current cap 1594323)"
+    )
+    assert hint == "hint: re-run with --cap <2795878 digits> or set GONAL_ATLAS_CAP=<2795878 digits>"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["invariants", "reps", "atlas", "galois"])
+def test_an_r_whose_n_does_not_fit_a_float_exits_2(capsys, command):
+    extra = ["--subgroup", "unused.gens"] if command == "galois" else []
+    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "5", "--r", str(10**400), *extra)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: r = 1000") and line.endswith("too large to estimate q^n in floating point")
 
 
 def test_reps_command(capsys):

@@ -22,7 +22,8 @@ def test_group_ring_demo_runs():
     assert "cross terms all vanish" in run_demo("05_group_ring_identities.py")
 
 
-# Demo 03 is left out: it runs the (13,3,3) atlas and takes several seconds.
+# Demo 03 is left out: it runs the (13,3,3) atlas and takes several seconds; CI runs it
+# as a step of its own.
 @pytest.mark.parametrize(
     "script,line",
     [

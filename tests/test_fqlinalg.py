@@ -12,6 +12,8 @@ from gonal.atlas import Hyperplane
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
     Subspace,
+    decode_codes,
+    encode_rows,
     inverse_table,
     iter_subspace_bases,
     kernel_array,
@@ -387,3 +389,19 @@ def test_inverse_table_is_built_once_and_read_only(q):
     assert inverse_table(q) is table
     assert not table.flags.writeable
     assert [(x * int(table[x])) % q for x in range(1, q)] == [1] * (q - 1)
+
+
+@pytest.mark.parametrize("q,n", [(2, 64), (3, 41), (3, 40), (2, 10**6)])
+def test_codes_past_int64_are_refused(q, n):
+    # q^n - 1 > 2^63 - 1: the codes would wrap around instead of sorting like the rows.
+    with pytest.raises(InvalidParamsError, match=f"length {n} over F_{q}.*past the int64 maximum"):
+        encode_rows(np.full((1, n), q - 1, dtype=np.int64), q)
+    with pytest.raises(InvalidParamsError, match="past the int64 maximum"):
+        decode_codes(np.array([1]), n, q)
+
+
+@pytest.mark.parametrize("q,n", [(2, 63), (3, 39)])
+def test_the_widest_codes_that_fit_int64_round_trip(q, n):
+    top = np.full((1, n), q - 1, dtype=np.int64)
+    assert encode_rows(top, q).tolist() == [q**n - 1]
+    assert np.array_equal(decode_codes(encode_rows(top, q), n, q), top)
