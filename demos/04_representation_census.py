@@ -7,13 +7,7 @@ one representation per hyperplane orbit.  The rational census is exactly
 what indexes the isogeny factors of the homology cover's Jacobian.
 """
 
-from gonal import (
-    CoverParams,
-    induced_rep_count_by_kernel,
-    isotypical_report,
-    orbit_classes,
-    rep_table,
-)
+from gonal import CoverParams, orbit_classes, rep_table
 
 for p, q, r in [(5, 2, 3), (3, 2, 4), (13, 3, 3)]:
     params = CoverParams(p, q, r)
@@ -33,7 +27,7 @@ for p, q, r in [(5, 2, 3), (3, 2, 4), (13, 3, 3)]:
 params = CoverParams(5, 2, 3)
 print("isogeny factors of J(X~) for p=5, q=2, r=3:")
 total = 0
-for factor in isotypical_report(params):
+for factor in rep_table(params).pairing:
     print(f"  {factor.factor:<12} dim {factor.dim} x{factor.count}  (acted on via {factor.rep_label})")
     total += factor.dim * factor.count
 print(f"  total = {total} = genus of the homology cover")
@@ -42,5 +36,5 @@ print()
 # Induced representations remember their kernels: the orbit cores.
 params = CoverParams(3, 2, 4)
 for orbit in orbit_classes(params):
-    size, label = induced_rep_count_by_kernel(params, orbit)
-    print(f"  {label}: kernel of size {size} (= q^core_rank)")
+    label = f"V[{','.join(str(c) for c in orbit.representative.normal)}]"
+    print(f"  {label}: kernel of size {params.q**orbit.core_dim} (= q^core_rank)")

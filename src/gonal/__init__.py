@@ -35,7 +35,6 @@ from .atlas import (
 from .calculus import (
     CoverReport,
     decomposition_report,
-    genus_base,
     genus_homology_cover,
     genus_intermediate,
     genus_quotient_T,
@@ -65,8 +64,6 @@ from .groupring import (
 from .reps import (
     RepTable,
     complex_table,
-    induced_rep_count_by_kernel,
-    isotypical_report,
     rational_table,
     rep_table,
 )
@@ -108,14 +105,11 @@ __all__ = [
     "frobenius_check",
     "galois_closure",
     "gaussian_count",
-    "genus_base",
     "genus_homology_cover",
     "genus_intermediate",
     "genus_quotient_T",
     "genus_quotient_by_core",
-    "induced_rep_count_by_kernel",
     "invariant_subspace_of_dim",
-    "isotypical_report",
     "orbit_classes",
     "order_mod",
     "parameter_sweep",

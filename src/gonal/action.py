@@ -74,6 +74,9 @@ class CoverParams:
 
     def __post_init__(self):
         p, q, r = self.p, self.q, self.r
+        for name, value in (("p", p), ("q", q), ("r", r)):
+            if type(value) is not int:
+                raise InvalidParamsError(f"{name} = {value!r} must be an int")
         if not (is_prime(p) and p % 2 == 1):
             raise InvalidParamsError(f"p = {p} must be an odd prime")
         if not is_prime(q):

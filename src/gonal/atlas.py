@@ -240,12 +240,11 @@ class OrbitClass:
     def core_dim(self) -> int:
         return self.core.dim
 
-    def verify(self, action: AdaptedAction) -> dict:
-        """Recheck the orbit invariants; returns observed facts.
+    def verify(self, action: AdaptedAction) -> None:
+        """Recheck the orbit invariants.
 
         Raises IdentityCheckError on any hard failure (orbit size, chain
         consistency, core invariance, dimension quantization, rank bound).
-        The stronger core bound (p-1)(r-3) is reported, not enforced.
         """
         params = action.params
         p, n, s0 = params.p, params.n, params.s0
@@ -264,13 +263,6 @@ class OrbitClass:
             )
         if self.core_dim < n - p:
             raise IdentityCheckError(f"core dim {self.core_dim} below rank bound {n - p}")
-        stated_bound = (p - 1) * (params.r - 3)
-        return {
-            "core_dim": self.core_dim,
-            "rank_bound": max(0, n - p),
-            "stated_bound": stated_bound,
-            "meets_stated_bound": self.core_dim >= stated_bound,
-        }
 
 
 # Rows decoded at once by the sweep, and classes whose members are decoded at once.

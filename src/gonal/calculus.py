@@ -16,19 +16,6 @@ from dataclasses import dataclass
 
 from .action import CoverParams
 from .errors import IdentityCheckError, InvalidParamsError
-from .fqlinalg import is_prime
-
-
-def genus_base(p: int, r: int) -> int:
-    """Genus (p-1)(r-2)/2 of a p-gonal curve with r branch points."""
-    if not (is_prime(p) and p % 2 == 1):
-        raise InvalidParamsError(f"p = {p} must be an odd prime")
-    if r < 3:
-        raise InvalidParamsError(f"r = {r} must be at least 3")
-    num = (p - 1) * (r - 2)
-    if num % 2:
-        raise IdentityCheckError(f"(p-1)(r-2) = {num} is odd for p = {p}")
-    return num // 2
 
 
 def genus_homology_cover(params: CoverParams) -> int:

@@ -92,12 +92,14 @@ def quoted(value: int) -> str:
         return f"<{digit_count(value)} digits>"
 
 
-def quoted_power(base: int, exp: int) -> tuple[int | None, str]:
-    """(base**exp, its `quoted` text), base >= 2; past the int-to-str limit
-    (None, its digit count) without building the power."""
+def quoted_power(base: int, exp: int, factor: int = 1) -> tuple[int | None, str]:
+    """(factor * base**exp, its `quoted` text), base >= 2, factor >= 1; past the
+    int-to-str limit (None, its digit count) without building the power."""
     if int_str_limit():
-        digits = digits_from_log10(exp * math.log10(base), lambda: base**exp)
+        digits = digits_from_log10(
+            math.log10(factor) + exp * math.log10(base), lambda: factor * base**exp
+        )
         if digits > int_str_limit():
             return None, f"<{digits} digits>"
-    value = base**exp
+    value = factor * base**exp
     return value, str(value)

@@ -39,7 +39,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime_modulus(q: int) -> int:
-    q = int(q)
+    """`q` as an int; InvalidParamsError unless it is an integer that is prime."""
+    if type(q) is not int:
+        if not isinstance(q, np.integer):
+            raise InvalidParamsError(f"modulus {q!r} is not an integer")
+        q = int(q)
     if q not in _PRIMES_SEEN:
         if not is_prime(q):
             raise InvalidParamsError(f"modulus {q} is not prime")
@@ -62,12 +66,17 @@ def inverse_table(q: int) -> np.ndarray:
 def as_residues(a, q: int) -> np.ndarray:
     """Copy `a` into a fresh int64 array reduced mod q.
 
-    Python ints past int64 are reduced exactly, through an object array.
+    Only integers are taken: float, complex, string or other values raise
+    InvalidParamsError rather than being truncated.  Integers past int64
+    (Python ints, uint64) are reduced exactly, through an object array.
     """
-    try:
-        return np.array(a, dtype=np.int64) % q
-    except OverflowError:
-        return (np.array(a, dtype=object) % q).astype(np.int64)
+    arr = np.asarray(a)
+    kind = arr.dtype.kind
+    if kind in "ib" or (kind == "u" and arr.itemsize < 8) or arr.size == 0:
+        return arr.astype(np.int64, copy=False) % q
+    if kind in "uO" and all(isinstance(x, (int, np.integer)) for x in arr.flat):
+        return (arr.astype(object) % q).astype(np.int64)
+    raise InvalidParamsError(f"expected integer entries, got {arr.dtype} values")
 
 
 def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -254,12 +263,11 @@ class Subspace:
 
     def _image_rows(self, m) -> np.ndarray:
         """Rows spanning {M v : v in self}, M a square integer matrix acting on columns."""
-        m = as_residues(m, self.modulus)
-        if m.shape != (self.ambient_dim, self.ambient_dim):
+        if np.shape(m) != (self.ambient_dim, self.ambient_dim):
             raise AmbientMismatchError(
-                f"expected a square matrix of side {self.ambient_dim}, got shape {m.shape}"
+                f"expected a square matrix of side {self.ambient_dim}, got shape {np.shape(m)}"
             )
-        return (self._rows @ m.T) % self.modulus
+        return (self._rows @ as_residues(m, self.modulus).T) % self.modulus
 
     def contains(self, v) -> bool:
         """True iff the vector v lies in this subspace."""

@@ -37,6 +37,7 @@ from .errors import (
     IdentityCheckError,
     InvalidParamsError,
     InvalidTransversalError,
+    quoted_power,
 )
 from .fqlinalg import decode_codes, encode_rows
 
@@ -50,9 +51,21 @@ class FrobeniusGroup:
     (v, e)(w, f) = (v + T^e w, e + f).  The pair (v, e) is the integer
     e q^n + code(v), code(v) the base-q number with digits v; codes are also
     element indices, so the kernel N is 0 .. q^n - 1 and the identity is 0.
+    A group of order past `cap` is refused before anything is built.
     """
 
-    def __init__(self, params: CoverParams, action: AdaptedAction | None = None):
+    def __init__(
+        self, params: CoverParams, action: AdaptedAction | None = None, cap: int = DEFAULT_GROUP_CAP
+    ):
+        # |G| = p q^n is built only if its digits can be printed.
+        order, text = quoted_power(params.q, params.n, factor=params.p)
+        if order is None or order > cap:
+            raise CapExceededError(
+                f"group of order {text} exceeds the regular-representation cap",
+                required=order,
+                cap=cap,
+                required_text=text,
+            )
         self.params = params
         self.action = action if action is not None else build_action(params)
         p, q, n = params.p, params.q, params.n
@@ -127,14 +140,7 @@ class FrobeniusGroup:
 
 def build_group(params: CoverParams, cap: int = DEFAULT_GROUP_CAP) -> FrobeniusGroup:
     """Materialize G = N x| P after checking the size cap and group axioms."""
-    size = params.group_order
-    if size > cap:
-        raise CapExceededError(
-            f"group of order {size} exceeds the regular-representation cap",
-            required=size,
-            cap=cap,
-        )
-    group = FrobeniusGroup(params)
+    group = FrobeniusGroup(params, cap=cap)
     group.spot_check_axioms()
     return group
 
@@ -373,9 +379,3 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
         k = next(k for k in range(p) if not np.array_equal(images[k], expected[k]))
         raise IdentityCheckError(f"cross term k = {k} fails on A_L of {L}")
     return {"k0_scalar": q ** (n - 1), "cross_terms_zero": True, "checked_k": list(range(p))}
-
-
-def composite_scalar(params: CoverParams) -> int:
-    """Scalar q^n that the full composed diagram acts by, once every orbit
-    class passes verify_scalar_identity (product of the per-class identities)."""
-    return params.q**params.n

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import CoverParams
-from .atlas import OrbitClass
 from .calculus import prym_dim
-from .errors import IdentityCheckError
 
 
 @dataclass(frozen=True)
@@ -87,40 +85,3 @@ def rep_table(params: CoverParams) -> RepTable:
         IsotypicalFactor("U_j", "P(Y_j/X)^p", params.p * prym_dim(params), params.t),
     )
     return RepTable(params, complex_table(params), rational_table(params), pairing)
-
-
-def isotypical_report(params: CoverParams) -> tuple[IsotypicalFactor, ...]:
-    """Isogeny factors of J(X~); their dimensions sum to g + m prym_dim (m = p t)."""
-    return rep_table(params).pairing
-
-
-def induced_rep_count_by_kernel(params: CoverParams, orbit: OrbitClass) -> tuple[int, str]:
-    """(kernel size, label) of the induced representation of a hyperplane orbit.
-
-    The induced degree-p representation attached to any member of the orbit
-    has kernel equal to the orbit's core, so its size is q^core_dim.
-    """
-    size = params.q**orbit.core_dim
-    label = f"V[{','.join(str(c) for c in orbit.representative.normal)}]"
-    return size, label
-
-
-def coset_rep_decomposition(params: CoverParams) -> dict:
-    """Degrees of the permutation representations on G/N and G/L_j.
-
-    Bookkeeping rows: [G:N] = p matches chi_0 + U and [G:L_j] = pq matches
-    chi_0 + U + U_j; recorded with the method that produced them.
-    """
-    p, q = params.p, params.q
-    rows = {
-        "rho_N": {"degree": p, "constituents": "chi_0 + U", "check": p == 1 + (p - 1)},
-        "rho_L_j": {
-            "degree": p * q,
-            "constituents": "chi_0 + U + U_j",
-            "check": p * q == 1 + (p - 1) + p * (q - 1),
-        },
-        "method": "degree-bookkeeping",
-    }
-    if not (rows["rho_N"]["check"] and rows["rho_L_j"]["check"]):
-        raise IdentityCheckError("coset representation degrees fail to add up")
-    return rows

@@ -26,7 +26,6 @@ from .errors import GonalError, IdentityCheckError, decimal
 from .groupring import (
     DEFAULT_GROUP_CAP,
     build_group,
-    composite_scalar,
     frobenius_check,
     verify_cross_terms,
     verify_scalar_identity,
@@ -187,17 +186,7 @@ def suite_groupring(cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
             cross_error is None,
             cross_error or f"all twisted terms vanish on {params.m} hyperplanes",
         )
-
-        def run_composite(params=params, rows=(scalar_row, cross_row)):
-            failed = [row.name for row in rows if not row.passed]
-            _require(not failed, f"derived from failed row {', '.join(failed)}")
-            expected = params.q * params.q ** (params.n - 1)
-            got = composite_scalar(params)
-            _require(got == expected, f"composite scalar {got} != q * q^(n-1) = {expected}")
-            return f"derived: composed diagram is multiplication by {got}"
-
-        composite_row = _checked(f"groupring-{tag}-composite-scalar", run_composite)
-        results += [scalar_row, cross_row, composite_row]
+        results += [scalar_row, cross_row]
     return results
 
 

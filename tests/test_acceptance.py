@@ -100,9 +100,9 @@ def test_criterion_5_orbit_structure(p, q, r, budget):
     stated_bound = (p - 1) * (r - 3)
     for cls in classes:
         assert len(set(cls.members)) == params.p
-        facts = cls.verify(action)  # raises unless core invariant + quantized
-        assert facts["core_dim"] % params.s0 == 0
-        assert facts["core_dim"] >= stated_bound
+        cls.verify(action)  # raises unless core invariant + quantized
+        assert cls.core_dim % params.s0 == 0
+        assert cls.core_dim >= stated_bound
     _report(5, f"orbit structure ({p},{q},{r}): {params.t} classes", time.perf_counter() - start, budget)
 
 

@@ -53,6 +53,16 @@ def test_cover_params_rejects(p, q, r):
         CoverParams(p, q, r)
 
 
+@pytest.mark.parametrize(
+    "p,q,r,name",
+    [(5, 2, 3.0, "r"), (5.0, 2, 3, "p"), (5, np.int64(2), 3, "q"), (True, 2, 3, "p")],
+)
+def test_cover_params_refuses_a_non_int(p, q, r, name):
+    # A float r would give float n and m, and a numpy q would wrap q^n at int64.
+    with pytest.raises(InvalidParamsError, match=f"^{name} = .* must be an int$"):
+        CoverParams(p, q, r)
+
+
 @pytest.mark.parametrize("r", [10**400, 10**308, 2**1023])
 def test_cover_params_refuses_an_n_past_floating_point(r):
     # The size refusals read log10(q^n) = n log10(q) as a float before building q^n.

@@ -3,7 +3,6 @@ import pytest
 from gonal.action import CoverParams, parameter_sweep
 from gonal.calculus import (
     decomposition_report,
-    genus_base,
     genus_homology_cover,
     genus_intermediate,
     genus_quotient_T,
@@ -14,13 +13,14 @@ from gonal.errors import InvalidParamsError
 
 
 def test_genus_base():
-    assert genus_base(13, 3) == 6
-    assert genus_base(5, 3) == 2
-    assert genus_base(3, 4) == 2
+    # The base genus (p-1)(r-2)/2 is CoverParams.g, under CoverParams's preconditions.
+    assert CoverParams(13, 3, 3).g == 6
+    assert CoverParams(5, 2, 3).g == 2
+    assert CoverParams(3, 2, 4).g == 2
     with pytest.raises(InvalidParamsError):
-        genus_base(9, 3)
+        CoverParams(9, 2, 3)
     with pytest.raises(InvalidParamsError):
-        genus_base(5, 2)
+        CoverParams(5, 2, 2)
 
 
 def test_genus_homology_cover():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -50,6 +51,7 @@ def test_atlas_small(capsys):
     assert data["payload"]["class_count"] == "5"
     assert data["payload"]["core_dim_histogram"] == {"2": "5"}
     rows = {c["name"]: c for c in data["checks"]}
+    assert list(rows) == ["orbit-count-equals-t", "cores-invariant-and-quantized"]
     assert rows["cores-invariant-and-quantized"] == {
         "name": "cores-invariant-and-quantized",
         "status": "pass",
@@ -69,6 +71,34 @@ def test_atlas_cores_row_fails_on_a_corrupted_histogram(capsys, monkeypatch):
     row = rows["cores-invariant-and-quantized"]
     assert row["status"] == "fail"
     assert row["detail"] == "core-dim histogram {2: 5} != closed form {2: 4, 0: 1}"
+
+
+def test_atlas_count_row_fails_on_a_lost_class(capsys, monkeypatch):
+    real = gonal.cli.orbit_classes
+    monkeypatch.setattr("gonal.cli.orbit_classes", lambda *args, **kw: real(*args, **kw)[:-1])
+    code, out, _ = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
+    assert code == 1
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert rows["orbit-count-equals-t"] == {
+        "name": "orbit-count-equals-t", "status": "fail", "detail": "4 classes, not t = 5"
+    }
+
+
+def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
+    # OrbitClass.verify runs on every class and raises on an orbit of the wrong
+    # size, so no row of its own is needed for it.
+    real = gonal.cli.orbit_classes
+
+    def short_orbit(*args, **kw):
+        classes = real(*args, **kw)
+        cls = classes[0]
+        classes[0] = dataclasses.replace(cls, members=cls.members[:-1] + cls.members[:1])
+        return classes
+
+    monkeypatch.setattr("gonal.cli.orbit_classes", short_orbit)
+    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
+    assert (code, out) == (1, "")
+    assert err == "identity check failed: orbit of Hyperplane([0, 0, 0, 1], modulus=2) has size != 3\n"
 
 
 def test_atlas_orbits_flag_lists_members(capsys):
@@ -336,27 +366,29 @@ def test_reps_command(capsys):
     assert complexes["V_j"]["count"] == "5"
     assert complexes["V_j"]["degree"] == "3"
     assert any(c["name"] == "sum-of-squares" and c["status"] == "pass" for c in data["checks"])
+    assert list(data["payload"]) == ["complex", "rational", "isotypical_factors"]
 
 
 @pytest.mark.parametrize(
-    "command, corrupt, row, detail",
+    "command, corrupt, row, detail, example",
     [
         ("invariants", "genus_homology_cover", "jacobian-dimension-identity",
-         "g~ = g + m * prym: 18 vs 17"),
+         "g~ = g + m * prym: 18 vs 17", None),
         ("invariants", "genus_quotient_T", "prym-sum-equals-quotient-jacobian",
-         "t * prym = g_T: 5 vs 6"),
+         "t * prym = g_T: 5 vs 6", "expected (t, prym, g_T) = (3, 1, 3), got (3, 1, 4)"),
         ("invariants", "genus_quotient_by_core", "riemann-hurwitz-endpoints",
-         "g(X~/K) at ranks (0, n) = (g~, g): (18, 3) vs (17, 2)"),
+         "g(X~/K) at ranks (0, n) = (g~, g): (18, 3) vs (17, 2)", None),
         ("reps", "complex_table", "sum-of-squares",
-         "sum of count * degree^2 = |G|: 57 vs 48"),
+         "sum of count * degree^2 = |G|: 57 vs 48", None),
         ("reps", "complex_table", "rational-grouping",
-         "1 + (p-1) + t(q-1) = complex irreducibles: 8 vs 9"),
+         "1 + (p-1) + t(q-1) = complex irreducibles: 8 vs 9", None),
     ],
     ids=["jacobian", "prym-sum", "riemann-hurwitz", "sum-of-squares", "rational-grouping"],
 )
-def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, detail):
+def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, detail, example):
     # One closed form off by one at (3, 2, 4), the first triple of the sweep; for
-    # complex_table, the V_j count.
+    # complex_table, the V_j count.  `example` is the witness of the identities
+    # suite's worked example at (5, 2, 3) where the corruption reaches it.
     from gonal import calculus, reps
     from gonal.action import CoverParams
 
@@ -380,9 +412,15 @@ def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, 
     # The identities suite builds the same rows over the sweep, so it reports the same witness.
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--json")
     assert code == 1
-    assert json.loads(out)["payload"]["first_witness"] == (
+    data = json.loads(out)
+    assert data["payload"]["first_witness"] == (
         f"identities-sweep: {first['name']} for {CoverParams(3, 2, 4)}: {first['detail']}"
     )
+    worked = {c["name"]: c for c in data["checks"]}["identities-worked-example-p5-q2"]
+    if example is None:
+        assert worked["status"] == "pass"
+    else:
+        assert (worked["status"], worked["detail"]) == ("fail", example)
 
 
 def test_verify_suites_pass(capsys):

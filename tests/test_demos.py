@@ -30,6 +30,7 @@ def test_group_ring_demo_runs():
         ("01_cover_invariants.py", "verified g~ = g + m*prym and t*prym = g_T on 62 parameter triples"),
         ("02_subgroup_atlas.py", "orbit of (0, 0, 0, 1): core rank 2, closure Z_2^2 ⋊ Z_3 (order 12)"),
         ("04_representation_census.py", "total = 17 = genus of the homology cover"),
+        ("04_representation_census.py", "V[0,1,1,1]: kernel of size 4 (= q^core_rank)"),
     ],
 )
 def test_demo_runs(script, line):

@@ -12,6 +12,7 @@ from gonal.atlas import Hyperplane
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
     Subspace,
+    as_residues,
     decode_codes,
     encode_rows,
     inverse_table,
@@ -258,6 +259,28 @@ def test_ints_past_int64_are_reduced_exactly():
     assert [line.contains([big % 3, x]) for x in (0, 1)] == [True, False]
     for kernel in (rref_array, row_space_array, kernel_array):
         assert str(kernel([[big, 1]], 3)) == str(kernel([[big % 3, 1]], 3))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Hyperplane([0.5, 1, 0, 0], 3), "got float64 values"),  # was [0, 1, 0, 0]
+        (lambda: Hyperplane([1, 2, 0, 0], 3.7), "modulus 3.7 is not an integer"),  # was mod 3
+        (lambda: Subspace([[0.9, 1]], 2, 3), "got float64 values"),  # was [[0, 1]]
+        (lambda: as_residues([1j, 1], 3), "got complex128 values"),
+        (lambda: as_residues(["1", "2"], 3), "got <U1 values"),
+        (lambda: as_residues([2**70, 0.5], 3), "got object values"),
+    ],
+    ids=["float-normal", "float-modulus", "float-rows", "complex", "string", "big-int-and-float"],
+)
+def test_no_float_reaches_the_residues(build, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        build()
+
+
+def test_uint64_past_int64_is_reduced_exactly():
+    big = np.array([2**64 - 1, 2**63 + 1], dtype=np.uint64)
+    assert as_residues(big, 7).tolist() == [(2**64 - 1) % 7, (2**63 + 1) % 7]
 
 
 def test_wrong_shaped_rows_are_refused_not_reshaped():

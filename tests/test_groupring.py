@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from gonal.action import CoverParams
-from gonal.atlas import Hyperplane, enumerate_hyperplanes, orbit_classes
+from gonal.atlas import Hyperplane, enumerate_hyperplanes
 from gonal import groupring
 from gonal.errors import (
     CapExceededError,
@@ -20,7 +21,6 @@ from gonal.groupring import (
     GroupRingOperator,
     apply_subgroup_sum,
     build_group,
-    composite_scalar,
     fixed_subspace,
     frobenius_check,
     verify_cross_terms,
@@ -51,6 +51,37 @@ def test_build_group_cap():
     with pytest.raises(CapExceededError) as exc:
         build_group(CoverParams(13, 3, 3))
     assert exc.value.required == 13 * 3**12
+
+
+def test_group_constructor_refuses_past_its_cap_before_building(monkeypatch):
+    # The public constructor holds the cap itself: at (3, 2, 14) its translation
+    # table alone would be q^n x n int64 entries, about 3.2 GB.
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(groupring, "build_action", no_build)
+    monkeypatch.setattr(groupring, "decode_codes", no_build)
+    with pytest.raises(CapExceededError) as exc:
+        groupring.FrobeniusGroup(CoverParams(5, 2, 3), cap=79)
+    assert (exc.value.required, exc.value.cap) == (80, 79)
+    with pytest.raises(CapExceededError):
+        groupring.FrobeniusGroup(CoverParams(3, 2, 14))
+    monkeypatch.undo()
+    assert groupring.FrobeniusGroup(CoverParams(5, 2, 3), cap=80).order == 80
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_group_cap_refusal_past_the_int_to_str_limit_builds_no_power():
+    # |G| = 3 * 5^19999996 has 13,979,398 digits: its digit count is read off a
+    # logarithm, and the order itself, seconds of big-int work, is never built.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CapExceededError, match="^group of order <13979398 digits> exceeds") as exc:
+            groupring.FrobeniusGroup(CoverParams(3, 5, 10**7))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert exc.value.required is None
 
 
 def test_group_multiplication_semidirect_rule():
@@ -212,15 +243,6 @@ def test_zero_vector_is_annihilated():
     op = GroupRingOperator.subgroup_sum(group, subgroup)
     zero = np.zeros(group.order, dtype=np.int64)
     assert np.array_equal(op.apply(zero), zero)
-
-
-def test_composite_scalar_is_q_to_n():
-    params = CoverParams(5, 2, 3)
-    group = build_group(params)
-    # Once every orbit class verifies, the composed diagram scalar is q^n.
-    for cls in orbit_classes(params):
-        verify_scalar_identity(group, cls.representative)
-    assert composite_scalar(params) == 16
 
 
 def test_groupring_has_no_asserts():

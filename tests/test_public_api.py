@@ -37,14 +37,11 @@ PUBLIC_NAMES = [
     "frobenius_check",
     "galois_closure",
     "gaussian_count",
-    "genus_base",
     "genus_homology_cover",
     "genus_intermediate",
     "genus_quotient_T",
     "genus_quotient_by_core",
-    "induced_rep_count_by_kernel",
     "invariant_subspace_of_dim",
-    "isotypical_report",
     "orbit_classes",
     "order_mod",
     "parameter_sweep",

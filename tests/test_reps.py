@@ -1,14 +1,7 @@
 from gonal.action import CoverParams, parameter_sweep
 from gonal.atlas import orbit_classes
 from gonal.calculus import genus_homology_cover
-from gonal.reps import (
-    complex_table,
-    coset_rep_decomposition,
-    induced_rep_count_by_kernel,
-    isotypical_report,
-    rational_table,
-    rep_table,
-)
+from gonal.reps import complex_table, rational_table, rep_table
 
 
 def _by_label(entries, label):
@@ -59,16 +52,16 @@ def test_rep_table_grouping_consistency():
 
 
 def test_isotypical_report_dimensions():
-    factors = isotypical_report(CoverParams(5, 2, 3))
+    factors = rep_table(CoverParams(5, 2, 3)).pairing
     assert [(f.factor, f.dim, f.count) for f in factors] == [
         ("J(X)", 2, 1),
         ("P(Y_j/X)^p", 5, 3),
     ]
     assert 2 + 3 * 5 == genus_homology_cover(CoverParams(5, 2, 3))
-    factors = isotypical_report(CoverParams(13, 3, 3))
+    factors = rep_table(CoverParams(13, 3, 3)).pairing
     assert 6 + 20440 * 13 * 10 == 2657206
     tiny = CoverParams(3, 2, 3, allow_small_genus=True)
-    factors = isotypical_report(tiny)
+    factors = rep_table(tiny).pairing
     assert sum(f.dim * f.count for f in factors) == 1 == genus_homology_cover(tiny)
 
 
@@ -79,18 +72,3 @@ def test_rational_kernel_count_matches_atlas():
         classes = orbit_classes(params)
         assert table.kernel_inside_kernel_group_count == len(classes) == params.t
 
-
-def test_induced_rep_kernel_ties_to_core():
-    params = CoverParams(3, 2, 4)
-    for orbit in orbit_classes(params):
-        size, label = induced_rep_count_by_kernel(params, orbit)
-        assert size == params.q**orbit.core_dim == 4
-        assert label.startswith("V[")
-
-
-def test_coset_rep_decomposition_rows():
-    rows = coset_rep_decomposition(CoverParams(5, 2, 3))
-    assert rows["rho_N"]["check"] and rows["rho_L_j"]["check"]
-    assert rows["rho_N"]["constituents"] == "chi_0 + U"
-    assert rows["rho_L_j"]["degree"] == 10
-    assert rows["method"] == "degree-bookkeeping"

@@ -1,18 +1,24 @@
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gonal
 import gonal.action as action
 import gonal.atlas as atlas
+import gonal.groupring as groupring
 import gonal.verify as verify
 from gonal.cli import main
 from gonal.errors import IdentityCheckError
+from gonal.fqlinalg import Subspace
 
 
 def test_verify_has_no_asserts():
@@ -28,20 +34,89 @@ def test_verify_has_no_asserts():
     assert found == {name: [] for name in found}
 
 
-def test_composite_row_fails_with_its_scalar_row(monkeypatch, capsys):
+def test_broken_scalar_identity_fails_its_row_and_exits_1(monkeypatch, capsys):
     def broken(group, h, transversal_elem=None):
         raise IdentityCheckError(f"broken scalar identity at {h}")
 
     monkeypatch.setattr(verify, "verify_scalar_identity", broken)
     rows = {row.name: row for row in verify.suite_groupring()}
+    assert len(rows) == 8
     for tag in ("5-2-3", "3-2-4"):
         assert not rows[f"groupring-{tag}-scalar"].passed
+        assert rows[f"groupring-{tag}-scalar"].detail.startswith("broken scalar identity at ")
         assert rows[f"groupring-{tag}-cross-terms"].passed
-        composite = rows[f"groupring-{tag}-composite-scalar"]
-        assert not composite.passed
-        assert f"groupring-{tag}-scalar" in composite.detail
     assert main(["verify", "--suite", "groupring", "--json"]) == 1
     capsys.readouterr()
+
+
+def _fixture_report(**change):
+    """galois_closure with fields of its report replaced."""
+    real = verify.galois_closure
+
+    def wrong(h, params, action=None):
+        report = real(h, params, action)
+        return dataclasses.replace(report, **{k: f(report) for k, f in change.items()})
+
+    return "galois_closure", wrong
+
+
+def _genus_off_by_one():
+    real = verify.genus_quotient_by_core
+    return "genus_quotient_by_core", lambda params, dim: real(params, dim) + 1
+
+
+def _words_drop_a_row():
+    real = verify.parse_generator_words
+
+    def wrong(text, params):
+        sub = real(text, params)
+        return Subspace(sub.basis_array[:-1], params.n, params.q)
+
+    return "parse_generator_words", wrong
+
+
+def _element_orders_are_one():
+    return "FrobeniusGroup.element_order", lambda self, a: 1
+
+
+def _inverse_is_the_element():
+    return "FrobeniusGroup.inv", lambda self, a: a
+
+
+def _case(suite, corrupt, row, detail):
+    return pytest.param(suite, corrupt, row, detail, id=row)
+
+
+@pytest.mark.parametrize(
+    "suite, corrupt, row, detail",
+    [
+        _case("fixtures", lambda: _fixture_report(core_dim=lambda r: r.core_dim + 3),
+              "fixture-L1", "L1: core dim 3, expected 0"),
+        _case("fixtures", lambda: _fixture_report(group=lambda r: "Z_3^8 ⋊ Z_13"),
+              "fixture-L2", "L2: group Z_3^8 ⋊ Z_13"),
+        _case("fixtures", _genus_off_by_one, "fixture-L3", "L3: quotient genus 3647"),
+        _case("fixtures", _words_drop_a_row, "fixture-L4", "L4 is not a hyperplane"),
+        _case("fixtures", lambda: ("core", lambda h, action: Subspace.zero(12, 3)),
+              "fixture-core-generators", "K2 does not span the core of L2"),
+        _case("groupring", _inverse_is_the_element, "groupring-5-2-3-build",
+              "inverse fails at 16"),
+        _case("groupring", _inverse_is_the_element, "groupring-3-2-4-build",
+              "inverse fails at 16"),
+        _case("groupring", _element_orders_are_one, "groupring-5-2-3-frobenius",
+              "element 16 outside the kernel has order != 5"),
+        _case("groupring", _element_orders_are_one, "groupring-3-2-4-frobenius",
+              "element 16 outside the kernel has order != 3"),
+    ],
+)
+def test_each_suite_row_can_fail(monkeypatch, capsys, suite, corrupt, row, detail):
+    # One program part broken at a time; the row names its witness and gonal exits 1.
+    name, wrong = corrupt()
+    owner, _, attr = name.rpartition(".")
+    monkeypatch.setattr(getattr(groupring, owner) if owner else verify, attr, wrong)
+    code = main(["verify", "--suite", suite, "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert {"name": row, "status": "fail", "detail": detail} in checks
 
 
 def test_groupring_suite_builds_each_a_l_once(monkeypatch):
@@ -75,14 +150,6 @@ def test_groupring_rows_keep_their_first_failure(monkeypatch):
     assert rows["groupring-5-2-3-cross-terms"].detail == f"broken cross terms at {first}"
     assert rows["groupring-5-2-3-scalar"].detail == "scalar 8 on all 15 hyperplanes"
     assert len(calls) == 2  # one per triple: a failed row is not rechecked
-
-
-def test_composite_row_checks_the_scalar(monkeypatch):
-    monkeypatch.setattr(verify, "composite_scalar", lambda params: params.q**params.n + 1)
-    rows = {row.name: row for row in verify.suite_groupring()}
-    composite = rows["groupring-5-2-3-composite-scalar"]
-    assert not composite.passed
-    assert "17 != q * q^(n-1) = 16" in composite.detail
 
 
 def test_failed_identity_is_reported_under_python_O():
