@@ -12,8 +12,7 @@ from .action import (
     CyclotomicFactorization,
     build_action,
     cyclotomic_factor,
-    enumerate_invariant_subspaces,
-    invariant_subspace_of_dim,
+    invariant_subspaces,
     order_mod,
     parameter_sweep,
 )
@@ -27,7 +26,6 @@ from .atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
-    gaussian_count,
     orbit_classes,
     parse_generator_words,
     read_fixture,
@@ -49,9 +47,8 @@ from .errors import (
     IdentityCheckError,
     InvalidParamsError,
     InvalidTransversalError,
-    NoInvariantSubspaceError,
 )
-from .fqlinalg import Subspace
+from .fqlinalg import Subspace, gaussian_count
 from .groupring import (
     FrobeniusGroup,
     GroupRingOperator,
@@ -86,7 +83,6 @@ __all__ = [
     "IdentityCheckError",
     "InvalidParamsError",
     "InvalidTransversalError",
-    "NoInvariantSubspaceError",
     "OrbitClass",
     "RepTable",
     "Subspace",
@@ -99,7 +95,6 @@ __all__ = [
     "cyclotomic_factor",
     "decomposition_report",
     "enumerate_hyperplanes",
-    "enumerate_invariant_subspaces",
     "enumerate_subgroups_brute",
     "fixed_subspace",
     "frobenius_check",
@@ -109,7 +104,7 @@ __all__ = [
     "genus_intermediate",
     "genus_quotient_T",
     "genus_quotient_by_core",
-    "invariant_subspace_of_dim",
+    "invariant_subspaces",
     "orbit_classes",
     "order_mod",
     "parameter_sweep",

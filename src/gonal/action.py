@@ -7,10 +7,12 @@ the p-1 kept generators and sends the last one to minus their sum (the
 eliminated generator is the inverse of the block product).  That action is
 the block-diagonal companion matrix of 1 + x + ... + x^(p-1) built here.
 
-Invariant subspaces of the action come quantized: their dimensions are
-exactly the multiples of s0 = ord_p(q), and each one is a direct sum of
-kernels of irreducible-factor evaluations, which is how
-:func:`invariant_subspace_of_dim` constructs them.
+Phi_p splits over F_q into k = (p-1)/s0 irreducible factors of degree
+s0 = ord_p(q), so F_q^n splits into k primary components, each a vector
+space over F_Q, Q = q^s0.  A subspace is invariant exactly when it is a
+direct sum of one F_Q-subspace of each component, which is how
+:func:`invariant_subspaces` lists them all; their dimensions are
+multiples of s0.
 """
 
 from __future__ import annotations
@@ -18,23 +20,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from . import gfpoly
-from .errors import (
-    CapExceededError,
-    IdentityCheckError,
-    InvalidParamsError,
-    NoInvariantSubspaceError,
-    quoted,
-)
+from .errors import CapExceededError, IdentityCheckError, InvalidParamsError, quoted
 from .fqlinalg import (
     Subspace,
+    decode_codes,
+    gaussian_count,
     is_prime,
-    iter_subspace_bases,
+    iter_echelon_forms,
     kernel_array,
     matpow_array,
+    positive_cap,
     row_space_array,
 )
 
@@ -261,7 +261,6 @@ class AdaptedAction:
         d = p - 1
         for j in range(params.r - 2):
             mat[j * d : (j + 1) * d, j * d : (j + 1) * d] = block
-        self._block = block
         self._matrix = mat
         self._matrix.flags.writeable = False
         self._inverse = matpow_array(mat, p - 1, q)
@@ -293,11 +292,6 @@ class AdaptedAction:
         """Read-only inverse T^(p-1) of the action matrix."""
         return self._inverse
 
-    @property
-    def block_array(self) -> np.ndarray:
-        """One (p-1) x (p-1) companion block (shared by all blocks)."""
-        return self._block
-
     @cached_property
     def primary(self) -> PrimaryProjections:
         """Primary projections of the dual action, built on first use.
@@ -328,68 +322,59 @@ def build_action(params: CoverParams) -> AdaptedAction:
     return AdaptedAction(params)
 
 
-def invariant_subspace_of_dim(action: AdaptedAction, s: int) -> Subspace:
-    """A T-invariant subspace of dimension exactly s.
+def invariant_subspaces(action: AdaptedAction, cap: int) -> list[Subspace]:
+    """Every T-invariant subspace of F_q^n, canonical, read off the primary decomposition.
 
-    Feasible dimensions are the multiples of s0 in 0..n (equivalently the s
-    with q^s = 1 mod p); anything else raises NoInvariantSubspaceError.
-    The subspace is assembled as a direct sum of kernels of
-    irreducible-factor evaluations restricted to blocks.
+    W is invariant iff W = W_1 + ... + W_k with W_i an F_Q-subspace of the
+    primary component V_i = ker f_i(T^(-1)), Q = q^s0.  In one block V_i is
+    U_i = ker f_i(B^(-1)), B the companion block: a copy of F_Q whose first
+    row u_i plays 1, and whose q^s0 vectors are its elements.  So the
+    F_Q-echelon forms over the r-2 blocks (u_i in pivot blocks, any vector
+    of U_i in free ones) list the W_i once each, and a form's F_q-span
+    under B^(-j), j < s0, is its F_Q-span.
+
+    The closed-form count (sum_e [r-2 choose e]_Q)^k past `cap` is refused
+    with CapExceededError before anything is built.  IdentityCheckError,
+    with a witness, if the listing is not that many distinct subspaces or
+    one of them is not T-invariant.
     """
     params = action.params
     p, q, n, s0 = params.p, params.q, params.n, params.s0
-    if not 0 <= s <= n:
-        raise NoInvariantSubspaceError(f"dimension {s} outside 0..{n}")
-    if s % s0 != 0:
-        raise NoInvariantSubspaceError(
-            f"no invariant subspace of dimension {s}: q^s != 1 mod p (s0 = {s0})"
-        )
-    if s == 0:
-        return Subspace.zero(n, q)
-    fact = cyclotomic_factor(p, q)
-    block = action.block_array
-    d = p - 1
-    # Kernel of f_i evaluated on one block; identical across blocks.
-    block_kernels = [
-        kernel_array(gfpoly.eval_at_matrix(f, block, q), q) for f in fact.factors
-    ]
-    dims = [k.shape[0] for k in block_kernels]
-    if any(dim != s0 for dim in dims):
-        raise IdentityCheckError(f"factor kernels on a block have dims {dims}, not s0 = {s0}")
-    pieces = []
-    needed = s // s0
-    for j in range(params.r - 2):
-        for ker in block_kernels:
-            if len(pieces) == needed:
-                break
-            emb = np.zeros((s0, n), dtype=np.int64)
-            emb[:, j * d : (j + 1) * d] = ker
-            pieces.append(emb)
-    rows = row_space_array(np.vstack(pieces), q)
-    sub = Subspace._from_canonical(rows, n, q)
-    if sub.dim != s:
-        raise IdentityCheckError(f"assembled subspace has dim {sub.dim}, expected {s}")
-    if not sub.is_invariant_under(action.matrix_array):
-        raise IdentityCheckError(f"assembled subspace of dim {s} is not T-invariant")
-    return sub
-
-
-def enumerate_invariant_subspaces(action: AdaptedAction, max_ambient: int) -> list[Subspace]:
-    """Brute-force list of all T-invariant subspaces, canonical, all dims.
-
-    Guarded by q^n <= max_ambient since the subspace lattice blows up fast.
-    """
-    params = action.params
-    q, n = params.q, params.n
-    size = q**n
-    if size > max_ambient:
+    cap = positive_cap(cap, "invariant-subspace cap")
+    blocks, k, size = params.r - 2, (p - 1) // s0, q**s0
+    expected = sum(gaussian_count(blocks, e, size) for e in range(blocks + 1)) ** k
+    if expected > cap:
         raise CapExceededError(
-            f"invariant-subspace enumeration over F_{q}^{n}", required=size, cap=max_ambient
+            f"F_{q}^{n} has {quoted(expected)} invariant subspaces", required=expected, cap=cap
         )
-    found = []
-    for k in range(n + 1):
-        for basis in iter_subspace_bases(n, k, q):
-            sub = Subspace._from_canonical(basis, n, q)
-            if sub.is_invariant_under(action.matrix_array):
-                found.append(sub)
+    step = action.inverse_array.T
+    coefficients = decode_codes(np.arange(size), s0, q)
+    summands = []
+    for i, factor in enumerate(action.primary.factors):
+        piece = kernel_array(factor, q)
+        if piece.shape[0] != s0:
+            raise IdentityCheckError(f"ker f_{i + 1}(B^-1) has dim {piece.shape[0]}, not s0 = {s0}")
+        spans = []
+        for e in range(blocks + 1):
+            for form in iter_echelon_forms(blocks, e, piece[0], coefficients @ piece % q):
+                orbit = [form]
+                for _ in range(s0 - 1):
+                    orbit.append(orbit[-1] @ step % q)
+                spans.append(np.vstack(orbit))
+        summands.append(spans)
+    found = [
+        Subspace._from_canonical(row_space_array(np.vstack(parts), q), n, q)
+        for parts in product(*summands)
+    ]
+    distinct = len(set(found))
+    if len(found) != expected or distinct != expected:
+        raise IdentityCheckError(
+            f"listed {len(found)} invariant subspaces of F_{q}^{n}, {distinct} distinct; "
+            f"the closed form (sum_e [{blocks} choose e]_{size})^{k} is {expected}"
+        )
+    for sub in found:
+        if not sub.is_invariant_under(action.matrix_array):
+            raise IdentityCheckError(
+                f"listed subspace with basis {sub.basis_array.tolist()} is not T-invariant"
+            )
     return found

@@ -51,6 +51,7 @@ from .fqlinalg import (
     inverse_table,
     iter_subspace_bases,
     kernel_array,
+    positive_cap,
 )
 
 DEFAULT_ATLAS_CAP = 3**13
@@ -69,17 +70,6 @@ def resolve_atlas_cap(cap: int | None = None) -> int:
         if not cap:
             return DEFAULT_ATLAS_CAP
     return positive_cap(cap, source)
-
-
-def positive_cap(cap, source: str) -> int:
-    """`cap` as an int; InvalidParamsError naming `source` unless it is a positive integer."""
-    try:
-        value = int(cap)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
-    return value
 
 
 def check_cap(q: int, n: int, cap: int, what: str):
@@ -394,21 +384,6 @@ def orbit_classes(
                 )
             )
     return classes
-
-
-def gaussian_count(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n (Gaussian binomial)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    num = 1
-    den = 1
-    for j in range(k):
-        num *= q ** (n - j) - 1
-        den *= q ** (k - j) - 1
-    count, rest = divmod(num, den)
-    if rest:
-        raise IdentityCheckError(f"Gaussian binomial [{n} {k}]_{q}: {num} / {den} is not integral")
-    return count
 
 
 def core_histogram(params: CoverParams) -> dict[int, int]:

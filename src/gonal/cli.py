@@ -11,7 +11,8 @@ ReportEnvelope, renders it as text or, with --json, as JSON in which all
 integers are decimal strings (genus values overflow doubles long before
 they get interesting), and picks the exit code.  Exit codes: 0 success,
 1 a verification check failed, 2 bad input, 3 a resource cap refused the
-run.  The GONAL_ATLAS_CAP environment variable overrides the enumeration cap.
+run.  The GONAL_ATLAS_CAP environment variable sets the atlas enumeration
+cap when --cap does not; `verify --cap` bounds the group order alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 from .action import CoverParams, build_action
 from .atlas import (
+    ENV_ATLAS_CAP,
     Hyperplane,
     check_cap,
     core,
@@ -353,11 +355,10 @@ def main(argv=None) -> int:
         return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        required = exc.required_text
-        print(
-            f"hint: re-run with --cap {required} or set GONAL_ATLAS_CAP={required}",
-            file=sys.stderr,
-        )
+        hint = f"--cap {exc.required_text}"
+        if args.subcommand == "atlas":
+            hint += f" or set {ENV_ATLAS_CAP}={exc.required_text}"
+        print(f"hint: re-run with {hint}", file=sys.stderr)
         return EXIT_CAP
     except (InvalidParamsError, FixtureParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

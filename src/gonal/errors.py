@@ -30,10 +30,6 @@ class CapExceededError(GonalError):
         super().__init__(f"{message} (required cap {self.required_text}, current cap {quoted(cap)})")
 
 
-class NoInvariantSubspaceError(GonalError, ValueError):
-    """Requested invariant-subspace dimension is not a multiple of ord_p(q)."""
-
-
 class InvalidTransversalError(GonalError, ValueError):
     """Transversal element lies inside the subgroup it should complement."""
 

@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import AmbientMismatchError, InvalidParamsError
+from .errors import AmbientMismatchError, IdentityCheckError, InvalidParamsError
 
 _PRIMES_SEEN: set[int] = set()
 
@@ -49,6 +49,19 @@ def check_prime_modulus(q: int) -> int:
             raise InvalidParamsError(f"modulus {q} is not prime")
         _PRIMES_SEEN.add(q)
     return q
+
+
+def positive_cap(cap, source: str) -> int:
+    """`cap` as an int; InvalidParamsError naming `source` unless it is a positive int
+    or a string of ASCII digits (as an environment variable holds it).
+
+    A float or a bool is refused, not truncated: 80.9 is not the cap 80.
+    """
+    if isinstance(cap, str) and cap.isascii() and cap.isdigit():
+        cap = int(cap)
+    if type(cap) is not int or cap < 1:
+        raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
+    return cap
 
 
 @cache
@@ -184,32 +197,56 @@ def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
+def iter_echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray):
+    """Yield every k-row echelon form over `blocks` blocks, as (k, blocks * width) arrays.
+
+    A block is a width-wide slot holding one field element, as a row of
+    `entries` (all the field's elements).  Row i holds `one` in its pivot
+    block, zeros before it and in the other rows' pivot blocks, and any
+    entry in each other block after it.  Order: pivot blocks lexicographic,
+    then free entries lexicographic in the order of `entries`; each form once.
+    """
+    if not 0 <= k <= blocks:
+        raise ValueError(f"need 0 <= k <= blocks, got k={k}, blocks={blocks}")
+    entries = np.asarray(entries, dtype=np.int64)
+    width = entries.shape[1]
+    values = entries.tolist()
+    for pivots in combinations(range(blocks), k):
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, blocks) if c not in pivots]
+        base = np.zeros((k, blocks, width), dtype=np.int64)
+        base[np.arange(k), np.array(pivots, dtype=np.intp)] = one
+        base = base.reshape(-1)
+        # Positions of the free blocks' entries in the flattened form, block by block.
+        slots = np.array(
+            [(i * blocks + c) * width + j for i, c in free for j in range(width)], dtype=np.intp
+        )
+        for picks in product(values, repeat=len(free)):
+            form = base.copy()
+            form[slots] = [x for value in picks for x in value]
+            yield form.reshape(k, blocks * width)
+
+
 def iter_subspace_bases(n: int, k: int, q: int):
     """Yield the canonical RREF basis of every k-dim subspace of F_q^n.
 
-    Enumeration order: pivot columns lexicographic, then free entries
-    lexicographic; deterministic and duplicate-free by construction.
+    The echelon forms over F_q: blocks of width 1, entries 0..q-1.
     """
+    return iter_echelon_forms(n, k, np.ones(1, dtype=np.int64), np.arange(q)[:, None])
+
+
+def gaussian_count(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
-        return
-    for pivots in combinations(range(n), k):
-        free_pos = [
-            (i, c)
-            for i in range(k)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            base[i, pc] = 1
-        for vals in product(range(q), repeat=len(free_pos)):
-            mat = base.copy()
-            for (i, c), v in zip(free_pos, vals):
-                mat[i, c] = v
-            yield mat
+    num = 1
+    den = 1
+    for j in range(k):
+        num *= q ** (n - j) - 1
+        den *= q ** (k - j) - 1
+    count, rest = divmod(num, den)
+    if rest:
+        raise IdentityCheckError(f"Gaussian binomial [{n} {k}]_{q}: {num} / {den} is not integral")
+    return count
 
 
 class Subspace:

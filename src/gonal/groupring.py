@@ -39,7 +39,7 @@ from .errors import (
     InvalidTransversalError,
     quoted_power,
 )
-from .fqlinalg import decode_codes, encode_rows
+from .fqlinalg import as_residues, decode_codes, encode_rows
 
 DEFAULT_GROUP_CAP = 512
 
@@ -307,12 +307,14 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
     if transversal_elem is None:
         u = _default_transversal(group, L)
     else:
-        u = np.asarray(transversal_elem, dtype=np.int64).reshape(-1) % q
+        u = as_residues(transversal_elem, q)
+        if u.shape != (n,):
+            raise InvalidTransversalError(
+                f"transversal has shape {u.shape}, need a vector of length {n}"
+            )
     key = (L, tuple(u.tolist()))
     if group._fixed_last[0] == key:
         return group._fixed_last[1]
-    if u.shape[0] != n:
-        raise InvalidTransversalError(f"transversal has length {u.shape[0]}, need {n}")
     if not u @ L.normal_array() % q:
         raise InvalidTransversalError(
             f"transversal element {key[1]} lies inside the subgroup"

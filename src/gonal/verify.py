@@ -16,13 +16,12 @@ from .atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
-    gaussian_count,
     parse_generator_words,
-    positive_cap,
     read_fixture,
 )
 from .calculus import CoverReport, decomposition_report, genus_quotient_by_core
-from .errors import GonalError, IdentityCheckError, decimal
+from .errors import CapExceededError, GonalError, IdentityCheckError, decimal
+from .fqlinalg import gaussian_count, positive_cap
 from .groupring import (
     DEFAULT_GROUP_CAP,
     build_group,
@@ -142,13 +141,19 @@ def suite_identities() -> list[CheckResult]:
 
 
 def suite_groupring(cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
-    """Frobenius structure and the q^(n-1) operator identity, exhaustively."""
+    """Frobenius structure and the q^(n-1) operator identity, exhaustively.
+
+    A group past `cap` raises CapExceededError; a failed axiom fails the
+    triple's `-build` row.
+    """
     results = []
     for p, q, r in [(5, 2, 3), (3, 2, 4)]:
         params = CoverParams(p, q, r)
         tag = f"{p}-{q}-{r}"
         try:
             group = build_group(params, cap=cap)
+        except CapExceededError:
+            raise  # a refusal, not a failed check: the CLI exits 3 on it
         except GonalError as exc:
             results.append(CheckResult(f"groupring-{tag}-build", False, str(exc)))
             continue

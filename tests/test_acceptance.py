@@ -11,8 +11,7 @@ import pytest
 from gonal.action import (
     CoverParams,
     build_action,
-    invariant_subspace_of_dim,
-    enumerate_invariant_subspaces,
+    invariant_subspaces,
     parameter_sweep,
 )
 from gonal.atlas import (
@@ -21,12 +20,12 @@ from gonal.atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
-    gaussian_count,
     orbit_classes,
     parse_generator_words,
     read_fixture,
 )
 from gonal.calculus import decomposition_report, genus_quotient_by_core
+from gonal.fqlinalg import gaussian_count
 from gonal.groupring import build_group, verify_cross_terms, verify_scalar_identity
 from gonal.reps import complex_table, rep_table
 
@@ -135,12 +134,14 @@ def test_criterion_8_invariant_subspace_dichotomy():
     for p, q, r in [(3, 2, 4), (5, 2, 3)]:
         params = CoverParams(p, q, r)
         action = build_action(params)
-        found = enumerate_invariant_subspaces(action, max_ambient=2**10)
-        dims = {s.dim for s in found}
-        feasible = set(range(0, params.n + 1, params.s0))
-        assert dims <= feasible
-        for s in feasible:
-            sub = invariant_subspace_of_dim(action, s)
-            assert sub.dim == s
-            assert sub in found
+        found = invariant_subspaces(action, cap=2**10)
+        brute = {
+            sub
+            for k in range(params.n + 1)
+            for sub in enumerate_subgroups_brute(params.n, k, q)
+            if sub.is_invariant_under(action.matrix_array)
+        }
+        assert len(set(found)) == len(found)
+        assert set(found) == brute
+        assert {s.dim for s in found} == set(range(0, params.n + 1, params.s0))
     _report(8, "invariant-subspace dimension dichotomy", time.perf_counter() - start, 30)

@@ -1,19 +1,21 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import gonal.action as action_module
 from gonal.action import (
     CoverParams,
     build_action,
     cyclotomic_factor,
-    enumerate_invariant_subspaces,
-    invariant_subspace_of_dim,
+    invariant_subspaces,
     order_mod,
     parameter_sweep,
 )
-from gonal.errors import CapExceededError, InvalidParamsError, NoInvariantSubspaceError
-from gonal.fqlinalg import Subspace, matpow_array
+from gonal.atlas import enumerate_subgroups_brute, orbit_classes
+from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
+from gonal.fqlinalg import Subspace, gaussian_count, matpow_array
 
 
 def test_order_mod_values():
@@ -134,64 +136,133 @@ def test_cyclotomic_factor_matches_sympy(p, q):
     assert set(cyclotomic_factor(p, q).factors) == expected
 
 
+def brute_invariant_subspaces(action) -> set:
+    """Oracle: every subspace of F_q^n, kept if T maps it into itself (q^n <= 2^16)."""
+    q, n = action.params.q, action.params.n
+    return {
+        sub
+        for dim in range(n + 1)
+        for sub in enumerate_subgroups_brute(n, dim, q)
+        if sub.is_invariant_under(action.matrix_array)
+    }
+
+
 def test_invariant_subspace_trivial_dims():
-    action = build_action(CoverParams(5, 2, 3))
-    assert invariant_subspace_of_dim(action, 0) == Subspace.zero(4, 2)
-    assert invariant_subspace_of_dim(action, 4) == Subspace.full(4, 2)
+    found = invariant_subspaces(build_action(CoverParams(5, 2, 3)), cap=100)
+    assert Subspace.zero(4, 2) in found
+    assert Subspace.full(4, 2) in found
 
 
 def test_invariant_subspace_infeasible_dim():
-    action = build_action(CoverParams(3, 2, 4))  # s0 = 2
-    with pytest.raises(NoInvariantSubspaceError):
-        invariant_subspace_of_dim(action, 3)
-    with pytest.raises(NoInvariantSubspaceError):
-        invariant_subspace_of_dim(action, 5)
+    # s0 = 2: no invariant subspace has an odd dimension.
+    found = invariant_subspaces(build_action(CoverParams(3, 2, 4)), cap=100)
+    assert sorted(sub.dim for sub in found) == [0, 2, 2, 2, 2, 2, 4]
 
 
 def test_invariant_plane_for_two_blocks():
     action = build_action(CoverParams(3, 2, 4))
-    plane = invariant_subspace_of_dim(action, 2)
-    assert plane.dim == 2
-    assert plane.is_invariant_under(action.matrix_array)
-    images = {tuple((action.matrix_array @ v) % 2) for v in plane.vectors()}
-    assert images == {tuple(v) for v in plane.vectors()}
+    planes = [sub for sub in invariant_subspaces(action, cap=100) if sub.dim == 2]
+    assert len(planes) == 5
+    for plane in planes:
+        images = {tuple((action.matrix_array @ v) % 2) for v in plane.vectors()}
+        assert images == {tuple(v) for v in plane.vectors()}
 
 
-def test_enumerate_invariant_subspaces_irreducible_case():
+def test_invariant_subspaces_irreducible_case():
     # One block, irreducible cyclotomic polynomial: only 0 and everything.
-    action = build_action(CoverParams(5, 2, 3))
-    found = enumerate_invariant_subspaces(action, max_ambient=2**8)
+    found = invariant_subspaces(build_action(CoverParams(5, 2, 3)), cap=100)
     assert found == [Subspace.zero(4, 2), Subspace.full(4, 2)]
 
 
-def test_enumerate_invariant_subspaces_two_blocks():
-    action = build_action(CoverParams(3, 2, 4))
-    found = enumerate_invariant_subspaces(action, max_ambient=2**8)
-    dims = sorted(s.dim for s in found)
-    assert dims == [0, 2, 2, 2, 2, 2, 4]
+def test_invariant_subspaces_two_blocks():
+    # Phi_3 is irreducible over F_2, so the invariant subspaces of F_4^2 are
+    # 0, its five lines and everything.
+    found = invariant_subspaces(build_action(CoverParams(3, 2, 4)), cap=100)
+    assert len(set(found)) == len(found) == 1 + gaussian_count(2, 1, 4) + 1
 
 
-def test_enumerate_invariant_subspaces_cap():
-    action = build_action(CoverParams(5, 2, 3))
-    with pytest.raises(CapExceededError) as exc:
-        enumerate_invariant_subspaces(action, max_ambient=8)
-    assert exc.value.required == 16
-
-
-@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 2, 3), (3, 2, 5), (3, 2, 3), (5, 3, 3)])
+@pytest.mark.parametrize(
+    "p,q,r", [(3, 2, 4), (5, 2, 3), (3, 2, 5), (3, 2, 3), (5, 3, 3), (7, 2, 3)]
+)
 def test_invariant_dimension_dichotomy(p, q, r):
-    # Both directions of the quantization: brute force only finds dimensions
-    # that are multiples of s0, and the constructor succeeds on each of them.
+    # The listing is exactly the brute-force set, and its dimensions are the
+    # multiples of s0, each of them reached.
     params = CoverParams(p, q, r, allow_small_genus=True)
     action = build_action(params)
-    found = enumerate_invariant_subspaces(action, max_ambient=2**10)
-    dims = {s.dim for s in found}
-    feasible = set(range(0, params.n + 1, params.s0))
-    assert dims <= feasible
-    for s in sorted(feasible):
-        sub = invariant_subspace_of_dim(action, s)
-        assert sub.dim == s
-        assert sub in found
+    found = invariant_subspaces(action, cap=1000)
+    assert len(set(found)) == len(found)
+    assert set(found) == brute_invariant_subspaces(action)
+    assert {sub.dim for sub in found} == set(range(0, params.n + 1, params.s0))
+
+
+@pytest.mark.parametrize(
+    "p,q,r,count",
+    [(5, 2, 4, 19), (3, 2, 6, 529), (7, 2, 4, 121), (13, 3, 3, 16)],
+)
+def test_invariant_subspace_counts_past_the_brute_force(p, q, r, count):
+    # (Sum_e [r-2 choose e]_Q)^k, Q = q^s0 and k = (p-1)/s0: 17 + 2, 1 + 85 + 357
+    # + 85 + 1, (1 + 9 + 1)^2 and 2^4.  The brute force takes about 25 s at
+    # (5,2,4) and (3,2,6), so these counts are pinned instead.
+    action = build_action(CoverParams(p, q, r))
+    found = invariant_subspaces(action, cap=count)
+    assert len(found) == count
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (7, 2, 4)])
+def test_every_atlas_core_is_listed(p, q, r):
+    params = CoverParams(p, q, r)
+    listed = set(invariant_subspaces(build_action(params), cap=1000))
+    cores = {cls.core for cls in orbit_classes(params)}
+    assert cores <= listed
+
+
+def test_invariant_subspaces_cap_refuses_before_building(monkeypatch):
+    def walked(*args):
+        pytest.fail("an echelon form was built before the cap refused the listing")
+
+    monkeypatch.setattr(action_module, "iter_echelon_forms", walked)
+    action = build_action(CoverParams(3, 2, 6))
+    with pytest.raises(CapExceededError) as exc:
+        invariant_subspaces(action, cap=528)
+    assert exc.value.required == 529
+    assert exc.value.cap == 528
+
+
+@pytest.mark.parametrize("cap", [0, -1, 80.9, True])
+def test_invariant_subspaces_cap_must_be_a_positive_int(cap):
+    action = build_action(CoverParams(5, 2, 4))
+    with pytest.raises(InvalidParamsError, match="invariant-subspace cap must be a positive integer"):
+        invariant_subspaces(action, cap=cap)
+
+
+def test_invariant_subspace_count_check_fails_on_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(action_module, "gaussian_count", lambda n, k, q: 2)
+    # (2 + 2 + 2)^1 = 6 against the 19 listed.
+    with pytest.raises(IdentityCheckError, match=r"listed 19 invariant subspaces of F_2\^8, 19 distinct; "
+                       r"the closed form .* is 6$"):
+        invariant_subspaces(build_action(CoverParams(5, 2, 4)), cap=1000)
+
+
+def test_invariant_subspace_count_check_fails_on_corrupted_factors():
+    # Both primary components of (7,2,4) read from the first factor: the 121
+    # listed sums are the 11 subspaces of that component, over and over.
+    action = build_action(CoverParams(7, 2, 4))
+    primary = action.primary
+    twice = np.stack([primary.factors[0]] * 2)
+    action.__dict__["primary"] = dataclasses.replace(primary, factors=twice)
+    with pytest.raises(IdentityCheckError, match="listed 121 invariant subspaces of F_2\\^12, 11 distinct"):
+        invariant_subspaces(action, cap=1000)
+
+
+def test_invariant_subspace_listing_fails_on_a_subspace_that_is_not_invariant():
+    # A "factor" whose kernel, the first three coordinates, is no primary
+    # component: the listing keeps its count but not its invariance.
+    action = build_action(CoverParams(7, 2, 3))
+    primary = action.primary
+    factors = np.stack([np.diag([0, 0, 0, 1, 1, 1]), primary.factors[1]])
+    action.__dict__["primary"] = dataclasses.replace(primary, factors=factors)
+    with pytest.raises(IdentityCheckError, match=r"basis \[\[1, 0, 0, 0, 0, 0\], .* is not T-invariant"):
+        invariant_subspaces(action, cap=1000)
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 2, 3), (3, 2, 5), (5, 3, 3)])

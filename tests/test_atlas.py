@@ -22,7 +22,6 @@ from gonal.atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
-    gaussian_count,
     orbit_classes,
     parse_generator_words,
     parse_word,
@@ -35,7 +34,15 @@ from gonal.errors import (
     IdentityCheckError,
     InvalidParamsError,
 )
-from gonal.fqlinalg import Subspace, decode_codes, encode_rows, inverse_table, iter_subspace_bases
+from gonal.fqlinalg import (
+    Subspace,
+    decode_codes,
+    encode_rows,
+    gaussian_count,
+    inverse_table,
+    iter_subspace_bases,
+    positive_cap,
+)
 
 
 def test_hyperplane_normalization():
@@ -89,6 +96,22 @@ def test_enumeration_matches_the_brute_force_hyperplanes(p, q, r):
     assert set(planes) == oracle
     assert [h.normal for h in planes] == sorted(h.normal for h in oracle)
     assert [tuple(row) for row in all_normals_array(n, q).tolist()] == [h.normal for h in planes]
+
+
+@pytest.mark.parametrize("cap", [80.9, 80.0, True, np.int64(80), "80.5", " 80", "+80", "٨٠", "0", 0, -3])
+def test_positive_cap_refuses_anything_but_a_positive_int(cap):
+    # 80.9 is not truncated to 80, nor True read as 1.
+    with pytest.raises(InvalidParamsError, match="^atlas cap must be a positive integer, got "):
+        positive_cap(cap, "atlas cap")
+
+
+def test_positive_cap_takes_an_int_or_a_digit_string(monkeypatch):
+    assert positive_cap(80, "atlas cap") == positive_cap("80", "atlas cap") == 80
+    monkeypatch.setenv("GONAL_ATLAS_CAP", "12.5")
+    with pytest.raises(InvalidParamsError, match="GONAL_ATLAS_CAP must be a positive integer, got '12.5'"):
+        resolve_atlas_cap()
+    with pytest.raises(InvalidParamsError, match="atlas cap must be a positive integer, got 100.0"):
+        resolve_atlas_cap(100.0)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -128,7 +128,7 @@ def test_atlas_cap_exit_3(capsys):
     )
     assert code == 3
     assert "cap" in err
-    assert str(3**12) in err
+    assert err.splitlines()[-1] == f"hint: re-run with --cap {3**12} or set GONAL_ATLAS_CAP={3**12}"
 
 
 def test_atlas_env_cap(capsys, monkeypatch):
@@ -158,6 +158,17 @@ def test_verify_nonpositive_cap_exit_2(capsys, cap):
     assert code == 2
     assert out == ""
     assert "positive integer" in err
+
+
+def test_verify_group_cap_refusal_exits_3_and_names_only_the_flag(capsys, monkeypatch):
+    # GONAL_ATLAS_CAP sets the atlas cap only: it neither lifts the group cap
+    # nor belongs in the hint.
+    monkeypatch.setenv("GONAL_ATLAS_CAP", "100000")
+    code, out, err = run_cli(capsys, "verify", "--suite", "groupring", "--cap", "50")
+    assert code == 3
+    assert out == ""
+    assert "group of order 80 exceeds the regular-representation cap" in err
+    assert err.splitlines()[-1] == "hint: re-run with --cap 80"
 
 
 def test_atlas_negative_limit_exit_2(capsys):

@@ -217,6 +217,28 @@ def test_fixed_subspace_rejects_inside_transversal():
         fixed_subspace(group, h, np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize(
+    "transversal, error",
+    [([1.9, 0, 0, 0], InvalidParamsError), ([[1, 0], [0, 0]], InvalidTransversalError),
+     ([1, 0, 0], InvalidTransversalError), ([[1, 0, 0, 0]], InvalidTransversalError)],
+)
+def test_transversal_must_be_an_integer_vector_of_length_n(transversal, error):
+    # Neither truncated (1.9 is not 1) nor reshaped (a 2 x 2 array is not a vector).
+    group = build_group(CoverParams(5, 2, 3))
+    with pytest.raises(error):
+        verify_scalar_identity(group, Hyperplane([1, 0, 0, 0], 2), transversal)
+
+
+def test_transversal_past_int64_is_reduced_exactly():
+    group = build_group(CoverParams(5, 2, 3))
+    h = Hyperplane([1, 0, 0, 0], 2)
+    basis = fixed_subspace(group, h, [1, 0, 0, 0])
+    assert verify_scalar_identity(group, h, [2**70 + 1, 0, 0, 0]) == 8
+    assert np.array_equal(fixed_subspace(group, h, [2**70 + 1, 0, 0, 0]), basis)
+    with pytest.raises(InvalidTransversalError, match="lies inside the subgroup"):
+        fixed_subspace(group, h, [2**70, 0, 0, 0])
+
+
 @pytest.mark.parametrize("p,q,r,scalar", [(5, 2, 3, 8), (3, 2, 4, 8), (3, 2, 3, 2)])
 def test_prop_scalar_on_every_hyperplane(p, q, r, scalar):
     params = CoverParams(p, q, r, allow_small_genus=True)

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "IdentityCheckError",
     "InvalidParamsError",
     "InvalidTransversalError",
-    "NoInvariantSubspaceError",
     "OrbitClass",
     "RepTable",
     "Subspace",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "cyclotomic_factor",
     "decomposition_report",
     "enumerate_hyperplanes",
-    "enumerate_invariant_subspaces",
     "enumerate_subgroups_brute",
     "fixed_subspace",
     "frobenius_check",
@@ -41,7 +39,7 @@ PUBLIC_NAMES = [
     "genus_intermediate",
     "genus_quotient_T",
     "genus_quotient_by_core",
-    "invariant_subspace_of_dim",
+    "invariant_subspaces",
     "orbit_classes",
     "order_mod",
     "parameter_sweep",

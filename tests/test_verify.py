@@ -17,7 +17,7 @@ import gonal.atlas as atlas
 import gonal.groupring as groupring
 import gonal.verify as verify
 from gonal.cli import main
-from gonal.errors import IdentityCheckError
+from gonal.errors import IdentityCheckError, InvalidParamsError
 from gonal.fqlinalg import Subspace
 
 
@@ -166,3 +166,10 @@ def test_failed_identity_is_reported_under_python_O():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("2 2 ")
     assert "formula says 99" in done.stdout
+
+
+@pytest.mark.parametrize("cap", [80.5, True])
+def test_run_suite_refuses_a_cap_that_is_not_an_int(cap):
+    # Truncated, 80.5 would run the groupring suite at cap 80 and pass.
+    with pytest.raises(InvalidParamsError, match="group-order cap must be a positive integer"):
+        verify.run_suite("groupring", cap=cap)
