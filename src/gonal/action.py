@@ -310,9 +310,6 @@ class AdaptedAction:
         factors.flags.writeable = False
         return PrimaryProjections(fact.s0, cofactors, factors)
 
-    def power_array(self, e: int) -> np.ndarray:
-        return matpow_array(self._matrix, e % self.params.p, self.params.q)
-
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"
 

@@ -39,9 +39,19 @@ from .errors import (
     InvalidTransversalError,
     quoted_power,
 )
-from .fqlinalg import as_residues, decode_codes, encode_rows
+from .fqlinalg import as_residues, decode_codes, encode_rows, positive_cap
 
 DEFAULT_GROUP_CAP = 512
+
+
+def _integers(values, what: str, length: int | None = None) -> np.ndarray:
+    """`values` as int64; floats, integers past int64 and a last axis not `length` are refused."""
+    values = np.asarray(values)
+    if not np.can_cast(values.dtype, np.int64):
+        raise InvalidParamsError(f"{what} must be int64 integers, got {values.dtype} values")
+    if length is not None and values.shape[-1:] != (length,):
+        raise InvalidParamsError(f"{what} of shape {values.shape}: need a last axis of {length}")
+    return values.astype(np.int64, copy=False)
 
 
 class FrobeniusGroup:
@@ -51,12 +61,17 @@ class FrobeniusGroup:
     (v, e)(w, f) = (v + T^e w, e + f).  The pair (v, e) is the integer
     e q^n + code(v), code(v) the base-q number with digits v; codes are also
     element indices, so the kernel N is 0 .. q^n - 1 and the identity is 0.
+    Two read-only tables hold it: `_translations` (row c is translation c)
+    and `_twisted` ([e, c] is the code of T^e c, the one place T^e acts).
     A group of order past `cap` is refused before anything is built.
     """
 
     def __init__(
         self, params: CoverParams, action: AdaptedAction | None = None, cap: int = DEFAULT_GROUP_CAP
     ):
+        if isinstance(cap, str):  # a digit string is read from the environment, not passed here
+            raise InvalidParamsError(f"group-order cap must be a positive integer, got {cap!r}")
+        cap = positive_cap(cap, "group-order cap")
         # |G| = p q^n is built only if its digits can be printed.
         order, text = quoted_power(params.q, params.n, factor=params.p)
         if order is None or order > cap:
@@ -69,9 +84,12 @@ class FrobeniusGroup:
         self.params = params
         self.action = action if action is not None else build_action(params)
         p, q, n = params.p, params.q, params.n
-        self._tpow = [self.action.power_array(e) for e in range(p)]
-        # row c is the translation with code c
         self._translations = decode_codes(np.arange(q**n), n, q)
+        step = encode_rows(self._translations @ self.action.matrix_array.T % q, q)
+        self._twisted = np.tile(np.arange(q**n), (p, 1))
+        for e in range(1, p):  # T^e c = T (T^(e-1) c)
+            self._twisted[e] = step[self._twisted[e - 1]]
+        self._translations.flags.writeable = self._twisted.flags.writeable = False
         self._perm_cache: dict[int, np.ndarray] = {}
         # ((L, u), (A_L basis, sum_L of its p twists)) of the last _fixed call
         self._fixed_last: tuple = (None, None)
@@ -80,62 +98,58 @@ class FrobeniusGroup:
     def order(self) -> int:
         return self.params.group_order
 
-    def _split(self, g: int) -> tuple[int, np.ndarray]:
-        """(twist, translation) of the element with code g."""
-        e, c = divmod(g, len(self._translations))
-        return e, self._translations[c]
+    def _parts(self, a) -> tuple[np.ndarray, np.ndarray]:
+        """(twists, translation codes) of the element codes `a`, each in 0 .. |G| - 1."""
+        codes = _integers(a, "element codes")
+        outside = codes[(codes < 0) | (codes >= self.order)]
+        if outside.size:
+            raise InvalidParamsError(f"element code {outside[0]} is outside 0 .. {self.order - 1}")
+        return np.divmod(codes, len(self._translations))
 
-    def _code(self, v: np.ndarray, e: int) -> int:
-        """Code of (v mod q, e mod p)."""
+    def _element(self, translations: np.ndarray, twists: np.ndarray):
+        """Codes of the elements (v mod q, e mod p), as an int for one element."""
         q = self.params.q
-        return (e % self.params.p) * len(self._translations) + int(encode_rows(v % q, q))
+        codes = twists % self.params.p * len(self._translations) + encode_rows(translations % q, q)
+        return int(codes) if codes.ndim == 0 else codes
 
-    def mul(self, a: int, b: int) -> int:
-        e, v = self._split(a)
-        f, w = self._split(b)
-        return self._code(v + self._tpow[e] @ w, e + f)
+    def mul(self, a, b):
+        """Code of a b, elementwise over codes broadcast together."""
+        (e, c), (f, d) = self._parts(a), self._parts(b)
+        return self._element(self._translations[c] + self._translations[self._twisted[e, d]], e + f)
 
-    def inv(self, a: int) -> int:
-        e, v = self._split(a)
-        return self._code(-(self._tpow[-e % self.params.p] @ v), -e)
-
-    def element_order(self, a: int) -> int:
-        acc = a
-        k = 1
-        while acc != 0:
-            acc = self.mul(acc, a)
-            k += 1
-        return k
+    def inv(self, a):
+        """Code of a^-1 = (-T^-e v, -e), elementwise."""
+        e, c = self._parts(a)
+        return self._element(-self._translations[self._twisted[-e % self.params.p, c]], -e)
 
     def left_perm(self, g: int) -> np.ndarray:
         """perm with perm[x] = g * x, for every element code x.
 
-        For x = f q^n + i, the element (w_i, f), the product is (v + T^e w_i,
-        e + f), so one array product gives the codes of every moved translation.
+        For x = f q^n + i the product is g i shifted by f twists, so one
+        product with the q^n translations gives every row.
         """
         cached = self._perm_cache.get(g)
         if cached is None:
-            p, q = self.params.p, self.params.q
-            e, v = self._split(g)
-            moved = (v + self._translations @ self._tpow[e].T) % q
-            twists = (e + np.arange(p, dtype=np.int64)) % p
-            cached = (twists[:, None] * len(moved) + encode_rows(moved, q)).reshape(-1)
+            size = len(self._translations)
+            moved = self.mul(g, np.arange(size))
+            cached = ((moved + size * np.arange(self.params.p)[:, None]) % self.order).reshape(-1)
             cached.flags.writeable = False
             self._perm_cache[g] = cached
         return cached
 
     def spot_check_axioms(self, trials: int = 64, seed: int = 0):
         """Identity and inverses exhaustively; associativity on random triples."""
-        for g in range(self.order):
-            if self.mul(0, g) != g or self.mul(g, 0) != g:
-                raise IdentityCheckError(f"identity fails at {g}")
-            if self.mul(g, self.inv(g)) != 0:
-                raise IdentityCheckError(f"inverse fails at {g}")
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            a, b, c = rng.integers(0, self.order, size=3).tolist()
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise IdentityCheckError(f"associativity fails at {(a, b, c)}")
+        codes = np.arange(self.order)
+        a, b, c = np.random.default_rng(seed).integers(0, self.order, size=(trials, 3)).T
+        checks = [
+            ("identity", codes, (self.mul(0, codes) != codes) | (self.mul(codes, 0) != codes)),
+            ("inverse", codes, self.mul(codes, self.inv(codes)) != 0),
+            ("associativity", list(zip(a.tolist(), b.tolist(), c.tolist())),
+             self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c))),
+        ]
+        for name, witnesses, failed in checks:
+            if failed.any():  # argmax: the first failure
+                raise IdentityCheckError(f"{name} fails at {witnesses[np.argmax(failed)]}")
 
 
 def build_group(params: CoverParams, cap: int = DEFAULT_GROUP_CAP) -> FrobeniusGroup:
@@ -160,36 +174,33 @@ def frobenius_check(group: FrobeniusGroup) -> FrobeniusReport:
     orbits on N - {1} all have length p.  Any failure raises with the
     witness element.
     """
-    params = group.params
-    p, q, n = params.p, params.q, params.n
+    p, q, n = group.params.p, group.params.q, group.params.n
     size = q**n
-    for g in range(size, group.order):
-        if group.element_order(g) != p:
-            raise IdentityCheckError(f"element {g} outside the kernel has order != {p}")
-    translations = group._translations
-    # powers[e][c] is the code of T^e applied to the translation with code c
-    powers = [encode_rows((translations @ group._tpow[e].T) % q, q) for e in range(p)]
+    # (a) g^k != 1 for 0 < k < p and g^p = 1, over every g outside N at once.
+    outside = np.arange(size, group.order)
+    powers = [outside]
+    for _ in range(p - 1):
+        powers.append(group.mul(powers[-1], outside))
+    wrong = (np.stack(powers[:-1]) == 0).any(axis=0) | (powers[-1] != 0)
+    if wrong.any():
+        g = outside[np.argmax(wrong)]
+        raise IdentityCheckError(f"element {g} outside the kernel has order != {p}")
+    translations, twisted = group._translations, group._twisted
     codes = np.arange(size)
-    for e in range(1, p):
-        fixed = np.flatnonzero(powers[e][1:] == codes[1:])
-        if fixed.size:
-            raise IdentityCheckError(
-                f"twist power {e} centralizes nonzero translation "
-                f"{tuple(translations[fixed[0] + 1].tolist())}"
-            )
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    orbit_count = 0
-    for c in range(1, size):
-        if seen[c]:
-            continue
-        orbit = {int(moved[c]) for moved in powers}
-        if len(orbit) != p:
-            raise IdentityCheckError(
-                f"twist orbit of {tuple(translations[c].tolist())} has size {len(orbit)} != {p}"
-            )
-        seen[list(orbit)] = True
-        orbit_count += 1
+    fixed = np.argwhere(twisted[1:, 1:] == codes[1:])
+    if fixed.size:
+        e, c = fixed[0] + 1
+        v = tuple(translations[c].tolist())
+        raise IdentityCheckError(f"twist power {e} centralizes nonzero translation {v}")
+    # Column c of `twisted` is the twist orbit of c; each orbit is counted at its least member.
+    orbits = np.sort(twisted[:, 1:], axis=0)
+    sizes = 1 + np.count_nonzero(np.diff(orbits, axis=0), axis=0)
+    if (sizes != p).any():
+        c = np.argmax(sizes != p)
+        raise IdentityCheckError(
+            f"twist orbit of {tuple(translations[c + 1].tolist())} has size {sizes[c]} != {p}"
+        )
+    orbit_count = int(np.count_nonzero(orbits[0] == codes[1:]))
     if orbit_count != (q**n - 1) // p:
         raise IdentityCheckError(
             f"{orbit_count} twist orbits on N - {{1}}, expected (q^n - 1)/p = {(q**n - 1) // p}"
@@ -206,20 +217,15 @@ class GroupRingOperator:
 
     def __init__(self, group: FrobeniusGroup, terms: dict[int, int]):
         self.group = group
-        self.terms = {g: int(c) for g, c in terms.items() if c != 0}
-
-    @classmethod
-    def subgroup_sum(cls, group: FrobeniusGroup, elements) -> "GroupRingOperator":
-        return cls(group, {g: 1 for g in elements})
+        self.terms = {g: int(_integers(c, "coefficients")) for g, c in terms.items() if c != 0}
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to rows of an integer vector/matrix over the regular module."""
-        vec = np.asarray(vec, dtype=np.int64)
+        vec = _integers(vec, "group-ring vectors", self.group.order)
         out = np.zeros_like(vec)
         for g, c in self.terms.items():
-            perm = self.group.left_perm(g)
             moved = np.zeros_like(vec)
-            moved[..., perm] = vec
+            moved[..., self.group.left_perm(g)] = vec
             out += c * moved
         return out
 
@@ -239,7 +245,7 @@ def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray
     permutations (g z = z[perm of g^-1]) gives the same sum as scattering.
     """
     q = group.params.q
-    out = np.asarray(vec, dtype=np.int64)
+    out = _integers(vec, "group-ring vectors", group.order)
     for row_codes in _multiple_codes(basis, q):
         acc = out.copy()
         for code in row_codes[1:]:
@@ -265,11 +271,9 @@ def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[int]):
 
 
 def _default_transversal(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
-    """The first translation in element order outside L, i.e. with normal . u != 0."""
+    """The first translation in element order with normal . u != 0 (the normal is nonzero)."""
     translations = group._translations
     outside = np.flatnonzero(translations @ L.normal_array() % group.params.q)
-    if outside.size == 0:
-        raise IdentityCheckError("hyperplane kernel exhausts the translation group")
     return translations[outside[0]].copy()
 
 
@@ -326,8 +330,7 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
     ncos = len(reps)
     smat = np.zeros((ncos, ncos), dtype=np.int64)
     for code in _multiple_codes(u[None], q)[0]:
-        perm = group.left_perm(code)
-        smat[coset_idx[perm[reps]], np.arange(ncos)] += 1
+        smat[coset_idx[group.left_perm(code)[reps]], np.arange(ncos)] += 1
     fibres = np.kron(np.eye(p, dtype=np.int64), np.ones((q, q), dtype=np.int64))
     if smat.shape != fibres.shape:
         raise IdentityCheckError(f"{L} has {ncos} right cosets, not p q = {p * q}")
@@ -372,12 +375,11 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     returned.  The images are the ones _fixed computed with one pass of the
     sum over L; a failure raises naming the first failing k.
     """
-    params = group.params
-    q, n, p = params.q, params.n, params.p
+    q, n, p = group.params.q, group.params.n, group.params.p
     basis, images = _fixed(group, L, transversal_elem)
     expected = np.zeros_like(images)
     expected[0] = q ** (n - 1) * basis
-    if not np.array_equal(images, expected):
-        k = next(k for k in range(p) if not np.array_equal(images[k], expected[k]))
-        raise IdentityCheckError(f"cross term k = {k} fails on A_L of {L}")
+    failed = (images != expected).any(axis=(1, 2))
+    if failed.any():
+        raise IdentityCheckError(f"cross term k = {np.argmax(failed)} fails on A_L of {L}")
     return {"k0_scalar": q ** (n - 1), "cross_terms_zero": True, "checked_k": list(range(p))}

@@ -18,6 +18,7 @@ from gonal.errors import (
     InvalidTransversalError,
 )
 from gonal.groupring import (
+    FrobeniusGroup,
     GroupRingOperator,
     apply_subgroup_sum,
     build_group,
@@ -117,11 +118,12 @@ def test_frobenius_check(p, q, r, orbits):
 
 
 def _trivial_twists(group):
-    group._tpow = [np.eye(group.params.n, dtype=np.int64)] * group.params.p
+    # Every row of the twist table the identity: N x P becomes a direct product.
+    group._twisted = np.broadcast_to(group._twisted[0], group._twisted.shape)
 
 
 def _second_power_is_first(group):
-    group._tpow = [group._tpow[0], group._tpow[1], group._tpow[1]] + group._tpow[3:]
+    group._twisted = group._twisted[[0, 1, 1, 3, 4]]
 
 
 @pytest.mark.parametrize(
@@ -136,9 +138,113 @@ def test_frobenius_check_names_its_witness(monkeypatch, corrupt, orders_ok, mess
     group = build_group(CoverParams(5, 2, 3))
     corrupt(group)
     if orders_ok:
-        monkeypatch.setattr(group, "element_order", lambda g: 5)
+        # Products from an intact group, so only the twist table itself is wrong.
+        monkeypatch.setattr(group, "mul", build_group(CoverParams(5, 2, 3)).mul)
     with pytest.raises(IdentityCheckError, match=message):
         frobenius_check(group)
+
+
+def test_identity_check_names_its_witness():
+    group = FrobeniusGroup(CoverParams(5, 2, 3))
+    twisted = group._twisted.copy()
+    twisted[0, [1, 2]] = twisted[0, [2, 1]]  # T^0 swaps the translations 1 and 2
+    group._twisted = twisted
+    with pytest.raises(IdentityCheckError, match="^identity fails at 1$"):
+        group.spot_check_axioms()
+
+
+def test_associativity_check_names_its_witness():
+    # T^2 and T^3 swapped: T^e T^-e is still 1, so identity and inverses
+    # hold, but T T = T^2 now fails on the first seeded triple.
+    group = FrobeniusGroup(CoverParams(5, 2, 3))
+    group._twisted = group._twisted[[0, 1, 3, 2, 4]]
+    with pytest.raises(IdentityCheckError, match=r"^associativity fails at \(68, 50, 40\)$"):
+        group.spot_check_axioms()
+    assert group.mul(group.mul(68, 50), 40) != group.mul(68, group.mul(50, 40))
+
+
+def test_group_tables_are_read_only():
+    group = build_group(CoverParams(5, 2, 3))
+    for table in (group._translations, group._twisted):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_mul_and_inv_take_codes_or_arrays_of_codes():
+    group = build_group(CoverParams(5, 2, 3))
+    codes = np.arange(group.order)
+    table = group.mul(codes[:, None], codes)
+    assert table.tolist() == [[group.mul(a, b) for b in range(80)] for a in range(80)]
+    assert group.inv(codes).tolist() == [group.inv(g) for g in range(80)]
+    assert type(group.mul(3, 17)) is int and type(group.inv(17)) is int
+
+
+def test_group_at_7_2_4_builds():
+    # |G| = 7 * 2^12: (2^12 - 1)/7 twist orbits on the nonzero translations.
+    group = build_group(CoverParams(7, 2, 4), cap=28672)
+    assert frobenius_check(group).kernel_orbit_count == 585
+
+
+@pytest.mark.parametrize("cap", [80.5, "512", True, float("inf")], ids=["float", "str", "bool", "inf"])
+def test_group_cap_must_be_a_positive_int(cap):
+    # Each of these built a group or failed with a raw TypeError or a cap refusal.
+    with pytest.raises(InvalidParamsError, match="^group-order cap must be a positive integer, got "):
+        FrobeniusGroup(CoverParams(5, 2, 3), cap=cap)
+
+
+@pytest.mark.parametrize(
+    "call, code",
+    [
+        pytest.param(lambda g: g.mul(-1, 3), -1, id="mul-low"),
+        pytest.param(lambda g: g.mul(80, 0), 80, id="mul-high"),
+        pytest.param(lambda g: g.mul(3, np.array([5, 80, -1])), 80, id="mul-array"),
+        pytest.param(lambda g: g.inv(-1), -1, id="inv-low"),
+        pytest.param(lambda g: g.inv(80), 80, id="inv-high"),
+        pytest.param(lambda g: g.left_perm(-1), -1, id="left-perm-low"),
+        pytest.param(lambda g: g.left_perm(80), 80, id="left-perm-high"),
+        pytest.param(lambda g: GroupRingOperator(g, {-1: 1}).apply(np.ones(80, dtype=np.int64)), -1,
+                     id="operator-low"),
+        pytest.param(lambda g: GroupRingOperator(g, {80: 1}).apply(np.ones(80, dtype=np.int64)), 80,
+                     id="operator-high"),
+    ],
+)
+def test_element_codes_outside_the_group_are_refused(call, code):
+    # -1 was read as code 79, and 80 raised a raw IndexError.
+    with pytest.raises(InvalidParamsError, match=f"^element code {code} is outside 0 .. 79$"):
+        call(build_group(CoverParams(5, 2, 3)))
+
+
+def test_element_codes_must_be_integers():
+    group = build_group(CoverParams(5, 2, 3))
+    with pytest.raises(InvalidParamsError, match="element codes must be int64 integers, got float64"):
+        group.mul(1.5, 3)
+
+
+def test_group_ring_coefficients_must_be_integers():
+    group = build_group(CoverParams(5, 2, 3))
+    with pytest.raises(InvalidParamsError, match="coefficients must be int64 integers, got float64"):
+        GroupRingOperator(group, {0: 1.5})  # was truncated to {0: 1}
+    assert GroupRingOperator(group, {0: np.int64(2), 1: 0}).terms == {0: 2}
+
+
+@pytest.mark.parametrize(
+    "vec, message",
+    [
+        pytest.param(np.full(80, 0.7), "must be int64 integers, got float64", id="float"),
+        pytest.param([2**70] * 80, "must be int64 integers, got object", id="past-int64"),
+        pytest.param(np.ones(3, dtype=np.int64), r"of shape \(3,\): need a last axis of 80", id="short"),
+        pytest.param(np.ones((80, 3), dtype=np.int64), r"of shape \(80, 3\)", id="transposed"),
+        pytest.param(np.int64(1), r"of shape \(\)", id="scalar"),
+    ],
+)
+def test_group_ring_vectors_must_be_integers_over_the_group(vec, message):
+    # A float vector came back as zeros; a short one raised a raw numpy ValueError.
+    group = build_group(CoverParams(5, 2, 3))
+    basis = next(iter(enumerate_hyperplanes(group.params))).kernel().basis_array
+    with pytest.raises(InvalidParamsError, match=f"^group-ring vectors {message}"):
+        GroupRingOperator(group, {1: 1}).apply(vec)
+    with pytest.raises(InvalidParamsError, match=f"^group-ring vectors {message}"):
+        apply_subgroup_sum(group, basis, vec)
 
 
 def test_regular_module_action_is_permutation():
@@ -262,7 +368,7 @@ def test_zero_vector_is_annihilated():
     group = build_group(TINY)
     h = Hyperplane([1, 0], 2)
     subgroup = [_code(group, v) for v in h.kernel().vectors()]
-    op = GroupRingOperator.subgroup_sum(group, subgroup)
+    op = GroupRingOperator(group, {g: 1 for g in subgroup})
     zero = np.zeros(group.order, dtype=np.int64)
     assert np.array_equal(op.apply(zero), zero)
 
@@ -288,7 +394,7 @@ def test_factored_subgroup_sum_matches_the_term_sum(p, q, r):
     rng = np.random.default_rng(p * q * r)
     for h in enumerate_hyperplanes(params):
         ker = h.kernel()
-        terms = GroupRingOperator.subgroup_sum(group, [_code(group, v) for v in ker.vectors()])
+        terms = GroupRingOperator(group, {_code(group, v): 1 for v in ker.vectors()})
         vec = rng.integers(-50, 50, size=(3, group.order))
         assert np.array_equal(apply_subgroup_sum(group, ker.basis_array, vec), terms.apply(vec))
 

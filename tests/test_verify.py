@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gonal
@@ -75,8 +76,16 @@ def _words_drop_a_row():
     return "parse_generator_words", wrong
 
 
-def _element_orders_are_one():
-    return "FrobeniusGroup.element_order", lambda self, a: 1
+def _products_are_the_identity():
+    # The group is built intact; frobenius_check then multiplies with every
+    # product the identity, so each element outside the kernel has order 2.
+    real = verify.frobenius_check
+
+    def wrong(group):
+        group.mul = lambda a, b: np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        return real(group)
+
+    return "frobenius_check", wrong
 
 
 def _inverse_is_the_element():
@@ -102,9 +111,9 @@ def _case(suite, corrupt, row, detail):
               "inverse fails at 16"),
         _case("groupring", _inverse_is_the_element, "groupring-3-2-4-build",
               "inverse fails at 16"),
-        _case("groupring", _element_orders_are_one, "groupring-5-2-3-frobenius",
+        _case("groupring", _products_are_the_identity, "groupring-5-2-3-frobenius",
               "element 16 outside the kernel has order != 5"),
-        _case("groupring", _element_orders_are_one, "groupring-3-2-4-frobenius",
+        _case("groupring", _products_are_the_identity, "groupring-3-2-4-frobenius",
               "element 16 outside the kernel has order != 3"),
     ],
 )
