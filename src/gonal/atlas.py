@@ -17,9 +17,10 @@ permutation of their indices in lexicographic order.  p - 1 gathers give
 every normal its orbit minimum, a normal is an orbit representative iff it
 is its own minimum, and p - 1 more gathers read the orbits off the
 representatives.  Cores are extracted per class afterwards, one chunk of
-classes at a time.  Output order (by representative) is deterministic;
-per-class work is independent, so the merge would be identical under any
-parallel schedule.
+classes at a time; a class keeps its orbit as p integer codes and decodes
+its members only when asked.  Output order (by representative) is
+deterministic; per-class work is independent, so the merge would be
+identical under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -218,35 +219,71 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     return n - primary.s0 * components.size
 
 
+def _normal_of_code(code: int, n: int, q: int) -> tuple:
+    """The normalized normal in F_q^n with base-q code `code`, by Python-int digits.
+
+    InvalidParamsError unless the leading base-q digit is 1 and the code has
+    at most n digits, i.e. unless `code` is in q^w + [0, q^w) for some w < n.
+    """
+    tail, rest = [], code
+    while rest >= q:
+        rest, digit = divmod(rest, q)
+        tail.append(digit)
+    if rest != 1 or len(tail) >= n:
+        raise InvalidParamsError(f"{code} is not the code of a normalized normal in F_{q}^{n}")
+    tail.reverse()
+    return (0,) * (n - 1 - len(tail)) + (1, *tail)
+
+
 @dataclass(frozen=True)
 class OrbitClass:
-    """One conjugation orbit of hyperplanes with its core."""
+    """One conjugation orbit of hyperplanes with its core.
 
-    representative: Hyperplane
-    members: tuple[Hyperplane, ...]
+    `codes` holds the p base-q normal codes of the orbit: the representative
+    followed by its successive conjugates.  Members are decoded on access
+    and not kept, so a class costs p ints rather than p Hyperplanes.
+    """
+
+    codes: tuple[int, ...]
     core: Subspace
+
+    @property
+    def members(self) -> tuple[Hyperplane, ...]:
+        n, q = self.core.ambient_dim, self.core.modulus
+        return tuple(Hyperplane._from_normalized(_normal_of_code(c, n, q), q) for c in self.codes)
+
+    @property
+    def representative(self) -> Hyperplane:
+        n, q = self.core.ambient_dim, self.core.modulus
+        return Hyperplane._from_normalized(_normal_of_code(self.codes[0], n, q), q)
 
     @property
     def core_dim(self) -> int:
         return self.core.dim
 
     def verify(self, action: AdaptedAction) -> None:
-        """Recheck the orbit invariants.
+        """Recheck the orbit invariants on the members, decoded once.
 
-        Raises IdentityCheckError on any hard failure (orbit size, chain
-        consistency, core invariance, dimension quantization, rank bound).
+        Raises IdentityCheckError on any hard failure (orbit size, least
+        member first, chain consistency, core invariance, dimension
+        quantization, rank bound).
         """
         params = action.params
         p, n, s0 = params.p, params.n, params.s0
-        if len(self.members) != p or len(set(self.members)) != p:
-            raise IdentityCheckError(f"orbit of {self.representative} has size != {p}")
-        if self.representative != min(self.members):
-            raise IdentityCheckError("representative is not the least orbit member")
-        for a, b in zip(self.members, self.members[1:] + self.members[:1]):
+        members = self.members
+        representative = members[0]
+        if len(members) != p or len(set(members)) != p:
+            raise IdentityCheckError(f"orbit of {representative} has size != {p}")
+        least = min(members)
+        if representative != least:
+            raise IdentityCheckError(
+                f"representative {representative} is not the least orbit member {least}"
+            )
+        for a, b in zip(members, members[1:] + members[:1]):
             if conjugate_hyperplane(a, action) != b:
                 raise IdentityCheckError(f"conjugation chain broken at {a}")
         if not self.core.is_invariant_under(action.matrix_array):
-            raise IdentityCheckError(f"core of {self.representative} not invariant")
+            raise IdentityCheckError(f"core of {representative} not invariant")
         if self.core_dim % s0 != 0:
             raise IdentityCheckError(
                 f"core dim {self.core_dim} not a multiple of s0 = {s0}"
@@ -255,7 +292,7 @@ class OrbitClass:
             raise IdentityCheckError(f"core dim {self.core_dim} below rank bound {n - p}")
 
 
-# Rows decoded at once by the sweep, and classes whose members are decoded at once.
+# Rows decoded at once by the sweep, and classes decoded at once for their core eliminations.
 _SWEEP_CHUNK = 1 << 14
 _CLASS_CHUNK = 1 << 10
 
@@ -373,16 +410,10 @@ def orbit_classes(
     orbit_codes = _orbit_codes(params, action)
     classes = []
     for start in range(0, orbit_codes.shape[0], _CLASS_CHUNK):
-        vecs = decode_codes(orbit_codes[start : start + _CLASS_CHUNK], n, q)
-        for rows, normals in zip(vecs, vecs.tolist()):
-            members = tuple(Hyperplane._from_normalized(tuple(v), q) for v in normals)
-            classes.append(
-                OrbitClass(
-                    representative=members[0],
-                    members=members,
-                    core=Subspace._from_canonical(kernel_array(rows, q), n, q),
-                )
-            )
+        chunk = orbit_codes[start : start + _CLASS_CHUNK]
+        for codes, rows in zip(chunk.tolist(), decode_codes(chunk, n, q)):
+            core = Subspace._from_canonical(kernel_array(rows, q), n, q)
+            classes.append(OrbitClass(codes=tuple(codes), core=core))
     return classes
 
 

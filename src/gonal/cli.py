@@ -7,12 +7,13 @@ census), and `verify` (named check suites).
 
 Each `cmd_*(args, params)` returns its `verify.CheckResult` rows and a
 payload; `_run` alone times it, serializes the result into one
-ReportEnvelope, renders it as text or, with --json, as JSON in which all
-integers are decimal strings (genus values overflow doubles long before
-they get interesting), and picks the exit code.  Exit codes: 0 success,
-1 a verification check failed, 2 bad input, 3 a resource cap refused the
-run.  The GONAL_ATLAS_CAP environment variable sets the atlas enumeration
-cap when --cap does not; `verify --cap` bounds the group order alone.
+ReportEnvelope, renders it as text or, with --json, streams it as JSON
+in which all integers are decimal strings (genus values overflow doubles
+long before they get interesting), and picks the exit code.  Exit codes:
+0 success, 1 a verification check failed, 2 bad input, 3 a resource cap
+refused the run.  The GONAL_ATLAS_CAP environment variable sets the atlas
+enumeration cap when --cap does not; `verify --cap` bounds the group order
+alone.
 """
 
 from __future__ import annotations
@@ -102,8 +103,13 @@ class ReportEnvelope:
             "timing_s": self.timing_s,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+    def to_json(self, fp) -> None:
+        """Write the envelope as indented JSON and a newline to `fp`.
+
+        json.dump writes chunk by chunk, so the whole text is never held.
+        """
+        json.dump(self.to_dict(), fp, indent=2)
+        fp.write("\n")
 
     def render_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -282,7 +288,10 @@ def _run(args) -> int:
         payload=payload,
         timing_s=time.perf_counter() - start,
     )
-    print(envelope.to_json() if args.json else envelope.render_text())
+    if args.json:
+        envelope.to_json(sys.stdout)
+    else:
+        print(envelope.render_text())
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 

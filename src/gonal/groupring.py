@@ -126,8 +126,12 @@ class FrobeniusGroup:
         """perm with perm[x] = g * x, for every element code x.
 
         For x = f q^n + i the product is g i shifted by f twists, so one
-        product with the q^n translations gives every row.
+        product with the q^n translations gives every row.  `g` must be an
+        int: 3.0 and True hash like the codes 3 and 1, so the cache would
+        answer for them.
         """
+        if type(g) is not int and not isinstance(g, np.integer):
+            raise InvalidParamsError(f"element code must be an integer, got {g!r}")
         cached = self._perm_cache.get(g)
         if cached is None:
             size = len(self._translations)
@@ -220,8 +224,20 @@ class GroupRingOperator:
         self.terms = {g: int(_integers(c, "coefficients")) for g, c in terms.items() if c != 0}
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply to rows of an integer vector/matrix over the regular module."""
+        """Apply to rows of an integer vector/matrix over the regular module.
+
+        Every entry of the result is at most sum |c| times max |vec| in size;
+        InvalidParamsError when that bound reaches 2^63, where int64 wraps.
+        """
         vec = _integers(vec, "group-ring vectors", self.group.order)
+        weight = sum(abs(c) for c in self.terms.values())
+        # The uint64 view reads |-2^63|, which wraps to itself in int64, as 2^63.
+        peak = int(np.abs(vec).view(np.uint64).max(initial=0))
+        if weight * peak >= 2**63:
+            raise InvalidParamsError(
+                f"group-ring product may overflow int64: coefficients of total size {weight} "
+                f"on entries up to {peak} in size"
+            )
         out = np.zeros_like(vec)
         for g, c in self.terms.items():
             moved = np.zeros_like(vec)

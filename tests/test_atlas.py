@@ -207,6 +207,68 @@ def test_orbit_classes_deterministic():
     assert first == second
 
 
+def test_orbit_classes_hold_the_codes_of_their_members():
+    params = CoverParams(5, 3, 3)
+    action = build_action(params)
+    for cls in orbit_classes(params, action=action):
+        assert len(cls.codes) == params.p and all(type(c) is int for c in cls.codes)
+        normals = np.array([h.normal for h in cls.members])
+        assert encode_rows(normals, params.q).tolist() == list(cls.codes)
+        assert cls.representative == cls.members[0]
+
+
+@pytest.mark.parametrize("code", [0, 2 * 3**3, 3**4, 3**5 + 1])
+def test_orbit_class_refuses_a_code_that_is_no_normalized_normal(code):
+    # 0 is the zero normal, 2 * 3^3 leads with a 2, 3^4 and past need five digits.
+    cls = orbit_classes(CoverParams(5, 3, 3))[0]
+    bad = replace(cls, codes=(code,) + cls.codes[1:])
+    message = f"^{code} is not the code of a normalized normal in F_3\\^4$"
+    with pytest.raises(InvalidParamsError, match=message):
+        bad.members
+    with pytest.raises(InvalidParamsError, match=message):
+        bad.representative
+
+
+def _corrupted_class_checks():
+    """(triple, corrupt(cls, params), expected message(cls, params), force invariance) per check."""
+    return [
+        pytest.param(
+            (3, 2, 4), lambda c, P: replace(c, codes=c.codes[:-1] + c.codes[:1]),
+            lambda c, P: f"orbit of {c.members[0]} has size != 3", False, id="size"),
+        pytest.param(
+            (5, 3, 3), lambda c, P: replace(c, codes=c.codes[1:] + c.codes[:1]),
+            lambda c, P: f"representative {c.members[1]} is not the least orbit member {c.members[0]}",
+            False, id="least-first"),
+        pytest.param(
+            (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + c.codes[2:3] + c.codes[1:2] + c.codes[3:]),
+            lambda c, P: f"conjugation chain broken at {c.members[0]}", False, id="chain"),
+        pytest.param(
+            (5, 3, 3), lambda c, P: replace(c, core=c.representative.kernel()),
+            lambda c, P: f"core of {c.members[0]} not invariant", False, id="invariance"),
+        pytest.param(
+            (5, 3, 3), lambda c, P: replace(c, core=Subspace([[1, 0, 0, 0]], P.n, P.q)),
+            lambda c, P: f"core dim 1 not a multiple of s0 = {P.s0}", True, id="quantization"),
+        pytest.param(
+            (3, 2, 4), lambda c, P: replace(c, core=Subspace.zero(P.n, P.q)),
+            lambda c, P: f"core dim 0 below rank bound {P.n - P.p}", False, id="rank-bound"),
+    ]
+
+
+@pytest.mark.parametrize("triple, corrupt, message, force_invariance", _corrupted_class_checks())
+def test_every_orbit_class_check_can_fail(triple, corrupt, message, force_invariance, monkeypatch):
+    params = CoverParams(*triple)
+    action = build_action(params)
+    cls = orbit_classes(params, action=action)[1]
+    cls.verify(action)
+    if force_invariance:
+        # Every T-invariant subspace has a dimension divisible by s0, so the
+        # quantization check fails only past an invariance check that passes.
+        monkeypatch.setattr(Subspace, "is_invariant_under", lambda self, matrix: True)
+    with pytest.raises(IdentityCheckError) as exc:
+        corrupt(cls, params).verify(action)
+    assert str(exc.value) == message(cls, params)
+
+
 def _oracle_partition(params, conjugate):
     """Orbit partition computed on kernels (subspace route), no normals."""
     action = build_action(params)

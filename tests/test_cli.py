@@ -1,15 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import gonal
-from gonal.atlas import read_fixture
+from gonal.action import CoverParams, build_action
+from gonal.atlas import conjugate_hyperplane, orbit_classes, read_fixture
 from gonal.cli import ReportEnvelope, jsonify, main
 from gonal.errors import InvalidParamsError
 
@@ -92,13 +96,40 @@ def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
     def short_orbit(*args, **kw):
         classes = real(*args, **kw)
         cls = classes[0]
-        classes[0] = dataclasses.replace(cls, members=cls.members[:-1] + cls.members[:1])
+        classes[0] = dataclasses.replace(cls, codes=cls.codes[:-1] + cls.codes[:1])
         return classes
 
     monkeypatch.setattr("gonal.cli.orbit_classes", short_orbit)
     code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
     assert (code, out) == (1, "")
     assert err == "identity check failed: orbit of Hyperplane([0, 0, 0, 1], modulus=2) has size != 3\n"
+
+
+def test_atlas_json_peak_memory_at_7_2_4():
+    # Each class keeps its p normal codes, not p Hyperplanes, and the envelope
+    # is streamed to stdout rather than joined into one string first: the
+    # traced peak of a second run was 2.22 MB with both and is 1.75 MB without.
+    # The first run fills the caches (action, factorization, imports), so the
+    # traced run measures the same work wherever the test runs in the suite.
+    argv = ["atlas", "--p", "7", "--q", "2", "--r", "4", "--json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.0e6
+    # The members decoded from the codes are the representative's conjugation chain.
+    params = CoverParams(7, 2, 4)
+    action = build_action(params)
+    for cls in orbit_classes(params, action=action):
+        chain = [cls.representative]
+        for _ in range(params.p - 1):
+            chain.append(conjugate_hyperplane(chain[-1], action))
+        assert cls.members == tuple(chain)
 
 
 def test_atlas_orbits_flag_lists_members(capsys):
@@ -460,7 +491,9 @@ def test_json_round_trips(capsys):
     data = json.loads(out)
     envelope = ReportEnvelope(**data)
     assert envelope.to_dict() == data
-    assert json.loads(envelope.to_json()) == data
+    out = io.StringIO()
+    envelope.to_json(out)
+    assert out.getvalue() == json.dumps(data, indent=2) + "\n"
 
 
 def test_json_and_text_share_one_envelope(capsys):

@@ -214,6 +214,34 @@ def test_element_codes_outside_the_group_are_refused(call, code):
         call(build_group(CoverParams(5, 2, 3)))
 
 
+@pytest.mark.parametrize("code", [3.0, True, np.True_, "3"])
+def test_left_perm_refuses_a_non_integer_after_its_code_is_cached(code):
+    # 3.0 and True hash like 3 and 1, so the cache answered for them.
+    group = build_group(CoverParams(5, 2, 3))
+    group.left_perm(3)
+    group.left_perm(1)
+    with pytest.raises(InvalidParamsError, match="^element code must be an integer, got "):
+        group.left_perm(code)
+    assert group.left_perm(np.int64(3)) is group.left_perm(3)
+
+
+@pytest.mark.parametrize(
+    "terms, vec",
+    [
+        pytest.param({0: 2**62}, np.full(80, 4), id="zeros"),  # 4 * 2^62 wrapped to 0
+        pytest.param({0: 2**62, 1: 2**62}, np.ones(80, dtype=np.int64), id="two-terms"),
+        pytest.param({0: -1, 1: 1}, np.array([-(2**63)] + [0] * 79), id="least-int64"),
+    ],
+)
+def test_group_ring_operator_refuses_a_product_past_int64(terms, vec):
+    group = build_group(CoverParams(5, 2, 3))
+    with pytest.raises(InvalidParamsError, match="^group-ring product may overflow int64"):
+        GroupRingOperator(group, terms).apply(vec)
+    # Just below the bound the product is exact.
+    top = np.full(80, 2**62 - 1)
+    assert (GroupRingOperator(group, {0: 2}).apply(top) == 2**63 - 2).all()
+
+
 def test_element_codes_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
     with pytest.raises(InvalidParamsError, match="element codes must be int64 integers, got float64"):
