@@ -237,6 +237,27 @@ class PrimaryProjections:
     s0: int
     cofactors: np.ndarray
     factors: np.ndarray
+    # ((q, mask bytes), product) of the last `annihilator` call; `replace` starts it empty.
+    _annihilator_last: tuple = field(default=(None, None), init=False, compare=False, repr=False)
+
+    def annihilator(self, components: np.ndarray, q: int) -> np.ndarray:
+        """prod_{i in J} factors[i] mod q, J the True entries of the bool mask
+        `components` (the identity for an empty J); read-only.
+
+        Only the last product is kept: there are 2^k - 1 sets J, each costing
+        a (p-1)^2 matrix, and random normals almost always have every component.
+        """
+        key = (q, components.tobytes())
+        # One read of the slot, so a call never returns a product another thread keyed.
+        last = self._annihilator_last
+        if last[0] != key:
+            out = np.eye(self.factors.shape[1], dtype=np.int64)
+            for f in self.factors[components]:
+                out = (out @ f) % q
+            out.flags.writeable = False
+            last = (key, out)
+            object.__setattr__(self, "_annihilator_last", last)
+        return last[1]
 
 
 def _companion_block(p: int, q: int) -> np.ndarray:

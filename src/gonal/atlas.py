@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib.resources import files as _resource_files
 from math import comb
 
@@ -196,8 +197,9 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     squarefree, so that polynomial is the product of the f_i over
     J = {i : h has a nonzero f_i-component}, found by one product with the
     cofactor stack; core dim = n - s0 |J|.  h times prod_{i in J} f_i(T^(-1))
-    must vanish, which pins the minimal polynomial down to that product;
-    IdentityCheckError with a witness if it does not.
+    (one product, `PrimaryProjections.annihilator`) must vanish, which pins
+    the minimal polynomial down to that product; IdentityCheckError with a
+    witness if it does not.
     """
     params = action.params
     p, q, n = params.p, params.q, params.n
@@ -205,34 +207,42 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
         raise InvalidParamsError("hyperplane and action live over different spaces")
     primary = action.primary
     blocks = np.array(h.normal, dtype=np.int64).reshape(params.r - 2, p - 1)
-    parts = ((blocks @ primary.cofactors) % q).reshape(params.r - 2, -1, p - 1)
-    components = np.flatnonzero(parts.any(axis=(0, 2)))
-    rest = blocks
-    for i in components:
-        rest = (rest @ primary.factors[i]) % q
+    parts = (blocks @ primary.cofactors) % q
+    components = parts.reshape(params.r - 2, -1, p - 1).any(axis=(0, 2))
+    rest = (blocks @ primary.annihilator(components, q)) % q
     if rest.any():
         block, entry = np.argwhere(rest)[0].tolist()
         raise IdentityCheckError(
-            f"{h} has components {components.tolist()} but the product of their factors "
-            f"at T^-1 leaves entry {block * (p - 1) + entry} nonzero"
+            f"{h} has components {np.flatnonzero(components).tolist()} but the product of "
+            f"their factors at T^-1 leaves entry {block * (p - 1) + entry} nonzero"
         )
-    return n - primary.s0 * components.size
+    return n - primary.s0 * int(np.count_nonzero(components))
+
+
+@cache
+def _digit_tables(n: int, q: int) -> tuple[int, tuple, tuple, tuple]:
+    """(q^h, high, low, lead) for h = n // 2: high[c] and low[c] are the digits of c
+    as n - h and h residues, lead[c] the leading nonzero digit of c (0 for c = 0)."""
+    def digits(width):
+        return tuple(map(tuple, decode_codes(np.arange(q**width), width, q).tolist()))
+
+    h = n // 2
+    high = digits(n - h)
+    lead = tuple(next((x for x in row if x), 0) for row in high)
+    return q**h, high, digits(h), lead
 
 
 def _normal_of_code(code: int, n: int, q: int) -> tuple:
-    """The normalized normal in F_q^n with base-q code `code`, by Python-int digits.
+    """The normalized normal in F_q^n with base-q code `code`, as two table halves.
 
     InvalidParamsError unless the leading base-q digit is 1 and the code has
     at most n digits, i.e. unless `code` is in q^w + [0, q^w) for some w < n.
     """
-    tail, rest = [], code
-    while rest >= q:
-        rest, digit = divmod(rest, q)
-        tail.append(digit)
-    if rest != 1 or len(tail) >= n:
+    size, high, low, lead = _digit_tables(n, q)
+    top, bottom = divmod(code, size)
+    if not 0 <= top < len(high) or lead[top or bottom] != 1:
         raise InvalidParamsError(f"{code} is not the code of a normalized normal in F_{q}^{n}")
-    tail.reverse()
-    return (0,) * (n - 1 - len(tail)) + (1, *tail)
+    return high[top] + low[bottom]
 
 
 @dataclass(frozen=True)
@@ -247,38 +257,45 @@ class OrbitClass:
     codes: tuple[int, ...]
     core: Subspace
 
+    def _hyperplane(self, code: int) -> Hyperplane:
+        n, q = self.core.ambient_dim, self.core.modulus
+        return Hyperplane._from_normalized(_normal_of_code(code, n, q), q)
+
     @property
     def members(self) -> tuple[Hyperplane, ...]:
-        n, q = self.core.ambient_dim, self.core.modulus
-        return tuple(Hyperplane._from_normalized(_normal_of_code(c, n, q), q) for c in self.codes)
+        return tuple(self._hyperplane(c) for c in self.codes)
 
     @property
     def representative(self) -> Hyperplane:
-        n, q = self.core.ambient_dim, self.core.modulus
-        return Hyperplane._from_normalized(_normal_of_code(self.codes[0], n, q), q)
+        if not self.codes:
+            raise IdentityCheckError("orbit with codes [] has no representative")
+        return self._hyperplane(self.codes[0])
 
     @property
     def core_dim(self) -> int:
         return self.core.dim
 
     def verify(self, action: AdaptedAction) -> None:
-        """Recheck the orbit invariants on the members, decoded once.
+        """Recheck the orbit invariants; the members are decoded once.
 
         Raises IdentityCheckError on any hard failure (orbit size, least
         member first, chain consistency, core invariance, dimension
-        quantization, rank bound).
+        quantization, rank bound).  Size and least member are read off the
+        codes, which sort like the normals.
         """
         params = action.params
         p, n, s0 = params.p, params.n, params.s0
+        codes = self.codes
+        if len(codes) != p or len(set(codes)) != p:
+            raise IdentityCheckError(f"orbit with codes {list(codes)} has size != {p}")
+        least = min(codes)
+        if codes[0] != least:
+            raise IdentityCheckError(
+                f"representative {self.representative} is not the least orbit member "
+                f"{self._hyperplane(least)}"
+            )
         members = self.members
         representative = members[0]
-        if len(members) != p or len(set(members)) != p:
-            raise IdentityCheckError(f"orbit of {representative} has size != {p}")
-        least = min(members)
-        if representative != least:
-            raise IdentityCheckError(
-                f"representative {representative} is not the least orbit member {least}"
-            )
         for a, b in zip(members, members[1:] + members[:1]):
             if conjugate_hyperplane(a, action) != b:
                 raise IdentityCheckError(f"conjugation chain broken at {a}")

@@ -178,12 +178,19 @@ def check_code_width(n: int, q: int) -> None:
         )
 
 
-def encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
-    """Base-q code of each residue row (last axis); codes sort like the rows."""
-    n = rows.shape[-1]
+@cache
+def _code_weights(n: int, q: int) -> np.ndarray:
+    """q^(n-1), ..., q, 1, read-only; rows of length n past int64 are refused
+    on every call, since a call that raises is not cached."""
     check_code_width(n, q)
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return rows @ weights
+    weights.flags.writeable = False
+    return weights
+
+
+def encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of each residue row (last axis); codes sort like the rows."""
+    return rows @ _code_weights(rows.shape[-1], q)
 
 
 def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from gonal import atlas, gfpoly
 from gonal.action import CoverParams, PrimaryProjections, build_action, cyclotomic_factor
 from gonal.atlas import (
     Hyperplane,
+    _normal_of_code,
     _orbit_codes,
     all_normals_array,
     conjugate_hyperplane,
@@ -22,6 +23,7 @@ from gonal.atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
+    normal_codes,
     orbit_classes,
     parse_generator_words,
     parse_word,
@@ -217,9 +219,10 @@ def test_orbit_classes_hold_the_codes_of_their_members():
         assert cls.representative == cls.members[0]
 
 
-@pytest.mark.parametrize("code", [0, 2 * 3**3, 3**4, 3**5 + 1])
+@pytest.mark.parametrize("code", [0, -1, 2, 2 * 3 + 1, 2 * 3**3, 2 * 3**3 + 5, 3**4, 3**5 + 1])
 def test_orbit_class_refuses_a_code_that_is_no_normalized_normal(code):
-    # 0 is the zero normal, 2 * 3^3 leads with a 2, 3^4 and past need five digits.
+    # 0 is the zero normal and -1 no code; 2 and 7 lead with a 2 in the low
+    # digit table, 2 * 3^3 (+ 5) in the high one; 3^4 and past need five digits.
     cls = orbit_classes(CoverParams(5, 3, 3))[0]
     bad = replace(cls, codes=(code,) + cls.codes[1:])
     message = f"^{code} is not the code of a normalized normal in F_3\\^4$"
@@ -229,12 +232,35 @@ def test_orbit_class_refuses_a_code_that_is_no_normalized_normal(code):
         bad.representative
 
 
+# (3,2,4) and (5,3,3) give (4, 2) and (4, 3), (7,2,3) gives (6, 2); n is even
+# for every triple, so (5, 3) adds halves of unequal width.
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (6, 2), (5, 3)])
+def test_digit_tables_decode_every_normal_code_like_decode_codes(n, q):
+    codes = normal_codes(n, q)
+    decoded = [tuple(row) for row in decode_codes(codes, n, q).tolist()]
+    assert [_normal_of_code(c, n, q) for c in codes.tolist()] == decoded
+
+
+def test_orbit_class_with_no_codes_has_no_representative():
+    cls = replace(orbit_classes(CoverParams(5, 2, 3))[0], codes=())
+    with pytest.raises(IdentityCheckError, match=r"^orbit with codes \[\] has no representative$"):
+        cls.representative
+
+
 def _corrupted_class_checks():
     """(triple, corrupt(cls, params), expected message(cls, params), force invariance) per check."""
     return [
         pytest.param(
             (3, 2, 4), lambda c, P: replace(c, codes=c.codes[:-1] + c.codes[:1]),
-            lambda c, P: f"orbit of {c.members[0]} has size != 3", False, id="size"),
+            lambda c, P: f"orbit with codes {list(c.codes[:-1] + c.codes[:1])} has size != 3", False,
+            id="size"),
+        pytest.param(
+            (3, 2, 4), lambda c, P: replace(c, codes=()),
+            lambda c, P: "orbit with codes [] has size != 3", False, id="size-empty"),
+        pytest.param(
+            (3, 2, 4), lambda c, P: replace(c, codes=c.codes + (max(c.codes) + 1,)),
+            lambda c, P: f"orbit with codes {[*c.codes, max(c.codes) + 1]} has size != 3", False,
+            id="size-long"),
         pytest.param(
             (5, 3, 3), lambda c, P: replace(c, codes=c.codes[1:] + c.codes[:1]),
             lambda c, P: f"representative {c.members[1]} is not the least orbit member {c.members[0]}",
@@ -488,19 +514,26 @@ def _factor_matrices(action):
     return [gfpoly.eval_at_matrix(f, action.inverse_array, q) for f in factors]
 
 
+def _normal_with_components(action, kept):
+    """e_1 with the components outside `kept` killed: exactly the components `kept`."""
+    params = action.params
+    mats = _factor_matrices(action)
+    v = np.eye(params.n, dtype=np.int64)[0]
+    for i in set(range(len(mats))) - set(kept):
+        v = (v @ mats[i]) % params.q
+    return Hyperplane(v, params.q)
+
+
 @pytest.mark.parametrize("triple", [(13, 3, 5), (13, 3, 3)])
 def test_core_dim_on_every_set_of_primary_components(triple):
     # e_1 generates the whole block under T^-1, so killing the components
     # outside `kept` leaves a normal with exactly those components.
     params = CoverParams(*triple)
     action = build_action(params)
-    mats = _factor_matrices(action)
-    for size in range(1, len(mats) + 1):
-        for kept in combinations(range(len(mats)), size):
-            v = np.eye(params.n, dtype=np.int64)[0]
-            for i in set(range(len(mats))) - set(kept):
-                v = (v @ mats[i]) % params.q
-            h = Hyperplane(v, params.q)
+    k = (params.p - 1) // params.s0
+    for size in range(1, k + 1):
+        for kept in combinations(range(k), size):
+            h = _normal_with_components(action, kept)
             assert core_dim(h, action) == params.n - params.s0 * size == core(h, action).dim
 
 
@@ -533,6 +566,40 @@ def test_core_dim_matches_elimination_on_sparse_normals(drawn):
     action = _ORACLE_ACTIONS[triple]
     h = Hyperplane(v, action.params.q)
     assert core_dim(h, action) == core(h, action).dim
+
+
+def test_core_dim_matches_elimination_on_seeded_random_normals_at_13_3_5():
+    params = CoverParams(13, 3, 5)
+    action = build_action(params)
+    normals = np.random.default_rng(5).integers(0, params.q, size=(200, params.n))
+    for v in normals[normals.any(axis=1)]:
+        h = Hyperplane(v, params.q)
+        assert core_dim(h, action) == core(h, action).dim
+
+
+def test_core_dim_alternating_between_two_component_sets():
+    # Each query replaces the one kept product, so every call rebuilds it.
+    params = CoverParams(13, 3, 5)
+    action = build_action(params)
+    full, part = _normal_with_components(action, (0, 1, 2, 3)), _normal_with_components(action, (1, 3))
+    for h in [part, full] * 3:
+        assert core_dim(h, action) == core(h, action).dim
+    assert core_dim(full, action) == params.n - 12 and core_dim(part, action) == params.n - 6
+
+
+def test_core_dim_does_not_reuse_a_product_built_from_other_tables(monkeypatch):
+    params = CoverParams(13, 3, 5)
+    action = build_action(params)
+    h = _normal_with_components(action, (0, 1, 2, 3))
+    assert core_dim(h, action) == params.n - 12
+    # The same component set on tables whose f_1 is the identity: the product
+    # is C_1, which does not kill h's f_1-component.
+    primary = action.primary
+    factors = primary.factors.copy()
+    factors[0] = np.eye(params.p - 1, dtype=np.int64)
+    monkeypatch.setattr(action, "primary", replace(primary, factors=factors))
+    with pytest.raises(IdentityCheckError, match=r"has components \[0, 1, 2, 3\] but the product"):
+        core_dim(h, action)
 
 
 def test_core_dim_histogram_over_representatives_at_13_3_3():

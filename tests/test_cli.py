@@ -102,7 +102,7 @@ def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
     monkeypatch.setattr("gonal.cli.orbit_classes", short_orbit)
     code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
     assert (code, out) == (1, "")
-    assert err == "identity check failed: orbit of Hyperplane([0, 0, 0, 1], modulus=2) has size != 3\n"
+    assert err == "identity check failed: orbit with codes [1, 2, 1] has size != 3\n"
 
 
 def test_atlas_json_peak_memory_at_7_2_4():

@@ -12,6 +12,7 @@ from gonal.atlas import Hyperplane
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
     Subspace,
+    _code_weights,
     as_residues,
     decode_codes,
     encode_rows,
@@ -417,8 +418,10 @@ def test_inverse_table_is_built_once_and_read_only(q):
 @pytest.mark.parametrize("q,n", [(2, 64), (3, 41), (3, 40), (2, 10**6)])
 def test_codes_past_int64_are_refused(q, n):
     # q^n - 1 > 2^63 - 1: the codes would wrap around instead of sorting like the rows.
-    with pytest.raises(InvalidParamsError, match=f"length {n} over F_{q}.*past the int64 maximum"):
-        encode_rows(np.full((1, n), q - 1, dtype=np.int64), q)
+    # Refused on every call: the cached weights never hold a refused width.
+    for _ in range(2):
+        with pytest.raises(InvalidParamsError, match=f"length {n} over F_{q}.*past the int64 maximum"):
+            encode_rows(np.full((1, n), q - 1, dtype=np.int64), q)
     with pytest.raises(InvalidParamsError, match="past the int64 maximum"):
         decode_codes(np.array([1]), n, q)
 
@@ -428,3 +431,11 @@ def test_the_widest_codes_that_fit_int64_round_trip(q, n):
     top = np.full((1, n), q - 1, dtype=np.int64)
     assert encode_rows(top, q).tolist() == [q**n - 1]
     assert np.array_equal(decode_codes(encode_rows(top, q), n, q), top)
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 12), (7, 5)])
+def test_code_weights_are_built_once_and_read_only(q, n):
+    weights = _code_weights(n, q)
+    assert _code_weights(n, q) is weights
+    assert not weights.flags.writeable
+    assert weights.tolist() == [q**e for e in range(n - 1, -1, -1)]
