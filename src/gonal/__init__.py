@@ -9,9 +9,7 @@ representations.
 from .action import (
     AdaptedAction,
     CoverParams,
-    CyclotomicFactorization,
     build_action,
-    cyclotomic_factor,
     invariant_subspaces,
     order_mod,
     parameter_sweep,
@@ -73,7 +71,6 @@ __all__ = [
     "CapExceededError",
     "CoverParams",
     "CoverReport",
-    "CyclotomicFactorization",
     "FixtureParseError",
     "FrobeniusGroup",
     "GaloisReport",
@@ -92,7 +89,6 @@ __all__ = [
     "conjugate_hyperplane",
     "core",
     "core_dim",
-    "cyclotomic_factor",
     "decomposition_report",
     "enumerate_hyperplanes",
     "enumerate_subgroups_brute",

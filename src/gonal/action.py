@@ -9,7 +9,10 @@ the block-diagonal companion matrix of 1 + x + ... + x^(p-1) built here.
 
 Phi_p splits over F_q into k = (p-1)/s0 irreducible factors of degree
 s0 = ord_p(q), so F_q^n splits into k primary components, each a vector
-space over F_Q, Q = q^s0.  A subspace is invariant exactly when it is a
+space over F_Q, Q = q^s0.  The components are found without factoring
+Phi_p, as the joint eigenspaces of the k Gauss periods
+sum_{c in C} T^(-c), C the cosets of <q> in Z_p^*, which act on each
+component as scalars of F_q.  A subspace is invariant exactly when it is a
 direct sum of one F_Q-subspace of each component, which is how
 :func:`invariant_subspaces` lists them all; their dimensions are
 multiples of s0.
@@ -24,7 +27,6 @@ from itertools import product
 
 import numpy as np
 
-from . import gfpoly
 from .errors import CapExceededError, IdentityCheckError, InvalidParamsError, quoted
 from .fqlinalg import (
     Subspace,
@@ -36,6 +38,7 @@ from .fqlinalg import (
     matpow_array,
     positive_cap,
     row_space_array,
+    rref_array,
 )
 
 
@@ -166,98 +169,111 @@ def parameter_sweep(max_p: int = 13, max_q: int = 7, max_r: int = 6) -> list[Cov
     return out
 
 
-def cyclotomic_poly(p: int) -> gfpoly.Poly:
-    """1 + x + ... + x^(p-1), the minimal polynomial of the action blocks."""
-    return (1,) * p
-
-
-@dataclass(frozen=True)
-class CyclotomicFactorization:
-    """Irreducible factors of 1 + x + ... + x^(p-1) over F_q.
-
-    There are (p-1)/s0 distinct factors, each of degree s0 = ord_p(q);
-    coefficient tuples are lowest-degree-first.
-    """
-
-    p: int
-    q: int
-    s0: int
-    factors: tuple[gfpoly.Poly, ...]
-
-    def cofactor(self, i: int) -> gfpoly.Poly:
-        """Product of all factors except the i-th."""
-        out = gfpoly.ONE
-        for j, f in enumerate(self.factors):
-            if j != i:
-                out = gfpoly.mul(out, f, self.q)
-        return out
-
-
-def cyclotomic_factor(p: int, q: int) -> CyclotomicFactorization:
-    """Factor 1 + x + ... + x^(p-1) into irreducibles over F_q."""
-    if not is_prime(p) or not is_prime(q):
-        raise InvalidParamsError(f"p = {p} and q = {q} must be prime")
-    if p == q:
-        raise InvalidParamsError("p = q leaves no multiplicative order")
-    s0 = order_mod(q, p)
-    phi = cyclotomic_poly(p)
-    factors = tuple(gfpoly.equal_degree_factors(phi, s0, q))
-    # Postconditions pin down the factorization exactly.
-    if len(factors) != (p - 1) // s0:
-        raise IdentityCheckError(
-            f"Phi_{p} over F_{q} split into {len(factors)} factors, "
-            f"expected (p-1)/s0 = {(p - 1) // s0}"
-        )
-    wrong = [f for f in factors if gfpoly.degree(f) != s0]
-    if wrong:
-        raise IdentityCheckError(f"factor {wrong[0]} of Phi_{p} over F_{q} has degree != s0 = {s0}")
-    if len(set(factors)) != len(factors):
-        raise IdentityCheckError(f"Phi_{p} over F_{q} has a repeated factor: {factors}")
-    prod = gfpoly.ONE
-    for f in factors:
-        prod = gfpoly.mul(prod, f, q)
-    if prod != tuple(c % q for c in phi):
-        raise IdentityCheckError(f"factors of Phi_{p} over F_{q} multiply to {prod}, not Phi_{p}")
-    return CyclotomicFactorization(p=p, q=q, s0=s0, factors=factors)
-
-
 @dataclass(frozen=True)
 class PrimaryProjections:
     """The primary decomposition of the dual action v -> v T^(-1), per block.
 
-    Phi_p = f_1 ... f_k over F_q with k = (p-1)/s0, so each (p-1)-entry block
-    of a normal splits into components in ker f_i(B^(-1)), B the companion
-    block.  Both arrays are read-only:
+    Phi_p = f_1 ... f_k over F_q with k = (p-1)/s0, so a (p-1)-entry block of
+    a normal splits into components in V_i = {v : v f_i(B^(-1)) = 0}, B the
+    companion block, each of dimension s0.  Both arrays are read-only:
 
-    cofactors: the (p-1, k(p-1)) stack [C_1 | ... | C_k], C_i = (Phi_p/f_i)(B^(-1));
-        a block v has v C_i != 0 exactly when its f_i-component is nonzero.
-    factors: (k, p-1, p-1), factors[i] = f_i(B^(-1)).
+    basis: U, the canonical (RREF) bases of V_1, ..., V_k stacked, s0 rows each.
+    coordinates: U^(-1), so a block v is (v U^(-1)) U, and its V_i-component is
+        nonzero exactly when the i-th s0 entries of v U^(-1) are.
     """
 
     s0: int
-    cofactors: np.ndarray
-    factors: np.ndarray
-    # ((q, mask bytes), product) of the last `annihilator` call; `replace` starts it empty.
-    _annihilator_last: tuple = field(default=(None, None), init=False, compare=False, repr=False)
+    basis: np.ndarray
+    coordinates: np.ndarray
 
-    def annihilator(self, components: np.ndarray, q: int) -> np.ndarray:
-        """prod_{i in J} factors[i] mod q, J the True entries of the bool mask
-        `components` (the identity for an empty J); read-only.
+    @classmethod
+    def from_components(
+        cls, components: list[np.ndarray], block: np.ndarray, q: int
+    ) -> PrimaryProjections:
+        """The tables for `components` (row bases), claimed to be those of v -> v `block`.
 
-        Only the last product is kept: there are 2^k - 1 sets J, each costing
-        a (p-1)^2 matrix, and random normals almost always have every component.
+        IdentityCheckError with a witness unless there are (p-1)/s0 of them,
+        each of dimension s0 and invariant, with stacked rank p - 1.  Phi_p is
+        squarefree with every factor of degree s0, so an invariant space of
+        dimension s0 is one component: the checks pin the decomposition down.
         """
-        key = (q, components.tobytes())
-        # One read of the slot, so a call never returns a product another thread keyed.
-        last = self._annihilator_last
-        if last[0] != key:
-            out = np.eye(self.factors.shape[1], dtype=np.int64)
-            for f in self.factors[components]:
-                out = (out @ f) % q
-            out.flags.writeable = False
-            last = (key, out)
-            object.__setattr__(self, "_annihilator_last", last)
-        return last[1]
+        d = block.shape[0]
+        s0 = order_mod(q, d + 1)
+        dims = [c.shape[0] for c in components]
+        if dims != [s0] * (d // s0):
+            raise IdentityCheckError(
+                f"F_{q}^{d} split into spaces of dimensions {dims}, "
+                f"not (p-1)/s0 = {d // s0} of dimension s0 = {s0}"
+            )
+        basis = np.vstack(components)
+        eye = np.eye(d, dtype=np.int64)
+        # [U | I] reduces to [I | U^-1] exactly when U is invertible.
+        red, pivots = rref_array(np.hstack([basis, eye]), q)
+        rank = sum(c < d for c in pivots)
+        if rank != d:
+            raise IdentityCheckError(
+                f"the {len(dims)} components have stacked rank {rank}, not p - 1 = {d}"
+            )
+        coordinates = np.ascontiguousarray(red[:, d:])
+        wrong = np.argwhere((basis @ coordinates) % q != eye)
+        if wrong.size:
+            raise IdentityCheckError(f"U U^-1 differs from the identity at entry {tuple(wrong[0].tolist())}")
+        # Invariance: U B U^-1 has nothing outside its diagonal s0 x s0 blocks.
+        moved = (basis @ block % q) @ coordinates % q
+        owner = np.arange(d) // s0
+        stray = np.argwhere(moved * (owner[:, None] != owner[None, :]))
+        if stray.size:
+            row, col = stray[0].tolist()
+            raise IdentityCheckError(
+                f"component {row // s0} with basis {components[row // s0].tolist()} is not "
+                f"invariant: its row {row % s0} moves into component {col // s0}"
+            )
+        basis.flags.writeable = False
+        coordinates.flags.writeable = False
+        return cls(s0, basis, coordinates)
+
+
+def _gauss_period_eigenspaces(block: np.ndarray, q: int) -> list[np.ndarray]:
+    """Canonical bases of the joint eigenspaces of v -> v eta_C(M), M = `block`.
+
+    eta_C(M) = sum_{c in C} M^c for each coset C of <q> in Z_p^*, p - 1 the
+    size of M.  Frobenius permutes each C, so eta_C(M) is a scalar of F_q on
+    every primary component, and the k = (p-1)/s0 periods span Berlekamp's
+    subalgebra F_q^k of F_q[M], so together they separate the components.
+    Each space is split by the nonzero kernels of eta_C(M) - lambda on it,
+    lambda in F_q; a space of dimension s0 cannot split and is kept.
+    """
+    d = block.shape[0]
+    p, s0 = d + 1, order_mod(q, d + 1)
+    coset = [-1] * p
+    k = 0
+    for a in range(1, p):
+        if coset[a] < 0:
+            for j in range(s0):
+                coset[a * pow(q, j, p) % p] = k
+            k += 1
+    periods = np.zeros((k, d, d), dtype=np.int64)
+    power = np.eye(d, dtype=np.int64)
+    for c in range(1, p):
+        power = (power @ block) % q
+        periods[coset[c]] += power
+    spaces = [np.eye(d, dtype=np.int64)]
+    for period in periods % q:
+        split = []
+        for space in spaces:
+            if space.shape[0] == s0:
+                split.append(space)
+                continue
+            image, left = (space @ period) % q, space.shape[0]
+            for value in range(q):
+                if not left:
+                    break
+                coefficients = kernel_array((image - value * space).T, q)
+                if coefficients.size:
+                    split.append((coefficients @ space) % q)
+                    left -= coefficients.shape[0]
+        spaces = split
+    return [row_space_array(space, q) for space in spaces]
 
 
 def _companion_block(p: int, q: int) -> np.ndarray:
@@ -292,11 +308,16 @@ class AdaptedAction:
         p, q = self.params.p, self.params.q
         n = self.params.n
         eye = np.eye(n, dtype=np.int64)
-        if not np.array_equal(matpow_array(self._matrix, p, q), eye):
+        # One running product gives both T^p and 1 + T + ... + T^(p-1).
+        power, total = eye, np.zeros((n, n), dtype=np.int64)
+        for _ in range(p):
+            total += power
+            power = (power @ self._matrix) % q
+        if not np.array_equal(power, eye):
             raise IdentityCheckError(f"action for {self.params} does not have order p = {p}")
         if np.array_equal(self._matrix, eye):
             raise IdentityCheckError(f"action for {self.params} is trivial")
-        annihilated = gfpoly.eval_at_matrix(cyclotomic_poly(p), self._matrix, q)
+        annihilated = total % q
         if annihilated.any():
             raise IdentityCheckError(
                 f"1 + T + ... + T^(p-1) does not vanish for {self.params}: "
@@ -318,18 +339,11 @@ class AdaptedAction:
         """Primary projections of the dual action, built on first use.
 
         The action is block-diagonal with one block repeated r-2 times, so
-        the projections are evaluated at that block of the inverse.
+        the components are those of that block of the inverse.
         """
-        p, q = self.params.p, self.params.q
-        fact = cyclotomic_factor(p, q)
-        inv_block = self._inverse[: p - 1, : p - 1]
-        cofactors = np.hstack(
-            [gfpoly.eval_at_matrix(fact.cofactor(i), inv_block, q) for i in range(len(fact.factors))]
-        )
-        factors = np.stack([gfpoly.eval_at_matrix(f, inv_block, q) for f in fact.factors])
-        cofactors.flags.writeable = False
-        factors.flags.writeable = False
-        return PrimaryProjections(fact.s0, cofactors, factors)
+        block = self._inverse[: self.params.p - 1, : self.params.p - 1]
+        q = self.params.q
+        return PrimaryProjections.from_components(_gauss_period_eigenspaces(block, q), block, q)
 
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"
@@ -345,11 +359,13 @@ def invariant_subspaces(action: AdaptedAction, cap: int) -> list[Subspace]:
 
     W is invariant iff W = W_1 + ... + W_k with W_i an F_Q-subspace of the
     primary component V_i = ker f_i(T^(-1)), Q = q^s0.  In one block V_i is
-    U_i = ker f_i(B^(-1)), B the companion block: a copy of F_Q whose first
-    row u_i plays 1, and whose q^s0 vectors are its elements.  So the
-    F_Q-echelon forms over the r-2 blocks (u_i in pivot blocks, any vector
-    of U_i in free ones) list the W_i once each, and a form's F_q-span
-    under B^(-j), j < s0, is its F_Q-span.
+    C_i, the span of the i-th s0 columns of U^(-1) (`PrimaryProjections`):
+    U U^(-1) = I puts them in the annihilator of the other row components,
+    which is T-invariant of dimension s0 as they are.  C_i is a copy of F_Q
+    whose first canonical row u_i plays 1, and whose q^s0 vectors are its
+    elements.  So the F_Q-echelon forms over the r-2 blocks (u_i in pivot
+    blocks, any vector of C_i in free ones) list the W_i once each, and a
+    form's F_q-span under B^(-j), j < s0, is its F_Q-span.
 
     The closed-form count (sum_e [r-2 choose e]_Q)^k past `cap` is refused
     with CapExceededError before anything is built.  IdentityCheckError,
@@ -367,11 +383,12 @@ def invariant_subspaces(action: AdaptedAction, cap: int) -> list[Subspace]:
         )
     step = action.inverse_array.T
     coefficients = decode_codes(np.arange(size), s0, q)
+    columns = action.primary.coordinates
     summands = []
-    for i, factor in enumerate(action.primary.factors):
-        piece = kernel_array(factor, q)
+    for i in range(k):
+        piece = row_space_array(columns[:, i * s0 : (i + 1) * s0].T, q)
         if piece.shape[0] != s0:
-            raise IdentityCheckError(f"ker f_{i + 1}(B^-1) has dim {piece.shape[0]}, not s0 = {s0}")
+            raise IdentityCheckError(f"column component {i} has dim {piece.shape[0]}, not s0 = {s0}")
         spans = []
         for e in range(blocks + 1):
             for form in iter_echelon_forms(blocks, e, piece[0], coefficients @ piece % q):

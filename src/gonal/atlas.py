@@ -195,11 +195,10 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     The conjugate normals h T^(-j) span the cyclic module of h under
     v -> v T^(-1), of dimension deg of h's minimal polynomial.  Phi_p is
     squarefree, so that polynomial is the product of the f_i over
-    J = {i : h has a nonzero f_i-component}, found by one product with the
-    cofactor stack; core dim = n - s0 |J|.  h times prod_{i in J} f_i(T^(-1))
-    (one product, `PrimaryProjections.annihilator`) must vanish, which pins
-    the minimal polynomial down to that product; IdentityCheckError with a
-    witness if it does not.
+    J = {i : h has a nonzero f_i-component}, read off the coordinates
+    h U^(-1) of each block in the stacked component bases U; core dim =
+    n - s0 |J|.  Those coordinates times U must give h back, else
+    IdentityCheckError naming h, J and the entry that differs.
     """
     params = action.params
     p, q, n = params.p, params.q, params.n
@@ -207,14 +206,14 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
         raise InvalidParamsError("hyperplane and action live over different spaces")
     primary = action.primary
     blocks = np.array(h.normal, dtype=np.int64).reshape(params.r - 2, p - 1)
-    parts = (blocks @ primary.cofactors) % q
-    components = parts.reshape(params.r - 2, -1, p - 1).any(axis=(0, 2))
-    rest = (blocks @ primary.annihilator(components, q)) % q
+    parts = (blocks @ primary.coordinates) % q
+    components = parts.reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
+    rest = (parts @ primary.basis - blocks) % q
     if rest.any():
         block, entry = np.argwhere(rest)[0].tolist()
         raise IdentityCheckError(
-            f"{h} has components {np.flatnonzero(components).tolist()} but the product of "
-            f"their factors at T^-1 leaves entry {block * (p - 1) + entry} nonzero"
+            f"{h} has components {np.flatnonzero(components).tolist()} but their bases "
+            f"do not give back entry {block * (p - 1) + entry}"
         )
     return n - primary.s0 * int(np.count_nonzero(components))
 
@@ -493,9 +492,9 @@ def galois_closure(
     k = n - dim(core), the core dimension read by core_dim (no elimination,
     no conjugate built).  The composite itself is never Galois here: an
     invariant hyperplane has h T^(-1) = c h, gcd(p, q-1) = 1 forces c = 1,
-    and then every f_i-component of h is nonzero while the product of all
-    f_i(T^(-1)) multiplies h by Phi_p(1) = p, a unit mod the prime q != p,
-    so core_dim raises IdentityCheckError on it.
+    and then h Phi_p(T^(-1)) = p h, which is nonzero for the prime q != p,
+    while Phi_p(T^(-1)) = 0.  So no normal is invariant, and no guard for
+    one is needed.
     """
     if action is None:
         action = build_action(params)

@@ -54,6 +54,15 @@ def _integers(values, what: str, length: int | None = None) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+def _refuse_overflow(weight: int, vec: np.ndarray, what: str, terms: str) -> None:
+    """InvalidParamsError when `weight` times max |vec|, which bounds every entry
+    of a sum of `weight` copies of vec up to sign, reaches 2^63, where int64 wraps."""
+    # The uint64 view reads |-2^63|, which wraps to itself in int64, as 2^63.
+    peak = int(np.abs(vec).view(np.uint64).max(initial=0))
+    if weight * peak >= 2**63:
+        raise InvalidParamsError(f"{what} may overflow int64: {terms} on entries up to {peak} in size")
+
+
 class FrobeniusGroup:
     """The semidirect product N x| P, its elements coded as integers.
 
@@ -231,13 +240,7 @@ class GroupRingOperator:
         """
         vec = _integers(vec, "group-ring vectors", self.group.order)
         weight = sum(abs(c) for c in self.terms.values())
-        # The uint64 view reads |-2^63|, which wraps to itself in int64, as 2^63.
-        peak = int(np.abs(vec).view(np.uint64).max(initial=0))
-        if weight * peak >= 2**63:
-            raise InvalidParamsError(
-                f"group-ring product may overflow int64: coefficients of total size {weight} "
-                f"on entries up to {peak} in size"
-            )
+        _refuse_overflow(weight, vec, "group-ring product", f"coefficients of total size {weight}")
         out = np.zeros_like(vec)
         for g, c in self.terms.items():
             moved = np.zeros_like(vec)
@@ -259,9 +262,18 @@ def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray
     b^(q-1)): (n-1)(q-1) permutations instead of q^(n-1).  Each factor holds
     the inverse (q-j) b of every term j b, so gathering along the left
     permutations (g z = z[perm of g^-1]) gives the same sum as scattering.
+
+    InvalidParamsError unless the rows have length n (a longer row would code
+    a twist, not a translation), or when the q^rows terms of the sum on
+    entries up to max |vec| may reach 2^63, where int64 wraps.
     """
-    q = group.params.q
+    q, n = group.params.q, group.params.n
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[1] != n:
+        raise InvalidParamsError(f"subgroup basis of shape {basis.shape}: need rows of length {n}")
     out = _integers(vec, "group-ring vectors", group.order)
+    terms = q ** basis.shape[0]
+    _refuse_overflow(terms, out, "subgroup sum", f"{terms} terms")
     for row_codes in _multiple_codes(basis, q):
         acc = out.copy()
         for code in row_codes[1:]:

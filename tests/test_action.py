@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ import pytest
 import gonal.action as action_module
 from gonal.action import (
     CoverParams,
+    PrimaryProjections,
     build_action,
-    cyclotomic_factor,
     invariant_subspaces,
     order_mod,
     parameter_sweep,
 )
 from gonal.atlas import enumerate_subgroups_brute, orbit_classes
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
-from gonal.fqlinalg import Subspace, gaussian_count, matpow_array
+from gonal.fqlinalg import Subspace, gaussian_count, is_prime, kernel_array, matpow_array
 
 
 def test_order_mod_values():
@@ -113,27 +114,100 @@ def test_action_has_exact_order_p(p, q, r):
     assert np.array_equal((action.matrix_array @ action.inverse_array) % q, eye)
 
 
-@pytest.mark.parametrize(
-    "p,q,factor_count,factor_degree",
-    [(5, 2, 1, 4), (3, 2, 1, 2), (13, 3, 4, 3)],
-)
-def test_cyclotomic_factor_shapes(p, q, factor_count, factor_degree):
-    fact = cyclotomic_factor(p, q)
-    assert len(fact.factors) == factor_count
-    assert all(len(f) - 1 == factor_degree for f in fact.factors)
-    assert fact.s0 == factor_degree
-
-
-@pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (13, 3), (11, 3), (7, 5)])
-def test_cyclotomic_factor_matches_sympy(p, q):
+def sympy_factors(p: int, q: int) -> list[list[int]]:
+    """Irreducible factors of Phi_p over F_q from sympy, coefficients highest degree first."""
     from sympy import Poly, cyclotomic_poly, symbols
 
     x = symbols("x")
     _, factors = Poly(cyclotomic_poly(p, x), x, modulus=q).factor_list()
     assert [mult for _, mult in factors] == [1] * len(factors)
-    # sympy lists coefficients highest degree first, in the symmetric range.
-    expected = {tuple(int(c) % q for c in reversed(f.all_coeffs())) for f, _ in factors}
-    assert set(cyclotomic_factor(p, q).factors) == expected
+    return [[int(c) % q for c in f.all_coeffs()] for f, _ in factors]
+
+
+def evaluate(coeffs: list[int], m: np.ndarray, q: int) -> np.ndarray:
+    """The polynomial with `coeffs` (highest degree first) at the square matrix m, by Horner."""
+    out = np.zeros_like(m)
+    for c in coeffs:
+        out = (out @ m + c * np.eye(len(m), dtype=np.int64)) % q
+    return out
+
+
+def _components(action) -> list[np.ndarray]:
+    s0 = action.primary.s0
+    basis = action.primary.basis
+    return [basis[i : i + s0] for i in range(0, len(basis), s0)]
+
+
+@pytest.mark.parametrize(
+    "p,q,factor_count,factor_degree",
+    [(5, 2, 1, 4), (3, 2, 1, 2), (13, 3, 4, 3)],
+)
+def test_cyclotomic_factor_shapes(p, q, factor_count, factor_degree):
+    # One primary component per irreducible factor of Phi_p, of its degree.
+    action = build_action(CoverParams(p, q, 3, allow_small_genus=True))
+    assert action.primary.s0 == factor_degree
+    assert [c.shape[0] for c in _components(action)] == [factor_degree] * factor_count
+
+
+_ORACLE_PAIRS = [
+    (p, q)
+    for p in range(3, 44)
+    for q in (2, 3, 5, 7)
+    if p % 2 and is_prime(p) and p != q and math.gcd(p, q - 1) == 1
+]
+
+
+@pytest.mark.parametrize("p,q", _ORACLE_PAIRS)
+def test_cyclotomic_factor_matches_sympy(p, q):
+    # Every component is {v : v f(B^-1) = 0} for exactly one of sympy's factors f.
+    action = build_action(CoverParams(p, q, 3, allow_small_genus=True))
+    inv_block = action.inverse_array
+    kernels = [kernel_array(evaluate(f, inv_block, q).T, q) for f in sympy_factors(p, q)]
+    for component in _components(action):
+        matches = [ker for ker in kernels if np.array_equal(ker, component)]
+        assert len(matches) == 1
+    assert len(kernels) == len(_components(action))
+
+
+def test_primary_build_refuses_a_space_that_is_not_invariant():
+    # The first three coordinates, with the second true component: full rank, not invariant.
+    action = build_action(CoverParams(7, 2, 3))
+    block = action.inverse_array
+    first = np.eye(6, dtype=np.int64)[:3]
+    with pytest.raises(IdentityCheckError, match=r"component 0 with basis \[\[1, 0, 0, 0, 0, 0\], "
+                       r".* is not invariant: its row \d moves into component 1"):
+        PrimaryProjections.from_components([first, _components(action)[1]], block, 2)
+
+
+def test_primary_build_refuses_a_repeated_component():
+    action = build_action(CoverParams(7, 2, 3))
+    twice = [_components(action)[0]] * 2
+    with pytest.raises(IdentityCheckError, match=r"the 2 components have stacked rank 3, not p - 1 = 6"):
+        PrimaryProjections.from_components(twice, action.inverse_array, 2)
+
+
+def test_primary_build_refuses_a_wrong_inverse(monkeypatch):
+    # An elimination that returns [I | U^-1] with one entry of U^-1 changed.
+    def corrupted(a, q):
+        red, pivots = row_reduce(a, q)
+        red[0, -1] = (red[0, -1] + 1) % q
+        return red, pivots
+
+    row_reduce = action_module.rref_array
+    monkeypatch.setattr(action_module, "rref_array", corrupted)
+    with pytest.raises(IdentityCheckError, match=r"U U\^-1 differs from the identity at entry \(\d+, 5\)"):
+        build_action(CoverParams(7, 2, 3)).primary
+
+
+def test_validate_refuses_an_action_that_phi_p_does_not_annihilate(monkeypatch):
+    # The companion of x^3 + x + 1, a factor of Phi_7 over F_2, beside the
+    # identity: order 7 and nontrivial, but Phi_7(1) = 7 = 1 on the identity part.
+    block = np.eye(6, dtype=np.int64)
+    block[:3, :3] = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+    monkeypatch.setattr(action_module, "_companion_block", lambda p, q: block)
+    with pytest.raises(IdentityCheckError, match=r"1 \+ T \+ ... \+ T\^\(p-1\) does not vanish "
+                       r"for .*: nonzero entry at \(3, 3\)"):
+        build_action(CoverParams(7, 2, 3))
 
 
 def brute_invariant_subspaces(action) -> set:
@@ -244,23 +318,23 @@ def test_invariant_subspace_count_check_fails_on_a_wrong_closed_form(monkeypatch
 
 
 def test_invariant_subspace_count_check_fails_on_corrupted_factors():
-    # Both primary components of (7,2,4) read from the first factor: the 121
-    # listed sums are the 11 subspaces of that component, over and over.
+    # Both column components of (7,2,4) read from the first s0 columns of
+    # U^-1: the 121 listed sums are the 11 subspaces of that component, over and over.
     action = build_action(CoverParams(7, 2, 4))
     primary = action.primary
-    twice = np.stack([primary.factors[0]] * 2)
-    action.__dict__["primary"] = dataclasses.replace(primary, factors=twice)
+    twice = np.hstack([primary.coordinates[:, :3]] * 2)
+    action.__dict__["primary"] = dataclasses.replace(primary, coordinates=twice)
     with pytest.raises(IdentityCheckError, match="listed 121 invariant subspaces of F_2\\^12, 11 distinct"):
         invariant_subspaces(action, cap=1000)
 
 
 def test_invariant_subspace_listing_fails_on_a_subspace_that_is_not_invariant():
-    # A "factor" whose kernel, the first three coordinates, is no primary
+    # Columns of U^-1 whose span, the first three coordinates, is no primary
     # component: the listing keeps its count but not its invariance.
     action = build_action(CoverParams(7, 2, 3))
     primary = action.primary
-    factors = np.stack([np.diag([0, 0, 0, 1, 1, 1]), primary.factors[1]])
-    action.__dict__["primary"] = dataclasses.replace(primary, factors=factors)
+    columns = np.hstack([np.eye(6, dtype=np.int64)[:, :3], primary.coordinates[:, 3:]])
+    action.__dict__["primary"] = dataclasses.replace(primary, coordinates=columns)
     with pytest.raises(IdentityCheckError, match=r"basis \[\[1, 0, 0, 0, 0, 0\], .* is not T-invariant"):
         invariant_subspaces(action, cap=1000)
 

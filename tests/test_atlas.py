@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gonal import atlas, gfpoly
-from gonal.action import CoverParams, PrimaryProjections, build_action, cyclotomic_factor
+from gonal import atlas
+from gonal.action import CoverParams, build_action
 from gonal.atlas import (
     Hyperplane,
     _normal_of_code,
@@ -508,10 +508,20 @@ def test_core_dim_matches_elimination_on_every_class_member(p, q, r):
 
 
 def _factor_matrices(action):
-    # f_i(T^-1) on the whole space, evaluated directly rather than per block.
+    """f(T^-1) on the whole space for each of sympy's irreducible factors f of Phi_p
+    over F_q, so the component sets below do not rest on the package's tables."""
+    from sympy import Poly, cyclotomic_poly, symbols
+
     p, q = action.params.p, action.params.q
-    factors = cyclotomic_factor(p, q).factors
-    return [gfpoly.eval_at_matrix(f, action.inverse_array, q) for f in factors]
+    x = symbols("x")
+    _, factors = Poly(cyclotomic_poly(p, x), x, modulus=q).factor_list()
+    mats = []
+    for f, _ in factors:
+        out = np.zeros_like(action.inverse_array)
+        for c in f.all_coeffs():
+            out = (out @ action.inverse_array + int(c) * np.eye(action.params.n, dtype=np.int64)) % q
+        mats.append(out)
+    return mats
 
 
 def _normal_with_components(action, kept):
@@ -578,7 +588,6 @@ def test_core_dim_matches_elimination_on_seeded_random_normals_at_13_3_5():
 
 
 def test_core_dim_alternating_between_two_component_sets():
-    # Each query replaces the one kept product, so every call rebuilds it.
     params = CoverParams(13, 3, 5)
     action = build_action(params)
     full, part = _normal_with_components(action, (0, 1, 2, 3)), _normal_with_components(action, (1, 3))
@@ -592,13 +601,13 @@ def test_core_dim_does_not_reuse_a_product_built_from_other_tables(monkeypatch):
     action = build_action(params)
     h = _normal_with_components(action, (0, 1, 2, 3))
     assert core_dim(h, action) == params.n - 12
-    # The same component set on tables whose f_1 is the identity: the product
-    # is C_1, which does not kill h's f_1-component.
+    # Tables whose U^-1 is the identity: h = e_1 reads as a first component
+    # alone, and U times it is not h.
     primary = action.primary
-    factors = primary.factors.copy()
-    factors[0] = np.eye(params.p - 1, dtype=np.int64)
-    monkeypatch.setattr(action, "primary", replace(primary, factors=factors))
-    with pytest.raises(IdentityCheckError, match=r"has components \[0, 1, 2, 3\] but the product"):
+    eye = np.eye(params.p - 1, dtype=np.int64)
+    monkeypatch.setattr(action, "primary", replace(primary, coordinates=eye))
+    with pytest.raises(IdentityCheckError, match=r"has components \[0\] but their bases "
+                       r"do not give back entry \d+"):
         core_dim(h, action)
 
 
@@ -613,38 +622,34 @@ def test_core_dim_histogram_over_representatives_at_13_3_3():
     assert observed == core_histogram(params) == {9: 4, 6: 156, 3: 2704, 0: 17576}
 
 
-def test_galois_closure_rejects_a_corrupted_cofactor_stack(monkeypatch):
+def test_galois_closure_rejects_a_corrupted_coordinate_table(monkeypatch):
     params = CoverParams(13, 3, 3)
     action = build_action(params)
     primary = action.primary
-    assert not primary.cofactors.flags.writeable and not primary.factors.flags.writeable
-    # Zeroing C_1 hides every f_1-component: J loses index 0 and the product
-    # over the rest no longer annihilates the normal.
-    cofactors = primary.cofactors.copy()
-    cofactors[:, : params.p - 1] = 0
-    monkeypatch.setattr(action, "primary", replace(primary, cofactors=cofactors))
+    assert not primary.basis.flags.writeable and not primary.coordinates.flags.writeable
+    # Zeroing the first s0 columns of U^-1 hides every first component: J
+    # loses index 0 and the coordinates no longer give the normal back.
+    coordinates = primary.coordinates.copy()
+    coordinates[:, : params.s0] = 0
+    monkeypatch.setattr(action, "primary", replace(primary, coordinates=coordinates))
     h = Hyperplane.from_subspace(parse_generator_words(read_fixture("L1.gens"), params))
-    with pytest.raises(IdentityCheckError, match="components"):
+    with pytest.raises(IdentityCheckError, match=r"has components \[1, 2, 3\] but their bases"):
         galois_closure(h, params, action)
 
 
-@pytest.mark.parametrize("p,q,r", [(7, 2, 3), (5, 3, 3)])
+@pytest.mark.parametrize("p,q,r", [(7, 2, 3), (13, 3, 3)])
 def test_galois_closure_raises_when_every_hyperplane_is_invariant(p, q, r):
-    # Projections evaluated at the identity block describe a trivial action,
-    # which fixes every hyperplane: core_dim's annihilation check must refuse
-    # each one, with no separate invariance guard.
+    # An inverse that is the identity would fix every hyperplane; its block
+    # has one eigenspace per period, so building the tables refuses it.
+    # (With k = 1 the whole block is the one component and no table check
+    # can tell; building the action refuses an identity matrix.)
     params = CoverParams(p, q, r)
     action = build_action(params)
-    fact = cyclotomic_factor(p, q)
-    eye = np.eye(p - 1, dtype=np.int64)
-    action.__dict__["primary"] = PrimaryProjections(
-        fact.s0,
-        np.hstack([gfpoly.eval_at_matrix(fact.cofactor(i), eye, q) for i in range(len(fact.factors))]),
-        np.stack([gfpoly.eval_at_matrix(f, eye, q) for f in fact.factors]),
-    )
-    for h in enumerate_hyperplanes(params):
-        with pytest.raises(IdentityCheckError, match="components"):
-            galois_closure(h, params, action)
+    action._inverse = np.eye(params.n, dtype=np.int64)
+    h = next(enumerate_hyperplanes(params))
+    with pytest.raises(IdentityCheckError, match=rf"^F_{q}\^{p - 1} split into spaces of dimensions "
+                       rf"\[{p - 1}\], not \(p-1\)/s0 = {(p - 1) // params.s0} of dimension"):
+        galois_closure(h, params, action)
 
 
 def test_core_dim_rejects_a_foreign_hyperplane():

@@ -242,6 +242,27 @@ def test_group_ring_operator_refuses_a_product_past_int64(terms, vec):
     assert (GroupRingOperator(group, {0: 2}).apply(top) == 2**63 - 2).all()
 
 
+def test_subgroup_sum_refuses_a_basis_whose_rows_are_not_of_length_n():
+    # A width-5 row at n = 4 has the code 16, a twist, which was summed in.
+    group = build_group(CoverParams(5, 2, 3))
+    vec = np.arange(80, dtype=np.int64)
+    for basis in (np.array([[0, 0, 0, 0, 1]]), np.array([1, 0, 0, 0]), np.array([[1, 0, 0]])):
+        with pytest.raises(InvalidParamsError, match=r"^subgroup basis of shape .*: need rows of length 4$"):
+            apply_subgroup_sum(group, basis, vec)
+
+
+def test_subgroup_sum_refuses_a_sum_past_int64():
+    # L = [1,0,0,0] has 8 elements: 8 * 2^61 = 2^64 wrapped to zeros.
+    group = build_group(CoverParams(5, 2, 3))
+    basis = Hyperplane([1, 0, 0, 0], 2).kernel().basis_array
+    with pytest.raises(InvalidParamsError, match=r"^subgroup sum may overflow int64: 8 terms on entries "
+                       r"up to 2305843009213693952 in size$"):
+        apply_subgroup_sum(group, basis, np.full(80, 2**61))
+    # Just below the bound the sum is exact.
+    top = np.full(80, 2**60 - 1)
+    assert (apply_subgroup_sum(group, basis, top) == 8 * (2**60 - 1)).all()
+
+
 def test_element_codes_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
     with pytest.raises(InvalidParamsError, match="element codes must be int64 integers, got float64"):

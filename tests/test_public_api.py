@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "CapExceededError",
     "CoverParams",
     "CoverReport",
-    "CyclotomicFactorization",
     "FixtureParseError",
     "FrobeniusGroup",
     "GaloisReport",
@@ -27,7 +26,6 @@ PUBLIC_NAMES = [
     "conjugate_hyperplane",
     "core",
     "core_dim",
-    "cyclotomic_factor",
     "decomposition_report",
     "enumerate_hyperplanes",
     "enumerate_subgroups_brute",
