@@ -95,31 +95,45 @@ def as_residues(a, q: int) -> np.ndarray:
 def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_q; returns (R, pivot columns).
 
-    R keeps the input shape (zero rows trail); rank = len(pivots).
+    `a` is a vector (read as one row) or a 2-d array of integers; R is a fresh
+    array of its rows x cols shape (zero rows trail); rank = len(pivots).
+    InvalidParamsError for any other shape or a modulus that is not prime.
+
+    Each pivot is one rank-1 update: the scaled pivot row is subtracted from
+    every row as the outer product of the pivot column with it, the old row r
+    moves into the pivot's slot (no swap), and the update is skipped when no
+    other row has a nonzero entry in the pivot column.
     """
+    q = check_prime_modulus(q)
     a = as_residues(a, q)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    elif a.ndim != 2:
+        raise InvalidParamsError(f"expected a vector or a 2-d array, got shape {a.shape}")
     rows, cols = a.shape
-    inv = inverse_table(q)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
+        col = a[:, c].tolist()
+        for piv in range(r, rows):
+            if col[piv]:
+                break
+        else:
             continue
-        piv = r + int(nz[0])
+        scale = pow(col[piv], -1, q)
+        prow = a[piv] * scale % q if scale != 1 else a[piv].copy()
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * inv[a[r, c]] % q
-        sel = a[:, c].copy()
-        sel[r] = 0
-        # Full width in place: at these sizes slicing off reduced columns costs more.
-        if sel.any():
-            a -= sel[:, None] * a[r]
+            a[piv] = a[r]
+            col[piv] = col[r]
+        col[r] = 0
+        if any(col):
+            a -= np.multiply.outer(col, prow)
+            a[r] = prow
             a %= q
+        else:
+            a[r] = prow
         pivots.append(c)
         r += 1
     return a, pivots
@@ -131,24 +145,27 @@ def kernel_array(a: np.ndarray, q: int) -> np.ndarray:
     Let J reverse the columns and R' = rref(a J), pivots p'_i.  Each free f gives x_f =
     J (e_f - sum_i R'[i, f] e_{p'_i}) in ker(a): a 1 at n-1-f, all else right of it (R'[i, f] = 0
     unless p'_i < f) on the n-1-p'_i, which lead no row.  So the x_f by descending f are the RREF.
+    `a` is a vector or a 2-d array, as for rref_array.
     """
-    red, pivots = rref_array(np.atleast_2d(np.asarray(a))[:, ::-1], q)
+    a = np.asarray(a)
+    if a.ndim not in (1, 2):
+        raise InvalidParamsError(f"expected a vector or a 2-d array, got shape {a.shape}")
+    red, pivots = rref_array(a[..., ::-1], q)
     cols = red.shape[1]
     rank = len(pivots)
     if rank == cols:
         return np.zeros((0, cols), dtype=np.int64)
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)[::-1]
+    taken = set(pivots)
+    free = [f for f in range(cols - 1, -1, -1) if f not in taken]
     basis = np.zeros((cols - rank, cols), dtype=np.int64)
-    basis[np.arange(cols - rank), cols - 1 - free] = 1
-    basis[:, cols - 1 - np.array(pivots, dtype=np.intp)] = (-red[:rank, free].T) % q
+    basis[range(cols - rank), [cols - 1 - f for f in free]] = 1
+    basis[:, [cols - 1 - c for c in pivots]] = (-red[:rank, free].T) % q
     return basis
 
 
 def row_space_array(a: np.ndarray, q: int) -> np.ndarray:
-    """Canonical RREF basis of the row space of `a`, zero rows removed."""
-    red, pivots = rref_array(np.atleast_2d(np.asarray(a)), q)
+    """Canonical RREF basis of the row space of `a` (as for rref_array), zero rows removed."""
+    red, pivots = rref_array(a, q)
     return red[: len(pivots)]
 
 

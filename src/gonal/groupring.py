@@ -39,7 +39,7 @@ from .errors import (
     InvalidTransversalError,
     quoted_power,
 )
-from .fqlinalg import as_residues, decode_codes, encode_rows, positive_cap
+from .fqlinalg import as_residues, decode_codes, encode_rows, positive_cap, rref_array
 
 DEFAULT_GROUP_CAP = 512
 
@@ -254,6 +254,31 @@ def _multiple_codes(rows: np.ndarray, q: int) -> list[list[int]]:
     return encode_rows((rows[:, None, :] * np.arange(q)[:, None]) % q, q).tolist()
 
 
+def _refuse_dependent_rows(basis: np.ndarray, q: int) -> None:
+    """InvalidParamsError naming the rank unless the residue rows of `basis` are
+    linearly independent over F_q.
+
+    Rows in echelon shape, each leading entry strictly right of the one above
+    (as in the canonical kernel basis _fixed passes), are independent without
+    an elimination; any other basis is eliminated once.
+    """
+    previous = -1
+    for row in basis.tolist():
+        lead = next((j for j, x in enumerate(row) if x), -1)
+        if lead <= previous:
+            break
+        previous = lead
+    else:
+        return
+    rows = basis.shape[0]
+    rank = len(rref_array(basis, q)[1])
+    if rank < rows:
+        raise InvalidParamsError(
+            f"subgroup basis of {rows} rows has rank {rank} over F_{q}: "
+            f"need linearly independent rows"
+        )
+
+
 def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Apply sum_{h in L} h, for L the translations spanned by the rows of `basis`.
 
@@ -264,13 +289,16 @@ def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray
     permutations (g z = z[perm of g^-1]) gives the same sum as scattering.
 
     InvalidParamsError unless the rows have length n (a longer row would code
-    a twist, not a translation), or when the q^rows terms of the sum on
-    entries up to max |vec| may reach 2^63, where int64 wraps.
+    a twist, not a translation) and are linearly independent over F_q (rows
+    of rank k would count each element of L q^(rows - k) times), or when the
+    q^rows terms of the sum on entries up to max |vec| may reach 2^63, where
+    int64 wraps.
     """
     q, n = group.params.q, group.params.n
-    basis = np.asarray(basis)
+    basis = as_residues(basis, q)
     if basis.ndim != 2 or basis.shape[1] != n:
         raise InvalidParamsError(f"subgroup basis of shape {basis.shape}: need rows of length {n}")
+    _refuse_dependent_rows(basis, q)
     out = _integers(vec, "group-ring vectors", group.order)
     terms = q ** basis.shape[0]
     _refuse_overflow(terms, out, "subgroup sum", f"{terms} terms")

@@ -8,12 +8,14 @@ from hypothesis.extra.numpy import arrays
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from gonal.atlas import Hyperplane
+from gonal.action import CoverParams
+from gonal.atlas import Hyperplane, orbit_classes
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
     Subspace,
     _code_weights,
     as_residues,
+    check_prime_modulus,
     decode_codes,
     encode_rows,
     inverse_table,
@@ -439,3 +441,118 @@ def test_code_weights_are_built_once_and_read_only(q, n):
     assert _code_weights(n, q) is weights
     assert not weights.flags.writeable
     assert weights.tolist() == [q**e for e in range(n - 1, -1, -1)]
+
+
+def previous_rref(a, q):
+    """Oracle: the elimination loop rref_array had before its one-update-per-pivot form."""
+    q = check_prime_modulus(q)
+    a = as_residues(a, q)
+    assert a.ndim == 2
+    rows, cols = a.shape
+    inv = inverse_table(q)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * inv[a[r, c]] % q
+        sel = a[:, c].copy()
+        sel[r] = 0
+        if sel.any():
+            a -= sel[:, None] * a[r]
+            a %= q
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def previous_kernel(a, q):
+    """Oracle: kernel_array's construction read off previous_rref."""
+    red, pivots = previous_rref(np.asarray(a)[:, ::-1], q)
+    cols = red.shape[1]
+    rank = len(pivots)
+    free = np.array([f for f in range(cols) if f not in pivots][::-1], dtype=np.intp)
+    basis = np.zeros((cols - rank, cols), dtype=np.int64)
+    basis[np.arange(cols - rank), cols - 1 - free] = 1
+    basis[:, cols - 1 - np.array(pivots, dtype=np.intp)] = (-red[:rank, free].T) % q
+    return basis
+
+
+@st.composite
+def unreduced_matrices(draw):
+    """(a, q): up to 14 x 40, entries unreduced or negative, with zero columns and
+    repeated rows; in about half the cases an object array of Python ints past int64."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 40))
+    distinct = draw(st.integers(1, max(rows, 1)))
+    base = draw(arrays(np.int64, (distinct, cols), elements=st.integers(-2 * q, 2 * q)))
+    picks = draw(arrays(np.intp, rows, elements=st.integers(0, distinct - 1)))
+    kept = draw(arrays(np.bool_, cols))
+    a = base[picks] * kept
+    if draw(st.booleans()):
+        a = a.astype(object) * 2**66 + draw(st.integers(0, q - 1)) * kept
+    return a, q
+
+
+@settings(deadline=None, max_examples=300)
+@given(unreduced_matrices())
+@example((np.zeros((0, 0), dtype=np.int64), 2))
+@example((np.zeros((14, 40), dtype=np.int64), 13))
+@example((np.tile(np.arange(-13, 27), (14, 1)), 13))
+@example((np.eye(14, 40, dtype=np.int64)[::-1] * -1, 11))
+def test_rref_equals_the_previous_loop_bit_for_bit(case):
+    a, q = case
+    red, pivots = rref_array(a, q)
+    want, want_pivots = previous_rref(a, q)
+    assert red.dtype == want.dtype and red.shape == want.shape == np.shape(a)
+    assert np.array_equal(red, want) and pivots == want_pivots
+    assert np.array_equal(kernel_array(a, q), previous_kernel(a, q))
+
+
+@pytest.mark.parametrize("p,q,r", [(7, 2, 4), (5, 3, 4)])
+def test_kernel_equals_the_previous_loop_on_every_class_stack(p, q, r):
+    params = CoverParams(p, q, r)
+    classes = orbit_classes(params)
+    assert len(classes) == params.t
+    for cls in classes:
+        stack = decode_codes(np.array(cls.codes), params.n, q)
+        kernel = kernel_array(stack, q)
+        assert np.array_equal(kernel, previous_kernel(stack, q))
+        assert np.array_equal(kernel, cls.core.basis_array)
+
+
+@pytest.mark.parametrize("q", [4, 1, 0, -3, 6, 9])
+def test_the_kernels_refuse_a_modulus_that_is_not_prime(q):
+    # rref_array([[2, 0], [0, 1]], 4) returned a zero first row with pivots [0, 1],
+    # and rref_array([[1, 1]], 1) rank 0.
+    for a in ([[2, 0], [0, 1]], [[1, 1]]):
+        for kernel in (rref_array, kernel_array, row_space_array):
+            with pytest.raises(InvalidParamsError, match=f"^modulus {q} is not prime$"):
+                kernel(a, q)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.int64(5), 7, np.zeros((2, 2, 2), dtype=np.int64), np.ones((1, 1, 3), dtype=np.int64)],
+    ids=["int64-scalar", "int", "cube", "3-d-row"],
+)
+def test_the_kernels_take_only_a_vector_or_a_matrix(a):
+    # kernel_array(np.int64(5), 3) read the scalar as a 1x1 matrix and returned shape (0, 1);
+    # row_space_array(7, 3) returned [[1]]; a 3-d array raised a bare ValueError.
+    for kernel in (rref_array, kernel_array, row_space_array):
+        with pytest.raises(InvalidParamsError, match=r"^expected a vector or a 2-d array, got shape \("):
+            kernel(a, 3)
+
+
+def test_a_vector_is_read_as_one_row():
+    red, pivots = rref_array([0, 2, 1], 3)
+    assert red.tolist() == [[0, 1, 2]] and pivots == [1]
+    assert row_space_array([0, 2, 1], 3).tolist() == [[0, 1, 2]]
+    assert kernel_array([0, 2, 1], 3).tolist() == [[1, 0, 0], [0, 1, 1]]
+    assert rref_array(np.zeros(0, dtype=np.int64), 2)[0].shape == (1, 0)

@@ -251,6 +251,25 @@ def test_subgroup_sum_refuses_a_basis_whose_rows_are_not_of_length_n():
             apply_subgroup_sum(group, basis, vec)
 
 
+def test_subgroup_sum_refuses_rows_that_are_not_linearly_independent():
+    # A repeated row counted every element of L twice: entry 0 was 56, not 28.
+    group = build_group(CoverParams(5, 2, 3))
+    basis = Hyperplane([1, 0, 0, 0], 2).kernel().basis_array
+    vec = np.arange(80, dtype=np.int64)
+    assert apply_subgroup_sum(group, basis, vec)[0] == 28
+    for bad, rank in [
+        (np.vstack([basis[:1], basis]), 3),
+        (np.vstack([basis, basis[0] + basis[2]]), 3),
+        (np.vstack([basis, np.zeros(4, dtype=np.int64)]), 3),
+        (np.vstack([basis[:2], 3 * basis[1]]), 2),  # 3 b = b over F_2
+    ]:
+        with pytest.raises(InvalidParamsError, match=rf"^subgroup basis of {len(bad)} rows has rank {rank} over F_2: "):
+            apply_subgroup_sum(group, bad, vec)
+    # Independent rows out of echelon order, or unreduced, give the same sum.
+    for same in (basis[::-1], basis + 2, np.vstack([basis[0] + basis[1], basis[1:]])):
+        assert np.array_equal(apply_subgroup_sum(group, same, vec), apply_subgroup_sum(group, basis, vec))
+
+
 def test_subgroup_sum_refuses_a_sum_past_int64():
     # L = [1,0,0,0] has 8 elements: 8 * 2^61 = 2^64 wrapped to zeros.
     group = build_group(CoverParams(5, 2, 3))
