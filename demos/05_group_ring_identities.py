@@ -1,8 +1,9 @@
 """Exact operator identities on the regular representation of G.
 
 For a hyperplane L < N the subspace A_L of the rational group algebra is
-cut out by two conditions: fixed by L, annihilated by summing the q
-multiples of any transversal element.  The composed operator
+cut out by two conditions: fixed by L, annihilated by the sum over N/L.
+It depends on L alone, so the checks take the group and L and nothing
+else.  The composed operator
 
     (sum of h over L) . (sum of twist powers)
 

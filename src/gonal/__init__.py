@@ -44,7 +44,6 @@ from .errors import (
     GonalError,
     IdentityCheckError,
     InvalidParamsError,
-    InvalidTransversalError,
 )
 from .fqlinalg import Subspace, gaussian_count
 from .groupring import (
@@ -79,7 +78,6 @@ __all__ = [
     "Hyperplane",
     "IdentityCheckError",
     "InvalidParamsError",
-    "InvalidTransversalError",
     "OrbitClass",
     "RepTable",
     "Subspace",

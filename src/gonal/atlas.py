@@ -155,13 +155,18 @@ class Hyperplane:
 
 
 def enumerate_hyperplanes(params: CoverParams, cap: int | None = None):
-    """Yield all m hyperplane normals in lexicographic order, each once."""
+    """Iterator over all m hyperplane normals in lexicographic order, each once.
+
+    The cap is checked at the call, not at the first item.
+    """
     q, n = params.q, params.n
     check_cap(q, n, resolve_atlas_cap(cap), "hyperplane enumeration")
     codes = normal_codes(n, q)
-    for start in range(0, codes.size, _SWEEP_CHUNK):
-        for row in decode_codes(codes[start : start + _SWEEP_CHUNK], n, q).tolist():
-            yield Hyperplane._from_normalized(tuple(row), q)
+    return (
+        Hyperplane._from_normalized(tuple(row), q)
+        for start in range(0, codes.size, _SWEEP_CHUNK)
+        for row in decode_codes(codes[start : start + _SWEEP_CHUNK], n, q).tolist()
+    )
 
 
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:

@@ -30,10 +30,6 @@ class CapExceededError(GonalError):
         super().__init__(f"{message} (required cap {self.required_text}, current cap {quoted(cap)})")
 
 
-class InvalidTransversalError(GonalError, ValueError):
-    """Transversal element lies inside the subgroup it should complement."""
-
-
 class FixtureParseError(GonalError, ValueError):
     """A generator-word fixture is malformed or indexes out of range."""
 

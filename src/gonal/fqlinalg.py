@@ -260,6 +260,8 @@ def iter_subspace_bases(n: int, k: int, q: int):
 
 def gaussian_count(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, got q={q}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     num = 1

@@ -7,12 +7,14 @@ so checking them on any faithful module certifies them; the regular
 representation is the canonical choice.  Everything is integer arithmetic,
 zero tolerance.
 
-For a hyperplane L < N with transversal element u (any u outside L), the
-checked subspace is
+For a hyperplane L < N the checked subspace is
 
-    A_L = { z : h z = z for all h in L,  sum_j (j u) z = 0 },
+    A_L = { z : h z = z for all h in L,  sum_{x in N/L} x z = 0 },
 
-read in closed form off the L-coset space, so no elimination runs.  The
+which depends on L alone: N = L + <u> for every u outside L, so on
+functions fixed by L the sum of the q multiples of u is the sum over N/L.
+The checks take u = e_j, j the last nonzero entry of L's normal, and read
+A_L in closed form off the L-coset space, so no elimination runs.  The
 right coset L (v, e) is fixed by e and normal . v, and left multiplication
 by j u shifts normal . v by j (normal . u) != 0, so the q multiples of u
 sum each coset to all q cosets of its twist fibre: the coset matrix is one
@@ -30,18 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import AdaptedAction, CoverParams, build_action
+from .action import CoverParams, build_action
 from .atlas import Hyperplane
-from .errors import (
-    CapExceededError,
-    IdentityCheckError,
-    InvalidParamsError,
-    InvalidTransversalError,
-    quoted_power,
-)
+from .errors import CapExceededError, IdentityCheckError, InvalidParamsError, quoted_power
 from .fqlinalg import as_residues, decode_codes, encode_rows, positive_cap, rref_array
 
 DEFAULT_GROUP_CAP = 512
+# Associativity is spot-checked on this many triples, drawn from this seed.
+AXIOM_TRIALS = 64
+AXIOM_SEED = 0
 
 
 def _integers(values, what: str, length: int | None = None) -> np.ndarray:
@@ -75,9 +74,7 @@ class FrobeniusGroup:
     A group of order past `cap` is refused before anything is built.
     """
 
-    def __init__(
-        self, params: CoverParams, action: AdaptedAction | None = None, cap: int = DEFAULT_GROUP_CAP
-    ):
+    def __init__(self, params: CoverParams, cap: int = DEFAULT_GROUP_CAP):
         if isinstance(cap, str):  # a digit string is read from the environment, not passed here
             raise InvalidParamsError(f"group-order cap must be a positive integer, got {cap!r}")
         cap = positive_cap(cap, "group-order cap")
@@ -91,7 +88,7 @@ class FrobeniusGroup:
                 required_text=text,
             )
         self.params = params
-        self.action = action if action is not None else build_action(params)
+        self.action = build_action(params)
         p, q, n = params.p, params.q, params.n
         self._translations = decode_codes(np.arange(q**n), n, q)
         step = encode_rows(self._translations @ self.action.matrix_array.T % q, q)
@@ -100,7 +97,7 @@ class FrobeniusGroup:
             self._twisted[e] = step[self._twisted[e - 1]]
         self._translations.flags.writeable = self._twisted.flags.writeable = False
         self._perm_cache: dict[int, np.ndarray] = {}
-        # ((L, u), (A_L basis, sum_L of its p twists)) of the last _fixed call
+        # (L, (A_L basis, sum_L of its p twists)) of the last _fixed call
         self._fixed_last: tuple = (None, None)
 
     @property
@@ -150,10 +147,11 @@ class FrobeniusGroup:
             self._perm_cache[g] = cached
         return cached
 
-    def spot_check_axioms(self, trials: int = 64, seed: int = 0):
-        """Identity and inverses exhaustively; associativity on random triples."""
+    def spot_check_axioms(self):
+        """Identity and inverses exhaustively; associativity on AXIOM_TRIALS seeded triples."""
         codes = np.arange(self.order)
-        a, b, c = np.random.default_rng(seed).integers(0, self.order, size=(trials, 3)).T
+        rng = np.random.default_rng(AXIOM_SEED)
+        a, b, c = rng.integers(0, self.order, size=(AXIOM_TRIALS, 3)).T
         checks = [
             ("identity", codes, (self.mul(0, codes) != codes) | (self.mul(codes, 0) != codes)),
             ("inverse", codes, self.mul(codes, self.inv(codes)) != 0),
@@ -326,66 +324,51 @@ def _coset_partition(group: FrobeniusGroup, subgroup_elems: list[int]):
     return coset_idx, np.flatnonzero(is_rep)
 
 
-def _default_transversal(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
-    """The first translation in element order with normal . u != 0 (the normal is nonzero)."""
-    translations = group._translations
-    outside = np.flatnonzero(translations @ L.normal_array() % group.params.q)
-    return translations[outside[0]].copy()
+def _transversal(L: Hyperplane) -> tuple:
+    """u = e_j, j the last nonzero entry of L's normal: normal . u != 0, and every
+    translation of lower code is supported after j, so inside L.  u is the first
+    translation outside L in code order."""
+    j = max(i for i, x in enumerate(L.normal) if x)
+    return tuple(int(i == j) for i in range(L.ambient_dim))
 
 
-def fixed_subspace(
-    group: FrobeniusGroup, L: Hyperplane, transversal_elem=None
-) -> np.ndarray:
+def fixed_subspace(group: FrobeniusGroup, L: Hyperplane) -> np.ndarray:
     """Read-only integer basis (rows) of A_L inside the regular module.
 
-    Conditions: fixed by every translation in L, annihilated by the sum of
-    the q multiples of the transversal element (any vector outside L; None
-    picks the first one).  Vectors fixed by L are exactly the functions
-    constant on right L-cosets, and the sum of the multiples adds up each
-    twist fibre's q cosets, so row i is coset f minus the first coset of
-    f's fibre, for the i-th coset f not first in its fibre.  The basis is
-    the same for every transversal.
+    Conditions: fixed by every translation in L, annihilated by the sum over
+    N/L.  Vectors fixed by L are exactly the functions constant on right
+    L-cosets, and the sum over N/L adds up each twist fibre's q cosets, so
+    row i is coset f minus the first coset of f's fibre, for the i-th coset
+    f not first in its fibre.
     """
-    return _fixed(group, L, transversal_elem)[0]
+    return _fixed(group, L)[0]
 
 
-def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
+def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     """(A_L basis, images): images[k] is sum_{h in L} h . twist^k on the basis.
 
-    The coset matrix of the transversal sums is checked to be kron(I_p,
-    J_q), the closed form the basis is read from; a mismatch raises with
-    its first differing entry.  Only the last result is kept on the group,
-    keyed by L and the resolved transversal: calls for one hyperplane made
-    back to back (its scalar check, then its cross terms) build A_L and
-    apply the sum over L once, while a sweep over all hyperplanes in turn
-    holds one entry.
+    The coset matrix of the sums of the multiples of u = _transversal(L) is
+    checked to be kron(I_p, J_q), the closed form the basis is read from; a
+    mismatch raises with its first differing entry.  Only the last result is
+    kept on the group, keyed by L: calls for one hyperplane made back to
+    back (its scalar check, then its cross terms) build A_L and apply the
+    sum over L once, while a sweep over all hyperplanes in turn holds one
+    entry.
     """
     params = group.params
     p, q, n = params.p, params.q, params.n
     if L.modulus != q or L.ambient_dim != n:
         raise InvalidParamsError("hyperplane and action live over different spaces")
-    if transversal_elem is None:
-        u = _default_transversal(group, L)
-    else:
-        u = as_residues(transversal_elem, q)
-        if u.shape != (n,):
-            raise InvalidTransversalError(
-                f"transversal has shape {u.shape}, need a vector of length {n}"
-            )
-    key = (L, tuple(u.tolist()))
-    if group._fixed_last[0] == key:
+    if group._fixed_last[0] == L:
         return group._fixed_last[1]
-    if not u @ L.normal_array() % q:
-        raise InvalidTransversalError(
-            f"transversal element {key[1]} lies inside the subgroup"
-        )
+    u = _transversal(L)
     ker = L.kernel()
     # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
     span = (decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
     coset_idx, reps = _coset_partition(group, encode_rows(span, q).tolist())
     ncos = len(reps)
     smat = np.zeros((ncos, ncos), dtype=np.int64)
-    for code in _multiple_codes(u[None], q)[0]:
+    for code in _multiple_codes(np.array([u]), q)[0]:
         smat[coset_idx[group.left_perm(code)[reps]], np.arange(ncos)] += 1
     fibres = np.kron(np.eye(p, dtype=np.int64), np.ones((q, q), dtype=np.int64))
     if smat.shape != fibres.shape:
@@ -393,7 +376,7 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
     if not np.array_equal(smat, fibres):
         i, j = np.argwhere(smat != fibres)[0].tolist()
         raise IdentityCheckError(
-            f"transversal sums of {L} with u = {key[1]} are not one block per twist "
+            f"transversal sums of {L} with u = {u} are not one block per twist "
             f"fibre: coset matrix entry ({i}, {j}) is {smat[i, j]}, not {fibres[i, j]}"
         )
     # Row i: the i-th coset f not first in its fibre, minus that fibre's first coset.
@@ -403,11 +386,11 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane, transversal_elem) -> tuple:
     twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
     images = apply_subgroup_sum(group, ker.basis_array, twisted)
     basis.flags.writeable = images.flags.writeable = False
-    group._fixed_last = (key, (basis, images))
+    group._fixed_last = (L, (basis, images))
     return group._fixed_last[1]
 
 
-def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_elem=None) -> int:
+def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane) -> int:
     """Check that (sum_L h)(sum_k twist^k) is multiplication by q^(n-1) on A_L.
 
     Exact integer arithmetic over the whole basis of A_L: the image is the
@@ -415,7 +398,7 @@ def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_ele
     the witness row.  Returns the verified scalar.
     """
     scalar = group.params.q ** (group.params.n - 1)
-    basis, images = _fixed(group, L, transversal_elem)
+    basis, images = _fixed(group, L)
     bad = np.flatnonzero((images.sum(axis=0) != scalar * basis).any(axis=1))
     if bad.size:
         raise IdentityCheckError(
@@ -424,7 +407,7 @@ def verify_scalar_identity(group: FrobeniusGroup, L: Hyperplane, transversal_ele
     return scalar
 
 
-def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=None) -> dict:
+def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane) -> dict:
     """Check the twisted terms: sum_L h . twist^k annihilates A_L for k >= 1.
 
     The untwisted k = 0 term instead scales by |L| = q^(n-1); both facts are
@@ -432,7 +415,7 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane, transversal_elem=No
     sum over L; a failure raises naming the first failing k.
     """
     q, n, p = group.params.q, group.params.n, group.params.p
-    basis, images = _fixed(group, L, transversal_elem)
+    basis, images = _fixed(group, L)
     expected = np.zeros_like(images)
     expected[0] = q ** (n - 1) * basis
     failed = (images != expected).any(axis=(1, 2))

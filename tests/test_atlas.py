@@ -129,6 +129,13 @@ def test_enumeration_cap(monkeypatch):
     assert resolve_atlas_cap() == 3**13
 
 
+def test_enumeration_cap_is_checked_at_the_call():
+    # A generator raised only at its first next().
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_hyperplanes(CoverParams(3, 2, 100))
+    assert exc.value.required == 2**196
+
+
 def test_conjugate_orbit_size_and_period():
     params = CoverParams(3, 2, 4)
     action = build_action(params)
@@ -359,6 +366,10 @@ def test_gaussian_count_values():
     assert gaussian_count(6, 2, 3) == gaussian_count(6, 4, 3)
     with pytest.raises(ValueError):
         gaussian_count(4, 5, 2)
+    # q = 1 divided by zero.
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^need q >= 2, got q={q}$"):
+            gaussian_count(3, 1, q)
 
 
 def test_enumerate_subgroups_brute():

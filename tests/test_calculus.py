@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gonal.action import CoverParams, parameter_sweep
@@ -57,6 +58,17 @@ def test_genus_quotient_by_core_fixture_values():
     assert genus_quotient_by_core(params, params.n) == params.g
     with pytest.raises(InvalidParamsError):
         genus_quotient_by_core(params, 13)
+
+
+def test_genus_quotient_by_core_takes_only_integers():
+    # A numpy integer wrapped in int64 (7258917284270888024 here); a float
+    # gave a float genus and True the genus at core_dim 1.
+    assert genus_quotient_by_core(CoverParams(13, 3, 6), np.int64(0)) == 1834628190768067726857304
+    params = CoverParams(5, 2, 3)
+    assert genus_quotient_by_core(params, np.int8(1)) == genus_quotient_by_core(params, 1) == 9
+    for bad in (1.5, 1.0, True, np.float64(1), np.True_, "1"):
+        with pytest.raises(InvalidParamsError, match="^core_dim .* is not an integer$"):
+            genus_quotient_by_core(params, bad)
 
 
 def test_decomposition_report_examples():

@@ -11,12 +11,8 @@ import pytest
 from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes
 from gonal import groupring
-from gonal.errors import (
-    CapExceededError,
-    IdentityCheckError,
-    InvalidParamsError,
-    InvalidTransversalError,
-)
+from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
+from gonal.fqlinalg import decode_codes
 from gonal.groupring import (
     FrobeniusGroup,
     GroupRingOperator,
@@ -355,8 +351,7 @@ def test_fixed_subspace_dimension_is_uniform(p, q, r, dim):
     dims = set()
     for h in enumerate_hyperplanes(params):
         ker = h.kernel()
-        u = next(v for v in product(range(q), repeat=params.n) if any(v) and not ker.contains(v))
-        basis = fixed_subspace(group, h, u)
+        basis = fixed_subspace(group, h)
         dims.add(basis.shape[0])
         # Conditions hold exactly: fixed by the subgroup, killed by the sum.
         for vtrans in ker.vectors():
@@ -367,50 +362,26 @@ def test_fixed_subspace_dimension_is_uniform(p, q, r, dim):
     assert dims == {dim} == {p * (q - 1)}
 
 
-def test_fixed_subspace_transversal_independent():
-    params = CoverParams(5, 2, 3)
-    group = build_group(params)
-    for h in list(enumerate_hyperplanes(params))[:4]:
-        ker = h.kernel()
-        forms = {
-            fixed_subspace(group, h, v).tobytes()
-            for v in product(range(2), repeat=4)
-            if any(v) and not ker.contains(v)
-        }
-        assert len(forms) == 1
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3), (3, 2, 6)])
+def test_transversal_is_the_first_translation_outside_the_hyperplane(p, q, r):
+    # Reference: the scan over all q^n translations in code order.
+    params = CoverParams(p, q, r)
+    n = params.n
+    translations = decode_codes(np.arange(q**n), n, q)
+    hyperplanes = list(enumerate_hyperplanes(params))
+    assert len(hyperplanes) == params.m
+    for h in hyperplanes:
+        outside = np.flatnonzero(translations @ h.normal_array() % q)
+        assert groupring._transversal(h) == tuple(translations[outside[0]].tolist())
 
 
-def test_fixed_subspace_rejects_inside_transversal():
-    params = CoverParams(5, 2, 3)
-    group = build_group(params)
-    h = next(iter(enumerate_hyperplanes(params)))
-    inside = next(v for v in h.kernel().vectors() if any(v))
-    with pytest.raises(InvalidTransversalError):
-        fixed_subspace(group, h, inside)
-    with pytest.raises(InvalidTransversalError):
-        fixed_subspace(group, h, np.zeros(4, dtype=int))
-
-
-@pytest.mark.parametrize(
-    "transversal, error",
-    [([1.9, 0, 0, 0], InvalidParamsError), ([[1, 0], [0, 0]], InvalidTransversalError),
-     ([1, 0, 0], InvalidTransversalError), ([[1, 0, 0, 0]], InvalidTransversalError)],
-)
-def test_transversal_must_be_an_integer_vector_of_length_n(transversal, error):
-    # Neither truncated (1.9 is not 1) nor reshaped (a 2 x 2 array is not a vector).
-    group = build_group(CoverParams(5, 2, 3))
-    with pytest.raises(error):
-        verify_scalar_identity(group, Hyperplane([1, 0, 0, 0], 2), transversal)
-
-
-def test_transversal_past_int64_is_reduced_exactly():
-    group = build_group(CoverParams(5, 2, 3))
-    h = Hyperplane([1, 0, 0, 0], 2)
-    basis = fixed_subspace(group, h, [1, 0, 0, 0])
-    assert verify_scalar_identity(group, h, [2**70 + 1, 0, 0, 0]) == 8
-    assert np.array_equal(fixed_subspace(group, h, [2**70 + 1, 0, 0, 0]), basis)
-    with pytest.raises(InvalidTransversalError, match="lies inside the subgroup"):
-        fixed_subspace(group, h, [2**70, 0, 0, 0])
+def test_group_builds_its_own_action():
+    # An action passed in was never checked against params: (5, 2, 3)'s action
+    # on a (3, 2, 4) group built a wrong group of order 48.
+    params = CoverParams(3, 2, 4)
+    group = FrobeniusGroup(params)
+    assert group.action.params == params
+    assert list(inspect.signature(FrobeniusGroup).parameters) == ["params", "cap"]
 
 
 @pytest.mark.parametrize("p,q,r,scalar", [(5, 2, 3, 8), (3, 2, 4, 8), (3, 2, 3, 2)])
@@ -535,22 +506,38 @@ def _coset_matrix(group, coset_idx, reps, u):
 
 @pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3)])
 def test_fixed_subspace_is_the_null_space_of_the_coset_matrix(p, q, r):
-    # Every hyperplane with every transversal: the closed-form basis is the
-    # Fraction elimination's null space of the coset matrix, row for row.
+    # A_L depends on L alone: for every u outside L, the Fraction elimination's
+    # null space of u's coset matrix is the closed-form basis, row for row.
     params = CoverParams(p, q, r)
     group = build_group(params)
     kernels = {}  # the elimination once per distinct coset matrix
     for h in enumerate_hyperplanes(params):
         coset_idx, reps = _stacked_partition(group, [_code(group, v) for v in h.kernel().vectors()])
+        got = fixed_subspace(group, h)
         for u in product(range(q), repeat=params.n):
             if np.dot(u, h.normal) % q:
                 smat = _coset_matrix(group, coset_idx, reps, u)
                 if smat.tobytes() not in kernels:
                     kernels[smat.tobytes()] = _fraction_kernel(smat.tolist())
                 expected = np.array(kernels[smat.tobytes()], dtype=np.int64)[:, coset_idx]
-                got = fixed_subspace(group, h, u)
                 assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
                 assert got.tobytes() == expected.tobytes()
+
+
+def test_fixed_subspace_transversal_independent():
+    # Every u outside L gives one null space of its coset matrix, and it is the
+    # one fixed_subspace(group, h) returns with no transversal passed.
+    params = CoverParams(5, 2, 3)
+    group = build_group(params)
+    for h in list(enumerate_hyperplanes(params))[:4]:
+        coset_idx, reps = _stacked_partition(group, [_code(group, v) for v in h.kernel().vectors()])
+        forms = {
+            np.array(_fraction_kernel(_coset_matrix(group, coset_idx, reps, u).tolist()),
+                     dtype=np.int64)[:, coset_idx].tobytes()
+            for u in product(range(2), repeat=4)
+            if np.dot(u, h.normal) % 2
+        }
+        assert forms == {fixed_subspace(group, h).tobytes()}
 
 
 @pytest.mark.parametrize(
@@ -567,7 +554,7 @@ def test_coset_matrix_check_names_its_witness(monkeypatch, broken, message):
     group = build_group(CoverParams(3, 2, 4))
     h = next(iter(enumerate_hyperplanes(group.params)))
     assert h.normal == (0, 0, 0, 1)
-    assert tuple(groupring._default_transversal(group, h).tolist()) == (0, 0, 0, 1)
+    assert groupring._transversal(h) == (0, 0, 0, 1)
     left_perm = group.left_perm
     identity = np.arange(group.order)
     monkeypatch.setattr(
@@ -611,23 +598,17 @@ def test_scalar_and_cross_terms_build_a_l_once(monkeypatch):
     h, other = list(enumerate_hyperplanes(group.params))[:2]
     verify_scalar_identity(group, h)
     verify_cross_terms(group, h)
-    fixed_subspace(group, h)
+    first = fixed_subspace(group, h)
     assert len(builds) == 1
-    # Another hyperplane, or another transversal of the same one, rebuilds.
+    # The memo is keyed by the hyperplane alone: an equal one built anew hits it.
+    assert fixed_subspace(group, Hyperplane(list(h.normal), 2)) is first
+    assert len(builds) == 1
+    # Another hyperplane rebuilds, and so does the first one after it.
     verify_cross_terms(group, other)
     assert len(builds) == 2
-    u = next(
-        v for v in product(range(2), repeat=4)
-        if any(v) and not h.kernel().contains(v)
-        and v != tuple(groupring._default_transversal(group, h).tolist())
-    )
-    first = fixed_subspace(group, h)
+    again = fixed_subspace(group, h)
     assert len(builds) == 3
-    again = fixed_subspace(group, h, u)
-    assert len(builds) == 4
     assert again.tobytes() == first.tobytes()
-    assert again is fixed_subspace(group, h, np.array(u) + 2)  # same residues, memo hit
-    assert len(builds) == 4
 
 
 def test_memoised_basis_is_read_only():

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "Hyperplane",
     "IdentityCheckError",
     "InvalidParamsError",
-    "InvalidTransversalError",
     "OrbitClass",
     "RepTable",
     "Subspace",

@@ -36,7 +36,7 @@ def test_verify_has_no_asserts():
 
 
 def test_broken_scalar_identity_fails_its_row_and_exits_1(monkeypatch, capsys):
-    def broken(group, h, transversal_elem=None):
+    def broken(group, h):
         raise IdentityCheckError(f"broken scalar identity at {h}")
 
     monkeypatch.setattr(verify, "verify_scalar_identity", broken)
@@ -149,7 +149,7 @@ def test_groupring_suite_builds_each_a_l_once(monkeypatch):
 def test_groupring_rows_keep_their_first_failure(monkeypatch):
     calls = []
 
-    def broken(group, h, transversal_elem=None):
+    def broken(group, h):
         calls.append(h)
         raise IdentityCheckError(f"broken cross terms at {h}")
 
