@@ -17,10 +17,12 @@ permutation of their indices in lexicographic order.  p - 1 gathers give
 every normal its orbit minimum, a normal is an orbit representative iff it
 is its own minimum, and p - 1 more gathers read the orbits off the
 representatives.  Cores are extracted per class afterwards, one chunk of
-classes at a time; a class keeps its orbit as p integer codes and decodes
-its members only when asked.  Output order (by representative) is
-deterministic; per-class work is independent, so the merge would be
-identical under any parallel schedule.
+classes at a time; classes with equal cores share one read-only Subspace
+(at (13,3,3) the t = 20,440 classes have 15 distinct cores), and a class
+keeps its orbit as p integer codes and decodes its members only when
+asked.  Output order (by representative) is deterministic; per-class work
+is independent, so the merge would be identical under any parallel
+schedule.
 """
 
 from __future__ import annotations
@@ -249,13 +251,14 @@ def _normal_of_code(code: int, n: int, q: int) -> tuple:
     return high[top] + low[bottom]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitClass:
     """One conjugation orbit of hyperplanes with its core.
 
     `codes` holds the p base-q normal codes of the orbit: the representative
     followed by its successive conjugates.  Members are decoded on access
-    and not kept, so a class costs p ints rather than p Hyperplanes.
+    and not kept, so a class costs p ints rather than p Hyperplanes.  The
+    core is read-only and may be shared with other classes that have it.
     """
 
     codes: tuple[int, ...]
@@ -418,7 +421,9 @@ def orbit_classes(
     """Classify all hyperplanes into their t conjugation orbits, with cores.
 
     Deterministic: classes are ordered by representative normal, members by
-    successive conjugation starting at the representative.
+    successive conjugation starting at the representative.  Each class still
+    gets its own elimination, but classes with equal cores share one
+    Subspace, interned by the kernel's shape and bytes.
     """
     q, n = params.q, params.n
     check_cap(q, n, resolve_atlas_cap(cap), "orbit classification")
@@ -430,10 +435,15 @@ def orbit_classes(
         )
     orbit_codes = _orbit_codes(params, action)
     classes = []
+    cores: dict[tuple, Subspace] = {}
     for start in range(0, orbit_codes.shape[0], _CLASS_CHUNK):
         chunk = orbit_codes[start : start + _CLASS_CHUNK]
         for codes, rows in zip(chunk.tolist(), decode_codes(chunk, n, q)):
-            core = Subspace._from_canonical(kernel_array(rows, q), n, q)
+            basis = kernel_array(rows, q)
+            key = (basis.shape, basis.tobytes())
+            core = cores.get(key)
+            if core is None:
+                core = cores[key] = Subspace._from_canonical(basis, n, q)
             classes.append(OrbitClass(codes=tuple(codes), core=core))
     return classes
 

@@ -69,12 +69,17 @@ def _refuse_unprintable(log10_value: float, build) -> None:
         raise too_many_digits(digits)
 
 
+# The decimals of 0..255, shared by every small int jsonify meets (the digits of
+# every normal), instead of one new string each.
+_SMALL_DECIMALS = tuple(str(i) for i in range(256))
+
+
 def jsonify(value):
     """Recursively stringify ints (bool stays bool) for overflow-safe JSON."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return decimal(value)
+        return _SMALL_DECIMALS[value] if 0 <= value < 256 else decimal(value)
     if isinstance(value, (float, str)):
         return value
     if isinstance(value, dict):
@@ -165,43 +170,53 @@ def cmd_atlas(args, params: CoverParams):
     check_cap(params.q, params.n, resolve_atlas_cap(args.cap), "orbit classification")
     action = build_action(params)
     classes = orbit_classes(params, cap=args.cap, action=action)
+    class_count = len(classes)
+    limit = args.limit if args.limit is not None else class_count
+    # One pass in class order, popping each class off the reversed list once it
+    # is counted, verified and rendered, so classes and rows are never all alive.
+    # verify raises on a class that breaks an orbit invariant: size p, least
+    # member first, the conjugation chain, core invariance, quantization, rank bound.
+    classes.reverse()
     histogram: dict[int, int] = {}
-    for cls in classes:
-        histogram[cls.core_dim] = histogram.get(cls.core_dim, 0) + 1
-    # Raises on a class that breaks an orbit invariant: size p, least member
-    # first, the conjugation chain, core invariance, quantization, rank bound.
-    for cls in classes:
-        cls.verify(action)
-    # The observed core-dim histogram equals the closed form, whose least dim is
-    # n - (p-1) = (p-1)(r-3), so every core meets the stated bound.
-    expected = core_histogram(params)
-    cores_detail = f"core-dim histogram {dict(sorted(histogram.items()))} " + (
-        "equals the closed form" if histogram == expected else f"!= closed form {expected}"
-    )
-    count_detail = f"{decimal(len(classes))} classes"
-    if len(classes) != params.t:
-        count_detail += f", not t = {decimal(params.t)}"
-    checks = [
-        CheckResult("orbit-count-equals-t", len(classes) == params.t, count_detail),
-        CheckResult("cores-invariant-and-quantized", histogram == expected, cores_detail),
-    ]
-    limit = args.limit if args.limit is not None else len(classes)
+    groups: dict[int, str] = {}
     rows = []
-    for cls in classes[:limit]:
+    while classes:
+        cls = classes.pop()
+        dim = cls.core_dim
+        histogram[dim] = histogram.get(dim, 0) + 1
+        cls.verify(action)
+        if len(rows) == limit:
+            continue
+        group = groups.get(dim)
+        if group is None:
+            group = groups[dim] = f"Z_{params.q}^{params.n - dim} ⋊ Z_{params.p}"
         row = {
             "representative": list(cls.representative.normal),
-            "core_dim": cls.core_dim,
-            "galois_group": f"Z_{params.q}^{params.n - cls.core_dim} ⋊ Z_{params.p}",
+            "core_dim": dim,
+            "galois_group": group,
         }
         if args.orbits:
             row["members"] = [list(h.normal) for h in cls.members]
         if args.cores:
             row["core_basis"] = [list(v) for v in cls.core.basis_array.tolist()]
         rows.append(row)
+    # The observed core-dim histogram equals the closed form, whose least dim is
+    # n - (p-1) = (p-1)(r-3), so every core meets the stated bound.
+    expected = core_histogram(params)
+    cores_detail = f"core-dim histogram {dict(sorted(histogram.items()))} " + (
+        "equals the closed form" if histogram == expected else f"!= closed form {expected}"
+    )
+    count_detail = f"{decimal(class_count)} classes"
+    if class_count != params.t:
+        count_detail += f", not t = {decimal(params.t)}"
+    checks = [
+        CheckResult("orbit-count-equals-t", class_count == params.t, count_detail),
+        CheckResult("cores-invariant-and-quantized", histogram == expected, cores_detail),
+    ]
     payload = {
         "m": params.m,
         "t": params.t,
-        "class_count": len(classes),
+        "class_count": class_count,
         "core_dim_histogram": histogram,
         "core_dim_min_observed": min(histogram),
         "core_dim_bound_rank": max(0, params.n - params.p),

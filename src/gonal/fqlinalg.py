@@ -259,11 +259,19 @@ def iter_subspace_bases(n: int, k: int, q: int):
 
 
 def gaussian_count(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power."""
+    """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power.
+
+    A numpy integer is read as an int; a bool, a float or any other type is
+    refused with InvalidParamsError naming the argument.
+    """
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise InvalidParamsError(f"{name} {value!r} is not an integer")
+    n, k, q = int(n), int(k), int(q)
     if q < 2:
-        raise ValueError(f"need q >= 2, got q={q}")
+        raise InvalidParamsError(f"need q >= 2, got q={q}")
     if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+        raise InvalidParamsError(f"need 0 <= k <= n, got k={k}, n={n}")
     num = 1
     den = 1
     for j in range(k):

@@ -209,6 +209,48 @@ def test_core_bound_on_bundled_fixtures():
         assert core(h, action).dim >= bound
 
 
+
+def distinct_core_count(params: CoverParams) -> int:
+    """(1 + |P^(r-3)(F_Q)|)^k - 1 with Q = q^s0, k = (p - 1)/s0: a core is fixed by
+    the F_Q-line, or zero, of the normal in each of the k primary components."""
+    big_q, k = params.q**params.s0, (params.p - 1) // params.s0
+    return (1 + (big_q ** (params.r - 2) - 1) // (big_q - 1)) ** k - 1
+
+
+@pytest.mark.parametrize(
+    "p, q, r, count", [(5, 2, 3, 1), (7, 2, 4, 99), (5, 3, 4, 82), (3, 2, 6, 85)]
+)
+def test_classes_with_equal_cores_share_one_core_object(p, q, r, count):
+    params = CoverParams(p, q, r)
+    assert distinct_core_count(params) == count
+    classes = orbit_classes(params)
+    assert len({id(cls.core) for cls in classes}) == count
+    objects_by_core = {}
+    for cls in classes:
+        objects_by_core.setdefault(cls.core, set()).add(id(cls.core))
+    assert all(len(objects) == 1 for objects in objects_by_core.values())
+    assert len(objects_by_core) == count
+    assert all(not cls.core.basis_array.flags.writeable for cls in classes)
+
+
+def test_orbit_classes_retained_memory_at_7_2_4():
+    # One core Subspace per distinct core and no per-class __dict__: the
+    # classes retained 1,120 bytes each with one core per class and 420 without.
+    params = CoverParams(7, 2, 4)
+    action = build_action(params)
+    orbit_classes(params, action=action)  # fills the caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes = orbit_classes(params, action=action)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == params.t
+    assert retained / params.t < 700
+    assert not hasattr(classes[0], "__dict__")
+    assert all(type(cls.codes) is tuple and all(type(c) is int for c in cls.codes) for cls in classes)
+
 def test_orbit_classes_deterministic():
     params = CoverParams(3, 2, 4)
     first = orbit_classes(params)
@@ -371,6 +413,22 @@ def test_gaussian_count_values():
         with pytest.raises(ValueError, match=f"^need q >= 2, got q={q}$"):
             gaussian_count(3, 1, q)
 
+
+
+@pytest.mark.parametrize(
+    "args, name", [((3.0, 1, 2), "n"), ((3, 1.0, 2), "k"), ((3, 1, 2.5), "q"),
+                   ((True, 1, 2), "n"), ((3, np.bool_(True), 2), "k"), ((3, 1, "2"), "q")]
+)
+def test_gaussian_count_refuses_anything_but_an_integer(args, name):
+    # (3.0, 1, 2) used to give the float 7.0, (3, 1, 2.5) a failed-identity
+    # error and (3, 1.0, 2) a bare TypeError.
+    with pytest.raises(InvalidParamsError, match=f"^{name} .+ is not an integer$"):
+        gaussian_count(*args)
+
+
+def test_gaussian_count_reads_numpy_integers_as_ints():
+    count = gaussian_count(np.int64(4), np.int32(1), np.uint8(3))
+    assert count == 40 and type(count) is int
 
 def test_enumerate_subgroups_brute():
     full = enumerate_subgroups_brute(4, 4, 2)

@@ -14,7 +14,7 @@ import pytest
 import gonal
 from gonal.action import CoverParams, build_action
 from gonal.atlas import conjugate_hyperplane, orbit_classes, read_fixture
-from gonal.cli import ReportEnvelope, jsonify, main
+from gonal.cli import ReportEnvelope, build_parser, cmd_atlas, jsonify, main
 from gonal.errors import InvalidParamsError
 
 
@@ -104,6 +104,63 @@ def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "identity check failed: orbit with codes [1, 2, 1] has size != 3\n"
 
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "0"], ["--limit", "5"]])
+def test_atlas_exits_1_on_the_first_broken_class_past_the_first(capsys, monkeypatch, limit):
+    # Each class is verified in order before it is rendered and released, so a
+    # broken class in the middle is named, whether or not its row is shown,
+    # and a later broken class is not reached.
+    real = gonal.cli.orbit_classes
+    witnesses = []
+
+    def broken(*args, **kw):
+        classes = real(*args, **kw)
+        for i in (len(classes) // 2, len(classes) - 1):
+            codes = classes[i].codes[:-1] + classes[i].codes[:1]
+            classes[i] = dataclasses.replace(classes[i], codes=codes)
+            witnesses.append(f"orbit with codes {list(codes)} has size != 7")
+        return classes
+
+    monkeypatch.setattr("gonal.cli.orbit_classes", broken)
+    code, out, err = run_cli(capsys, "atlas", "--p", "7", "--q", "2", "--r", "4", "--json", *limit)
+    assert (code, out) == (1, "")
+    assert err == f"identity check failed: {witnesses[0]}\n"
+
+
+@pytest.mark.parametrize("limit", ["0", "5"])
+def test_atlas_limit_shows_fewer_rows_but_checks_every_class(capsys, limit):
+    argv = ["atlas", "--p", "7", "--q", "2", "--r", "4", "--json"]
+    _, out, _ = run_cli(capsys, *argv)
+    full = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--limit", limit)
+    limited = json.loads(out)
+    assert code == 0
+    assert limited["checks"] == full["checks"]
+    assert limited["payload"]["core_dim_histogram"] == full["payload"]["core_dim_histogram"] == {
+        "9": "18", "6": "567"
+    }
+    assert limited["payload"]["classes_shown"] == limit
+    assert limited["payload"]["classes"] == full["payload"]["classes"][: int(limit)]
+
+
+def test_atlas_rows_share_one_galois_group_string_per_core_dim():
+    args = build_parser().parse_args(["atlas", "--p", "7", "--q", "2", "--r", "4"])
+    _, payload = cmd_atlas(args, CoverParams(7, 2, 4))
+    strings = {}
+    for row in payload["classes"]:
+        strings.setdefault(row["core_dim"], set()).add(id(row["galois_group"]))
+    assert {dim: len(ids) for dim, ids in strings.items()} == {9: 1, 6: 1}
+
+
+def test_jsonify_shares_the_decimals_of_small_ints():
+    # Past the int-to-str limit jsonify still refuses: see
+    # test_jsonify_names_the_exact_digit_count.
+    out = jsonify([12, 12, 255, 256, -1, 0, True, False, {7: 7}])
+    assert out == ["12", "12", "255", "256", "-1", "0", True, False, {"7": "7"}]
+    assert out[0] is out[1] is jsonify(12)
+    assert out[2] is jsonify(255)
+    assert out[6] is True and out[7] is False
 
 def test_atlas_json_peak_memory_at_7_2_4():
     # Each class keeps its p normal codes, not p Hyperplanes, and the envelope
