@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .action import CoverParams
 from .errors import IdentityCheckError, InvalidParamsError
+from .fqlinalg import check_integer
 
 
 def genus_homology_cover(params: CoverParams) -> int:
@@ -57,10 +56,7 @@ def genus_quotient_by_core(params: CoverParams, core_dim: int) -> int:
     Riemann-Hurwitz for the unramified cover X~/K -> X of degree q^(n - core_dim).
     A numpy integer is read as an int; a bool or a float is refused.
     """
-    if type(core_dim) is not int:
-        if not isinstance(core_dim, np.integer):
-            raise InvalidParamsError(f"core_dim {core_dim!r} is not an integer")
-        core_dim = int(core_dim)
+    core_dim = check_integer(core_dim, "core_dim")
     if not 0 <= core_dim <= params.n:
         raise InvalidParamsError(f"core_dim {core_dim} outside 0..{params.n}")
     return 1 + params.q ** (params.n - core_dim) * (params.g - 1)

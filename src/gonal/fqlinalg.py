@@ -11,8 +11,9 @@ Subspaces are value objects: a subspace is identified with the unique
 reduced row-echelon basis of its row space, so equality and hashing are
 cheap and orbit/core deduplication elsewhere in the package is exact.
 Everything here is immutable after construction and safe to share across
-threads.  Every null space costs a single elimination (see
-:func:`kernel_array`).
+threads; the one thing a subspace adds to later is its memo of invariance
+answers, where two threads racing on one entry at worst both compute it.
+Every null space costs a single elimination (see :func:`kernel_array`).
 """
 
 from __future__ import annotations
@@ -38,12 +39,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_integer(value, name: str) -> int:
+    """`value` as an int; a numpy integer is read as one, while a bool, a float
+    or any other type is refused with InvalidParamsError naming `name`."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise InvalidParamsError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def check_prime_modulus(q: int) -> int:
     """`q` as an int; InvalidParamsError unless it is an integer that is prime."""
     if type(q) is not int:
-        if not isinstance(q, np.integer):
-            raise InvalidParamsError(f"modulus {q!r} is not an integer")
-        q = int(q)
+        q = check_integer(q, "modulus")
     if q not in _PRIMES_SEEN:
         if not is_prime(q):
             raise InvalidParamsError(f"modulus {q} is not prime")
@@ -261,13 +268,9 @@ def iter_subspace_bases(n: int, k: int, q: int):
 def gaussian_count(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power.
 
-    A numpy integer is read as an int; a bool, a float or any other type is
-    refused with InvalidParamsError naming the argument.
+    Each argument is read by check_integer.
     """
-    for name, value in (("n", n), ("k", k), ("q", q)):
-        if type(value) is not int and not isinstance(value, np.integer):
-            raise InvalidParamsError(f"{name} {value!r} is not an integer")
-    n, k, q = int(n), int(k), int(q)
+    n, k, q = check_integer(n, "n"), check_integer(k, "k"), check_integer(q, "q")
     if q < 2:
         raise InvalidParamsError(f"need q >= 2, got q={q}")
     if not 0 <= k <= n:
@@ -283,17 +286,30 @@ def gaussian_count(n: int, k: int, q: int) -> int:
     return count
 
 
-class Subspace:
-    """Subspace of F_q^n, held as the unique RREF basis of its row space."""
+def _check_ambient_dim(ambient_dim) -> int:
+    """`ambient_dim` as an int by check_integer; InvalidParamsError if negative."""
+    dim = check_integer(ambient_dim, "ambient_dim")
+    if dim < 0:
+        raise InvalidParamsError(f"ambient_dim {dim} is negative")
+    return dim
 
-    __slots__ = ("ambient_dim", "modulus", "_rows")
+
+class Subspace:
+    """Subspace of F_q^n, held as the unique RREF basis of its row space.
+
+    `is_invariant_under` remembers its answer per matrix, so a subspace that
+    many callers share is checked once for each matrix they ask about.
+    """
+
+    __slots__ = ("ambient_dim", "modulus", "_rows", "_invariance")
 
     def __init__(self, basis_rows, ambient_dim: int, modulus: int):
         self.modulus = check_prime_modulus(modulus)
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _check_ambient_dim(ambient_dim)
         rows = row_space_array(self._as_rows(basis_rows), self.modulus)
         rows.flags.writeable = False
         self._rows = rows
+        self._invariance = {}
 
     @classmethod
     def _from_canonical(cls, rows: np.ndarray, ambient_dim: int, modulus: int):
@@ -304,15 +320,18 @@ class Subspace:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         rows.flags.writeable = False
         self._rows = rows
+        self._invariance = {}
         return self
 
     @classmethod
     def zero(cls, ambient_dim: int, modulus: int) -> "Subspace":
-        return cls(np.zeros((0, ambient_dim), dtype=np.int64), ambient_dim, modulus)
+        dim = _check_ambient_dim(ambient_dim)
+        return cls(np.zeros((0, dim), dtype=np.int64), dim, modulus)
 
     @classmethod
     def full(cls, ambient_dim: int, modulus: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=np.int64), ambient_dim, modulus)
+        dim = _check_ambient_dim(ambient_dim)
+        return cls(np.eye(dim, dtype=np.int64), dim, modulus)
 
     @property
     def dim(self) -> int:
@@ -332,13 +351,13 @@ class Subspace:
             )
         return a.reshape(-1, self.ambient_dim)
 
-    def _image_rows(self, m) -> np.ndarray:
-        """Rows spanning {M v : v in self}, M a square integer matrix acting on columns."""
+    def _square(self, m) -> np.ndarray:
+        """`m` mod q, a square integer matrix of side ambient_dim acting on columns."""
         if np.shape(m) != (self.ambient_dim, self.ambient_dim):
             raise AmbientMismatchError(
                 f"expected a square matrix of side {self.ambient_dim}, got shape {np.shape(m)}"
             )
-        return (self._rows @ as_residues(m, self.modulus).T) % self.modulus
+        return as_residues(m, self.modulus)
 
     def contains(self, v) -> bool:
         """True iff the vector v lies in this subspace."""
@@ -369,11 +388,22 @@ class Subspace:
 
     def transform(self, m: np.ndarray) -> "Subspace":
         """Image {M v : v in self}; M is reduced mod this subspace's modulus."""
-        return Subspace(self._image_rows(m), self.ambient_dim, self.modulus)
+        image = (self._rows @ self._square(m).T) % self.modulus
+        return Subspace(image, self.ambient_dim, self.modulus)
 
     def is_invariant_under(self, m: np.ndarray) -> bool:
-        """True iff M maps this subspace into itself (M as for transform)."""
-        return self.contains_rows(self._image_rows(m))
+        """True iff M maps this subspace into itself (M as for transform).
+
+        The answer is kept, keyed by the bytes of M mod q, and read back for
+        any later matrix with the same residues.
+        """
+        matrix = self._square(m)
+        key = matrix.tobytes()
+        invariant = self._invariance.get(key)
+        if invariant is None:
+            image = (self._rows @ matrix.T) % self.modulus
+            invariant = self._invariance[key] = self.contains_rows(image)
+        return invariant
 
     def vectors(self):
         """Iterate all q^dim vectors of the subspace (small spaces only)."""

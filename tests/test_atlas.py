@@ -12,9 +12,9 @@ from gonal import atlas
 from gonal.action import CoverParams, build_action
 from gonal.atlas import (
     Hyperplane,
+    _codes_at,
     _normal_of_code,
     _orbit_codes,
-    all_normals_array,
     conjugate_hyperplane,
     core,
     core_dim,
@@ -23,13 +23,13 @@ from gonal.atlas import (
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
-    normal_codes,
     orbit_classes,
     parse_generator_words,
     parse_word,
     read_fixture,
     resolve_atlas_cap,
 )
+from gonal.cli import main
 from gonal.errors import (
     CapExceededError,
     FixtureParseError,
@@ -38,6 +38,7 @@ from gonal.errors import (
 )
 from gonal.fqlinalg import (
     Subspace,
+    check_code_width,
     decode_codes,
     encode_rows,
     gaussian_count,
@@ -45,6 +46,28 @@ from gonal.fqlinalg import (
     iter_subspace_bases,
     positive_cap,
 )
+
+
+def normal_codes(n, q):
+    """Base-q codes of all m normalized normals, ascending (oracle): the normals
+    whose leading 1 has w entries after it have codes q^w + arange(q^w)."""
+    check_code_width(n, q)
+    return np.concatenate([q**w + np.arange(q**w, dtype=np.int64) for w in range(n)])
+
+
+def all_normals_array(n, q):
+    """All normalized normals as an (m, n) array in lexicographic order (oracle)."""
+    return decode_codes(normal_codes(n, q), n, q)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (4, 2), (4, 3), (5, 3), (3, 5), (6, 7)])
+def test_closed_form_codes_match_the_concatenated_code_table(n, q):
+    codes = normal_codes(n, q)
+    got = _codes_at(np.arange(codes.size), n, q)
+    assert got.dtype == np.int64 and got.tolist() == codes.tolist()
+    # Any shape, a 0-d index included.
+    assert _codes_at(np.arange(codes.size).reshape(1, -1), n, q).tolist() == [codes.tolist()]
+    assert _codes_at(np.int64(codes.size - 1), n, q) == codes[-1]
 
 
 def test_hyperplane_normalization():
@@ -231,6 +254,24 @@ def test_classes_with_equal_cores_share_one_core_object(p, q, r, count):
     assert all(len(objects) == 1 for objects in objects_by_core.values())
     assert len(objects_by_core) == count
     assert all(not cls.core.basis_array.flags.writeable for cls in classes)
+
+
+def test_the_atlas_checks_each_distinct_core_for_invariance_once(monkeypatch, capsys):
+    # The 585 classes of (7,2,4) share 99 core objects; each object keeps its
+    # answer for the action's matrix, so 99 invariance checks run, not 585.
+    params = CoverParams(7, 2, 4)
+    honest = Subspace.contains_rows
+    calls = []
+
+    def counted(self, rows):
+        calls.append(id(self))
+        return honest(self, rows)
+
+    monkeypatch.setattr(Subspace, "contains_rows", counted)
+    assert main(["atlas", "--p", "7", "--q", "2", "--r", "4", "--json", "--limit", "0"]) == 0
+    capsys.readouterr()
+    assert params.t == 585 and distinct_core_count(params) == 99
+    assert len(calls) == len(set(calls)) == 99
 
 
 def test_orbit_classes_retained_memory_at_7_2_4():
@@ -440,6 +481,20 @@ def test_enumerate_subgroups_brute():
     assert len(lines) == 40
     with pytest.raises(CapExceededError):
         enumerate_subgroups_brute(20, 2, 3, cap=2**16)
+    assert enumerate_subgroups_brute(np.int64(4), np.int32(1), 3) == lines
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])
+def test_enumerate_subgroups_brute_refuses_a_dimension_outside_0_to_n(n, k):
+    # (3, 5, 2) and (3, -1, 2) used to raise a bare ValueError from the echelon walk.
+    with pytest.raises(InvalidParamsError, match=f"^need 0 <= k <= n, got k={k}, n={n}$"):
+        enumerate_subgroups_brute(n, k, 2)
+
+
+@pytest.mark.parametrize("n,k,name", [(3.0, 1, "n"), (3, 1.5, "k"), (True, 1, "n"), (3, "1", "k")])
+def test_enumerate_subgroups_brute_refuses_a_non_integer_dimension(n, k, name):
+    with pytest.raises(InvalidParamsError, match=f"^{name} .+ is not an integer$"):
+        enumerate_subgroups_brute(n, k, 2)
 
 
 def test_galois_closure_small():
@@ -759,6 +814,9 @@ def test_orbit_codes_match_the_matrix_power_sweep(triple):
 
 def test_orbit_codes_peak_memory_at_13_3_3():
     # The matrix-power sweep peaked at about 152 MB here: five (m, n) int64 arrays.
+    # The sweep through a table of all m codes and searchsorted peaked at about
+    # 13 MB; with normals indexed in closed form it peaks at about 8.8 MB, four
+    # length-m index arrays while the orbit minima are gathered.
     params = CoverParams(13, 3, 3)
     action = build_action(params)
     tracemalloc.start()
@@ -767,7 +825,7 @@ def test_orbit_codes_peak_memory_at_13_3_3():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 11e6
 
 
 def test_orbit_codes_reject_a_successor_array_with_two_entries_swapped(monkeypatch):
@@ -777,13 +835,43 @@ def test_orbit_codes_reject_a_successor_array_with_two_entries_swapped(monkeypat
     action = build_action(params)
     honest = atlas._successors
 
-    def swapped(codes, action):
-        succ = honest(codes, action)
+    def swapped(action):
+        succ = honest(action)
         succ[[0, 1]] = succ[[1, 0]]
         return succ
 
     monkeypatch.setattr(atlas, "_successors", swapped)
     with pytest.raises(IdentityCheckError, match=r"5th conjugate of the representative .* not itself"):
+        _orbit_codes(params, action)
+
+
+def test_orbit_codes_reject_a_representative_that_is_its_own_conjugate(monkeypatch):
+    # Pointing normal 0, the least of its orbit, at itself pulls the rest of
+    # its orbit onto it: the p-cycle check and the class count still pass, but
+    # its row repeats one normal p times and leaves p - 1 others uncovered.
+    params = CoverParams(5, 2, 3)
+    action = build_action(params)
+    honest = atlas._successors
+
+    def fixed(action):
+        succ = honest(action)
+        succ[0] = 0
+        return succ
+
+    monkeypatch.setattr(atlas, "_successors", fixed)
+    with pytest.raises(IdentityCheckError, match=r"^an orbit has fewer than 5 distinct members: "
+                       r"the representative \(0, 0, 0, 1\) is its own conjugate$"):
+        _orbit_codes(params, action)
+
+
+def test_orbit_codes_reject_an_image_that_does_not_lead_with_1(monkeypatch):
+    # An inverse table that calls 1 the inverse of 2 leaves every image that
+    # leads with a 2 as it is, and no listed normal leads with a 2.
+    params = CoverParams(5, 3, 3)
+    action = build_action(params)
+    monkeypatch.setattr(atlas, "inverse_table", lambda q: np.array([0, 1, 1]))
+    message = r"^conjugation maps the normal \(0, 0, 0, 1\) to \(2, 0, 0, 0\), which is not a listed normal$"
+    with pytest.raises(IdentityCheckError, match=message):
         _orbit_codes(params, action)
 
 

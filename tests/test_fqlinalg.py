@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,37 @@ def test_transform_and_invariance_guards():
             s.transform(bad)
         with pytest.raises(AmbientMismatchError):
             s.is_invariant_under(bad)
+
+
+def test_invariance_is_checked_once_per_matrix_residues(monkeypatch):
+    s = Subspace([[1, 1, 1]], 3, 2)
+    calls = []
+    honest = Subspace.contains_rows
+    monkeypatch.setattr(Subspace, "contains_rows", lambda self, rows: calls.append(1) or honest(self, rows))
+    # 3 * CYCLE and -CYCLE have the residues of CYCLE over F_2.
+    assert all(s.is_invariant_under(m) for m in (CYCLE, 3 * CYCLE, -CYCLE, CYCLE.copy()))
+    assert len(calls) == 1
+    assert not s.is_invariant_under(np.diag([1, 0, 0]))
+    assert len(calls) == 2
+    # An equal subspace built afresh keeps no answer of its own yet.
+    assert Subspace([[1, 1, 1]], 3, 2).is_invariant_under(CYCLE) and len(calls) == 3
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, np.bool_(True), "2", None, -1])
+def test_subspace_refuses_an_ambient_dim_that_is_no_non_negative_integer(dim):
+    # Subspace([[1, 0]], 2.5, 3) used to become a space in F_3^2, and
+    # Subspace.zero(2.9, 3) raised a bare TypeError.
+    message = "ambient_dim -1 is negative" if dim == -1 else f"ambient_dim {dim!r} is not an integer"
+    for make in (lambda d, q: Subspace([[1, 0]], d, q), Subspace.zero, Subspace.full):
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            make(dim, 3)
+
+
+def test_subspace_reads_a_numpy_integer_ambient_dim_as_an_int():
+    for make in (lambda d, q: Subspace([[1, 0]], d, q), Subspace.zero, Subspace.full):
+        sub = make(np.int32(2), 3)
+        assert type(sub.ambient_dim) is int and sub.ambient_dim == 2
+    assert Subspace([[1, 0]], np.int64(2), 3) == Subspace([[1, 0]], 2, 3)
 
 
 def test_transform_is_the_image_of_every_vector():
