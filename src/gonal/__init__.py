@@ -31,9 +31,6 @@ from .atlas import (
 from .calculus import (
     CoverReport,
     decomposition_report,
-    genus_homology_cover,
-    genus_intermediate,
-    genus_quotient_T,
     genus_quotient_by_core,
     prym_dim,
 )
@@ -94,9 +91,6 @@ __all__ = [
     "frobenius_check",
     "galois_closure",
     "gaussian_count",
-    "genus_homology_cover",
-    "genus_intermediate",
-    "genus_quotient_T",
     "genus_quotient_by_core",
     "invariant_subspaces",
     "orbit_classes",

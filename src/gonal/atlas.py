@@ -60,6 +60,7 @@ from .fqlinalg import (
     check_prime_modulus,
     decode_codes,
     encode_rows,
+    gaussian_count,
     inverse_table,
     iter_subspace_bases,
     kernel_array,
@@ -512,13 +513,18 @@ def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_C
     """All k-dim subspaces of F_q^n by direct RREF enumeration (oracle).
 
     n and k are read by check_integer; InvalidParamsError naming both unless
-    0 <= k <= n.
+    0 <= k <= n.  `cap` bounds both the ambient size q^n and the number of
+    subspaces listed; CapExceededError past either, before any basis is built.
     """
     q = check_prime_modulus(q)
     n, k = check_integer(n, "n"), check_integer(k, "k")
     if not 0 <= k <= n:
         raise InvalidParamsError(f"need 0 <= k <= n, got k={k}, n={n}")
     check_cap(q, n, cap, "brute-force subgroup enumeration")
+    count = gaussian_count(n, k, q)
+    if count > cap:
+        what = f"brute-force subgroup enumeration would list {quoted(count)} {k}-dim subspaces"
+        raise CapExceededError(what, count, cap)
     return [
         Subspace._from_canonical(basis, n, q) for basis in iter_subspace_bases(n, k, q)
     ]

@@ -37,7 +37,7 @@ from .atlas import (
     resolve_atlas_cap,
     subgroup_from_file,
 )
-from .calculus import decomposition_report, genus_homology_cover, genus_quotient_by_core
+from .calculus import decomposition_report, genus_quotient_by_core
 from .errors import (
     CapExceededError,
     FixtureParseError,
@@ -157,7 +157,7 @@ def cmd_invariants(args, params: CoverParams):
     # decomposition_report builds n/s0 + 1 genus values about its size.
     _refuse_unprintable(
         params.n * math.log10(params.q) + math.log10(params.g - 1),
-        lambda: genus_homology_cover(params),
+        lambda: genus_quotient_by_core(params, 0),
     )
     report = decomposition_report(params)
     payload = {k: v for k, v in vars(report).items() if k not in ("params", "genus_z")}

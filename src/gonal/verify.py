@@ -20,7 +20,7 @@ from .atlas import (
     read_fixture,
 )
 from .calculus import CoverReport, decomposition_report, genus_quotient_by_core
-from .errors import CapExceededError, GonalError, IdentityCheckError, decimal
+from .errors import CapExceededError, GonalError, IdentityCheckError, InvalidParamsError, decimal
 from .fqlinalg import gaussian_count, positive_cap
 from .groupring import (
     DEFAULT_GROUP_CAP,
@@ -66,14 +66,15 @@ def _equal(name: str, identity: str, lhs, rhs, detail: str = "") -> CheckResult:
 
 def identity_rows(report: CoverReport) -> list[CheckResult]:
     """The rows of `gonal invariants`: the decomposition identities between the closed forms."""
-    g_ends = (report.genus_z[0], report.genus_z[report.params.n])
+    n = report.params.n
+    g_ends = (report.genus_z[n], genus_quotient_by_core(report.params, n, twisted=True))
     return [
         _equal("jacobian-dimension-identity", "g~ = g + m * prym",
                report.g_tilde, report.g + report.m * report.prym_dim),
         _equal("prym-sum-equals-quotient-jacobian", "t * prym = g_T",
                report.t * report.prym_dim, report.g_t),
-        _equal("riemann-hurwitz-endpoints", "g(X~/K) at ranks (0, n) = (g~, g)",
-               g_ends, (report.g_tilde, report.g)),
+        _equal("riemann-hurwitz-endpoints", "(g(X~/N), g(X~/G)) = (g, 0)",
+               g_ends, (report.g, 0)),
     ]
 
 
@@ -245,7 +246,7 @@ def run_suite(suite: str, cap: int | None = None) -> list[CheckResult]:
     A cap that is not a positive integer raises InvalidParamsError before any check runs.
     """
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+        raise InvalidParamsError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     group_cap = DEFAULT_GROUP_CAP if cap is None else positive_cap(cap, "group-order cap")
     results = []
     if suite in ("counts", "all"):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
@@ -482,6 +483,19 @@ def test_enumerate_subgroups_brute():
     with pytest.raises(CapExceededError):
         enumerate_subgroups_brute(20, 2, 3, cap=2**16)
     assert enumerate_subgroups_brute(np.int64(4), np.int32(1), 3) == lines
+
+
+@pytest.mark.parametrize(
+    "n,k,q,count",
+    # Both ambient spaces are within the default cap 2^16, but the lists are not.
+    [(8, 4, 3, 75913222), (16, 8, 2, 63379954960524853651)],
+)
+def test_enumerate_subgroups_brute_caps_the_number_of_subspaces(n, k, q, count):
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"would list {count} {k}-dim subspaces") as info:
+        enumerate_subgroups_brute(n, k, q)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.required, info.value.cap) == (count, 2**16)
 
 
 @pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])

@@ -391,10 +391,10 @@ def int_str_limit_4300():
 def test_results_past_the_int_to_str_limit_exit_2(
     capsys, monkeypatch, int_str_limit_4300, command, triple, digits
 ):
-    def unbounded(params):
+    def unbounded(*args, **kwargs):
         pytest.fail("the report was built before the oversized result was refused")
 
-    for builder in ("genus_homology_cover", "decomposition_report", "rep_table"):
+    for builder in ("genus_quotient_by_core", "decomposition_report", "rep_table"):
         monkeypatch.setattr(f"gonal.cli.{builder}", unbounded)
     p, q, r = (str(x) for x in triple)
     code, out, err = run_cli(capsys, command, "--p", p, "--q", q, "--r", r, "--json")
@@ -471,12 +471,13 @@ def test_reps_command(capsys):
 @pytest.mark.parametrize(
     "command, corrupt, row, detail, example",
     [
-        ("invariants", "genus_homology_cover", "jacobian-dimension-identity",
+        # For invariants, `corrupt(n, w, twisted)` picks the genera of X~/H put off by one.
+        ("invariants", lambda n, w, twisted: w == 0 and not twisted, "jacobian-dimension-identity",
          "g~ = g + m * prym: 18 vs 17", None),
-        ("invariants", "genus_quotient_T", "prym-sum-equals-quotient-jacobian",
+        ("invariants", lambda n, w, twisted: twisted, "prym-sum-equals-quotient-jacobian",
          "t * prym = g_T: 5 vs 6", "expected (t, prym, g_T) = (3, 1, 3), got (3, 1, 4)"),
-        ("invariants", "genus_quotient_by_core", "riemann-hurwitz-endpoints",
-         "g(X~/K) at ranks (0, n) = (g~, g): (18, 3) vs (17, 2)", None),
+        ("invariants", lambda n, w, twisted: w == n and not twisted, "riemann-hurwitz-endpoints",
+         "(g(X~/N), g(X~/G)) = (g, 0): (3, 0) vs (2, 0)", None),
         ("reps", "complex_table", "sum-of-squares",
          "sum of count * degree^2 = |G|: 57 vs 48", None),
         ("reps", "complex_table", "rational-grouping",
@@ -488,20 +489,24 @@ def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, 
     # One closed form off by one at (3, 2, 4), the first triple of the sweep; for
     # complex_table, the V_j count.  `example` is the witness of the identities
     # suite's worked example at (5, 2, 3) where the corruption reaches it.
-    from gonal import calculus, reps
+    from gonal import calculus, reps, verify
     from gonal.action import CoverParams
 
-    module = reps if corrupt == "complex_table" else calculus
-    real = getattr(module, corrupt)
     if corrupt == "complex_table":
+        real = reps.complex_table
+
         def wrong(params):
             return tuple(
                 reps.RepEntry(e.label, e.degree, e.count + (e.label == "V_j")) for e in real(params)
             )
+        monkeypatch.setattr(reps, "complex_table", wrong)
     else:
-        def wrong(*args):
-            return real(*args) + 1
-    monkeypatch.setattr(module, corrupt, wrong)
+        real_genus = calculus.genus_quotient_by_core
+
+        def wrong_genus(params, w, *, twisted=False):
+            return real_genus(params, w, twisted=twisted) + corrupt(params.n, w, twisted)
+        for module in (calculus, verify):
+            monkeypatch.setattr(module, "genus_quotient_by_core", wrong_genus)
 
     code, out, _ = run_cli(capsys, command, "--p", "3", "--q", "2", "--r", "4", "--json")
     assert code == 1

@@ -32,9 +32,6 @@ PUBLIC_NAMES = [
     "frobenius_check",
     "galois_closure",
     "gaussian_count",
-    "genus_homology_cover",
-    "genus_intermediate",
-    "genus_quotient_T",
     "genus_quotient_by_core",
     "invariant_subspaces",
     "orbit_classes",

@@ -1,6 +1,6 @@
 from gonal.action import CoverParams, parameter_sweep
 from gonal.atlas import orbit_classes
-from gonal.calculus import genus_homology_cover
+from gonal.calculus import genus_quotient_by_core
 from gonal.reps import complex_table, rational_table, rep_table
 
 
@@ -57,12 +57,12 @@ def test_isotypical_report_dimensions():
         ("J(X)", 2, 1),
         ("P(Y_j/X)^p", 5, 3),
     ]
-    assert 2 + 3 * 5 == genus_homology_cover(CoverParams(5, 2, 3))
+    assert 2 + 3 * 5 == genus_quotient_by_core(CoverParams(5, 2, 3), 0)
     factors = rep_table(CoverParams(13, 3, 3)).pairing
     assert 6 + 20440 * 13 * 10 == 2657206
     tiny = CoverParams(3, 2, 3, allow_small_genus=True)
     factors = rep_table(tiny).pairing
-    assert sum(f.dim * f.count for f in factors) == 1 == genus_homology_cover(tiny)
+    assert sum(f.dim * f.count for f in factors) == 1 == genus_quotient_by_core(tiny, 0)
 
 
 def test_rational_kernel_count_matches_atlas():

@@ -182,3 +182,8 @@ def test_run_suite_refuses_a_cap_that_is_not_an_int(cap):
     # Truncated, 80.5 would run the groupring suite at cap 80 and pass.
     with pytest.raises(InvalidParamsError, match="group-order cap must be a positive integer"):
         verify.run_suite("groupring", cap=cap)
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(InvalidParamsError, match="^unknown suite 'nope'; choose from groupring, "):
+        verify.run_suite("nope")
