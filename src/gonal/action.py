@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapExceededError, IdentityCheckError, InvalidParamsError, quoted
+from .errors import IdentityCheckError, InvalidParamsError, check_cap, quoted
 from .fqlinalg import (
     Subspace,
     decode_codes,
@@ -36,7 +36,6 @@ from .fqlinalg import (
     iter_echelon_forms,
     kernel_array,
     matpow_array,
-    positive_cap,
     row_space_array,
     rref_array,
 )
@@ -374,13 +373,10 @@ def invariant_subspaces(action: AdaptedAction, cap: int) -> list[Subspace]:
     """
     params = action.params
     p, q, n, s0 = params.p, params.q, params.n, params.s0
-    cap = positive_cap(cap, "invariant-subspace cap")
     blocks, k, size = params.r - 2, (p - 1) // s0, q**s0
-    expected = sum(gaussian_count(blocks, e, size) for e in range(blocks + 1)) ** k
-    if expected > cap:
-        raise CapExceededError(
-            f"F_{q}^{n} has {quoted(expected)} invariant subspaces", required=expected, cap=cap
-        )
+    per_component = sum(gaussian_count(blocks, e, size) for e in range(blocks + 1))
+    message = f"F_{q}^{n} has {{}} invariant subspaces"
+    expected = check_cap(cap, "invariant-subspace cap", message, per_component, k)
     step = action.inverse_array.T
     coefficients = decode_codes(np.arange(size), s0, q)
     columns = action.primary.coordinates

@@ -34,7 +34,6 @@ merge would be identical under any parallel schedule.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -44,14 +43,7 @@ from math import comb
 import numpy as np
 
 from .action import AdaptedAction, CoverParams, build_action
-from .errors import (
-    CapExceededError,
-    FixtureParseError,
-    IdentityCheckError,
-    InvalidParamsError,
-    quoted,
-    quoted_power,
-)
+from .errors import FixtureParseError, IdentityCheckError, InvalidParamsError, check_cap
 from .fqlinalg import (
     Subspace,
     as_residues,
@@ -64,42 +56,10 @@ from .fqlinalg import (
     inverse_table,
     iter_subspace_bases,
     kernel_array,
-    positive_cap,
 )
 
 DEFAULT_ATLAS_CAP = 3**13
 DEFAULT_BRUTE_CAP = 2**16
-ENV_ATLAS_CAP = "GONAL_ATLAS_CAP"
-
-
-def resolve_atlas_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the GONAL_ATLAS_CAP variable, else 3^13.
-
-    A cap that is not a positive integer raises InvalidParamsError.
-    """
-    source = "atlas cap"
-    if cap is None:
-        cap, source = os.environ.get(ENV_ATLAS_CAP), ENV_ATLAS_CAP
-        if not cap:
-            return DEFAULT_ATLAS_CAP
-    return positive_cap(cap, source)
-
-
-def check_cap(q: int, n: int, cap: int, what: str):
-    """CapExceededError unless the ambient space F_q^n has at most `cap` vectors.
-
-    (b - 1) n >= the bit length of cap, b that of q, already means q^n > cap:
-    then q^n is built only if its digits are printed.  Otherwise q^n stays
-    below (2 cap)^2 and is compared exactly.
-    """
-    if (q.bit_length() - 1) * n < cap.bit_length():
-        size = q**n
-        if size <= cap:
-            return
-        text = quoted(size)
-    else:
-        size, text = quoted_power(q, n)
-    raise CapExceededError(f"{what} needs ambient size {text}", size, cap, required_text=text)
 
 
 class Hyperplane:
@@ -165,13 +125,13 @@ class Hyperplane:
         return f"Hyperplane({list(self.normal)}, modulus={self.modulus})"
 
 
-def enumerate_hyperplanes(params: CoverParams, cap: int | None = None):
+def enumerate_hyperplanes(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP):
     """Iterator over all m hyperplane normals in lexicographic order, each once.
 
-    The cap is checked at the call, not at the first item.
+    `cap` bounds the ambient size q^n; it is checked at the call, not at the first item.
     """
     q, n = params.q, params.n
-    check_cap(q, n, resolve_atlas_cap(cap), "hyperplane enumeration")
+    check_cap(cap, "atlas cap", "hyperplane enumeration needs ambient size {}", q, n)
     return (
         Hyperplane._from_normalized(tuple(row), q)
         for _, rows in _normal_chunks(n, q)
@@ -455,7 +415,7 @@ def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
 
 def orbit_classes(
     params: CoverParams,
-    cap: int | None = None,
+    cap: int = DEFAULT_ATLAS_CAP,
     action: AdaptedAction | None = None,
 ) -> list[OrbitClass]:
     """Classify all hyperplanes into their t conjugation orbits, with cores.
@@ -466,7 +426,7 @@ def orbit_classes(
     Subspace, interned by the kernel's shape and bytes.
     """
     q, n = params.q, params.n
-    check_cap(q, n, resolve_atlas_cap(cap), "orbit classification")
+    check_cap(cap, "atlas cap", "orbit classification needs ambient size {}", q, n)
     if action is None:
         action = build_action(params)
     elif action.params != params:
@@ -520,11 +480,9 @@ def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_C
     n, k = check_integer(n, "n"), check_integer(k, "k")
     if not 0 <= k <= n:
         raise InvalidParamsError(f"need 0 <= k <= n, got k={k}, n={n}")
-    check_cap(q, n, cap, "brute-force subgroup enumeration")
-    count = gaussian_count(n, k, q)
-    if count > cap:
-        what = f"brute-force subgroup enumeration would list {quoted(count)} {k}-dim subspaces"
-        raise CapExceededError(what, count, cap)
+    what = "brute-force subgroup enumeration"
+    check_cap(cap, "brute-force cap", f"{what} needs ambient size {{}}", q, n)
+    check_cap(cap, "brute-force cap", f"{what} would list {{}} {k}-dim subspaces", gaussian_count(n, k, q))
     return [
         Subspace._from_canonical(basis, n, q) for basis in iter_subspace_bases(n, k, q)
     ]

@@ -11,9 +11,8 @@ ReportEnvelope, renders it as text or, with --json, streams it as JSON
 in which all integers are decimal strings (genus values overflow doubles
 long before they get interesting), and picks the exit code.  Exit codes:
 0 success, 1 a verification check failed, 2 bad input, 3 a resource cap
-refused the run.  The GONAL_ATLAS_CAP environment variable sets the atlas
-enumeration cap when --cap does not; `verify --cap` bounds the group order
-alone.
+refused the run.  `atlas --cap` bounds the ambient size q^n, `verify --cap`
+the group order.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ from dataclasses import asdict, dataclass
 
 from .action import CoverParams, build_action
 from .atlas import (
-    ENV_ATLAS_CAP,
+    DEFAULT_ATLAS_CAP,
     Hyperplane,
-    check_cap,
     core,
     core_histogram,
     galois_closure,
     orbit_classes,
-    resolve_atlas_cap,
     subgroup_from_file,
 )
 from .calculus import decomposition_report, genus_quotient_by_core
@@ -44,11 +41,13 @@ from .errors import (
     GonalError,
     IdentityCheckError,
     InvalidParamsError,
+    check_cap,
     decimal,
     digits_from_log10,
     int_str_limit,
     too_many_digits,
 )
+from .groupring import DEFAULT_GROUP_CAP
 from .reps import rep_table
 from .verify import SUITES, CheckResult, census_rows, identity_rows, run_suite
 
@@ -167,7 +166,7 @@ def cmd_invariants(args, params: CoverParams):
 
 def cmd_atlas(args, params: CoverParams):
     # Refuse past the cap before build_action spends O(n^3) on an n x n matrix.
-    check_cap(params.q, params.n, resolve_atlas_cap(args.cap), "orbit classification")
+    check_cap(args.cap, "atlas cap", "orbit classification needs ambient size {}", params.q, params.n)
     action = build_action(params)
     classes = orbit_classes(params, cap=args.cap, action=action)
     class_count = len(classes)
@@ -345,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument(
         "--limit", type=_non_negative_int, default=None, help="show at most N classes"
     )
-    p_atlas.add_argument("--cap", type=int, default=None, help="override the enumeration cap")
+    p_atlas.add_argument(
+        "--cap", type=int, default=DEFAULT_ATLAS_CAP, help="ambient-size cap q^n (default %(default)s)"
+    )
     p_atlas.add_argument("--json", action="store_true")
     p_atlas.set_defaults(func=cmd_atlas)
 
@@ -362,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named suite of exact checks")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--cap", type=int, default=None, help="group-order cap for groupring checks")
+    p_verify.add_argument(
+        "--cap", type=int, default=DEFAULT_GROUP_CAP, help="group-order cap (default %(default)s)"
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -379,10 +382,7 @@ def main(argv=None) -> int:
         return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        hint = f"--cap {exc.required_text}"
-        if args.subcommand == "atlas":
-            hint += f" or set {ENV_ATLAS_CAP}={exc.required_text}"
-        print(f"hint: re-run with {hint}", file=sys.stderr)
+        print(f"hint: re-run with --cap {exc.required_text}", file=sys.stderr)
         return EXIT_CAP
     except (InvalidParamsError, FixtureParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all gonal modules, and the int-to-str guard."""
+"""Exception hierarchy shared by all gonal modules, the int-to-str guard, and the one cap check."""
 
 import math
 import sys
@@ -85,7 +85,7 @@ def quoted(value: int) -> str:
 
 
 def quoted_power(base: int, exp: int, factor: int = 1) -> tuple[int | None, str]:
-    """(factor * base**exp, its `quoted` text), base >= 2, factor >= 1; past the
+    """(factor * base**exp, its `quoted` text), base, factor >= 1; past the
     int-to-str limit (None, its digit count) without building the power."""
     if int_str_limit():
         digits = digits_from_log10(
@@ -95,3 +95,33 @@ def quoted_power(base: int, exp: int, factor: int = 1) -> tuple[int | None, str]
             return None, f"<{digits} digits>"
     value = factor * base**exp
     return value, str(value)
+
+
+def positive_cap(cap, source: str) -> int:
+    """`cap` itself; InvalidParamsError naming `source` unless it is a positive int.
+
+    A float, a bool or a digit string is refused, not read: 80.9 is not the cap 80.
+    """
+    if type(cap) is not int or cap < 1:
+        raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
+    return cap
+
+
+def check_cap(cap, source: str, message: str, base: int, exp: int = 1, factor: int = 1) -> int:
+    """factor * base**exp once it is at most `cap`, read by positive_cap naming `source`;
+    past it, CapExceededError with `message`, the value quoted at its `{}`.
+
+    base, factor >= 1.  (b - 1) exp + (f - 1) >= the bit length of cap, b and f
+    those of base and factor, already means the value exceeds cap: then it is
+    built only if its digits are printed.  Otherwise it stays below (2 cap)^2
+    and is compared exactly.
+    """
+    cap = positive_cap(cap, source)
+    if (base.bit_length() - 1) * exp + factor.bit_length() - 1 < cap.bit_length():
+        value = factor * base**exp
+        if value <= cap:
+            return value
+        text = quoted(value)
+    else:
+        value, text = quoted_power(base, exp, factor)
+    raise CapExceededError(message.format(text), value, cap, required_text=text)

@@ -58,19 +58,6 @@ def check_prime_modulus(q: int) -> int:
     return q
 
 
-def positive_cap(cap, source: str) -> int:
-    """`cap` as an int; InvalidParamsError naming `source` unless it is a positive int
-    or a string of ASCII digits (as an environment variable holds it).
-
-    A float or a bool is refused, not truncated: 80.9 is not the cap 80.
-    """
-    if isinstance(cap, str) and cap.isascii() and cap.isdigit():
-        cap = int(cap)
-    if type(cap) is not int or cap < 1:
-        raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
-    return cap
-
-
 @cache
 def inverse_table(q: int) -> np.ndarray:
     """inverse_table(q)[x] = x^-1 mod q for x in 1..q-1 (index 0 unused).

@@ -34,8 +34,8 @@ import numpy as np
 
 from .action import CoverParams, build_action
 from .atlas import Hyperplane
-from .errors import CapExceededError, IdentityCheckError, InvalidParamsError, quoted_power
-from .fqlinalg import as_residues, decode_codes, encode_rows, positive_cap, rref_array
+from .errors import IdentityCheckError, InvalidParamsError, check_cap
+from .fqlinalg import Subspace, decode_codes, encode_rows
 
 DEFAULT_GROUP_CAP = 512
 # Associativity is spot-checked on this many triples, drawn from this seed.
@@ -75,18 +75,8 @@ class FrobeniusGroup:
     """
 
     def __init__(self, params: CoverParams, cap: int = DEFAULT_GROUP_CAP):
-        if isinstance(cap, str):  # a digit string is read from the environment, not passed here
-            raise InvalidParamsError(f"group-order cap must be a positive integer, got {cap!r}")
-        cap = positive_cap(cap, "group-order cap")
-        # |G| = p q^n is built only if its digits can be printed.
-        order, text = quoted_power(params.q, params.n, factor=params.p)
-        if order is None or order > cap:
-            raise CapExceededError(
-                f"group of order {text} exceeds the regular-representation cap",
-                required=order,
-                cap=cap,
-                required_text=text,
-            )
+        message = "group of order {} exceeds the regular-representation cap"
+        check_cap(cap, "group-order cap", message, params.q, params.n, params.p)
         self.params = params
         self.action = build_action(params)
         p, q, n = params.p, params.q, params.n
@@ -252,55 +242,27 @@ def _multiple_codes(rows: np.ndarray, q: int) -> list[list[int]]:
     return encode_rows((rows[:, None, :] * np.arange(q)[:, None]) % q, q).tolist()
 
 
-def _refuse_dependent_rows(basis: np.ndarray, q: int) -> None:
-    """InvalidParamsError naming the rank unless the residue rows of `basis` are
-    linearly independent over F_q.
-
-    Rows in echelon shape, each leading entry strictly right of the one above
-    (as in the canonical kernel basis _fixed passes), are independent without
-    an elimination; any other basis is eliminated once.
-    """
-    previous = -1
-    for row in basis.tolist():
-        lead = next((j for j, x in enumerate(row) if x), -1)
-        if lead <= previous:
-            break
-        previous = lead
-    else:
-        return
-    rows = basis.shape[0]
-    rank = len(rref_array(basis, q)[1])
-    if rank < rows:
-        raise InvalidParamsError(
-            f"subgroup basis of {rows} rows has rank {rank} over F_{q}: "
-            f"need linearly independent rows"
-        )
-
-
-def apply_subgroup_sum(group: FrobeniusGroup, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply sum_{h in L} h, for L the translations spanned by the rows of `basis`.
+def apply_subgroup_sum(group: FrobeniusGroup, L: Subspace, vec: np.ndarray) -> np.ndarray:
+    """Apply sum_{h in L} h, for L a subspace of the translations N = F_q^n.
 
     L is elementary abelian and every h in L is sum_b c_b b for unique c_b in
     Z_q, so in Z[L] the sum is the product over rows b of (1 + b + ... +
-    b^(q-1)): (n-1)(q-1) permutations instead of q^(n-1).  Each factor holds
+    b^(q-1)): (q-1) dim L permutations instead of q^(dim L).  Each factor holds
     the inverse (q-j) b of every term j b, so gathering along the left
     permutations (g z = z[perm of g^-1]) gives the same sum as scattering.
 
-    InvalidParamsError unless the rows have length n (a longer row would code
-    a twist, not a translation) and are linearly independent over F_q (rows
-    of rank k would count each element of L q^(rows - k) times), or when the
-    q^rows terms of the sum on entries up to max |vec| may reach 2^63, where
-    int64 wraps.
+    The rows b are L's canonical basis, independent by construction, so each
+    element of L is summed once.  InvalidParamsError unless L lies in F_q^n,
+    or when the q^(dim L) terms of the sum on entries up to max |vec| may
+    reach 2^63, where int64 wraps.
     """
     q, n = group.params.q, group.params.n
-    basis = as_residues(basis, q)
-    if basis.ndim != 2 or basis.shape[1] != n:
-        raise InvalidParamsError(f"subgroup basis of shape {basis.shape}: need rows of length {n}")
-    _refuse_dependent_rows(basis, q)
+    if L.modulus != q or L.ambient_dim != n:
+        raise InvalidParamsError(f"subgroup of F_{L.modulus}^{L.ambient_dim} is not in F_{q}^{n}")
     out = _integers(vec, "group-ring vectors", group.order)
-    terms = q ** basis.shape[0]
+    terms = q**L.dim
     _refuse_overflow(terms, out, "subgroup sum", f"{terms} terms")
-    for row_codes in _multiple_codes(basis, q):
+    for row_codes in _multiple_codes(L.basis_array, q):
         acc = out.copy()
         for code in row_codes[1:]:
             acc += out.take(group.left_perm(code), axis=-1)
@@ -384,7 +346,7 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     basis = (coset_idx == free[:, None]).astype(np.int64)
     basis -= coset_idx == (free - free % q)[:, None]
     twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
-    images = apply_subgroup_sum(group, ker.basis_array, twisted)
+    images = apply_subgroup_sum(group, ker, twisted)
     basis.flags.writeable = images.flags.writeable = False
     group._fixed_last = (L, (basis, images))
     return group._fixed_last[1]

@@ -20,8 +20,15 @@ from .atlas import (
     read_fixture,
 )
 from .calculus import CoverReport, decomposition_report, genus_quotient_by_core
-from .errors import CapExceededError, GonalError, IdentityCheckError, InvalidParamsError, decimal
-from .fqlinalg import gaussian_count, positive_cap
+from .errors import (
+    CapExceededError,
+    GonalError,
+    IdentityCheckError,
+    InvalidParamsError,
+    decimal,
+    positive_cap,
+)
+from .fqlinalg import gaussian_count
 from .groupring import (
     DEFAULT_GROUP_CAP,
     build_group,
@@ -240,21 +247,21 @@ def suite_fixtures() -> list[CheckResult]:
     return results
 
 
-def run_suite(suite: str, cap: int | None = None) -> list[CheckResult]:
-    """Rows of the named suite; `cap` bounds the group order (None: DEFAULT_GROUP_CAP).
+def run_suite(suite: str, cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
+    """Rows of the named suite; `cap` bounds the group order.
 
     A cap that is not a positive integer raises InvalidParamsError before any check runs.
     """
     if suite not in SUITES:
         raise InvalidParamsError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    group_cap = DEFAULT_GROUP_CAP if cap is None else positive_cap(cap, "group-order cap")
+    positive_cap(cap, "group-order cap")
     results = []
     if suite in ("counts", "all"):
         results += suite_counts()
     if suite in ("identities", "all"):
         results += suite_identities()
     if suite in ("groupring", "all"):
-        results += suite_groupring(cap=group_cap)
+        results += suite_groupring(cap=cap)
     if suite in ("fixtures", "all"):
         results += suite_fixtures()
     return results

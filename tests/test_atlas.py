@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -20,7 +21,6 @@ from gonal.atlas import (
     core,
     core_dim,
     core_histogram,
-    check_cap,
     enumerate_hyperplanes,
     enumerate_subgroups_brute,
     galois_closure,
@@ -28,7 +28,6 @@ from gonal.atlas import (
     parse_generator_words,
     parse_word,
     read_fixture,
-    resolve_atlas_cap,
 )
 from gonal.cli import main
 from gonal.errors import (
@@ -36,6 +35,8 @@ from gonal.errors import (
     FixtureParseError,
     IdentityCheckError,
     InvalidParamsError,
+    check_cap,
+    positive_cap,
 )
 from gonal.fqlinalg import (
     Subspace,
@@ -45,7 +46,6 @@ from gonal.fqlinalg import (
     gaussian_count,
     inverse_table,
     iter_subspace_bases,
-    positive_cap,
 )
 
 
@@ -131,26 +131,17 @@ def test_positive_cap_refuses_anything_but_a_positive_int(cap):
         positive_cap(cap, "atlas cap")
 
 
-def test_positive_cap_takes_an_int_or_a_digit_string(monkeypatch):
-    assert positive_cap(80, "atlas cap") == positive_cap("80", "atlas cap") == 80
-    monkeypatch.setenv("GONAL_ATLAS_CAP", "12.5")
-    with pytest.raises(InvalidParamsError, match="GONAL_ATLAS_CAP must be a positive integer, got '12.5'"):
-        resolve_atlas_cap()
-    with pytest.raises(InvalidParamsError, match="atlas cap must be a positive integer, got 100.0"):
-        resolve_atlas_cap(100.0)
-
-
-def test_enumeration_cap(monkeypatch):
+def test_enumeration_cap():
     params = CoverParams(13, 3, 3)
     with pytest.raises(CapExceededError) as exc:
         list(enumerate_hyperplanes(params, cap=100))
     assert exc.value.required == 3**12
-    monkeypatch.setenv("GONAL_ATLAS_CAP", "10")
-    assert resolve_atlas_cap() == 10
     with pytest.raises(CapExceededError):
-        list(enumerate_hyperplanes(CoverParams(3, 2, 4)))
-    monkeypatch.delenv("GONAL_ATLAS_CAP")
-    assert resolve_atlas_cap() == 3**13
+        list(enumerate_hyperplanes(CoverParams(3, 2, 4), cap=10))
+    # The default cap is 3^13: (13,3,3) at q^n = 3^12 passes, (5,3,9) at 3^28 does not.
+    enumerate_hyperplanes(params)
+    with pytest.raises(CapExceededError, match=r"current cap 1594323\)$"):
+        enumerate_hyperplanes(CoverParams(5, 3, 9))
 
 
 def test_enumeration_cap_is_checked_at_the_call():
@@ -918,7 +909,7 @@ def test_conjugate_hyperplane_matches_the_normalizing_constructor():
 def test_check_cap_decides_from_bit_lengths_without_building_the_power():
     # 5^(10^12) has about 7 * 10^11 digits: building it would not finish.
     with pytest.raises(CapExceededError) as exc:
-        check_cap(5, 10**12, 3**13, "sweep")
+        check_cap(3**13, "cap", "sweep needs ambient size {}", 5, 10**12)
     assert exc.value.required is None
     assert exc.value.required_text == "<698970004337 digits>"
     assert str(exc.value) == (
@@ -926,10 +917,32 @@ def test_check_cap_decides_from_bit_lengths_without_building_the_power():
         "(required cap <698970004337 digits>, current cap 1594323)"
     )
     # At and just past the cap the comparison is exact.
-    check_cap(3, 13, 3**13, "sweep")
+    assert check_cap(3**13, "cap", "{}", 3, 13) == 3**13
     with pytest.raises(CapExceededError) as exc:
-        check_cap(3, 13, 3**13 - 1, "sweep")
+        check_cap(3**13 - 1, "cap", "{}", 3, 13)
     assert exc.value.required == 3**13 and exc.value.required_text == str(3**13)
-    check_cap(2, 64, 2**64, "sweep")
+    check_cap(2**64, "cap", "{}", 2, 64)
     with pytest.raises(CapExceededError):
-        check_cap(2, 65, 2**64, "sweep")
+        check_cap(2**64, "cap", "{}", 2, 65)
+    # With a factor, as |G| = p q^n: at the cap it passes, one below it is refused.
+    assert check_cap(13 * 3**12, "cap", "{}", 3, 12, 13) == 13 * 3**12
+    with pytest.raises(CapExceededError) as exc:
+        check_cap(13 * 3**12 - 1, "cap", "group of order {} exceeds", 3, 12, 13)
+    assert (exc.value.required, str(exc.value)) == (
+        13 * 3**12, f"group of order {13 * 3**12} exceeds (required cap {13 * 3**12}, current cap {13 * 3**12 - 1})"
+    )
+    # The order of G at (3,5,2000000), 3 * 5^3999996, is never built where its
+    # digits could not be printed.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as exc:
+            check_cap(512, "cap", "group of order {} exceeds", 5, 3999996, 3)
+        assert time.perf_counter() - start < 0.5
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert exc.value.required is None
+    assert str(exc.value) == "group of order <2795878 digits> exceeds (required cap <2795878 digits>, current cap 512)"

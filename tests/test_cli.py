@@ -216,21 +216,7 @@ def test_atlas_cap_exit_3(capsys):
     )
     assert code == 3
     assert "cap" in err
-    assert err.splitlines()[-1] == f"hint: re-run with --cap {3**12} or set GONAL_ATLAS_CAP={3**12}"
-
-
-def test_atlas_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("GONAL_ATLAS_CAP", "10")
-    code, _, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4")
-    assert code == 3
-    assert "GONAL_ATLAS_CAP" in err
-
-
-def test_atlas_env_cap_not_an_integer_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("GONAL_ATLAS_CAP", "abc")
-    code, _, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4")
-    assert code == 2
-    assert "GONAL_ATLAS_CAP" in err and "abc" in err
+    assert err.splitlines()[-1] == f"hint: re-run with --cap {3**12}"
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
@@ -248,10 +234,7 @@ def test_verify_nonpositive_cap_exit_2(capsys, cap):
     assert "positive integer" in err
 
 
-def test_verify_group_cap_refusal_exits_3_and_names_only_the_flag(capsys, monkeypatch):
-    # GONAL_ATLAS_CAP sets the atlas cap only: it neither lifts the group cap
-    # nor belongs in the hint.
-    monkeypatch.setenv("GONAL_ATLAS_CAP", "100000")
+def test_verify_group_cap_refusal_exits_3_and_names_only_the_flag(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "groupring", "--cap", "50")
     assert code == 3
     assert out == ""
@@ -429,7 +412,7 @@ def test_atlas_cap_refusal_past_the_int_to_str_limit_exit_3(capsys, int_str_limi
     assert (code, out) == (3, "")
     error, hint = err.splitlines()
     assert error.startswith("error: orbit classification needs ambient size <4471 digits>")
-    assert hint == "hint: re-run with --cap <4471 digits> or set GONAL_ATLAS_CAP=<4471 digits>"
+    assert hint == "hint: re-run with --cap <4471 digits>"
 
 
 @needs_int_str_limit
@@ -444,7 +427,7 @@ def test_atlas_cap_refusal_builds_no_power(capsys, int_str_limit_4300):
         "error: orbit classification needs ambient size <2795878 digits> "
         "(required cap <2795878 digits>, current cap 1594323)"
     )
-    assert hint == "hint: re-run with --cap <2795878 digits> or set GONAL_ATLAS_CAP=<2795878 digits>"
+    assert hint == "hint: re-run with --cap <2795878 digits>"
     assert elapsed < 1.0
 
 

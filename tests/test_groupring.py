@@ -12,7 +12,7 @@ from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes
 from gonal import groupring
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
-from gonal.fqlinalg import decode_codes
+from gonal.fqlinalg import Subspace, decode_codes
 from gonal.groupring import (
     FrobeniusGroup,
     GroupRingOperator,
@@ -242,40 +242,44 @@ def test_subgroup_sum_refuses_a_basis_whose_rows_are_not_of_length_n():
     # A width-5 row at n = 4 has the code 16, a twist, which was summed in.
     group = build_group(CoverParams(5, 2, 3))
     vec = np.arange(80, dtype=np.int64)
-    for basis in (np.array([[0, 0, 0, 0, 1]]), np.array([1, 0, 0, 0]), np.array([[1, 0, 0]])):
-        with pytest.raises(InvalidParamsError, match=r"^subgroup basis of shape .*: need rows of length 4$"):
-            apply_subgroup_sum(group, basis, vec)
+    for L in (Subspace([[0, 0, 0, 0, 1]], 5, 2), Subspace([[1, 0, 0]], 3, 2)):
+        with pytest.raises(InvalidParamsError, match=rf"^subgroup of F_2\^{L.ambient_dim} is not in F_2\^4$"):
+            apply_subgroup_sum(group, L, vec)
+    # Rows of length 4 over another field are refused too.
+    with pytest.raises(InvalidParamsError, match=r"^subgroup of F_3\^4 is not in F_2\^4$"):
+        apply_subgroup_sum(group, Subspace([[1, 0, 0, 0]], 4, 3), vec)
 
 
-def test_subgroup_sum_refuses_rows_that_are_not_linearly_independent():
-    # A repeated row counted every element of L twice: entry 0 was 56, not 28.
+def test_subgroup_sum_over_dependent_rows_counts_each_element_once():
+    # A repeated row counted every element of L twice: entry 0 was 56, not 28, the
+    # sum of the codes of L's 8 elements.  A Subspace holds independent rows only.
     group = build_group(CoverParams(5, 2, 3))
-    basis = Hyperplane([1, 0, 0, 0], 2).kernel().basis_array
+    L = Hyperplane([1, 0, 0, 0], 2).kernel()
+    basis = L.basis_array
     vec = np.arange(80, dtype=np.int64)
-    assert apply_subgroup_sum(group, basis, vec)[0] == 28
-    for bad, rank in [
-        (np.vstack([basis[:1], basis]), 3),
-        (np.vstack([basis, basis[0] + basis[2]]), 3),
-        (np.vstack([basis, np.zeros(4, dtype=np.int64)]), 3),
-        (np.vstack([basis[:2], 3 * basis[1]]), 2),  # 3 b = b over F_2
-    ]:
-        with pytest.raises(InvalidParamsError, match=rf"^subgroup basis of {len(bad)} rows has rank {rank} over F_2: "):
-            apply_subgroup_sum(group, bad, vec)
+    assert apply_subgroup_sum(group, L, vec)[0] == 28
+    for rows in (
+        np.vstack([basis[:1], basis]),
+        np.vstack([basis, basis[0] + basis[2]]),
+        np.vstack([basis, np.zeros(4, dtype=np.int64)]),
+        np.vstack([basis, 3 * basis[1]]),  # 3 b = b over F_2
+    ):
+        assert apply_subgroup_sum(group, Subspace(rows, 4, 2), vec)[0] == 28
     # Independent rows out of echelon order, or unreduced, give the same sum.
     for same in (basis[::-1], basis + 2, np.vstack([basis[0] + basis[1], basis[1:]])):
-        assert np.array_equal(apply_subgroup_sum(group, same, vec), apply_subgroup_sum(group, basis, vec))
+        assert np.array_equal(apply_subgroup_sum(group, Subspace(same, 4, 2), vec), apply_subgroup_sum(group, L, vec))
 
 
 def test_subgroup_sum_refuses_a_sum_past_int64():
     # L = [1,0,0,0] has 8 elements: 8 * 2^61 = 2^64 wrapped to zeros.
     group = build_group(CoverParams(5, 2, 3))
-    basis = Hyperplane([1, 0, 0, 0], 2).kernel().basis_array
+    L = Hyperplane([1, 0, 0, 0], 2).kernel()
     with pytest.raises(InvalidParamsError, match=r"^subgroup sum may overflow int64: 8 terms on entries "
                        r"up to 2305843009213693952 in size$"):
-        apply_subgroup_sum(group, basis, np.full(80, 2**61))
+        apply_subgroup_sum(group, L, np.full(80, 2**61))
     # Just below the bound the sum is exact.
     top = np.full(80, 2**60 - 1)
-    assert (apply_subgroup_sum(group, basis, top) == 8 * (2**60 - 1)).all()
+    assert (apply_subgroup_sum(group, L, top) == 8 * (2**60 - 1)).all()
 
 
 def test_element_codes_must_be_integers():
@@ -304,11 +308,11 @@ def test_group_ring_coefficients_must_be_integers():
 def test_group_ring_vectors_must_be_integers_over_the_group(vec, message):
     # A float vector came back as zeros; a short one raised a raw numpy ValueError.
     group = build_group(CoverParams(5, 2, 3))
-    basis = next(iter(enumerate_hyperplanes(group.params))).kernel().basis_array
+    L = next(iter(enumerate_hyperplanes(group.params))).kernel()
     with pytest.raises(InvalidParamsError, match=f"^group-ring vectors {message}"):
         GroupRingOperator(group, {1: 1}).apply(vec)
     with pytest.raises(InvalidParamsError, match=f"^group-ring vectors {message}"):
-        apply_subgroup_sum(group, basis, vec)
+        apply_subgroup_sum(group, L, vec)
 
 
 def test_regular_module_action_is_permutation():
@@ -435,16 +439,17 @@ def test_factored_subgroup_sum_matches_the_term_sum(p, q, r):
         ker = h.kernel()
         terms = GroupRingOperator(group, {_code(group, v): 1 for v in ker.vectors()})
         vec = rng.integers(-50, 50, size=(3, group.order))
-        assert np.array_equal(apply_subgroup_sum(group, ker.basis_array, vec), terms.apply(vec))
+        assert np.array_equal(apply_subgroup_sum(group, ker, vec), terms.apply(vec))
 
 
 def test_scalar_identity_fails_when_the_product_drops_a_basis_row(monkeypatch):
     params = CoverParams(3, 2, 4)
     group = build_group(params)
     full = groupring.apply_subgroup_sum
-    monkeypatch.setattr(
-        groupring, "apply_subgroup_sum", lambda g, basis, vec: full(g, basis[:-1], vec)
-    )
+    def dropped(g, L, vec):
+        return full(g, Subspace(L.basis_array[:-1], L.ambient_dim, L.modulus), vec)
+
+    monkeypatch.setattr(groupring, "apply_subgroup_sum", dropped)
     for h in enumerate_hyperplanes(params):
         with pytest.raises(IdentityCheckError):
             verify_scalar_identity(group, h)

@@ -1,6 +1,21 @@
 """The names `gonal` exports are its contract: trimming one must be deliberate."""
 
+import re
+
+import pytest
+
 import gonal
+from gonal import (
+    CoverParams,
+    FrobeniusGroup,
+    InvalidParamsError,
+    build_action,
+    enumerate_hyperplanes,
+    enumerate_subgroups_brute,
+    invariant_subspaces,
+    orbit_classes,
+)
+from gonal.verify import run_suite
 
 PUBLIC_NAMES = [
     "AdaptedAction",
@@ -58,3 +73,22 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from gonal import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+CAP_TAKERS = {
+    "enumerate_hyperplanes": lambda cap: enumerate_hyperplanes(CoverParams(3, 2, 4), cap=cap),
+    "orbit_classes": lambda cap: orbit_classes(CoverParams(3, 2, 4), cap=cap),
+    "enumerate_subgroups_brute": lambda cap: enumerate_subgroups_brute(3, 1, 2, cap=cap),
+    "FrobeniusGroup": lambda cap: FrobeniusGroup(CoverParams(5, 2, 3), cap=cap),
+    "invariant_subspaces": lambda cap: invariant_subspaces(build_action(CoverParams(3, 2, 4)), cap),
+    "run_suite": lambda cap: run_suite("counts", cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [1.5, "100", True, 0, -3])
+@pytest.mark.parametrize("api", CAP_TAKERS)
+def test_every_cap_refuses_anything_but_a_positive_int(api, cap):
+    # enumerate_subgroups_brute raised a raw AttributeError on 1.5 and "100",
+    # and read True and -3 as caps to refuse with CapExceededError.
+    with pytest.raises(InvalidParamsError, match=f"cap must be a positive integer, got {re.escape(repr(cap))}$"):
+        CAP_TAKERS[api](cap)
