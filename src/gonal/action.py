@@ -30,6 +30,7 @@ import numpy as np
 from .errors import IdentityCheckError, InvalidParamsError, check_cap, quoted
 from .fqlinalg import (
     Subspace,
+    check_row_products,
     decode_codes,
     gaussian_count,
     is_prime,
@@ -79,6 +80,7 @@ class CoverParams:
         for name, value in (("p", p), ("q", q), ("r", r)):
             if type(value) is not int:
                 raise InvalidParamsError(f"{name} = {value!r} must be an int")
+        check_row_products(1, q)
         if not (is_prime(p) and p % 2 == 1):
             raise InvalidParamsError(f"p = {p} must be an odd prime")
         if not is_prime(q):
@@ -87,7 +89,7 @@ class CoverParams:
             raise InvalidParamsError("p and q must be distinct primes")
         if r < 3:
             raise InvalidParamsError(f"r = {r} must be at least 3")
-        # Size refusals read log10(q^n) = n log10(q) off a float, before q^n is built.
+        # The input bound: n log10(q), about the digit count of q^n, must be a finite float.
         try:
             log_size = self.n * math.log10(q)
         except OverflowError:
@@ -292,6 +294,8 @@ class AdaptedAction:
     def __init__(self, params: CoverParams):
         self.params = params
         p, q, n = params.p, params.q, params.n
+        # Every product of the action's rows and columns sums n products of residues.
+        check_row_products(n, q)
         block = _companion_block(p, q)
         mat = np.zeros((n, n), dtype=np.int64)
         d = p - 1

@@ -139,11 +139,15 @@ def enumerate_hyperplanes(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP):
     )
 
 
+def _check_space(h: Hyperplane, params: CoverParams) -> None:
+    if h.modulus != params.q or h.ambient_dim != params.n:
+        raise InvalidParamsError("hyperplane and action live over different spaces")
+
+
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
     """Hyperplane whose kernel is T.ker(h): on normals, v -> v T^(-1)."""
     q = action.params.q
-    if h.modulus != q or h.ambient_dim != action.params.n:
-        raise InvalidParamsError("hyperplane and action live over different spaces")
+    _check_space(h, action.params)
     # T^(-1) is invertible, so the image of a normal is nonzero.
     image = (h.normal_array() @ action.inverse_array) % q
     lead = image[image.nonzero()[0][0]]
@@ -155,6 +159,7 @@ def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
 def core(h: Hyperplane, action: AdaptedAction) -> Subspace:
     """Intersection of the p conjugate kernels of h; always T-invariant."""
     p, q, n = action.params.p, action.params.q, action.params.n
+    _check_space(h, action.params)
     stack = np.empty((p, n), dtype=np.int64)
     row = h.normal_array()
     for j in range(p):
@@ -177,8 +182,7 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     """
     params = action.params
     p, q, n = params.p, params.q, params.n
-    if h.modulus != q or h.ambient_dim != n:
-        raise InvalidParamsError("hyperplane and action live over different spaces")
+    _check_space(h, params)
     primary = action.primary
     blocks = np.array(h.normal, dtype=np.int64).reshape(params.r - 2, p - 1)
     parts = (blocks @ primary.coordinates) % q
@@ -396,19 +400,16 @@ def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
         raise IdentityCheckError(f"found {reps.size} orbit classes, expected t = {params.t}")
     # t p = m entries that reach every normal reach each once: the orbits
     # partition the normals, each with p distinct members.  Past the p-cycle
-    # check above, a row repeats a member only if its representative is fixed.
+    # check above, a row repeats a member only if its representative is fixed,
+    # and no two rows share a cycle, whose least member is its one representative;
+    # so a normal is left out only beside a fixed representative.
     covered = np.zeros(m, dtype=bool)
     covered[orbits] = True
     if not covered.all():
-        fixed = np.flatnonzero(orbits[:, 1] == reps)
-        if fixed.size:
-            raise IdentityCheckError(
-                f"an orbit has fewer than {p} distinct members: the representative "
-                f"{normal(reps[fixed[0]])} is its own conjugate"
-            )
+        fixed = np.flatnonzero(orbits[:, 1] == reps)[0]
         raise IdentityCheckError(
-            f"orbits do not partition the hyperplane set: the normal "
-            f"{normal(np.argmin(covered))} lies in no orbit"
+            f"an orbit has fewer than {p} distinct members: the representative "
+            f"{normal(reps[fixed])} is its own conjugate"
         )
     return _codes_at(orbits, n, q)
 
@@ -540,7 +541,18 @@ def galois_closure(
     )
 
 
-_TOKEN = re.compile(r"\s*a_?(\d+)(?:\^(-?\d+))?")
+_TOKEN = re.compile(r"\s*a_?(\d+)(?:\^(-?)(\d+))?")
+# Digits converted by one int() call: under the least int-to-str limit Python allows, 640.
+_DIGIT_CHUNK = 600
+
+
+def _residue(digits: str, q: int) -> int:
+    """int(digits) mod q for a decimal digit string of any length, read in chunks."""
+    value = 0
+    for start in range(0, len(digits), _DIGIT_CHUNK):
+        chunk = digits[start : start + _DIGIT_CHUNK]
+        value = (value * pow(10, len(chunk), q) + int(chunk)) % q
+    return value
 
 
 def parse_word(word: str, params: CoverParams) -> np.ndarray:
@@ -548,8 +560,11 @@ def parse_word(word: str, params: CoverParams) -> np.ndarray:
 
     Symbols a_1 .. a_n are the kept generators; a_(n+j) for j = 1..r-2 is
     block j's eliminated generator, expanded to minus the block sum.
+    Exponents of any length are read mod q; an index longer than the
+    largest one, n + r - 2, is refused without being converted.
     """
     p, q, n = params.p, params.q, params.n
+    top = n + params.r - 2
     vec = np.zeros(n, dtype=np.int64)
     pos = 0
     matched_any = False
@@ -560,22 +575,32 @@ def parse_word(word: str, params: CoverParams) -> np.ndarray:
                 raise FixtureParseError(f"malformed generator word: {word!r} at {word[pos:]!r}")
             break
         matched_any = True
-        idx = int(match.group(1))
+        index = match.group(1).lstrip("0")
+        if len(index) > len(str(top)):
+            raise FixtureParseError(f"generator index of {len(index)} digits out of range 1..{top}")
+        idx = int(index or "0")
         # Reduced before it meets the int64 vector: the word is read mod q anyway.
-        exp = int(match.group(2)) % q if match.group(2) is not None else 1
+        exp = 1 if match.group(3) is None else _residue(match.group(3), q)
+        if match.group(2):
+            exp = -exp % q
         if 1 <= idx <= n:
             vec[idx - 1] += exp
-        elif n < idx <= n + params.r - 2:
+        elif n < idx <= top:
             j = idx - n
             vec[(j - 1) * (p - 1) : j * (p - 1)] -= exp
         else:
-            raise FixtureParseError(
-                f"generator index {idx} out of range 1..{n + params.r - 2}"
-            )
+            raise FixtureParseError(f"generator index {idx} out of range 1..{top}")
         pos = match.end()
     if not matched_any:
         raise FixtureParseError(f"empty generator word: {word!r}")
     return vec % q
+
+
+def _generator_words(text: str) -> list[str]:
+    """The words of a generator-word fixture: one per line, `#` starts a comment,
+    blank lines are skipped."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]
 
 
 def parse_generator_words(text: str, params: CoverParams) -> Subspace:
@@ -583,12 +608,7 @@ def parse_generator_words(text: str, params: CoverParams) -> Subspace:
 
     One word per line; `#` starts a comment; blank lines are skipped.
     """
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(parse_word(line, params))
+    rows = [parse_word(word, params) for word in _generator_words(text)]
     if not rows:
         return Subspace.zero(params.n, params.q)
     return Subspace(np.vstack(rows), params.n, params.q)
@@ -599,9 +619,14 @@ def read_fixture(name: str) -> str:
     return (_resource_files("gonal") / "fixtures" / name).read_text()
 
 
-def subgroup_from_file(path: str, params: CoverParams) -> Subspace:
-    """Subgroup spanned by the generator words of a UTF-8 file; a file that
-    cannot be read as such raises FixtureParseError naming the path."""
+def hyperplane_from_file(path: str, params: CoverParams) -> Hyperplane:
+    """The maximal subgroup spanned by the generator words of a UTF-8 file.
+
+    A file that cannot be read as such raises FixtureParseError naming the
+    path; one whose words do not span a hyperplane, InvalidParamsError.
+    Fewer than n - 1 words cannot, and are refused before any is parsed
+    (each takes a length-n row).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -609,4 +634,16 @@ def subgroup_from_file(path: str, params: CoverParams) -> Subspace:
         raise FixtureParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise FixtureParseError(f"{path} is not UTF-8 text") from exc
-    return parse_generator_words(text, params)
+    q, n = params.q, params.n
+    words = len(_generator_words(text))
+    if words < n - 1:
+        raise InvalidParamsError(
+            f"{path} has {words} words and spans dimension at most {words}, "
+            f"not a maximal subgroup of Z_{q}^{n}"
+        )
+    sub = parse_generator_words(text, params)
+    if sub.dim != n - 1:
+        raise InvalidParamsError(
+            f"{path} spans dimension {sub.dim}, not a maximal subgroup of Z_{q}^{n}"
+        )
+    return Hyperplane.from_subspace(sub)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -27,12 +26,11 @@ from dataclasses import asdict, dataclass
 from .action import CoverParams, build_action
 from .atlas import (
     DEFAULT_ATLAS_CAP,
-    Hyperplane,
     core,
     core_histogram,
     galois_closure,
+    hyperplane_from_file,
     orbit_classes,
-    subgroup_from_file,
 )
 from .calculus import decomposition_report, genus_quotient_by_core
 from .errors import (
@@ -43,9 +41,7 @@ from .errors import (
     InvalidParamsError,
     check_cap,
     decimal,
-    digits_from_log10,
-    int_str_limit,
-    too_many_digits,
+    refuse_unprintable,
 )
 from .groupring import DEFAULT_GROUP_CAP
 from .reps import rep_table
@@ -55,17 +51,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
-
-
-def _refuse_unprintable(log10_value: float, build) -> None:
-    """Refuse, as `decimal` would, the largest value a command prints, before it is built.
-
-    The digit count is read off `log10_value`, its logarithm in floating
-    point (see `digits_from_log10`).
-    """
-    digits = digits_from_log10(log10_value, build)
-    if 0 < int_str_limit() < digits:
-        raise too_many_digits(digits)
 
 
 # The decimals of 0..255, shared by every small int jsonify meets (the digits of
@@ -153,11 +138,9 @@ def _render_payload(payload, indent: str) -> list[str]:
 
 def cmd_invariants(args, params: CoverParams):
     # g~ = 1 + q^n (g - 1) is the largest value printed: refuse it before
-    # decomposition_report builds n/s0 + 1 genus values about its size.
-    _refuse_unprintable(
-        params.n * math.log10(params.q) + math.log10(params.g - 1),
-        lambda: genus_quotient_by_core(params, 0),
-    )
+    # decomposition_report builds n/s0 + 1 genus values about its size.  It has
+    # the digits of (g - 1) q^n unless it is a power of ten, which `decimal` refuses.
+    refuse_unprintable(params.q, params.n, params.g - 1)
     report = decomposition_report(params)
     payload = {k: v for k, v in vars(report).items() if k not in ("params", "genus_z")}
     payload["genus_by_core_dim"] = report.genus_z
@@ -227,13 +210,7 @@ def cmd_atlas(args, params: CoverParams):
 
 
 def cmd_galois(args, params: CoverParams):
-    sub = subgroup_from_file(args.subgroup, params)
-    if sub.dim != params.n - 1:
-        raise InvalidParamsError(
-            f"{args.subgroup} spans dimension {sub.dim}, not a maximal subgroup "
-            f"of Z_{params.q}^{params.n}"
-        )
-    h = Hyperplane.from_subspace(sub)
+    h = hyperplane_from_file(args.subgroup, params)
     action = build_action(params)
     report = galois_closure(h, params, action)
     # q^k = 1 mod p holds by construction once k = s0 |J| (galois_closure raises
@@ -264,9 +241,7 @@ def cmd_galois(args, params: CoverParams):
 
 def cmd_reps(args, params: CoverParams):
     # |G| = p q^n, in the sum-of-squares row, is the largest value printed.
-    _refuse_unprintable(
-        math.log10(params.p) + params.n * math.log10(params.q), lambda: params.group_order
-    )
+    refuse_unprintable(params.q, params.n, params.p)
     table = rep_table(params)
     payload = {
         "complex": [asdict(e) for e in table.complex_entries],

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Context, Decimal
 
 
 class GonalError(Exception):
@@ -56,16 +57,32 @@ def digit_count(value: int) -> int:
     return digits + (abs(value) >= 10**digits)
 
 
-def digits_from_log10(log10_value: float, build) -> int:
-    """Decimal digits of a positive integer from its logarithm `log10_value`.
+def power_digits(base: int, exp: int, factor: int = 1) -> int:
+    """Decimal digits of factor * base**exp, base, factor >= 1, exp >= 0.
 
-    That logarithm, taken in floating point, is off by far less than
-    1e-9 + 1e-14 log10_value; unless that bound reaches an integer,
-    floor(log10_value) + 1 is the exact count, else `build()` is counted.
+    The value is built and its digits counted while (b - 1) exp + f <= 2^16,
+    b and f the bit lengths of base and factor: always up to 2^16 bits, never
+    past 2^17.  Otherwise the count is floor(log10 factor + exp log10 base) + 1,
+    the logarithms taken in decimal arithmetic to 40 digits more than exp has:
+    exact unless that sum lies within about 10^-38 of an integer it is not, or
+    is an integer while base or factor is not a power of ten.
     """
-    if abs(log10_value - round(log10_value)) < 1e-9 + 1e-14 * log10_value:
-        return digit_count(build())
-    return math.floor(log10_value) + 1
+    if (base.bit_length() - 1) * exp + factor.bit_length() <= 1 << 16:
+        return digit_count(factor * base**exp)
+    context = Context(prec=digit_count(exp) + 40)
+    log_value = context.add(
+        context.multiply(Decimal(exp), Decimal(base).log10(context)), Decimal(factor).log10(context)
+    )
+    return int(log_value) + 1
+
+
+def refuse_unprintable(base: int, exp: int, factor: int = 1) -> None:
+    """InvalidParamsError, as `decimal` would raise it, if factor * base**exp is
+    past the int-to-str limit; the value is not built (see `power_digits`)."""
+    if int_str_limit():
+        digits = power_digits(base, exp, factor)
+        if digits > int_str_limit():
+            raise too_many_digits(digits)
 
 
 def decimal(value: int) -> str:
@@ -88,9 +105,7 @@ def quoted_power(base: int, exp: int, factor: int = 1) -> tuple[int | None, str]
     """(factor * base**exp, its `quoted` text), base, factor >= 1; past the
     int-to-str limit (None, its digit count) without building the power."""
     if int_str_limit():
-        digits = digits_from_log10(
-            math.log10(factor) + exp * math.log10(base), lambda: factor * base**exp
-        )
+        digits = power_digits(base, exp, factor)
         if digits > int_str_limit():
             return None, f"<{digits} digits>"
     value = factor * base**exp

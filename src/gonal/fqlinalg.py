@@ -47,11 +47,22 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_row_products(n: int, q: int) -> None:
+    """InvalidParamsError unless n (q-1)^2, the largest sum of n products of two
+    residues mod q, is below 2^63: past it int64 arithmetic wraps."""
+    if n * (q - 1) ** 2 >= 2**63:
+        raise InvalidParamsError(
+            f"modulus {q} with rows of length {n}: n (q-1)^2 reaches 2^63, past int64 arithmetic"
+        )
+
+
 def check_prime_modulus(q: int) -> int:
-    """`q` as an int; InvalidParamsError unless it is an integer that is prime."""
+    """`q` as an int; InvalidParamsError unless it is an integer that is prime
+    and whose products of two residues fit int64 (`check_row_products`)."""
     if type(q) is not int:
         q = check_integer(q, "modulus")
     if q not in _PRIMES_SEEN:
+        check_row_products(1, q)
         if not is_prime(q):
             raise InvalidParamsError(f"modulus {q} is not prime")
         _PRIMES_SEEN.add(q)

@@ -66,9 +66,22 @@ def test_cover_params_refuses_a_non_int(p, q, r, name):
         CoverParams(p, q, r)
 
 
+def test_a_modulus_whose_row_products_pass_int64_is_refused():
+    # q = 4294967311 is prime and (q - 1)^2 > 2^63: the triple was accepted, and
+    # its action failed its order check.  Refused before q is tested for primality.
+    with pytest.raises(InvalidParamsError, match=r"^modulus 4294967311 with rows of length 1: .*2\^63"):
+        CoverParams(7, 4294967311, 3)
+    # q = 1000000007 fits one product, but not a sum of n = 12 of them: the action
+    # was built from int64 products that wrap.
+    params = CoverParams(13, 1000000007, 3)
+    with pytest.raises(InvalidParamsError, match=r"^modulus 1000000007 with rows of length 12: .*2\^63"):
+        build_action(params)
+    assert build_action(CoverParams(7, 1000000007, 3)).matrix_array.shape == (6, 6)
+
+
 @pytest.mark.parametrize("r", [10**400, 10**308, 2**1023])
 def test_cover_params_refuses_an_n_past_floating_point(r):
-    # The size refusals read log10(q^n) = n log10(q) as a float before building q^n.
+    # The input bound: n log10(q) must be a finite float.
     with pytest.raises(InvalidParamsError, match="too large to estimate q\\^n in floating point"):
         CoverParams(3, 5, r)
 

@@ -36,7 +36,9 @@ from gonal.errors import (
     IdentityCheckError,
     InvalidParamsError,
     check_cap,
+    digit_count,
     positive_cap,
+    power_digits,
 )
 from gonal.fqlinalg import (
     Subspace,
@@ -551,6 +553,27 @@ def test_parse_word_reduces_huge_exponents_mod_q():
     assert parse_word(f"a_13^{big} a_13^{big}", params).tolist() == [1] * 12
 
 
+@pytest.mark.parametrize("triple", [(13, 3, 3), (3, 5, 4)])
+def test_parse_word_reads_an_exponent_past_the_int_to_str_limit_mod_q(triple):
+    # int() refused 5,000 digits, and the word escaped as a bare ValueError.
+    params = CoverParams(*triple)
+    q = params.q
+    nines = "9" * 5000
+    residue = (pow(10, 5000, q) - 1) % q
+    assert parse_word(f"a_1^{nines}", params).tolist() == parse_word(f"a_1^{residue}", params).tolist()
+    assert parse_word(f"a_2^-{nines} a_{params.n + 1}^{nines}", params).tolist() == (
+        parse_word(f"a_2^{-residue} a_{params.n + 1}^{residue}", params).tolist()
+    )
+    text = read_fixture("L3.gens") if triple == (13, 3, 3) else "a_1 a_2\n"
+    assert parse_generator_words(text + f"\na_3^{nines}", params) == (
+        parse_generator_words(text + f"\na_3^{residue}", params)
+    )
+    with pytest.raises(FixtureParseError, match="^generator index of 5000 digits out of range"):
+        parse_word("a_" + nines, params)
+    # Leading zeros are no digits of the index.
+    assert parse_word("a_" + "0" * 5000 + "1", params).tolist() == parse_word("a_1", params).tolist()
+
+
 def test_params_action_mismatch_rejected():
     action = build_action(CoverParams(3, 2, 4))
     other = CoverParams(5, 2, 3)
@@ -781,10 +804,18 @@ def test_galois_closure_raises_when_every_hyperplane_is_invariant(p, q, r):
         galois_closure(h, params, action)
 
 
-def test_core_dim_rejects_a_foreign_hyperplane():
-    action = build_action(CoverParams(3, 2, 4))
-    with pytest.raises(InvalidParamsError):
-        core_dim(Hyperplane([1, 0, 0, 0, 0, 0], 2), action)
+@pytest.mark.parametrize("function", [conjugate_hyperplane, core, core_dim])
+@pytest.mark.parametrize(
+    "normal, modulus",
+    [([1] + [0] * 11, 2), ([1] + [0] * 12, 3), ([1] + [0] * 10, 3)],
+    ids=["over-F2", "13-entries", "11-entries"],
+)
+def test_hyperplane_functions_reject_a_foreign_hyperplane(function, normal, modulus):
+    # core used to return a core over F_3 for a normal over F_2, and to raise
+    # a bare numpy ValueError for a 13-entry normal.
+    action = build_action(CoverParams(13, 3, 3))
+    with pytest.raises(InvalidParamsError, match="^hyperplane and action live over different spaces$"):
+        function(Hyperplane(normal, modulus), action)
 
 
 def _matrix_power_orbit_codes(params, action):
@@ -904,6 +935,20 @@ def test_conjugate_hyperplane_matches_the_normalizing_constructor():
     for h in enumerate_hyperplanes(params):
         expected = Hyperplane((h.normal_array() @ action.inverse_array) % params.q, params.q)
         assert conjugate_hyperplane(h, action) == expected
+
+
+def test_power_digits_counts_exactly_on_both_sides_of_the_switch():
+    # The value is built while (b - 1) exp + f <= 2^16, b and f the bit lengths
+    # of base and factor; past that the count comes from decimal logarithms.
+    for base, factor in [(2, 1), (3, 1), (5, 3), (10, 1), (10, 1000), (13, 65534), (1000, 1), (65537, 7)]:
+        b, f = base.bit_length(), factor.bit_length()
+        switch = ((1 << 16) - f) // (b - 1)
+        for exp in (0, 1, switch - 1, switch, switch + 1, switch + 2, 2 * switch):
+            assert power_digits(base, exp, factor) == digit_count(factor * base**exp), (base, exp, factor)
+    # Exact powers of ten: the count is the exponent plus one on both sides.
+    for k in (1, 19728, 65536, 65537, 10**6):
+        assert power_digits(10, k) == k + 1
+        assert power_digits(100, k, 10) == 2 * k + 2
 
 
 def test_check_cap_decides_from_bit_lengths_without_building_the_power():

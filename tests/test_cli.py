@@ -342,9 +342,53 @@ def test_galois_exponent_past_int64_is_read_mod_q(tmp_path, capsys):
     assert json.loads(out)["payload"]["galois_group"] == "Z_3^6 ⋊ Z_13"
 
 
+def test_galois_too_few_words_for_a_hyperplane_exit_2_before_parsing(tmp_path, capsys):
+    # n = 2 * 10^12 - 4: each parsed word would take a length-n row (14.6 TiB for five).
+    path = tmp_path / "short.gens"
+    path.write_text("a_1\na_2\na_3\na_4\na_5\n")
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "3", "--q", "5", "--r", "1000000000000", "--subgroup", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {path} has 5 words and spans dimension at most 5, "
+        "not a maximal subgroup of Z_5^1999999999996"
+    ]
+
+
+def test_galois_index_past_the_int_to_str_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.gens"
+    path.write_text(read_fixture("L3.gens") + "a_" + "1" * 5000 + "\n")
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: generator index of 5000 digits out of range 1..13"]
+
+
+def test_galois_modulus_past_int64_products_exit_2(tmp_path, capsys):
+    # q = 4294967311 is prime, and (q - 1)^2 > 2^63: the action's order check failed (exit 1).
+    path = tmp_path / "five.gens"
+    path.write_text("a_1\na_2\na_3\na_4\na_5\n")
+    code, out, err = run_cli(
+        capsys, "galois", "--p", "7", "--q", "4294967311", "--r", "3", "--subgroup", str(path)
+    )
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert "4294967311" in line and "2^63" in line
+
+
 needs_int_str_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit here"
 )
+
+
+def mpmath_power_digits(base, exp, factor=1):
+    """Digits of factor * base**exp from mpmath's logarithms, an oracle that builds no power."""
+    import mpmath
+
+    with mpmath.workdps(len(str(exp)) + 30):
+        return int(mpmath.floor(mpmath.log10(factor) + exp * mpmath.log10(base))) + 1
 
 
 @pytest.fixture
@@ -369,6 +413,17 @@ def int_str_limit_4300():
         # n = 3,999,996: building q^n alone takes seconds; the count is read off log10.
         pytest.param("invariants", (3, 5, 2000000), 2795884, id="invariants-3-5-2000000"),
         pytest.param("reps", (3, 5, 2000000), 2795878, id="reps-3-5-2000000"),
+        # n = 2 * 10^14 - 4: a float logarithm this size used to send every count
+        # to building 5^n; at r = 10^300 the count itself has 301 digits.
+        pytest.param("invariants", (3, 5, 10**14), 139794000867215, id="invariants-3-5-1e14"),
+        pytest.param("reps", (3, 5, 10**14), 139794000867202, id="reps-3-5-1e14"),
+        pytest.param(
+            "invariants", (3, 5, 10**300), mpmath_power_digits(5, 2 * 10**300 - 4, 10**300 - 3),
+            id="invariants-3-5-1e300",
+        ),
+        pytest.param(
+            "reps", (3, 5, 10**300), mpmath_power_digits(5, 2 * 10**300 - 4, 3), id="reps-3-5-1e300"
+        ),
     ],
 )
 def test_results_past_the_int_to_str_limit_exit_2(
@@ -380,11 +435,14 @@ def test_results_past_the_int_to_str_limit_exit_2(
     for builder in ("genus_quotient_by_core", "decomposition_report", "rep_table"):
         monkeypatch.setattr(f"gonal.cli.{builder}", unbounded)
     p, q, r = (str(x) for x in triple)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--p", p, "--q", q, "--r", r, "--json")
+    elapsed = time.perf_counter() - start
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
     assert line.startswith(f"error: a result has {digits} decimal digits")
     assert "limit of 4300" in line
+    assert elapsed < 1.0
 
 
 @needs_int_str_limit
@@ -417,18 +475,24 @@ def test_atlas_cap_refusal_past_the_int_to_str_limit_exit_3(capsys, int_str_limi
 
 @needs_int_str_limit
 def test_atlas_cap_refusal_builds_no_power(capsys, int_str_limit_4300):
-    # n = 3,999,996: building 5^n and counting its digits exactly took about 6 s.
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", "2000000")
-    elapsed = time.perf_counter() - start
-    assert (code, out) == (3, "")
-    error, hint = err.splitlines()
-    assert error == (
-        "error: orbit classification needs ambient size <2795878 digits> "
-        "(required cap <2795878 digits>, current cap 1594323)"
-    )
-    assert hint == "hint: re-run with --cap <2795878 digits>"
-    assert elapsed < 1.0
+    # n = 3,999,996: building 5^n and counting its digits exactly took about 6 s;
+    # at r = 10^14 and past it, a float logarithm sent the count to building 5^n.
+    for r, digits in [
+        (2000000, 2795878),
+        (10**14, 139794000867201),
+        (10**300, mpmath_power_digits(5, 2 * 10**300 - 4)),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", str(r))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        error, hint = err.splitlines()
+        assert error == (
+            f"error: orbit classification needs ambient size <{digits} digits> "
+            f"(required cap <{digits} digits>, current cap 1594323)"
+        )
+        assert hint == f"hint: re-run with --cap <{digits} digits>"
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["invariants", "reps", "atlas", "galois"])

@@ -569,6 +569,19 @@ def test_the_kernels_refuse_a_modulus_that_is_not_prime(q):
                 kernel(a, q)
 
 
+def test_the_kernels_refuse_a_modulus_whose_products_pass_int64():
+    # q = 4294967311 is prime and (q - 1)^2 > 2^63: rref_array returned
+    # [[4294967087, 4294967088, 4294967308]] for this row, not [[1, 2, 4294967308]].
+    q = 4294967311
+    for kernel in (rref_array, kernel_array, row_space_array):
+        with pytest.raises(InvalidParamsError, match=rf"^modulus {q} with rows of length 1: .*2\^63"):
+            kernel([[q - 1, q - 2, 3]], q)
+    # The largest modulus whose (q - 1)^2 stays below 2^63.
+    q = 3037000493
+    red, pivots = rref_array([[q - 1, q - 2, 3]], q)
+    assert (red.tolist(), pivots) == ([[1, 2, q - 3]], [0])
+
+
 @pytest.mark.parametrize(
     "a",
     [np.int64(5), 7, np.zeros((2, 2, 2), dtype=np.int64), np.ones((1, 1, 3), dtype=np.int64)],
