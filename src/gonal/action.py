@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import IdentityCheckError, InvalidParamsError, check_cap, quoted
 from .fqlinalg import (
+    PRIMALITY_BOUND,
     Subspace,
     check_row_products,
     decode_codes,
@@ -81,6 +82,11 @@ class CoverParams:
             if type(value) is not int:
                 raise InvalidParamsError(f"{name} = {value!r} must be an int")
         check_row_products(1, q)
+        if p >= PRIMALITY_BOUND:
+            raise InvalidParamsError(
+                f"p = {quoted(p)} must be below {PRIMALITY_BOUND}, "
+                "past which primality is not decided exactly"
+            )
         if not (is_prime(p) and p % 2 == 1):
             raise InvalidParamsError(f"p = {p} must be an odd prime")
         if not is_prime(q):
@@ -286,6 +292,22 @@ def _companion_block(p: int, q: int) -> np.ndarray:
         block[i + 1, i] = 1
     block[:, d - 1] = (q - 1) % q
     return block
+
+
+def companion_inverse_row(row: tuple, p: int, q: int) -> tuple:
+    """row T^(-1) for the block companion matrix T of `_companion_block`, in plain Python.
+
+    On a row w, the companion block gives (w B)_j = w_(j+1) for j < p-2 and
+    (w B)_(p-2) = -(w_0 + ... + w_(p-2)).  So each block b of p-1 entries of
+    v = row goes to (-(b_0 + ... + b_(p-2)) mod q, b_0, ..., b_(p-3)): a shift
+    with the negated block sum in front.  No array, no power of T and no table.
+    """
+    d = p - 1
+    image = ()
+    for start in range(0, len(row), d):
+        block = row[start : start + d]
+        image += (-sum(block) % q,) + block[:-1]
+    return image
 
 
 class AdaptedAction:

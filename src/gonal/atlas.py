@@ -6,7 +6,11 @@ keeps storage at O(n), makes deduplication a tuple comparison, and gives
 every orbit a canonical representative (the lexicographically least normal).
 
 Conjugating a hyperplane by the action T moves its kernel to T.ker(h),
-which on normals is v -> v T^(-1).  Orbits all have size exactly p because
+which on normals is v -> v T^(-1).  T is the block companion matrix of
+1 + x + ... + x^(p-1), so one normal is conjugated by the block rule
+(`conjugate_hyperplane`): each block b of p - 1 entries becomes
+(-sum(b) mod q, b_0, ..., b_(p-3)), and the image is scaled by
+pow(lead, -1, q), in plain Python.  Orbits all have size exactly p because
 gcd(p, q-1) = 1 rules out fixed hyperplanes.  The core of a hyperplane is
 the intersection of its p conjugate kernels, i.e. the kernel of the stacked
 conjugate normals; it determines the Galois group of the composite cover.
@@ -27,7 +31,11 @@ of allocations, four length-m index arrays.  Cores are extracted per class
 afterwards, one chunk of classes at a time; classes with equal cores share
 one read-only Subspace (at (13,3,3) the t = 20,440 classes have 15 distinct
 cores), which checks its invariance once, and a class keeps its orbit as p
-integer codes and decodes its members only when asked.  Output order (by
+integer codes and decodes its members only when asked.  Its check
+(`OrbitClass.verify`) decodes the representative alone and walks the chain
+from it by the block rule, matching each conjugate's code against the next
+stored code: the sweep's product with T^(-1) and the block rule are two
+independent computations of the conjugation.  Output order (by
 representative) is deterministic; per-class work is independent, so the
 merge would be identical under any parallel schedule.
 """
@@ -42,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-from .action import AdaptedAction, CoverParams, build_action
+from .action import AdaptedAction, CoverParams, build_action, companion_inverse_row
 from .errors import FixtureParseError, IdentityCheckError, InvalidParamsError, check_cap
 from .fqlinalg import (
     Subspace,
@@ -145,15 +153,24 @@ def _check_space(h: Hyperplane, params: CoverParams) -> None:
 
 
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
-    """Hyperplane whose kernel is T.ker(h): on normals, v -> v T^(-1)."""
-    q = action.params.q
-    _check_space(h, action.params)
+    """Hyperplane whose kernel is T.ker(h): on normals, v -> v T^(-1).
+
+    Computed by the companion-block rule (`companion_inverse_row`): each block
+    b of p - 1 entries becomes (-sum(b) mod q, b_0, ..., b_(p-3)), and the
+    image is scaled by pow(lead, -1, q).  Plain Python on the normal tuple,
+    with no array and no q-sized table; it reads only p and q off `action`,
+    so it is independent of the sweep's product with `action.inverse_array`.
+    """
+    params = action.params
+    q = params.q
+    _check_space(h, params)
+    image = companion_inverse_row(h.normal, params.p, q)
     # T^(-1) is invertible, so the image of a normal is nonzero.
-    image = (h.normal_array() @ action.inverse_array) % q
-    lead = image[image.nonzero()[0][0]]
+    lead = next(filter(None, image))
     if lead != 1:
-        image = image * inverse_table(q)[lead] % q
-    return Hyperplane._from_normalized(tuple(image.tolist()), q)
+        scale = pow(lead, -1, q)
+        image = tuple([x * scale % q for x in image])
+    return Hyperplane._from_normalized(image, q)
 
 
 def core(h: Hyperplane, action: AdaptedAction) -> Subspace:
@@ -223,6 +240,14 @@ def _normal_of_code(code: int, n: int, q: int) -> tuple:
     return high[top] + low[bottom]
 
 
+def _code_of_normal(normal: tuple, q: int) -> int:
+    """The base-q code of a normal tuple, its first entry the most significant digit."""
+    code = 0
+    for x in normal:
+        code = code * q + x
+    return code
+
+
 @dataclass(frozen=True, slots=True)
 class OrbitClass:
     """One conjugation orbit of hyperplanes with its core.
@@ -255,15 +280,20 @@ class OrbitClass:
         return self.core.dim
 
     def verify(self, action: AdaptedAction) -> None:
-        """Recheck the orbit invariants; the members are decoded once.
+        """Recheck the orbit invariants; only the representative is decoded.
 
         Raises IdentityCheckError on any hard failure (orbit size, least
         member first, chain consistency, core invariance, dimension
         quantization, rank bound).  Size and least member are read off the
-        codes, which sort like the normals.
+        codes, which sort like the normals.  The chain is walked from the
+        representative: each conjugate (`conjugate_hyperplane`, the
+        companion-block rule) is encoded and must be the stored code of the
+        next member, and the p-th the representative's again.  The sweep
+        found those codes by its own product with `action.inverse_array`,
+        so the walk checks one computation of T^(-1) against another.
         """
         params = action.params
-        p, n, s0 = params.p, params.n, params.s0
+        p, q, n, s0 = params.p, params.q, params.n, params.s0
         codes = self.codes
         if len(codes) != p or len(set(codes)) != p:
             raise IdentityCheckError(f"orbit with codes {list(codes)} has size != {p}")
@@ -273,11 +303,12 @@ class OrbitClass:
                 f"representative {self.representative} is not the least orbit member "
                 f"{self._hyperplane(least)}"
             )
-        members = self.members
-        representative = members[0]
-        for a, b in zip(members, members[1:] + members[:1]):
-            if conjugate_hyperplane(a, action) != b:
-                raise IdentityCheckError(f"conjugation chain broken at {a}")
+        representative = member = self._hyperplane(codes[0])
+        for code in codes[1:] + codes[:1]:
+            image = conjugate_hyperplane(member, action)
+            if _code_of_normal(image.normal, q) != code:
+                raise IdentityCheckError(f"conjugation chain broken at {member}")
+            member = image
         if not self.core.is_invariant_under(action.matrix_array):
             raise IdentityCheckError(f"core of {representative} not invariant")
         if self.core_dim % s0 != 0:

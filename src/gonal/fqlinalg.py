@@ -23,19 +23,46 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import AmbientMismatchError, IdentityCheckError, InvalidParamsError
+from .errors import AmbientMismatchError, IdentityCheckError, InvalidParamsError, quoted
 
 _PRIMES_SEEN: set[int] = set()
 
 
+# Miller-Rabin with the prime bases 2, ..., 41 decides primality exactly below
+# this bound (Sorenson and Webster, 2015); is_prime refuses anything at or past it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether the int `n` is prime, by a deterministic Miller-Rabin test.
+
+    Exact below PRIMALITY_BOUND, in about 13 modular powers; InvalidParamsError
+    at or past it, where these bases no longer decide.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise InvalidParamsError(
+            f"{quoted(n)} is at or past {PRIMALITY_BOUND}, below which primality is decided exactly"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for base in _PRIME_BASES:
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _PRIME_BASES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -10,13 +10,14 @@ from gonal.action import (
     CoverParams,
     PrimaryProjections,
     build_action,
+    companion_inverse_row,
     invariant_subspaces,
     order_mod,
     parameter_sweep,
 )
 from gonal.atlas import enumerate_subgroups_brute, orbit_classes
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
-from gonal.fqlinalg import Subspace, gaussian_count, is_prime, kernel_array, matpow_array
+from gonal.fqlinalg import PRIMALITY_BOUND, Subspace, gaussian_count, is_prime, kernel_array, matpow_array
 
 
 def test_order_mod_values():
@@ -77,6 +78,22 @@ def test_a_modulus_whose_row_products_pass_int64_is_refused():
     with pytest.raises(InvalidParamsError, match=r"^modulus 1000000007 with rows of length 12: .*2\^63"):
         build_action(params)
     assert build_action(CoverParams(7, 1000000007, 3)).matrix_array.shape == (6, 6)
+
+
+@pytest.mark.parametrize("p", [PRIMALITY_BOUND, 2**89 - 1, 10**5000 + 1], ids=["bound", "2^89-1", "10^5000+1"])
+def test_cover_params_refuses_a_p_past_the_primality_bound(p):
+    # 2^89 - 1 is prime, but past the bound no Miller-Rabin base set here decides it.
+    with pytest.raises(InvalidParamsError, match=f"^p = .* must be below {PRIMALITY_BOUND}, past which"):
+        CoverParams(p, 2, 3)
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 5), (5, 2, 3), (5, 3, 5), (7, 2, 4), (11, 3, 4), (13, 3, 3)])
+def test_companion_inverse_row_is_the_product_with_the_inverse(p, q, r):
+    action = build_action(CoverParams(p, q, r))
+    rows = np.random.default_rng(p * q * r).integers(0, q, size=(200, action.params.n))
+    for row in rows.tolist():
+        expected = np.array(row) @ action.inverse_array % q
+        assert companion_inverse_row(tuple(row), p, q) == tuple(expected.tolist())
 
 
 @pytest.mark.parametrize("r", [10**400, 10**308, 2**1023])

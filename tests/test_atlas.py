@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 import tracemalloc
@@ -928,13 +929,59 @@ def test_orbit_codes_reject_a_successor_off_the_list_of_normals():
         _orbit_codes(params, fake)
 
 
-def test_conjugate_hyperplane_matches_the_normalizing_constructor():
+@pytest.mark.parametrize("triple", [(5, 3, 3), (3, 2, 5), (7, 2, 4), (5, 3, 4), (5, 2, 5)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_conjugate_hyperplane_matches_the_normalizing_constructor(triple):
     # q = 3: half the images lead with a 2 and must be scaled by its inverse.
-    params = CoverParams(5, 3, 3)
+    # r > 3: the companion-block rule runs on every one of the r - 2 blocks.
+    params = CoverParams(*triple)
     action = build_action(params)
     for h in enumerate_hyperplanes(params):
         expected = Hyperplane((h.normal_array() @ action.inverse_array) % params.q, params.q)
         assert conjugate_hyperplane(h, action) == expected
+
+
+def test_conjugate_hyperplane_builds_no_table_of_inverses(monkeypatch):
+    # CoverParams accepts q = 10^9 + 7; a table of its inverses has 10^9 entries.
+    params = CoverParams(3, 1000000007, 4)
+    action = build_action(params)
+    monkeypatch.setattr(atlas, "inverse_table", lambda q: pytest.fail("a table of inverses mod q was built"))
+    q = params.q
+    for normal in [(1, 0, 0, 0), (1, 5, q - 1, 7), (0, 1, 2, 3), (0, 0, 1, q - 2), (0, 0, 0, 1)]:
+        expected = Hyperplane((np.array(normal) @ action.inverse_array) % q, q)
+        assert conjugate_hyperplane(Hyperplane(normal, q), action) == expected
+
+
+def _action_with_inverse_t_squared(params):
+    """The action with T^2 in place of T^(-1): the same orbits, members in another order."""
+    action = build_action(params)
+    action._inverse = action.matrix_array @ action.matrix_array % params.q
+    return action
+
+
+@pytest.mark.parametrize("triple", [(5, 3, 3), (7, 2, 3)], ids=lambda t: "-".join(map(str, t)))
+def test_the_chain_check_does_not_share_the_sweep_inverse(triple):
+    # The sweep follows the wrong inverse and still finds every orbit, so only
+    # a chain check that computes T^(-1) by itself can tell.
+    params = CoverParams(*triple)
+    honest = orbit_classes(params)
+    action = _action_with_inverse_t_squared(params)
+    classes = orbit_classes(params, action=action)
+    assert [set(c.codes) for c in classes] == [set(c.codes) for c in honest]
+    assert [c.codes for c in classes] != [c.codes for c in honest]
+    message = f"conjugation chain broken at {classes[0].representative}"
+    with pytest.raises(IdentityCheckError, match=f"^{re.escape(message)}$"):
+        classes[0].verify(action)
+
+
+@pytest.mark.parametrize("triple", [(5, 3, 3), (7, 2, 3)], ids=lambda t: "-".join(map(str, t)))
+def test_atlas_exits_1_when_the_sweep_follows_the_wrong_inverse(triple, monkeypatch, capsys):
+    monkeypatch.setattr("gonal.cli.build_action", _action_with_inverse_t_squared)
+    p, q, r = (str(x) for x in triple)
+    code = main(["atlas", "--p", p, "--q", q, "--r", r])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "conjugation chain broken at Hyperplane(" in err
 
 
 def test_power_digits_counts_exactly_on_both_sides_of_the_switch():

@@ -661,6 +661,18 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert statuses == {"good": "pass", "bad": "fail"}
 
 
+def test_a_mersenne_prime_p_is_answered_at_once():
+    # p = 2^61 - 1: trial division to sqrt(p) ran for minutes inside CoverParams;
+    # Miller-Rabin decides it in microseconds, and the oversized result is refused.
+    env = {**os.environ, "PYTHONPATH": str(Path(gonal.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "gonal.cli", "invariants", "--p", str(2**61 - 1), "--q", "2", "--r", "3"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")
+
+
 def test_console_entry_point_under_python_O():
     # `python -O` strips asserts; the rows, the exit code and the error line must not
     # depend on them.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import sympy
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -13,6 +14,7 @@ from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, orbit_classes
 from gonal.errors import AmbientMismatchError, InvalidParamsError
 from gonal.fqlinalg import (
+    PRIMALITY_BOUND,
     Subspace,
     _code_weights,
     as_residues,
@@ -20,6 +22,7 @@ from gonal.fqlinalg import (
     decode_codes,
     encode_rows,
     inverse_table,
+    is_prime,
     iter_subspace_bases,
     kernel_array,
     row_space_array,
@@ -216,6 +219,20 @@ def test_modulus_must_be_prime():
         Subspace([[1]], 1, 4)
     with pytest.raises(InvalidParamsError):
         Subspace([[1]], 1, 6)
+
+
+def test_is_prime_agrees_with_sympy():
+    assert [n for n in range(10**5) if is_prime(n) != sympy.isprime(n)] == []
+    # Strong pseudoprimes to the bases 2; 2, 3, 5, 7; and 2, ..., 37; then 2^61 - 1,
+    # which trial division could not finish, and the largest odd numbers below the bound.
+    for n in [2047, 3215031751, 3825123056546413051, 2**61 - 1, *range(PRIMALITY_BOUND - 40, PRIMALITY_BOUND, 2)]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**89 - 1])
+def test_is_prime_refuses_past_the_bound_it_decides_exactly(n):
+    with pytest.raises(InvalidParamsError, match=f"^{n} is at or past {PRIMALITY_BOUND}, below which"):
+        is_prime(n)
 
 
 @pytest.mark.parametrize("n,k,q,count", [(4, 1, 2, 15), (4, 2, 2, 35), (4, 1, 3, 40), (3, 3, 2, 1)])
