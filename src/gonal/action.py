@@ -43,19 +43,84 @@ from .fqlinalg import (
 )
 
 
+# Primes below this are found by trial division; factors past it by Pollard-Brent rho.
+_TRIAL_BOUND = 1 << 10
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n, by Brent's variant of Pollard's rho.
+
+    Differences are multiplied in batches of 128 under one gcd; a batch that
+    overshoots to n is replayed one step at a time, and a cycle with no
+    factor restarts with the next constant c.
+    """
+    for c in range(1, n):
+        y, r, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    product = product * abs(x - y) % n
+                g = math.gcd(product, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+    raise IdentityCheckError(f"Pollard rho found no factor of {n}")
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of n >= 1: trial division below _TRIAL_BOUND,
+    then Pollard-Brent rho, with every factor proved prime by is_prime."""
+    primes = set()
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            primes.add(m)
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return primes
+
+
 def order_mod(q: int, p: int) -> int:
-    """Least s >= 1 with q^s = 1 mod p; divides p-1."""
+    """Least s >= 1 with q^s = 1 mod p, for a prime p below PRIMALITY_BOUND.
+
+    s divides p - 1 (Fermat), so it is p - 1 with each prime factor of p - 1
+    divided out for as long as q^s stays 1: a few modular powers once p - 1
+    is factored (`_prime_factors`), not up to p - 1 multiplications.
+    """
     if p == q or q % p == 0:
         raise InvalidParamsError(f"order of {q} mod {p} undefined: p divides q")
     if not is_prime(p):
         raise InvalidParamsError(f"{p} is not prime")
-    s = 1
-    acc = q % p
-    while acc != 1:
-        acc = (acc * q) % p
-        s += 1
-    if (p - 1) % s:
-        raise IdentityCheckError(f"ord_{p}({q}) = {s} does not divide p - 1 = {p - 1} (Fermat)")
+    fermat = pow(q, p - 1, p)
+    if fermat != 1:
+        raise IdentityCheckError(
+            f"ord_{p}({q}) does not divide p - 1 = {p - 1} (Fermat): q^(p - 1) = {fermat} mod p"
+        )
+    s = p - 1
+    for f in _prime_factors(p - 1):
+        while s % f == 0 and pow(q, s // f, p) == 1:
+            s //= f
     return s
 
 
@@ -68,7 +133,8 @@ class CoverParams:
     r: number of fixed points, >= 3.
 
     The base genus g = (p-1)(r-2)/2 must be >= 2; tiny oracle instances may
-    opt out via allow_small_genus.
+    opt out via allow_small_genus.  The derived values g, n, s0, m and t are
+    computed on first access and kept (the dataclass is frozen, not slotted).
     """
 
     p: int
@@ -113,27 +179,27 @@ class CoverParams:
                 f"base genus g = {self.g} < 2; pass allow_small_genus=True for oracle runs"
             )
 
-    @property
+    @cached_property
     def g(self) -> int:
         """Genus of the base curve, (p-1)(r-2)/2."""
         return (self.p - 1) * (self.r - 2) // 2
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Rank 2g of the homology group Z_q^n."""
         return (self.p - 1) * (self.r - 2)
 
-    @property
+    @cached_property
     def s0(self) -> int:
         """Multiplicative order of q mod p."""
         return order_mod(self.q, self.p)
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Number of maximal subgroups of Z_q^n: (q^n - 1)/(q - 1)."""
         return (self.q**self.n - 1) // (self.q - 1)
 
-    @property
+    @cached_property
     def t(self) -> int:
         """Number of conjugation orbits of maximal subgroups: m/p."""
         # gcd(p, q-1) = 1 forces p | m; anything else is a transcription bug.

@@ -32,10 +32,10 @@ afterwards, one chunk of classes at a time; classes with equal cores share
 one read-only Subspace (at (13,3,3) the t = 20,440 classes have 15 distinct
 cores), which checks its invariance once, and a class keeps its orbit as p
 integer codes and decodes its members only when asked.  Its check
-(`OrbitClass.verify`) decodes the representative alone and walks the chain
-from it by the block rule, matching each conjugate's code against the next
-stored code: the sweep's product with T^(-1) and the block rule are two
-independent computations of the conjugation.  Output order (by
+(`OrbitClass.verify`) walks the chain from the representative by the block
+rule, matching each conjugate against the next stored member, decoded from
+its code by two table lookups: the sweep's product with T^(-1) and the block
+rule are two independent computations of the conjugation.  Output order (by
 representative) is deterministic; per-class work is independent, so the
 merge would be identical under any parallel schedule.
 """
@@ -240,14 +240,6 @@ def _normal_of_code(code: int, n: int, q: int) -> tuple:
     return high[top] + low[bottom]
 
 
-def _code_of_normal(normal: tuple, q: int) -> int:
-    """The base-q code of a normal tuple, its first entry the most significant digit."""
-    code = 0
-    for x in normal:
-        code = code * q + x
-    return code
-
-
 @dataclass(frozen=True, slots=True)
 class OrbitClass:
     """One conjugation orbit of hyperplanes with its core.
@@ -280,15 +272,16 @@ class OrbitClass:
         return self.core.dim
 
     def verify(self, action: AdaptedAction) -> None:
-        """Recheck the orbit invariants; only the representative is decoded.
+        """Recheck the orbit invariants, reading the stored members off their codes.
 
         Raises IdentityCheckError on any hard failure (orbit size, least
         member first, chain consistency, core invariance, dimension
         quantization, rank bound).  Size and least member are read off the
         codes, which sort like the normals.  The chain is walked from the
         representative: each conjugate (`conjugate_hyperplane`, the
-        companion-block rule) is encoded and must be the stored code of the
-        next member, and the p-th the representative's again.  The sweep
+        companion-block rule) must be the next stored member, decoded by
+        `_normal_of_code`, and the p-th the representative again; a stored
+        code that is no normal's code breaks the chain as well.  The sweep
         found those codes by its own product with `action.inverse_array`,
         so the walk checks one computation of T^(-1) against another.
         """
@@ -306,7 +299,11 @@ class OrbitClass:
         representative = member = self._hyperplane(codes[0])
         for code in codes[1:] + codes[:1]:
             image = conjugate_hyperplane(member, action)
-            if _code_of_normal(image.normal, q) != code:
+            try:
+                stored = _normal_of_code(code, n, q)
+            except InvalidParamsError:
+                stored = None
+            if image.normal != stored:
                 raise IdentityCheckError(f"conjugation chain broken at {member}")
             member = image
         if not self.core.is_invariant_under(action.matrix_array):

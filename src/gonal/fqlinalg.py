@@ -14,6 +14,10 @@ Everything here is immutable after construction and safe to share across
 threads; the one thing a subspace adds to later is its memo of invariance
 answers, where two threads racing on one entry at worst both compute it.
 Every null space costs a single elimination (see :func:`kernel_array`).
+Within an elimination the entries leave {0, ..., q-1}: `rref_array` reads
+each pivot column and row mod q, but reduces the whole array only at the
+end and when the next update could pass int64 (:func:`_lazy_updates`), the
+delayed reduction of exact linear algebra over word-size prime fields.
 """
 
 from __future__ import annotations
@@ -131,10 +135,12 @@ def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     array of its rows x cols shape (zero rows trail); rank = len(pivots).
     InvalidParamsError for any other shape or a modulus that is not prime.
 
-    Each pivot is one rank-1 update: the scaled pivot row is subtracted from
-    every row as the outer product of the pivot column with it, the old row r
-    moves into the pivot's slot (no swap), and the update is skipped when no
-    other row has a nonzero entry in the pivot column.
+    Each pivot is one rank-1 update: the pivot row, scaled from its residues,
+    is subtracted from every row as the outer product of the pivot column
+    (read mod q) with it, the old row r moves into the pivot's slot (no
+    swap), and the update is skipped when no other row has a nonzero residue
+    in the pivot column.  The whole array is reduced mod q only when the
+    next update could pass int64 (`_lazy_updates`) and once at the end.
     """
     q = check_prime_modulus(q)
     a = as_residues(a, q)
@@ -144,31 +150,56 @@ def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         raise InvalidParamsError(f"expected a vector or a 2-d array, got shape {a.shape}")
     rows, cols = a.shape
     pivots: list[int] = []
+    lazy = _lazy_updates(q)
+    pending = 0
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = a[:, c].tolist()
+        # The pivot column's residues, as an array for the update and a list to search.
+        col = a[:, c] % q
+        at = col.tolist()
         for piv in range(r, rows):
-            if col[piv]:
+            if at[piv]:
                 break
         else:
             continue
-        scale = pow(col[piv], -1, q)
-        prow = a[piv] * scale % q if scale != 1 else a[piv].copy()
+        scale = pow(at[piv], -1, q)
+        prow = a[piv] % q
+        if scale != 1:
+            prow *= scale
+            prow %= q
         if piv != r:
             a[piv] = a[r]
-            col[piv] = col[r]
-        col[r] = 0
-        if any(col):
+            col[piv] = at[piv] = at[r]
+        at[r] = 0
+        if any(at):
+            col[r] = 0
+            if pending == lazy:
+                a %= q
+                pending = 0
             a -= np.multiply.outer(col, prow)
-            a[r] = prow
-            a %= q
-        else:
-            a[r] = prow
+            pending += 1
+        a[r] = prow
         pivots.append(c)
         r += 1
+    if pending:
+        a %= q
     return a, pivots
+
+
+def _lazy_updates(q: int) -> int:
+    """How many rank-1 updates rref_array may run on an array between reductions mod q.
+
+    A reduced entry lies in [0, q), and an update subtracts a product of two
+    residues, at most (q - 1)^2, from it; so after k updates it lies in
+    [-k (q - 1)^2, q), which int64 holds while k (q - 1)^2 <= 2^63 - 1.
+    The pivot row is reduced before it is scaled, so its product with an
+    inverse below q is at most (q - 1)^2 too.  Effectively unlimited at
+    q = 3; one (a reduction before every update) at q = 3037000493, the
+    largest prime modulus check_prime_modulus admits.
+    """
+    return (2**63 - 1) // (q - 1) ** 2
 
 
 def kernel_array(a: np.ndarray, q: int) -> np.ndarray:

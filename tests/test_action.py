@@ -1,9 +1,14 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 import gonal.action as action_module
 from gonal.action import (
@@ -29,6 +34,50 @@ def test_order_mod_values():
 def test_order_mod_rejects_p_equal_q():
     with pytest.raises(InvalidParamsError):
         order_mod(5, 5)
+
+
+def test_order_mod_equals_sympy_below_ten_thousand():
+    wrong = [
+        (q, p)
+        for p in range(3, 10**4)
+        if is_prime(p)
+        for q in range(2, 100)
+        if q % p and order_mod(q, p) != sympy.n_order(q, p)
+    ]
+    assert wrong == []
+
+
+# Three 80-bit primes: past trial division, p - 1 of the first two has three and two
+# prime factors that Pollard rho separates, and that of the third one prime of 65 bits.
+# 10^18 + 2 = 2 * 3 * 17 * 131 * 1427 * 52445056723.
+@pytest.mark.parametrize("p", [1071380017931843606530541, 885611621783660880081049,
+                               1141500863658699942005459, 10**18 + 3])
+def test_order_mod_equals_sympy_on_large_primes(p):
+    assert action_module._prime_factors(p - 1) == set(sympy.factorint(p - 1))
+    for q in (2, 3, 5, 7, 101):
+        assert order_mod(q, p) == sympy.n_order(q, p)
+
+
+def test_s0_of_a_large_p_returns_within_a_second():
+    # order_mod multiplied by q up to p - 1 times: this call ran past a 5 s timeout.
+    code = (
+        "import time; from gonal.action import CoverParams; t = time.perf_counter(); "
+        "s0 = CoverParams(10**18 + 3, 2, 3).s0; print(s0, time.perf_counter() - t)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(action_module.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    s0, seconds = done.stdout.split()
+    assert int(s0) == sympy.n_order(2, 10**18 + 3) and float(seconds) < 1
+
+
+def test_derived_values_are_computed_once(monkeypatch):
+    params = CoverParams(13, 3, 3)
+    assert params.s0 == 3
+    monkeypatch.setattr(action_module, "order_mod", lambda q, p: pytest.fail("s0 recomputed"))
+    assert (params.g, params.n, params.s0, params.m, params.t) == (6, 12, 3, 265720, 20440)
+    assert params == CoverParams(13, 3, 3) and hash(params) == hash(CoverParams(13, 3, 3))
 
 
 def test_cover_params_derived():

@@ -354,6 +354,10 @@ def _corrupted_class_checks():
             (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + c.codes[2:3] + c.codes[1:2] + c.codes[3:]),
             lambda c, P: f"conjugation chain broken at {c.members[0]}", False, id="chain"),
         pytest.param(
+            # 2 q^(n-1) leads with 2 and is past every normal's code, so the least member stays first.
+            (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + (2 * P.q ** (P.n - 1),) + c.codes[2:]),
+            lambda c, P: f"conjugation chain broken at {c.members[0]}", False, id="chain-no-normal"),
+        pytest.param(
             (5, 3, 3), lambda c, P: replace(c, core=c.representative.kernel()),
             lambda c, P: f"core of {c.members[0]} not invariant", False, id="invariance"),
         pytest.param(

@@ -17,6 +17,7 @@ from gonal.fqlinalg import (
     PRIMALITY_BOUND,
     Subspace,
     _code_weights,
+    _lazy_updates,
     as_residues,
     check_prime_modulus,
     decode_codes,
@@ -521,9 +522,42 @@ def previous_rref(a, q):
     return a, pivots
 
 
+# Past these, previous_rref's table of q inverses would be too large to build.
+LARGE_MODULI = (10007, 65537, 2147483647, 3037000493)
+
+
+def python_rref(a, q):
+    """Oracle for any modulus: Gauss-Jordan elimination on lists of Python ints,
+    swapping the pivot row into place, with inverses by pow(x, -1, q)."""
+    shape = np.shape(a)
+    rows = [[x % q for x in row] for row in np.asarray(a).tolist()]
+    pivots = []
+    r = 0
+    for c in range(shape[1]):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % q for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return np.array(rows, dtype=np.int64).reshape(shape), pivots
+
+
+def oracle_rref(a, q):
+    """previous_rref, or python_rref at a modulus in LARGE_MODULI."""
+    return (python_rref if q in LARGE_MODULI else previous_rref)(a, q)
+
+
 def previous_kernel(a, q):
-    """Oracle: kernel_array's construction read off previous_rref."""
-    red, pivots = previous_rref(np.asarray(a)[:, ::-1], q)
+    """Oracle: kernel_array's construction read off oracle_rref."""
+    red, pivots = oracle_rref(np.asarray(a)[:, ::-1], q)
     cols = red.shape[1]
     rank = len(pivots)
     free = np.array([f for f in range(cols) if f not in pivots][::-1], dtype=np.intp)
@@ -536,13 +570,21 @@ def previous_kernel(a, q):
 @st.composite
 def unreduced_matrices(draw):
     """(a, q): up to 14 x 40, entries unreduced or negative, with zero columns and
-    repeated rows; in about half the cases an object array of Python ints past int64."""
-    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    repeated rows; in about half the cases an object array of Python ints past int64.
+    The large moduli make rref_array reduce between its updates (`_lazy_updates`).
+    In about half the cases the rows are distinct, with uniform entries and
+    most columns kept: residues near q, whose products pass int64 unless it does."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, *LARGE_MODULI]))
     rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 40))
-    distinct = draw(st.integers(1, max(rows, 1)))
-    base = draw(arrays(np.int64, (distinct, cols), elements=st.integers(-2 * q, 2 * q)))
-    picks = draw(arrays(np.intp, rows, elements=st.integers(0, distinct - 1)))
-    kept = draw(arrays(np.bool_, cols))
+    if draw(st.booleans()):
+        distinct = draw(st.integers(1, max(rows, 1)))
+        base = draw(arrays(np.int64, (distinct, cols), elements=st.integers(-2 * q, 2 * q)))
+        picks = draw(arrays(np.intp, rows, elements=st.integers(0, distinct - 1)))
+        kept = draw(arrays(np.bool_, cols))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        base = rng.integers(-2 * q, 2 * q, (rows, cols), endpoint=True)
+        picks, kept = np.arange(rows), rng.random(cols) < 0.9
     a = base[picks] * kept
     if draw(st.booleans()):
         a = a.astype(object) * 2**66 + draw(st.integers(0, q - 1)) * kept
@@ -555,13 +597,24 @@ def unreduced_matrices(draw):
 @example((np.zeros((14, 40), dtype=np.int64), 13))
 @example((np.tile(np.arange(-13, 27), (14, 1)), 13))
 @example((np.eye(14, 40, dtype=np.int64)[::-1] * -1, 11))
+@example((np.random.default_rng(0).integers(0, 3037000493, (14, 40)), 3037000493))
+@example((np.random.default_rng(1).integers(-2147483647, 0, (14, 40)), 2147483647))
 def test_rref_equals_the_previous_loop_bit_for_bit(case):
     a, q = case
     red, pivots = rref_array(a, q)
-    want, want_pivots = previous_rref(a, q)
+    want, want_pivots = oracle_rref(a, q)
     assert red.dtype == want.dtype and red.shape == want.shape == np.shape(a)
     assert np.array_equal(red, want) and pivots == want_pivots
+    assert np.array_equal(row_space_array(a, q), want[: len(want_pivots)])
     assert np.array_equal(kernel_array(a, q), previous_kernel(a, q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, *LARGE_MODULI])
+def test_lazy_updates_is_the_exact_int64_bound(q):
+    # k updates take a residue in [0, q) down to above -k (q - 1)^2: one more would pass int64.
+    k = _lazy_updates(q)
+    assert k >= 1 and k * (q - 1) ** 2 <= 2**63 - 1 < (k + 1) * (q - 1) ** 2
+    assert (_lazy_updates(2147483647), _lazy_updates(3037000493)) == (2, 1)
 
 
 @pytest.mark.parametrize("p,q,r", [(7, 2, 4), (5, 3, 4)])
