@@ -21,6 +21,7 @@ multiples of s0.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -161,15 +162,6 @@ class CoverParams:
             raise InvalidParamsError("p and q must be distinct primes")
         if r < 3:
             raise InvalidParamsError(f"r = {r} must be at least 3")
-        # The input bound: n log10(q), about the digit count of q^n, must be a finite float.
-        try:
-            log_size = self.n * math.log10(q)
-        except OverflowError:
-            log_size = math.inf
-        if not math.isfinite(log_size):
-            raise InvalidParamsError(
-                f"r = {quoted(r)} makes n = (p-1)(r-2) too large to estimate q^n in floating point"
-            )
         if math.gcd(p, q - 1) != 1:
             raise InvalidParamsError(
                 f"gcd(p, q-1) must be 1, got gcd({p}, {q - 1}) = {math.gcd(p, q - 1)}"
@@ -227,18 +219,11 @@ class CoverParams:
 
 
 def parameter_sweep(max_p: int = 13, max_q: int = 7, max_r: int = 6) -> list[CoverParams]:
-    """All valid CoverParams with p <= max_p, q <= max_q, r <= max_r."""
+    """Every triple with p <= max_p, q <= max_q, r <= max_r that CoverParams accepts, in (p, q, r) order."""
     out = []
-    for p in range(3, max_p + 1):
-        if not (is_prime(p) and p % 2 == 1):
-            continue
-        for q in range(2, max_q + 1):
-            if not is_prime(q) or q == p or math.gcd(p, q - 1) != 1:
-                continue
-            for r in range(3, max_r + 1):
-                if (p - 1) * (r - 2) // 2 < 2:
-                    continue
-                out.append(CoverParams(p, q, r))
+    for p, q, r in product(range(3, max_p + 1), range(2, max_q + 1), range(3, max_r + 1)):
+        with suppress(InvalidParamsError):
+            out.append(CoverParams(p, q, r))
     return out
 
 
@@ -261,9 +246,10 @@ class PrimaryProjections:
 
     @classmethod
     def from_components(
-        cls, components: list[np.ndarray], block: np.ndarray, q: int
+        cls, components: list[np.ndarray], block: np.ndarray, q: int, s0: int
     ) -> PrimaryProjections:
-        """The tables for `components` (row bases), claimed to be those of v -> v `block`.
+        """The tables for `components` (row bases), claimed to be those of v -> v `block`,
+        s0 = ord_p(q) for p - 1 the size of `block`.
 
         IdentityCheckError with a witness unless there are (p-1)/s0 of them,
         each of dimension s0 and invariant, with stacked rank p - 1.  Phi_p is
@@ -271,7 +257,6 @@ class PrimaryProjections:
         dimension s0 is one component: the checks pin the decomposition down.
         """
         d = block.shape[0]
-        s0 = order_mod(q, d + 1)
         dims = [c.shape[0] for c in components]
         if dims != [s0] * (d // s0):
             raise IdentityCheckError(
@@ -306,18 +291,24 @@ class PrimaryProjections:
         return cls(s0, basis, coordinates)
 
 
-def _gauss_period_eigenspaces(block: np.ndarray, q: int) -> list[np.ndarray]:
+def _gauss_period_eigenspaces(block: np.ndarray, q: int, s0: int) -> list[np.ndarray]:
     """Canonical bases of the joint eigenspaces of v -> v eta_C(M), M = `block`.
 
     eta_C(M) = sum_{c in C} M^c for each coset C of <q> in Z_p^*, p - 1 the
-    size of M.  Frobenius permutes each C, so eta_C(M) is a scalar of F_q on
-    every primary component, and the k = (p-1)/s0 periods span Berlekamp's
-    subalgebra F_q^k of F_q[M], so together they separate the components.
-    Each space is split by the nonzero kernels of eta_C(M) - lambda on it,
-    lambda in F_q; a space of dimension s0 cannot split and is kept.
+    size of M and s0 = ord_p(q).  Frobenius permutes each C, so eta_C(M) is a
+    scalar of F_q on every primary component, and the k = (p-1)/s0 periods
+    span Berlekamp's subalgebra F_q^k of F_q[M], so together they separate
+    the components.  Where eta_C(M) is lambda, P = (eta_C(M) + c)^e with
+    e = max(1, (q-1)//2) is (lambda + c)^e: 0, 1 or -1 by Euler's criterion.
+    So each space is split by the kernels of P - eps, eps in {0, 1, q - 1},
+    for the shifts c = 0, 1, ... until every space has dimension s0
+    (Cantor-Zassenhaus, Math. Comp. 36, 1981), not by every lambda in F_q.
+    Two distinct period values fall apart at some c < q, and at q = 2 and 3,
+    where e = 1, at c = 0.  The components come in the order of their tuples
+    of period values.
     """
     d = block.shape[0]
-    p, s0 = d + 1, order_mod(q, d + 1)
+    p = d + 1
     coset = [-1] * p
     k = 0
     for a in range(1, p):
@@ -326,27 +317,28 @@ def _gauss_period_eigenspaces(block: np.ndarray, q: int) -> list[np.ndarray]:
                 coset[a * pow(q, j, p) % p] = k
             k += 1
     periods = np.zeros((k, d, d), dtype=np.int64)
-    power = np.eye(d, dtype=np.int64)
+    power = eye = np.eye(d, dtype=np.int64)
     for c in range(1, p):
         power = (power @ block) % q
         periods[coset[c]] += power
-    spaces = [np.eye(d, dtype=np.int64)]
-    for period in periods % q:
-        split = []
-        for space in spaces:
-            if space.shape[0] == s0:
-                split.append(space)
-                continue
-            image, left = (space @ period) % q, space.shape[0]
-            for value in range(q):
-                if not left:
-                    break
-                coefficients = kernel_array((image - value * space).T, q)
-                if coefficients.size:
-                    split.append((coefficients @ space) % q)
-                    left -= coefficients.shape[0]
-        spaces = split
-    return [row_space_array(space, q) for space in spaces]
+    periods %= q
+    spaces = [eye]
+    for shift in range(q):
+        if all(space.shape[0] == s0 for space in spaces):
+            break
+        for period in periods:
+            split_by = matpow_array(period + shift * eye, max(1, (q - 1) // 2), q)
+            split = []
+            for space in spaces:
+                image = (space @ split_by) % q
+                for value in {0, 1, q - 1}:
+                    coefficients = kernel_array((image - value * space).T, q)
+                    if coefficients.size:
+                        split.append((coefficients @ space) % q)
+            spaces = split
+    components = [row_space_array(space, q) for space in spaces]
+    # A canonical first row has a 1 at its pivot, so eta_C scales it by its image's entry there.
+    return sorted(components, key=lambda c: (periods[:, :, np.flatnonzero(c[0])[0]] @ c[0] % q).tolist())
 
 
 def _companion_block(p: int, q: int) -> np.ndarray:
@@ -433,8 +425,8 @@ class AdaptedAction:
         the components are those of that block of the inverse.
         """
         block = self._inverse[: self.params.p - 1, : self.params.p - 1]
-        q = self.params.q
-        return PrimaryProjections.from_components(_gauss_period_eigenspaces(block, q), block, q)
+        q, s0 = self.params.q, self.params.s0
+        return PrimaryProjections.from_components(_gauss_period_eigenspaces(block, q, s0), block, q, s0)
 
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"

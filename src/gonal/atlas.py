@@ -152,6 +152,15 @@ def _check_space(h: Hyperplane, params: CoverParams) -> None:
         raise InvalidParamsError("hyperplane and action live over different spaces")
 
 
+def _action_for(params: CoverParams, action: AdaptedAction | None) -> AdaptedAction:
+    """`action`, or the action of `params` built here when it is None; one built for other params is refused."""
+    if action is None:
+        return build_action(params)
+    if action.params != params:
+        raise InvalidParamsError(f"action built for {action.params}, not {params}")
+    return action
+
+
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
     """Hyperplane whose kernel is T.ker(h): on normals, v -> v T^(-1).
 
@@ -456,12 +465,7 @@ def orbit_classes(
     """
     q, n = params.q, params.n
     check_cap(cap, "atlas cap", "orbit classification needs ambient size {}", q, n)
-    if action is None:
-        action = build_action(params)
-    elif action.params != params:
-        raise InvalidParamsError(
-            f"action built for {action.params} cannot classify {params}"
-        )
+    action = _action_for(params, action)
     orbit_codes = _orbit_codes(params, action)
     classes = []
     cores: dict[tuple, Subspace] = {}
@@ -550,10 +554,7 @@ def galois_closure(
     while Phi_p(T^(-1)) = 0.  So no normal is invariant, and no guard for
     one is needed.
     """
-    if action is None:
-        action = build_action(params)
-    elif action.params != params:
-        raise InvalidParamsError(f"action built for {action.params}, not {params}")
+    action = _action_for(params, action)
     dim = core_dim(h, action)
     k = params.n - dim
     if pow(params.q, k, params.p) != 1:

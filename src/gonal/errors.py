@@ -76,13 +76,20 @@ def power_digits(base: int, exp: int, factor: int = 1) -> int:
     return int(log_value) + 1
 
 
+def _unprintable_digits(base: int, exp: int, factor: int = 1) -> int:
+    """The decimal digits of factor * base**exp if they are past the int-to-str
+    limit, else 0; the value is not built (see `power_digits`)."""
+    limit = int_str_limit()
+    digits = power_digits(base, exp, factor) if limit else 0
+    return digits if digits > limit else 0
+
+
 def refuse_unprintable(base: int, exp: int, factor: int = 1) -> None:
     """InvalidParamsError, as `decimal` would raise it, if factor * base**exp is
-    past the int-to-str limit; the value is not built (see `power_digits`)."""
-    if int_str_limit():
-        digits = power_digits(base, exp, factor)
-        if digits > int_str_limit():
-            raise too_many_digits(digits)
+    past the int-to-str limit; the value is not built."""
+    digits = _unprintable_digits(base, exp, factor)
+    if digits:
+        raise too_many_digits(digits)
 
 
 def decimal(value: int) -> str:
@@ -101,17 +108,6 @@ def quoted(value: int) -> str:
         return f"<{digit_count(value)} digits>"
 
 
-def quoted_power(base: int, exp: int, factor: int = 1) -> tuple[int | None, str]:
-    """(factor * base**exp, its `quoted` text), base, factor >= 1; past the
-    int-to-str limit (None, its digit count) without building the power."""
-    if int_str_limit():
-        digits = power_digits(base, exp, factor)
-        if digits > int_str_limit():
-            return None, f"<{digits} digits>"
-    value = factor * base**exp
-    return value, str(value)
-
-
 def positive_cap(cap, source: str) -> int:
     """`cap` itself; InvalidParamsError naming `source` unless it is a positive int.
 
@@ -128,15 +124,14 @@ def check_cap(cap, source: str, message: str, base: int, exp: int = 1, factor: i
 
     base, factor >= 1.  (b - 1) exp + (f - 1) >= the bit length of cap, b and f
     those of base and factor, already means the value exceeds cap: then it is
-    built only if its digits are printed.  Otherwise it stays below (2 cap)^2
-    and is compared exactly.
+    built only if its digits can be printed, and quoted by their count if not.
+    Otherwise it stays below (2 cap)^2 and is compared exactly.
     """
     cap = positive_cap(cap, source)
-    if (base.bit_length() - 1) * exp + factor.bit_length() - 1 < cap.bit_length():
-        value = factor * base**exp
-        if value <= cap:
-            return value
-        text = quoted(value)
-    else:
-        value, text = quoted_power(base, exp, factor)
+    past = (base.bit_length() - 1) * exp + factor.bit_length() - 1 >= cap.bit_length()
+    digits = _unprintable_digits(base, exp, factor) if past else 0
+    value = None if digits else factor * base**exp
+    if value is not None and value <= cap:
+        return value
+    text = f"<{digits} digits>" if digits else quoted(value)
     raise CapExceededError(message.format(text), value, cap, required_text=text)

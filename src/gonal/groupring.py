@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import CoverParams, build_action
-from .atlas import Hyperplane
+from .atlas import Hyperplane, _check_space
 from .errors import IdentityCheckError, InvalidParamsError, check_cap
 from .fqlinalg import Subspace, decode_codes, encode_rows
 
@@ -319,8 +319,7 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     """
     params = group.params
     p, q, n = params.p, params.q, params.n
-    if L.modulus != q or L.ambient_dim != n:
-        raise InvalidParamsError("hyperplane and action live over different spaces")
+    _check_space(L, params)
     if group._fixed_last[0] == L:
         return group._fixed_last[1]
     u = _transversal(L)

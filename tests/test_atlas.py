@@ -735,6 +735,26 @@ def test_core_dim_matches_elimination_on_sparse_normals(drawn):
     assert core_dim(h, action) == core(h, action).dim
 
 
+@pytest.mark.parametrize("p", [13, 7])
+def test_core_dim_matches_elimination_at_q_near_a_million(p):
+    # Each seeded normal is multiplied by the factors of Phi_p over F_q (sympy's)
+    # of a seeded subset, which kills those primary components, so |J| varies.
+    params = CoverParams(p, 1000003, 3)
+    action = build_action(params)
+    factors = _factor_matrices(action)
+    rng = np.random.default_rng(p)
+    eye = np.eye(params.n, dtype=np.int64)
+    checked = set()
+    for v in rng.integers(0, params.q, size=(50, params.n)):
+        for f, kill in zip(factors, rng.integers(0, 2, size=len(factors))):
+            v = v @ (f if kill else eye) % params.q
+        if v.any():
+            h = Hyperplane(v, params.q)
+            checked.add(core_dim(h, action))
+            assert core_dim(h, action) == core(h, action).dim
+    assert len(checked) == len(factors)
+
+
 def test_core_dim_matches_elimination_on_seeded_random_normals_at_13_3_5():
     params = CoverParams(13, 3, 5)
     action = build_action(params)

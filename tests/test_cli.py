@@ -495,13 +495,41 @@ def test_atlas_cap_refusal_builds_no_power(capsys, int_str_limit_4300):
         assert elapsed < 1.0
 
 
+@needs_int_str_limit
+@pytest.mark.parametrize("r", [10**400, 10**308, 2**1023], ids=["1e400", "1e308", "2^1023"])
 @pytest.mark.parametrize("command", ["invariants", "reps", "atlas", "galois"])
-def test_an_r_whose_n_does_not_fit_a_float_exits_2(capsys, command):
-    extra = ["--subgroup", "unused.gens"] if command == "galois" else []
-    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "5", "--r", str(10**400), *extra)
-    assert (code, out) == (2, "")
-    (line,) = err.splitlines()
-    assert line.startswith("error: r = 1000") and line.endswith("too large to estimate q^n in floating point")
+def test_an_r_of_any_size_is_refused_exactly_within_a_second(
+    capsys, tmp_path, int_str_limit_4300, command, r
+):
+    # No float bound on n: each command sizes q^n where it uses it, exactly.
+    n = 2 * r - 4
+    path = tmp_path / "one.gens"
+    path.write_text("a_1\n")
+    extra = ["--subgroup", str(path)] if command == "galois" else []
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "5", "--r", str(r), *extra)
+    elapsed = time.perf_counter() - start
+    assert out == "" and elapsed < 1.0
+    if command == "atlas":
+        digits = mpmath_power_digits(5, n)
+        assert code == 3
+        assert err.splitlines() == [
+            f"error: orbit classification needs ambient size <{digits} digits> "
+            f"(required cap <{digits} digits>, current cap 1594323)",
+            f"hint: re-run with --cap <{digits} digits>",
+        ]
+    elif command == "galois":
+        assert code == 2
+        assert err == (
+            f"error: {path} has 1 words and spans dimension at most 1, "
+            f"not a maximal subgroup of Z_5^{n}\n"
+        )
+    else:
+        factor = r - 3 if command == "invariants" else 3
+        digits = mpmath_power_digits(5, n, factor)
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: a result has {digits} decimal digits")
 
 
 def test_reps_command(capsys):
