@@ -27,7 +27,7 @@ print(f"  t * prym_dim = {report.t * report.prym_dim} = g_T = {report.g_t}")
 print()
 
 # The identities hold exactly for every admissible triple, not just here.
-sweep = parameter_sweep(max_p=13, max_q=7, max_r=6)
+sweep = parameter_sweep()
 for params in sweep:
     for row in identity_rows(decomposition_report(params)):  # one row per identity, each can fail
         if not row.passed:

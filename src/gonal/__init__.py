@@ -35,7 +35,6 @@ from .calculus import (
     prym_dim,
 )
 from .errors import (
-    AmbientMismatchError,
     CapExceededError,
     FixtureParseError,
     GonalError,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedAction",
-    "AmbientMismatchError",
     "CapExceededError",
     "CoverParams",
     "CoverReport",

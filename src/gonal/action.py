@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -133,15 +133,14 @@ class CoverParams:
     q: prime != p with gcd(p, q-1) = 1, exponent of the homology cover.
     r: number of fixed points, >= 3.
 
-    The base genus g = (p-1)(r-2)/2 must be >= 2; tiny oracle instances may
-    opt out via allow_small_genus.  The derived values g, n, s0, m and t are
-    computed on first access and kept (the dataclass is frozen, not slotted).
+    The base genus g = (p-1)(r-2)/2 must be >= 2.  The derived values g, n,
+    s0, m and t are computed on first access and kept (the dataclass is
+    frozen, not slotted).
     """
 
     p: int
     q: int
     r: int
-    allow_small_genus: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         p, q, r = self.p, self.q, self.r
@@ -166,10 +165,8 @@ class CoverParams:
             raise InvalidParamsError(
                 f"gcd(p, q-1) must be 1, got gcd({p}, {q - 1}) = {math.gcd(p, q - 1)}"
             )
-        if self.g < 2 and not self.allow_small_genus:
-            raise InvalidParamsError(
-                f"base genus g = {self.g} < 2; pass allow_small_genus=True for oracle runs"
-            )
+        if self.g < 2:
+            raise InvalidParamsError(f"base genus g = {self.g} < 2")
 
     @cached_property
     def g(self) -> int:
@@ -218,10 +215,10 @@ class CoverParams:
         }
 
 
-def parameter_sweep(max_p: int = 13, max_q: int = 7, max_r: int = 6) -> list[CoverParams]:
-    """Every triple with p <= max_p, q <= max_q, r <= max_r that CoverParams accepts, in (p, q, r) order."""
+def parameter_sweep() -> list[CoverParams]:
+    """Every triple with p <= 13, q <= 7, r <= 6 that CoverParams accepts, in (p, q, r) order."""
     out = []
-    for p, q, r in product(range(3, max_p + 1), range(2, max_q + 1), range(3, max_r + 1)):
+    for p, q, r in product(range(3, 14), range(2, 8), range(3, 7)):
         with suppress(InvalidParamsError):
             out.append(CoverParams(p, q, r))
     return out
@@ -377,28 +374,26 @@ class AdaptedAction:
         # Every product of the action's rows and columns sums n products of residues.
         check_row_products(n, q)
         block = _companion_block(p, q)
-        mat = np.zeros((n, n), dtype=np.int64)
-        d = p - 1
-        for j in range(params.r - 2):
-            mat[j * d : (j + 1) * d, j * d : (j + 1) * d] = block
-        self._matrix = mat
-        self._matrix.flags.writeable = False
-        self._inverse = matpow_array(mat, p - 1, q)
-        self._inverse.flags.writeable = False
-        self._validate()
+        # kron(I_(r-2), M) for M = B and B^(p-1), as one broadcast product each.
+        blocks = np.eye(params.r - 2, dtype=np.int64)[:, None, :, None]
+        self._matrix = (blocks * block[:, None, :]).reshape(n, n)
+        self._inverse = (blocks * self._validated_inverse(block)[:, None, :]).reshape(n, n)
+        self._matrix.flags.writeable = self._inverse.flags.writeable = False
 
-    def _validate(self):
+    def _validated_inverse(self, block: np.ndarray) -> np.ndarray:
+        """B^(p-1), once the block B has order p and 1 + B + ... + B^(p-1) = 0: T repeats
+        B down its diagonal, so these are T's checks, and a witness in B is one in T."""
         p, q = self.params.p, self.params.q
-        n = self.params.n
-        eye = np.eye(n, dtype=np.int64)
-        # One running product gives both T^p and 1 + T + ... + T^(p-1).
-        power, total = eye, np.zeros((n, n), dtype=np.int64)
+        eye = np.eye(p - 1, dtype=np.int64)
+        # One running product gives B^(p-1), B^p and 1 + B + ... + B^(p-1).
+        power, total = eye, np.zeros_like(eye)
         for _ in range(p):
             total += power
-            power = (power @ self._matrix) % q
+            inverse = power
+            power = (power @ block) % q
         if not np.array_equal(power, eye):
             raise IdentityCheckError(f"action for {self.params} does not have order p = {p}")
-        if np.array_equal(self._matrix, eye):
+        if np.array_equal(block, eye):
             raise IdentityCheckError(f"action for {self.params} is trivial")
         annihilated = total % q
         if annihilated.any():
@@ -406,6 +401,7 @@ class AdaptedAction:
                 f"1 + T + ... + T^(p-1) does not vanish for {self.params}: "
                 f"nonzero entry at {tuple(int(i) for i in np.argwhere(annihilated)[0])}"
             )
+        return inverse
 
     @property
     def matrix_array(self) -> np.ndarray:

@@ -542,6 +542,11 @@ class GaloisReport:
         return self.params.p * self.params.q**self.k
 
 
+def galois_group(params: CoverParams, k: int) -> str:
+    """The name Z_q^k x| Z_p of the Galois group of a closure with k = n - dim(core)."""
+    return f"Z_{params.q}^{k} ⋊ Z_{params.p}"
+
+
 def galois_closure(
     h: Hyperplane, params: CoverParams, action: AdaptedAction | None = None
 ) -> GaloisReport:
@@ -564,7 +569,7 @@ def galois_closure(
         hyperplane=h,
         is_composite_galois=False,
         k=k,
-        group=f"Z_{params.q}^{k} ⋊ Z_{params.p}",
+        group=galois_group(params, k),
         core_dim=dim,
         exceeds_complement_range=k > params.p - 1,
     )

@@ -29,6 +29,7 @@ from .atlas import (
     core,
     core_histogram,
     galois_closure,
+    galois_group,
     hyperplane_from_file,
     orbit_classes,
 )
@@ -171,7 +172,7 @@ def cmd_atlas(args, params: CoverParams):
             continue
         group = groups.get(dim)
         if group is None:
-            group = groups[dim] = f"Z_{params.q}^{params.n - dim} ⋊ Z_{params.p}"
+            group = groups[dim] = galois_group(params, params.n - dim)
         row = {
             "representative": list(cls.representative.normal),
             "core_dim": dim,

@@ -13,10 +13,6 @@ class InvalidParamsError(GonalError, ValueError):
     """Parameters violate a documented precondition (non-prime p, r < 3, ...)."""
 
 
-class AmbientMismatchError(GonalError, ValueError):
-    """Two values live over different ambient dimensions or moduli."""
-
-
 class CapExceededError(GonalError):
     """An enumeration would exceed its resource cap.
 
@@ -40,13 +36,15 @@ class IdentityCheckError(GonalError):
 
 
 def int_str_limit() -> int:
-    """The interpreter's int-to-str digit limit; 0 where there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The digit limit every result is sized against: the interpreter's int-to-str
+    limit, or Python's default (4300) where that is off or absent."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 def too_many_digits(digits: int) -> InvalidParamsError:
     return InvalidParamsError(
-        f"a result has {digits} decimal digits, over this interpreter's int-to-str "
+        f"a result has {digits} decimal digits, over the int-to-str "
         f"limit of {int_str_limit()} (PYTHONINTMAXSTRDIGITS raises it)"
     )
 
@@ -77,11 +75,10 @@ def power_digits(base: int, exp: int, factor: int = 1) -> int:
 
 
 def _unprintable_digits(base: int, exp: int, factor: int = 1) -> int:
-    """The decimal digits of factor * base**exp if they are past the int-to-str
-    limit, else 0; the value is not built (see `power_digits`)."""
-    limit = int_str_limit()
-    digits = power_digits(base, exp, factor) if limit else 0
-    return digits if digits > limit else 0
+    """The decimal digits of factor * base**exp if they are past `int_str_limit`,
+    else 0; the value is not built (see `power_digits`)."""
+    digits = power_digits(base, exp, factor)
+    return digits if digits > int_str_limit() else 0
 
 
 def refuse_unprintable(base: int, exp: int, factor: int = 1) -> None:

@@ -5,7 +5,7 @@ kernels take plain ndarrays and the modulus as an argument; hot loops call
 them directly.  :class:`Subspace` is the one value that carries its
 modulus: a matrix or vector handed to it is reduced mod that modulus, and
 input whose shape does not fit its ambient space raises
-:class:`~gonal.errors.AmbientMismatchError`, never silent reshaping.
+:class:`~gonal.errors.InvalidParamsError`, never silent reshaping.
 
 Subspaces are value objects: a subspace is identified with the unique
 reduced row-echelon basis of its row space, so equality and hashing are
@@ -27,22 +27,26 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import AmbientMismatchError, IdentityCheckError, InvalidParamsError, quoted
+from .errors import IdentityCheckError, InvalidParamsError, quoted
 
 _PRIMES_SEEN: set[int] = set()
 
 
 # Miller-Rabin with the prime bases 2, ..., 41 decides primality exactly below
 # this bound (Sorenson and Webster, 2015); is_prime refuses anything at or past it.
+# The first four already decide below _FOUR_BASES_BOUND, the least strong pseudoprime
+# to all of 2, 3, 5 and 7 (Pomerance, Selfridge and Wagstaff, 1980).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+_FOUR_BASES_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
     """Whether the int `n` is prime, by a deterministic Miller-Rabin test.
 
-    Exact below PRIMALITY_BOUND, in about 13 modular powers; InvalidParamsError
-    at or past it, where these bases no longer decide.
+    Exact below PRIMALITY_BOUND, in 4 modular powers below _FOUR_BASES_BOUND
+    and 13 from it on; InvalidParamsError at or past PRIMALITY_BOUND, where
+    these bases no longer decide.
     """
     if n >= PRIMALITY_BOUND:
         raise InvalidParamsError(
@@ -57,7 +61,7 @@ def is_prime(n: int) -> bool:
     while odd % 2 == 0:
         odd //= 2
         twos += 1
-    for base in _PRIME_BASES:
+    for base in _PRIME_BASES[:4] if n < _FOUR_BASES_BOUND else _PRIME_BASES:
         x = pow(base, odd, n)
         if x == 1 or x == n - 1:
             continue
@@ -402,7 +406,7 @@ class Subspace:
         """`rows` mod q as a 2-d array; only a vector or rows of length ambient_dim fit."""
         a = as_residues(rows, self.modulus)
         if a.ndim not in (1, 2) or a.shape[-1] != self.ambient_dim:
-            raise AmbientMismatchError(
+            raise InvalidParamsError(
                 f"expected a vector or rows of length {self.ambient_dim}, got shape {a.shape}"
             )
         return a.reshape(-1, self.ambient_dim)
@@ -410,16 +414,10 @@ class Subspace:
     def _square(self, m) -> np.ndarray:
         """`m` mod q, a square integer matrix of side ambient_dim acting on columns."""
         if np.shape(m) != (self.ambient_dim, self.ambient_dim):
-            raise AmbientMismatchError(
+            raise InvalidParamsError(
                 f"expected a square matrix of side {self.ambient_dim}, got shape {np.shape(m)}"
             )
         return as_residues(m, self.modulus)
-
-    def contains(self, v) -> bool:
-        """True iff the vector v lies in this subspace."""
-        if np.ndim(v) != 1:
-            raise AmbientMismatchError(f"expected a vector, got an array with {np.ndim(v)} axes")
-        return self.contains_rows(v)
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of `rows` (or the vector `rows`) lies in this subspace."""
@@ -431,7 +429,7 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim or self.modulus != other.modulus:
-            raise AmbientMismatchError(
+            raise InvalidParamsError(
                 f"subspaces live in F_{self.modulus}^{self.ambient_dim} vs "
                 f"F_{other.modulus}^{other.ambient_dim}"
             )

@@ -60,7 +60,7 @@ def test_criterion_1_fixture_reproduction():
 
 def test_criterion_2_dimension_identities_sweep():
     start = time.perf_counter()
-    sweep = parameter_sweep(max_p=13, max_q=7, max_r=6)
+    sweep = parameter_sweep()
     assert sweep
     for params in sweep:
         rep = decomposition_report(params)
@@ -119,7 +119,7 @@ def test_criterion_6_groupring_identity():
 
 def test_criterion_7_representation_census():
     start = time.perf_counter()
-    for params in parameter_sweep(max_p=13, max_q=7, max_r=6):
+    for params in parameter_sweep():
         entries = complex_table(params)  # closed form; census_rows and this line check it
         assert sum(e.count * e.degree**2 for e in entries) == params.p * params.q ** params.n
     for p, q, r in [(3, 2, 4), (5, 2, 3)]:

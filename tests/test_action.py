@@ -108,7 +108,7 @@ def test_cover_params_derived():
         (5, 5, 3),  # p = q
         (5, 2, 2),  # r too small
         (3, 7, 3),  # gcd(p, q-1) != 1
-        (3, 2, 3),  # g = 1 without the escape hatch
+        (3, 2, 3),  # g = 1
     ],
 )
 def test_cover_params_rejects(p, q, r):
@@ -163,15 +163,10 @@ def test_cover_params_takes_an_r_of_any_size_exactly(r):
     assert (params.g, params.n) == (r - 2, 2 * r - 4)
 
 
-def test_cover_params_small_genus_escape_hatch():
-    params = CoverParams(3, 2, 3, allow_small_genus=True)
-    assert params.g == 1
-    assert params.n == 2
-
-
 def test_parameter_sweep_is_valid_and_nonempty():
     sweep = parameter_sweep()
-    assert len(sweep) > 20
+    assert len(sweep) == 62
+    assert [(c.p, c.q, c.r) for c in sweep] == sorted((c.p, c.q, c.r) for c in sweep)
     for params in sweep:
         assert params.g >= 2
         assert params.p <= 13 and params.q <= 7 and params.r <= 6
@@ -181,9 +176,10 @@ def test_parameter_sweep_is_valid_and_nonempty():
 
 
 def test_build_action_single_block():
-    action = build_action(CoverParams(3, 2, 3, allow_small_genus=True))
-    assert np.array_equal(action.matrix_array, [[0, 1], [1, 1]])
-    assert np.array_equal(matpow_array(action.matrix_array, 3, 2), np.eye(2, dtype=int))
+    action = build_action(CoverParams(5, 2, 3))
+    expected = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+    assert np.array_equal(action.matrix_array, expected)
+    assert np.array_equal(matpow_array(action.matrix_array, 5, 2), np.eye(4, dtype=int))
 
 
 def test_build_action_two_blocks():
@@ -222,6 +218,12 @@ def evaluate(coeffs: list[int], m: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _one_block_params(p: int, q: int) -> CoverParams:
+    """The least r with g >= 2: (p, q, 3), or (3, q, 4), whose g = 1 at r = 3 is refused.
+    The primary split depends on (p, q) alone."""
+    return CoverParams(p, q, 3 if p > 3 else 4)
+
+
 def _components(action) -> list[np.ndarray]:
     s0 = action.primary.s0
     basis = action.primary.basis
@@ -234,7 +236,7 @@ def _components(action) -> list[np.ndarray]:
 )
 def test_cyclotomic_factor_shapes(p, q, factor_count, factor_degree):
     # One primary component per irreducible factor of Phi_p, of its degree.
-    action = build_action(CoverParams(p, q, 3, allow_small_genus=True))
+    action = build_action(_one_block_params(p, q))
     assert action.primary.s0 == factor_degree
     assert [c.shape[0] for c in _components(action)] == [factor_degree] * factor_count
 
@@ -250,8 +252,8 @@ _ORACLE_PAIRS = [
 @pytest.mark.parametrize("p,q", _ORACLE_PAIRS)
 def test_cyclotomic_factor_matches_sympy(p, q):
     # Every component is {v : v f(B^-1) = 0} for exactly one of sympy's factors f.
-    action = build_action(CoverParams(p, q, 3, allow_small_genus=True))
-    inv_block = action.inverse_array
+    action = build_action(_one_block_params(p, q))
+    inv_block = action.inverse_array[: p - 1, : p - 1]
     kernels = [kernel_array(evaluate(f, inv_block, q).T, q) for f in sympy_factors(p, q)]
     for component in _components(action):
         matches = [ker for ker in kernels if np.array_equal(ker, component)]
@@ -292,7 +294,8 @@ _SPLIT_PAIRS = [
 
 @pytest.mark.parametrize(
     "params",
-    [CoverParams(p, q, 3, allow_small_genus=True) for p, q in _SPLIT_PAIRS] + parameter_sweep(),
+    # (3, q, 4) with q <= 7 is in the sweep already.
+    [_one_block_params(p, q) for p, q in _SPLIT_PAIRS if p > 3 or q > 7] + parameter_sweep(),
     ids=lambda params: f"{params.p}-{params.q}-{params.r}",
 )
 def test_primary_components_equal_the_scan_over_f_q_in_order(params):
@@ -399,12 +402,12 @@ def test_invariant_subspaces_two_blocks():
 
 
 @pytest.mark.parametrize(
-    "p,q,r", [(3, 2, 4), (5, 2, 3), (3, 2, 5), (3, 2, 3), (5, 3, 3), (7, 2, 3)]
+    "p,q,r", [(3, 2, 4), (5, 2, 3), (3, 2, 5), (5, 3, 3), (7, 2, 3)]
 )
 def test_invariant_dimension_dichotomy(p, q, r):
     # The listing is exactly the brute-force set, and its dimensions are the
     # multiples of s0, each of them reached.
-    params = CoverParams(p, q, r, allow_small_genus=True)
+    params = CoverParams(p, q, r)
     action = build_action(params)
     found = invariant_subspaces(action, cap=1000)
     assert len(set(found)) == len(found)

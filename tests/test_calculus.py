@@ -64,8 +64,7 @@ def test_genus_homology_cover():
     assert genus_quotient_by_core(CoverParams(13, 3, 3), 0) == 2657206
     assert genus_quotient_by_core(CoverParams(5, 2, 3), 0) == 17
     assert decomposition_report(CoverParams(5, 2, 3)).g_tilde == 17
-    tiny = CoverParams(3, 2, 3, allow_small_genus=True)
-    assert genus_quotient_by_core(tiny, 0) == 1  # g = 1 is a fixed point
+    assert genus_quotient_by_core(CoverParams(3, 2, 4), 0) == 17  # 1 + 2^4 (2 - 1)
 
 
 def test_genus_intermediate():
@@ -117,7 +116,9 @@ def test_twisted_genus_refusals():
 def test_prym_dim():
     assert prym_dim(CoverParams(5, 2, 3)) == 1
     assert prym_dim(CoverParams(13, 3, 3)) == 10
-    assert prym_dim(CoverParams(3, 2, 3, allow_small_genus=True)) == 0
+    # At g = 1 the Prym dimension would be 0, but the triple is refused.
+    with pytest.raises(InvalidParamsError, match="^base genus g = 1 < 2$"):
+        CoverParams(3, 2, 3)
 
 
 def test_genus_quotient_by_core_fixture_values():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -530,6 +531,47 @@ def test_an_r_of_any_size_is_refused_exactly_within_a_second(
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith(f"error: a result has {digits} decimal digits")
+
+
+@pytest.mark.parametrize("command", ["invariants", "reps", "atlas"])
+def test_with_the_int_to_str_limit_off_q_to_the_n_is_sized_by_the_default_limit(command):
+    # PYTHONINTMAXSTRDIGITS=0 switches the limit off; sizes are then checked against
+    # Python's default, 4,300 digits, where nothing used to size 5^(2 * 10^12 - 4).
+    # The child's address space is bounded: a run that builds that power ends in a
+    # timeout or a MemoryError, not by exhausting the machine's memory.
+    r = 10**12
+    n = 2 * r - 4
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(gonal.__file__).parents[1]),
+        "PYTHONINTMAXSTRDIGITS": "0",
+    }
+
+    def bounded_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "gonal.cli", command, "--p", "3", "--q", "5", "--r", str(r)],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=bounded_memory,
+    )
+    assert time.perf_counter() - start < 10
+    assert done.stdout == ""
+    if command == "atlas":
+        digits = mpmath_power_digits(5, n)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: orbit classification needs ambient size <{digits} digits> "
+            f"(required cap <{digits} digits>, current cap 1594323)",
+            f"hint: re-run with --cap <{digits} digits>",
+        ]
+    else:
+        digits = mpmath_power_digits(5, n, r - 3 if command == "invariants" else 3)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: a result has {digits} decimal digits, over the int-to-str limit of 4300 "
+            "(PYTHONINTMAXSTRDIGITS raises it)"
+        ]
 
 
 def test_reps_command(capsys):

@@ -24,7 +24,7 @@ from gonal.groupring import (
     verify_scalar_identity,
 )
 
-TINY = CoverParams(3, 2, 3, allow_small_genus=True)
+TINY = CoverParams(3, 2, 4)
 
 
 def _code(group, v, e=0):
@@ -35,10 +35,10 @@ def _code(group, v, e=0):
 
 @pytest.mark.parametrize(
     "p,q,r,order",
-    [(5, 2, 3, 80), (3, 2, 4, 48), (3, 2, 3, 12)],
+    [(5, 2, 3, 80), (3, 2, 4, 48)],
 )
 def test_build_group_orders(p, q, r, order):
-    group = build_group(CoverParams(p, q, r, allow_small_genus=True))
+    group = build_group(CoverParams(p, q, r))
     assert group.order == order
     # The identity is code 0 and acts trivially.
     assert group.left_perm(0).tolist() == list(range(order))
@@ -345,12 +345,12 @@ def test_group_ring_operator_convolution():
 
 @pytest.mark.parametrize(
     "p,q,r,dim",
-    [(5, 2, 3, 5), (3, 2, 4, 3), (3, 2, 3, 3)],
+    [(5, 2, 3, 5), (3, 2, 4, 3)],
 )
 def test_fixed_subspace_dimension_is_uniform(p, q, r, dim):
     # dim A_L = p(q-1) for every hyperplane, in particular equal across
     # each conjugation orbit.
-    params = CoverParams(p, q, r, allow_small_genus=True)
+    params = CoverParams(p, q, r)
     group = build_group(params)
     dims = set()
     for h in enumerate_hyperplanes(params):
@@ -388,9 +388,9 @@ def test_group_builds_its_own_action():
     assert list(inspect.signature(FrobeniusGroup).parameters) == ["params", "cap"]
 
 
-@pytest.mark.parametrize("p,q,r,scalar", [(5, 2, 3, 8), (3, 2, 4, 8), (3, 2, 3, 2)])
+@pytest.mark.parametrize("p,q,r,scalar", [(5, 2, 3, 8), (3, 2, 4, 8)])
 def test_prop_scalar_on_every_hyperplane(p, q, r, scalar):
-    params = CoverParams(p, q, r, allow_small_genus=True)
+    params = CoverParams(p, q, r)
     group = build_group(params)
     for h in enumerate_hyperplanes(params):
         assert verify_scalar_identity(group, h) == scalar == q ** (params.n - 1)
@@ -409,7 +409,7 @@ def test_cross_terms_annihilate(p, q, r):
 
 def test_zero_vector_is_annihilated():
     group = build_group(TINY)
-    h = Hyperplane([1, 0], 2)
+    h = Hyperplane([1, 0, 0, 0], 2)
     subgroup = [_code(group, v) for v in h.kernel().vectors()]
     op = GroupRingOperator(group, {g: 1 for g in subgroup})
     zero = np.zeros(group.order, dtype=np.int64)
@@ -422,9 +422,9 @@ def test_groupring_has_no_asserts():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
-@pytest.mark.parametrize("p,q,r", [(3, 2, 3), (5, 2, 3), (5, 3, 3)])
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (5, 3, 3)])
 def test_left_perm_matches_multiplication(p, q, r):
-    group = build_group(CoverParams(p, q, r, allow_small_genus=True))
+    group = build_group(CoverParams(p, q, r))
     for g in range(group.order):
         expected = [group.mul(g, x) for x in range(group.order)]
         assert group.left_perm(g).tolist() == expected

@@ -19,7 +19,6 @@ from gonal.verify import run_suite
 
 PUBLIC_NAMES = [
     "AdaptedAction",
-    "AmbientMismatchError",
     "CapExceededError",
     "CoverParams",
     "CoverReport",

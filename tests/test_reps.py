@@ -60,9 +60,9 @@ def test_isotypical_report_dimensions():
     assert 2 + 3 * 5 == genus_quotient_by_core(CoverParams(5, 2, 3), 0)
     factors = rep_table(CoverParams(13, 3, 3)).pairing
     assert 6 + 20440 * 13 * 10 == 2657206
-    tiny = CoverParams(3, 2, 3, allow_small_genus=True)
-    factors = rep_table(tiny).pairing
-    assert sum(f.dim * f.count for f in factors) == 1 == genus_quotient_by_core(tiny, 0)
+    small = CoverParams(3, 2, 4)
+    factors = rep_table(small).pairing
+    assert sum(f.dim * f.count for f in factors) == 17 == genus_quotient_by_core(small, 0)
 
 
 def test_rational_kernel_count_matches_atlas():
