@@ -230,16 +230,31 @@ class PrimaryProjections:
 
     Phi_p = f_1 ... f_k over F_q with k = (p-1)/s0, so a (p-1)-entry block of
     a normal splits into components in V_i = {v : v f_i(B^(-1)) = 0}, B the
-    companion block, each of dimension s0.  Both arrays are read-only:
+    companion block, each of dimension s0, over F_q for q = `q`.  All arrays
+    are read-only:
 
     basis: U, the canonical (RREF) bases of V_1, ..., V_k stacked, s0 rows each.
     coordinates: U^(-1), so a block v is (v U^(-1)) U, and its V_i-component is
         nonzero exactly when the i-th s0 entries of v U^(-1) are.
+    table: [U^(-1) | (U^(-1) U - I) mod q], built on first access from this
+        instance's own basis and coordinates (the dataclass is frozen, not
+        slotted, so `dataclasses.replace` gets a table of its own).  One
+        product v table mod q gives v's coordinates and, in the right half,
+        (v U^(-1)) U - v mod q, which is zero when the coordinates give v back.
     """
 
+    q: int
     s0: int
     basis: np.ndarray
     coordinates: np.ndarray
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        d = self.basis.shape[0]
+        residual = (self.coordinates @ self.basis - np.eye(d, dtype=np.int64)) % self.q
+        table = np.hstack([self.coordinates, residual])
+        table.flags.writeable = False
+        return table
 
     @classmethod
     def from_components(
@@ -285,7 +300,7 @@ class PrimaryProjections:
             )
         basis.flags.writeable = False
         coordinates.flags.writeable = False
-        return cls(s0, basis, coordinates)
+        return cls(q, s0, basis, coordinates)
 
 
 def _gauss_period_eigenspaces(block: np.ndarray, q: int, s0: int) -> list[np.ndarray]:

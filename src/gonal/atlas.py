@@ -71,29 +71,39 @@ DEFAULT_BRUTE_CAP = 2**16
 
 
 class Hyperplane:
-    """Index-q subgroup of Z_q^n as a normalized dual normal."""
+    """Index-q subgroup of Z_q^n as a normalized dual normal.
 
-    __slots__ = ("normal", "modulus")
+    `normal` is the tuple of residues; `normal_array()` is the same residues
+    as a read-only int64 vector, shared by every caller: the one the
+    constructor normalized, or, for a hyperplane made from a tuple that is
+    already normalized, one built on first call.
+    """
+
+    __slots__ = ("normal", "modulus", "_array")
 
     def __init__(self, normal, modulus: int):
         modulus = check_prime_modulus(modulus)
         vec = as_residues(normal, modulus)
         if vec.ndim != 1:
             raise InvalidParamsError(f"a hyperplane normal must be a vector, got shape {vec.shape}")
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+        residues = vec.tolist()
+        lead = next(filter(None, residues), 0)
+        if lead == 0:
             raise InvalidParamsError("a hyperplane normal must be nonzero")
-        lead = int(vec[nz[0]])
         if lead != 1:
             vec = (vec * pow(lead, modulus - 2, modulus)) % modulus
-        self.normal = tuple(vec.tolist())
+            residues = vec.tolist()
+        vec.flags.writeable = False
+        self.normal = tuple(residues)
         self.modulus = modulus
+        self._array = vec
 
     @classmethod
     def _from_normalized(cls, normal: tuple, modulus: int) -> "Hyperplane":
         self = cls.__new__(cls)
         self.normal = normal
         self.modulus = modulus
+        self._array = None
         return self
 
     @classmethod
@@ -111,7 +121,12 @@ class Hyperplane:
         return len(self.normal)
 
     def normal_array(self) -> np.ndarray:
-        return np.array(self.normal, dtype=np.int64)
+        """The normal as a read-only int64 vector, kept and shared: copy it to change it."""
+        if self._array is None:
+            vec = np.array(self.normal, dtype=np.int64)
+            vec.flags.writeable = False
+            self._array = vec
+        return self._array
 
     def kernel(self) -> Subspace:
         """The subgroup itself: {x : normal . x = 0}, dimension n - 1."""
@@ -123,7 +138,13 @@ class Hyperplane:
             return NotImplemented
         return self.modulus == other.modulus and self.normal == other.normal
 
-    def __lt__(self, other: "Hyperplane") -> bool:
+    def __lt__(self, other) -> bool:
+        """Lexicographic order of normals over one field and length (how a class sorts
+        its members); InvalidParamsError across spaces, TypeError against other types."""
+        if not isinstance(other, Hyperplane):
+            return NotImplemented
+        if self.modulus != other.modulus or self.ambient_dim != other.ambient_dim:
+            raise InvalidParamsError(f"{self} and {other} live over different spaces")
         return self.normal < other.normal
 
     def __hash__(self) -> int:
@@ -204,17 +225,21 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     J = {i : h has a nonzero f_i-component}, read off the coordinates
     h U^(-1) of each block in the stacked component bases U; core dim =
     n - s0 |J|.  Those coordinates times U must give h back, else
-    IdentityCheckError naming h, J and the entry that differs.
+    IdentityCheckError naming h, J and the entry that differs.  Both come
+    from one product with the cached table [U^(-1) | U^(-1) U - I]: since
+    (X mod q) U = X U mod q, its right half is (h U^(-1) mod q) U - h mod q,
+    each entry a sum of p - 1 <= n products of residues, which the action's
+    int64 bound (`check_row_products(n, q)`) covers.
     """
     params = action.params
     p, q, n = params.p, params.q, params.n
     _check_space(h, params)
     primary = action.primary
-    blocks = np.array(h.normal, dtype=np.int64).reshape(params.r - 2, p - 1)
-    parts = (blocks @ primary.coordinates) % q
-    components = parts.reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
-    rest = (parts @ primary.basis - blocks) % q
-    if rest.any():
+    blocks = h.normal_array().reshape(params.r - 2, p - 1)
+    product = blocks @ primary.table % q
+    components = product[:, : p - 1].reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
+    rest = product[:, p - 1 :]
+    if np.count_nonzero(rest):
         block, entry = np.argwhere(rest)[0].tolist()
         raise IdentityCheckError(
             f"{h} has components {np.flatnonzero(components).tolist()} but their bases "

@@ -331,7 +331,9 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     smat = np.zeros((ncos, ncos), dtype=np.int64)
     for code in _multiple_codes(np.array([u]), q)[0]:
         smat[coset_idx[group.left_perm(code)[reps]], np.arange(ncos)] += 1
-    fibres = np.kron(np.eye(p, dtype=np.int64), np.ones((q, q), dtype=np.int64))
+    # kron(I_p, J_q): 1 where two cosets lie in one twist fibre of q.
+    fibre = np.arange(p * q) // q
+    fibres = (fibre[:, None] == fibre).astype(np.int64)
     if smat.shape != fibres.shape:
         raise IdentityCheckError(f"{L} has {ncos} right cosets, not p q = {p * q}")
     if not np.array_equal(smat, fibres):

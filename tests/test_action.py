@@ -315,6 +315,22 @@ def test_primary_at_q_near_a_million_within_a_second(p):
     assert primary.basis.shape == (p - 1, p - 1) and primary.s0 == params.s0
 
 
+@pytest.mark.parametrize("p,q,r", [(7, 2, 4), (13, 3, 5), (13, 876706483, 3), (13, 876706517, 3)])
+def test_primary_table_is_the_coordinates_beside_their_residual(p, q, r):
+    primary = build_action(CoverParams(p, q, r)).primary
+    assert primary.q == q
+    table = primary.table
+    assert table.shape == (p - 1, 2 * (p - 1)) and table.dtype == np.int64
+    assert not table.flags.writeable and primary.table is table
+    # U^-1 U = I on the true tables, so the right half is zero.
+    assert np.array_equal(table[:, : p - 1], primary.coordinates) and not table[:, p - 1 :].any()
+    # A copy with other coordinates builds its own table and leaves this one alone.
+    eye = np.eye(p - 1, dtype=np.int64)
+    other = dataclasses.replace(primary, coordinates=eye).table
+    assert np.array_equal(other, np.hstack([eye, (primary.basis - eye) % q]))
+    assert primary.table is table and np.array_equal(table[:, : p - 1], primary.coordinates)
+
+
 def test_primary_build_refuses_a_space_that_is_not_invariant():
     # The first three coordinates, with the second true component: full rank, not invariant.
     action = build_action(CoverParams(7, 2, 3))

@@ -96,6 +96,84 @@ def test_hyperplane_from_subspace_roundtrip():
         Hyperplane.from_subspace(Subspace.full(4, 3))
 
 
+# Small primes, q near a million, and the largest q that (13, q, 3) admits:
+# 12 (q - 1)^2 < 2^63 with gcd(13, q - 1) = 1.
+_CONSTRUCTOR_MODULI = [2, 3, 5, 1000003, 876706517]
+
+
+def _normalized_oracle(values, q):
+    """Pure-Python normalization: reduce mod q, then scale by the inverse of the first nonzero residue."""
+    residues = [int(x) % q for x in values]
+    scale = pow(next(x for x in residues if x), -1, q)
+    return tuple(x * scale % q for x in residues)
+
+
+@st.composite
+def _constructor_inputs(draw):
+    """(input, q): a list of ints, an int64 array, a list of ints past int64, or a uint64 array."""
+    q = draw(st.sampled_from(_CONSTRUCTOR_MODULI))
+    kind = draw(st.sampled_from(["list", "int64", "big", "uint64"]))
+    bounds = {"list": (-3 * q, 3 * q), "int64": (-(2**63), 2**63 - 1),
+              "big": (-(2**100), 2**100), "uint64": (0, 2**64 - 1)}[kind]
+    values = draw(st.lists(st.integers(*bounds), min_size=1, max_size=8))
+    assume(any(x % q for x in values))
+    if kind == "int64":
+        return np.array(values, dtype=np.int64), q
+    if kind == "uint64":
+        return np.array(values, dtype=np.uint64), q
+    return values, q
+
+
+def _assert_kept_array(h):
+    arr = h.normal_array()
+    assert arr.dtype == np.int64 and arr.shape == (len(h.normal),)
+    assert arr.tolist() == list(h.normal)
+    assert not arr.flags.writeable and h.normal_array() is arr
+    with pytest.raises(ValueError):
+        arr[0] = 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constructor_inputs())
+def test_hyperplane_constructor_matches_the_pure_python_normalization(drawn):
+    values, q = drawn
+    h = Hyperplane(values, q)
+    assert h.normal == _normalized_oracle(values, q)
+    assert all(type(x) is int for x in h.normal)
+    _assert_kept_array(h)
+    _assert_kept_array(Hyperplane._from_normalized(h.normal, q))
+
+
+@pytest.mark.parametrize("q", _CONSTRUCTOR_MODULI)
+def test_hyperplane_refusals_keep_their_messages(q):
+    for zero in ([0, 0, 0], [q, -q, 2 * q], np.zeros(4, dtype=np.uint64), [2**64 * q], []):
+        with pytest.raises(InvalidParamsError, match=r"^a hyperplane normal must be nonzero$"):
+            Hyperplane(zero, q)
+    with pytest.raises(InvalidParamsError, match=r"^a hyperplane normal must be a vector, got shape \(2, 2\)$"):
+        Hyperplane([[1, 0], [0, 1]], q)
+    with pytest.raises(InvalidParamsError, match=r"^a hyperplane normal must be a vector, got shape \(\)$"):
+        Hyperplane(1, q)
+
+
+def test_hyperplane_order_refuses_other_types_and_other_spaces():
+    h = Hyperplane([1, 0, 2], 3)
+    with pytest.raises(TypeError):
+        h < 3
+    with pytest.raises(TypeError):
+        sorted([h, "h"])
+    for other in (Hyperplane([1, 0, 0], 5), Hyperplane([1, 1], 3), Hyperplane([1, 1, 0, 0], 3)):
+        with pytest.raises(InvalidParamsError, match=r"live over different spaces"):
+            h < other
+    assert Hyperplane([1, 0, 0], 3) < h and not h < h
+
+
+def test_hyperplane_sorting_orders_the_members_of_a_class_by_normal():
+    for cls in orbit_classes(CoverParams(5, 3, 3))[:20]:
+        members = sorted(cls.members)
+        assert [m.normal for m in members] == sorted(m.normal for m in cls.members)
+        assert members[0] == cls.representative
+
+
 @pytest.mark.parametrize("p,q,r,count", [(3, 2, 4, 15), (5, 2, 3, 15)])
 def test_enumerate_hyperplanes_counts(p, q, r, count):
     params = CoverParams(p, q, r)
@@ -755,13 +833,35 @@ def test_core_dim_matches_elimination_at_q_near_a_million(p):
     assert len(checked) == len(factors)
 
 
-def test_core_dim_matches_elimination_on_seeded_random_normals_at_13_3_5():
-    params = CoverParams(13, 3, 5)
+# (13, 876706517, 3): the largest q that (13, q, 3) admits, where Phi_13 stays
+# irreducible (s0 = 12); 876706483 is the largest with a split (s0 = 3).  In
+# both, one product with the cached table sums 12 products of residues just
+# below 2^63.
+@pytest.mark.parametrize("p,q,r", [(13, 876706517, 3), (13, 876706483, 3), (13, 3, 5), (7, 2, 4), (5, 3, 4)])
+def test_core_dim_matches_elimination_up_to_the_int64_edge(p, q, r):
+    # 100 dense seeded normals, and 100 sparse ones (one to three nonzero
+    # entries) with the components of a seeded proper subset of the factors
+    # of Phi_p killed, so that every |J| from 1 to k occurs.
+    params = CoverParams(p, q, r)
     action = build_action(params)
-    normals = np.random.default_rng(5).integers(0, params.q, size=(200, params.n))
-    for v in normals[normals.any(axis=1)]:
-        h = Hyperplane(v, params.q)
-        assert core_dim(h, action) == core(h, action).dim
+    n, s0 = params.n, params.s0
+    factors = _factor_matrices(action)
+    rng = np.random.default_rng(p + q + r)
+    normals = list(rng.integers(0, q, size=(100, n)))
+    for _ in range(100):
+        v = np.zeros(n, dtype=np.int64)
+        size = int(rng.integers(1, 4))
+        v[rng.choice(n, size=size, replace=False)] = rng.integers(1, q, size=size)
+        for i in rng.permutation(len(factors))[: rng.integers(0, len(factors))]:
+            v = v @ factors[i] % q
+        normals.append(v)
+    seen = set()
+    for v in normals:
+        if v.any():
+            h = Hyperplane(v, q)
+            seen.add(core_dim(h, action))
+            assert core_dim(h, action) == core(h, action).dim
+    assert seen == {n - s0 * j for j in range(1, len(factors) + 1)}
 
 
 def test_core_dim_alternating_between_two_component_sets():
