@@ -22,7 +22,6 @@ from .atlas import (
     core,
     core_dim,
     enumerate_hyperplanes,
-    enumerate_subgroups_brute,
     galois_closure,
     orbit_classes,
     parse_generator_words,
@@ -84,7 +83,6 @@ __all__ = [
     "core_dim",
     "decomposition_report",
     "enumerate_hyperplanes",
-    "enumerate_subgroups_brute",
     "fixed_subspace",
     "frobenius_check",
     "galois_closure",

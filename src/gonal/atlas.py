@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, total_ordering
 from importlib.resources import files as _resource_files
 from math import comb
 
@@ -56,20 +56,17 @@ from .fqlinalg import (
     Subspace,
     as_residues,
     check_code_width,
-    check_integer,
     check_prime_modulus,
     decode_codes,
     encode_rows,
-    gaussian_count,
     inverse_table,
-    iter_subspace_bases,
     kernel_array,
 )
 
 DEFAULT_ATLAS_CAP = 3**13
-DEFAULT_BRUTE_CAP = 2**16
 
 
+@total_ordering
 class Hyperplane:
     """Index-q subgroup of Z_q^n as a normalized dual normal.
 
@@ -525,25 +522,6 @@ def core_histogram(params: CoverParams) -> dict[int, int]:
             )
         histogram[n - s0 * j] = count
     return histogram
-
-
-def enumerate_subgroups_brute(n: int, k: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> list[Subspace]:
-    """All k-dim subspaces of F_q^n by direct RREF enumeration (oracle).
-
-    n and k are read by check_integer; InvalidParamsError naming both unless
-    0 <= k <= n.  `cap` bounds both the ambient size q^n and the number of
-    subspaces listed; CapExceededError past either, before any basis is built.
-    """
-    q = check_prime_modulus(q)
-    n, k = check_integer(n, "n"), check_integer(k, "k")
-    if not 0 <= k <= n:
-        raise InvalidParamsError(f"need 0 <= k <= n, got k={k}, n={n}")
-    what = "brute-force subgroup enumeration"
-    check_cap(cap, "brute-force cap", f"{what} needs ambient size {{}}", q, n)
-    check_cap(cap, "brute-force cap", f"{what} would list {{}} {k}-dim subspaces", gaussian_count(n, k, q))
-    return [
-        Subspace._from_canonical(basis, n, q) for basis in iter_subspace_bases(n, k, q)
-    ]
 
 
 @dataclass(frozen=True)

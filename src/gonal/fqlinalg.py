@@ -116,14 +116,29 @@ def inverse_table(q: int) -> np.ndarray:
     return table
 
 
+def _integer_array(a) -> np.ndarray:
+    """`a` as an ndarray, for the caller to refuse if not integer; InvalidParamsError if ragged.
+    numpy reads a list mixing ints in [2^63, 2^64) with other ints as float64: such a list
+    is read again, as objects, and kept so when every entry is an int or a numpy integer."""
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:
+        raise InvalidParamsError(f"expected a rectangular array of integers: {exc}") from None
+    if arr.dtype.kind == "f" and arr.size:
+        entries = np.asarray(a, dtype=object)
+        if all(isinstance(x, (int, np.integer)) for x in entries.flat):
+            return entries
+    return arr
+
+
 def as_residues(a, q: int) -> np.ndarray:
     """Copy `a` into a fresh int64 array reduced mod q.
 
-    Only integers are taken: float, complex, string or other values raise
-    InvalidParamsError rather than being truncated.  Integers past int64
-    (Python ints, uint64) are reduced exactly, through an object array.
+    Only integers are taken: float, complex, string or other values and ragged
+    rows raise InvalidParamsError rather than being truncated.  Integers past
+    int64 (Python ints, uint64) are reduced exactly, through an object array.
     """
-    arr = np.asarray(a)
+    arr = _integer_array(a)
     kind = arr.dtype.kind
     if kind in "ib" or (kind == "u" and arr.itemsize < 8) or arr.size == 0:
         return arr.astype(np.int64, copy=False) % q
@@ -214,7 +229,7 @@ def kernel_array(a: np.ndarray, q: int) -> np.ndarray:
     unless p'_i < f) on the n-1-p'_i, which lead no row.  So the x_f by descending f are the RREF.
     `a` is a vector or a 2-d array, as for rref_array.
     """
-    a = np.asarray(a)
+    a = _integer_array(a)
     if a.ndim not in (1, 2):
         raise InvalidParamsError(f"expected a vector or a 2-d array, got shape {a.shape}")
     red, pivots = rref_array(a[..., ::-1], q)
@@ -317,14 +332,6 @@ def iter_echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray
             yield form.reshape(k, blocks * width)
 
 
-def iter_subspace_bases(n: int, k: int, q: int):
-    """Yield the canonical RREF basis of every k-dim subspace of F_q^n.
-
-    The echelon forms over F_q: blocks of width 1, entries 0..q-1.
-    """
-    return iter_echelon_forms(n, k, np.ones(1, dtype=np.int64), np.arange(q)[:, None])
-
-
 def gaussian_count(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (Gaussian binomial); q any prime power.
 
@@ -413,11 +420,12 @@ class Subspace:
 
     def _square(self, m) -> np.ndarray:
         """`m` mod q, a square integer matrix of side ambient_dim acting on columns."""
-        if np.shape(m) != (self.ambient_dim, self.ambient_dim):
+        matrix = as_residues(m, self.modulus)
+        if matrix.shape != (self.ambient_dim, self.ambient_dim):
             raise InvalidParamsError(
-                f"expected a square matrix of side {self.ambient_dim}, got shape {np.shape(m)}"
+                f"expected a square matrix of side {self.ambient_dim}, got shape {matrix.shape}"
             )
-        return as_residues(m, self.modulus)
+        return matrix
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of `rows` (or the vector `rows`) lies in this subspace."""

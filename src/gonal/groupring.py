@@ -35,7 +35,7 @@ import numpy as np
 from .action import CoverParams, build_action
 from .atlas import Hyperplane, _check_space
 from .errors import IdentityCheckError, InvalidParamsError, check_cap
-from .fqlinalg import Subspace, decode_codes, encode_rows
+from .fqlinalg import Subspace, _integer_array, decode_codes, encode_rows
 
 DEFAULT_GROUP_CAP = 512
 # Associativity is spot-checked on this many triples, drawn from this seed.
@@ -44,8 +44,8 @@ AXIOM_SEED = 0
 
 
 def _integers(values, what: str, length: int | None = None) -> np.ndarray:
-    """`values` as int64; floats, integers past int64 and a last axis not `length` are refused."""
-    values = np.asarray(values)
+    """`values` as int64, refusing floats, ints past int64, ragged rows, a last axis not `length`."""
+    values = _integer_array(values)
     if not np.can_cast(values.dtype, np.int64):
         raise InvalidParamsError(f"{what} must be int64 integers, got {values.dtype} values")
     if length is not None and values.shape[-1:] != (length,):

@@ -14,7 +14,6 @@ from .atlas import (
     Hyperplane,
     core,
     enumerate_hyperplanes,
-    enumerate_subgroups_brute,
     galois_closure,
     parse_generator_words,
     read_fixture,
@@ -28,7 +27,6 @@ from .errors import (
     decimal,
     positive_cap,
 )
-from .fqlinalg import gaussian_count
 from .groupring import (
     DEFAULT_GROUP_CAP,
     build_group,
@@ -38,7 +36,7 @@ from .groupring import (
 )
 from .reps import RepTable, rep_table
 
-SUITES = ("groupring", "counts", "identities", "fixtures", "all")
+SUITES = ("groupring", "identities", "fixtures", "all")
 
 
 @dataclass
@@ -96,32 +94,6 @@ def census_rows(table: RepTable) -> list[CheckResult]:
                1 + (p - 1) + t * (q - 1), table.complex_irreducible_count,
                f"{decimal(table.rational_irreducible_count)} rational irreducibles"),
     ]
-
-
-def suite_counts(max_n: int = 6) -> list[CheckResult]:
-    """Gaussian binomials against brute-force subspace enumeration."""
-    results = []
-    for q in (2, 3):
-        for n in range(1, max_n + 1):
-
-            def run(q=q, n=n):
-                for k in range(n + 1):
-                    subs = enumerate_subgroups_brute(n, k, q)
-                    expected = gaussian_count(n, k, q)
-                    _require(
-                        len(subs) == expected,
-                        f"brute force found {len(subs)} {k}-dim subspaces "
-                        f"of F_{q}^{n}, formula says {expected}",
-                    )
-                    repeats = len(subs) - len(set(subs))
-                    _require(
-                        repeats == 0,
-                        f"brute force listed {repeats} duplicate {k}-dim subspaces of F_{q}^{n}",
-                    )
-                return f"all k checked against {sum(gaussian_count(n, k, q) for k in range(n + 1))} subspaces"
-
-            results.append(_checked(f"counts-q{q}-n{n}", run))
-    return results
 
 
 def suite_identities() -> list[CheckResult]:
@@ -256,8 +228,6 @@ def run_suite(suite: str, cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
         raise InvalidParamsError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     positive_cap(cap, "group-order cap")
     results = []
-    if suite in ("counts", "all"):
-        results += suite_counts()
     if suite in ("identities", "all"):
         results += suite_identities()
     if suite in ("groupring", "all"):

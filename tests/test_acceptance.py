@@ -18,7 +18,6 @@ from gonal.atlas import (
     Hyperplane,
     core,
     enumerate_hyperplanes,
-    enumerate_subgroups_brute,
     galois_closure,
     orbit_classes,
     parse_generator_words,
@@ -28,6 +27,7 @@ from gonal.calculus import decomposition_report, genus_quotient_by_core
 from gonal.fqlinalg import gaussian_count
 from gonal.groupring import build_group, verify_cross_terms, verify_scalar_identity
 from gonal.reps import complex_table, rep_table
+from subspace_oracle import all_subspaces
 
 
 def _report(number: int, label: str, elapsed: float, budget: float):
@@ -83,7 +83,7 @@ def test_criterion_4_counting_oracle():
     for q in (2, 3):
         for n in range(1, 7):
             for k in range(n + 1):
-                subs = enumerate_subgroups_brute(n, k, q)
+                subs = all_subspaces(n, k, q)
                 assert len(subs) == gaussian_count(n, k, q)
                 assert len(set(subs)) == len(subs)
     _report(4, "Gaussian counts vs brute force n <= 6", time.perf_counter() - start, 60)
@@ -138,7 +138,7 @@ def test_criterion_8_invariant_subspace_dichotomy():
         brute = {
             sub
             for k in range(params.n + 1)
-            for sub in enumerate_subgroups_brute(params.n, k, q)
+            for sub in all_subspaces(params.n, k, q)
             if sub.is_invariant_under(action.matrix_array)
         }
         assert len(set(found)) == len(found)

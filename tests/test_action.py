@@ -21,7 +21,7 @@ from gonal.action import (
     order_mod,
     parameter_sweep,
 )
-from gonal.atlas import enumerate_subgroups_brute, orbit_classes
+from gonal.atlas import orbit_classes
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
 from gonal.fqlinalg import (
     PRIMALITY_BOUND,
@@ -32,6 +32,7 @@ from gonal.fqlinalg import (
     matpow_array,
     row_space_array,
 )
+from subspace_oracle import all_subspaces
 
 
 def test_order_mod_values():
@@ -378,7 +379,7 @@ def brute_invariant_subspaces(action) -> set:
     return {
         sub
         for dim in range(n + 1)
-        for sub in enumerate_subgroups_brute(n, dim, q)
+        for sub in all_subspaces(n, dim, q)
         if sub.is_invariant_under(action.matrix_array)
     }
 

@@ -645,7 +645,7 @@ def test_each_identity_row_can_fail(capsys, monkeypatch, command, corrupt, row, 
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("fixtures", "identities", "groupring", "counts"):
+    for suite in ("fixtures", "identities", "groupring"):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--json")
         assert code == 0, suite
         data = json.loads(out)
@@ -658,10 +658,16 @@ def test_verify_suite_all_aggregates(capsys):
     data = json.loads(out)
     names = {c["name"] for c in data["checks"]}
     # One representative check from each constituent suite.
-    assert "counts-q2-n6" in names
     assert "identities-sweep" in names
     assert "groupring-5-2-3-scalar" in names
     assert "fixture-core-generators" in names
+
+
+def test_verify_suite_counts_is_gone(capsys):
+    # The brute-force check of gaussian_count moved into the tests.
+    code, _, err = run_cli(capsys, "verify", "--suite", "counts")
+    assert code == 2
+    assert "invalid choice: 'counts'" in err
 
 
 def test_json_round_trips(capsys):
@@ -722,7 +728,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         ]
 
     monkeypatch.setattr("gonal.cli.run_suite", fake_suite)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "counts", "--json")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fixtures", "--json")
     assert code == 1
     data = json.loads(out)
     assert data["payload"]["failures"] == "1"

@@ -24,11 +24,11 @@ from gonal.fqlinalg import (
     encode_rows,
     inverse_table,
     is_prime,
-    iter_subspace_bases,
     kernel_array,
     row_space_array,
     rref_array,
 )
+from subspace_oracle import all_subspaces
 
 
 def _kernel(a, q):
@@ -171,7 +171,7 @@ def test_intersection_is_largest_common_subspace(q, n):
 
 
 def _hyperplanes(n, q):
-    return [Subspace(b, n, q) for b in iter_subspace_bases(n, n - 1, q)]
+    return all_subspaces(n, n - 1, q)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -240,12 +240,6 @@ def test_is_prime_agrees_with_sympy():
 def test_is_prime_refuses_past_the_bound_it_decides_exactly(n):
     with pytest.raises(InvalidParamsError, match=f"^{n} is at or past {PRIMALITY_BOUND}, below which"):
         is_prime(n)
-
-
-@pytest.mark.parametrize("n,k,q,count", [(4, 1, 2, 15), (4, 2, 2, 35), (4, 1, 3, 40), (3, 3, 2, 1)])
-def test_iter_subspace_bases_counts(n, k, q, count):
-    seen = {Subspace(b, n, q) for b in iter_subspace_bases(n, k, q)}
-    assert len(seen) == count
 
 
 CYCLE = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # e1 -> e3 -> e2 -> e1
@@ -329,8 +323,12 @@ def test_ints_past_int64_are_reduced_exactly():
         (lambda: as_residues([1j, 1], 3), "got complex128 values"),
         (lambda: as_residues(["1", "2"], 3), "got <U1 values"),
         (lambda: as_residues([2**70, 0.5], 3), "got object values"),
+        (lambda: as_residues([1.0, 2], 3), "got float64 values"),
+        (lambda: as_residues([1, None], 3), "got object values"),
+        (lambda: as_residues([0.5, 2**63 + 1], 3), "got float64 values"),
     ],
-    ids=["float-normal", "float-modulus", "float-rows", "complex", "string", "big-int-and-float"],
+    ids=["float-normal", "float-modulus", "float-rows", "complex", "string", "big-int-and-float",
+         "float-and-int", "none", "float-and-int-past-int64"],
 )
 def test_no_float_reaches_the_residues(build, message):
     with pytest.raises(InvalidParamsError, match=message):
@@ -340,6 +338,53 @@ def test_no_float_reaches_the_residues(build, message):
 def test_uint64_past_int64_is_reduced_exactly():
     big = np.array([2**64 - 1, 2**63 + 1], dtype=np.uint64)
     assert as_residues(big, 7).tolist() == [(2**64 - 1) % 7, (2**63 + 1) % 7]
+
+
+@st.composite
+def _integer_rows(draw):
+    """(rows, q): a list of 1-3 integer rows of one length, mixing small ints, ints
+    in [2^63, 2^64), which numpy reads alongside other ints as float64, and ints
+    of up to 70 bits."""
+    q = draw(st.sampled_from([2, 3, 5, 1000003, 876706517]))
+    cols = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3 * q, 3 * q), st.integers(2**63, 2**64 - 1),
+                      st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    return rows, q
+
+
+@settings(deadline=None, max_examples=200)
+@given(_integer_rows())
+@example(([[0, 2**63 + 1]], 2))
+@example(([[0, 2**63 + 1]], 3))  # each reader refused it as float64
+@example(([[-1, 2**63 + 1], [1, 2**64 - 1]], 5))
+def test_integer_rows_are_reduced_exactly_by_every_reader(drawn):
+    rows, q = drawn
+    reduced = [[x % q for x in row] for row in rows]
+    assert as_residues(rows, q).tolist() == reduced
+    for kernel in (rref_array, row_space_array, kernel_array):
+        assert str(kernel(rows, q)) == str(kernel(reduced, q))
+    n = len(rows[0])
+    assert Subspace(rows, n, q) == Subspace(reduced, n, q)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda rows: as_residues(rows, 3),
+        lambda rows: Subspace(rows, 2, 3),
+        lambda rows: Hyperplane(rows, 3),
+        lambda rows: rref_array(rows, 3),
+        lambda rows: kernel_array(rows, 3),
+        lambda rows: Subspace.zero(2, 3).is_invariant_under(rows),
+    ],
+    ids=["as_residues", "Subspace", "Hyperplane", "rref_array", "kernel_array", "is_invariant_under"],
+)
+def test_ragged_rows_are_refused(read):
+    # Each raised numpy's bare ValueError.
+    for ragged in ([[1], [1, 2]], [[1, 2], [3]]):
+        with pytest.raises(InvalidParamsError, match="^expected a rectangular array of integers: "):
+            read(ragged)
 
 
 def test_wrong_shaped_rows_are_refused_not_reshaped():

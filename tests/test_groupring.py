@@ -288,6 +288,13 @@ def test_element_codes_must_be_integers():
         group.mul(1.5, 3)
 
 
+def test_ragged_element_codes_are_refused():
+    # group.mul([[1], [1, 2]], 3) raised numpy's bare ValueError.
+    group = build_group(CoverParams(5, 2, 3))
+    with pytest.raises(InvalidParamsError, match="^expected a rectangular array of integers: "):
+        group.mul([[1], [1, 2]], 3)
+
+
 def test_group_ring_coefficients_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
     with pytest.raises(InvalidParamsError, match="coefficients must be int64 integers, got float64"):

@@ -11,7 +11,6 @@ from gonal import (
     InvalidParamsError,
     build_action,
     enumerate_hyperplanes,
-    enumerate_subgroups_brute,
     invariant_subspaces,
     orbit_classes,
 )
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "core_dim",
     "decomposition_report",
     "enumerate_hyperplanes",
-    "enumerate_subgroups_brute",
     "fixed_subspace",
     "frobenius_check",
     "galois_closure",
@@ -77,17 +75,14 @@ def test_every_public_name_resolves():
 CAP_TAKERS = {
     "enumerate_hyperplanes": lambda cap: enumerate_hyperplanes(CoverParams(3, 2, 4), cap=cap),
     "orbit_classes": lambda cap: orbit_classes(CoverParams(3, 2, 4), cap=cap),
-    "enumerate_subgroups_brute": lambda cap: enumerate_subgroups_brute(3, 1, 2, cap=cap),
     "FrobeniusGroup": lambda cap: FrobeniusGroup(CoverParams(5, 2, 3), cap=cap),
     "invariant_subspaces": lambda cap: invariant_subspaces(build_action(CoverParams(3, 2, 4)), cap),
-    "run_suite": lambda cap: run_suite("counts", cap=cap),
+    "run_suite": lambda cap: run_suite("fixtures", cap=cap),
 }
 
 
 @pytest.mark.parametrize("cap", [1.5, "100", True, 0, -3])
 @pytest.mark.parametrize("api", CAP_TAKERS)
 def test_every_cap_refuses_anything_but_a_positive_int(api, cap):
-    # enumerate_subgroups_brute raised a raw AttributeError on 1.5 and "100",
-    # and read True and -3 as caps to refuse with CapExceededError.
     with pytest.raises(InvalidParamsError, match=f"cap must be a positive integer, got {re.escape(repr(cap))}$"):
         CAP_TAKERS[api](cap)

@@ -163,18 +163,20 @@ def test_groupring_rows_keep_their_first_failure(monkeypatch):
 
 def test_failed_identity_is_reported_under_python_O():
     program = (
+        "import dataclasses\n"
         "import gonal.verify as v\n"
-        "v.gaussian_count = lambda n, k, q: 99\n"
-        "rows = v.suite_counts(max_n=1)\n"
-        "print(len(rows), sum(not r.passed for r in rows), rows[0].detail)\n"
+        "real = v.decomposition_report\n"
+        "v.decomposition_report = lambda params: dataclasses.replace(real(params), t=real(params).t + 1)\n"
+        "rows = v.run_suite('identities')\n"
+        "worked = next(r for r in rows if r.name == 'identities-worked-example-p5-q2')\n"
+        "print(len(rows), sum(not r.passed for r in rows), worked.passed, worked.detail)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("2 2 ")
-    assert "formula says 99" in done.stdout
+    assert done.stdout == "2 2 False expected (t, prym, g_T) = (3, 1, 3), got (4, 1, 3)\n"
 
 
 @pytest.mark.parametrize("cap", [80.5, True])
