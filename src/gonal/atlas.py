@@ -526,15 +526,20 @@ def core_histogram(params: CoverParams) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class GaloisReport:
-    """Galois closure data of the composite cover attached to a hyperplane."""
+    """Galois closure data of the composite cover attached to a hyperplane, all read off
+    `core_dim`: the closure has group Z_q^k x| Z_p with k = n - core_dim."""
 
     params: CoverParams
     hyperplane: Hyperplane
-    is_composite_galois: bool
-    k: int
-    group: str
     core_dim: int
-    exceeds_complement_range: bool
+
+    @property
+    def k(self) -> int:
+        return self.params.n - self.core_dim
+
+    @property
+    def group(self) -> str:
+        return galois_group(self.params, self.k)
 
     @property
     def core_size(self) -> int:
@@ -543,6 +548,13 @@ class GaloisReport:
     @property
     def group_order(self) -> int:
         return self.params.p * self.params.q**self.k
+
+    @property
+    def is_composite_galois(self) -> bool:
+        """False: the composite is never Galois.  An invariant hyperplane has
+        h T^(-1) = c h, gcd(p, q-1) = 1 forces c = 1, and then h Phi_p(T^(-1)) = p h is
+        nonzero for the prime q != p, while Phi_p(T^(-1)) = 0: no normal is invariant."""
+        return False
 
 
 def galois_group(params: CoverParams, k: int) -> str:
@@ -553,29 +565,12 @@ def galois_group(params: CoverParams, k: int) -> str:
 def galois_closure(
     h: Hyperplane, params: CoverParams, action: AdaptedAction | None = None
 ) -> GaloisReport:
-    """Describe the Galois closure Z_q^k x| Z_p of the composite cover.
-
-    k = n - dim(core), the core dimension read by core_dim (no elimination,
-    no conjugate built).  The composite itself is never Galois here: an
-    invariant hyperplane has h T^(-1) = c h, gcd(p, q-1) = 1 forces c = 1,
-    and then h Phi_p(T^(-1)) = p h, which is nonzero for the prime q != p,
-    while Phi_p(T^(-1)) = 0.  So no normal is invariant, and no guard for
-    one is needed.
-    """
-    action = _action_for(params, action)
-    dim = core_dim(h, action)
-    k = params.n - dim
-    if pow(params.q, k, params.p) != 1:
-        raise IdentityCheckError(f"q^k != 1 mod p for k = {k}; core computation is wrong")
-    return GaloisReport(
-        params=params,
-        hyperplane=h,
-        is_composite_galois=False,
-        k=k,
-        group=galois_group(params, k),
-        core_dim=dim,
-        exceeds_complement_range=k > params.p - 1,
-    )
+    """The Galois closure Z_q^k x| Z_p of the composite cover, k = n - core_dim(h) (no
+    elimination, no conjugate built); IdentityCheckError unless q^k = 1 mod p."""
+    report = GaloisReport(params, h, core_dim(h, _action_for(params, action)))
+    if pow(params.q, report.k, params.p) != 1:
+        raise IdentityCheckError(f"q^k != 1 mod p for k = {report.k}; core computation is wrong")
+    return report
 
 
 _TOKEN = re.compile(r"\s*a_?(\d+)(?:\^(-?)(\d+))?")
@@ -657,13 +652,8 @@ def read_fixture(name: str) -> str:
 
 
 def hyperplane_from_file(path: str, params: CoverParams) -> Hyperplane:
-    """The maximal subgroup spanned by the generator words of a UTF-8 file.
-
-    A file that cannot be read as such raises FixtureParseError naming the
-    path; one whose words do not span a hyperplane, InvalidParamsError.
-    Fewer than n - 1 words cannot, and are refused before any is parsed
-    (each takes a length-n row).
-    """
+    """`hyperplane_from_words` on the text of a UTF-8 file; FixtureParseError
+    naming the path if it cannot be read as such."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -671,16 +661,23 @@ def hyperplane_from_file(path: str, params: CoverParams) -> Hyperplane:
         raise FixtureParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise FixtureParseError(f"{path} is not UTF-8 text") from exc
+    return hyperplane_from_words(text, params, path)
+
+
+def hyperplane_from_words(text: str, params: CoverParams, source: str) -> Hyperplane:
+    """The maximal subgroup spanned by the generator words of `text`; InvalidParamsError,
+    naming `source`, if they span none.  Fewer than n - 1 words cannot, and are
+    refused before any is parsed (each takes a length-n row)."""
     q, n = params.q, params.n
     words = len(_generator_words(text))
     if words < n - 1:
         raise InvalidParamsError(
-            f"{path} has {words} words and spans dimension at most {words}, "
+            f"{source} has {words} words and spans dimension at most {words}, "
             f"not a maximal subgroup of Z_{q}^{n}"
         )
     sub = parse_generator_words(text, params)
     if sub.dim != n - 1:
         raise InvalidParamsError(
-            f"{path} spans dimension {sub.dim}, not a maximal subgroup of Z_{q}^{n}"
+            f"{source} spans dimension {sub.dim}, not a maximal subgroup of Z_{q}^{n}"
         )
     return Hyperplane.from_subspace(sub)

@@ -234,7 +234,6 @@ def cmd_galois(args, params: CoverParams):
         "galois_group": report.group,
         "galois_group_order": report.group_order,
         "is_composite_galois": report.is_composite_galois,
-        "exceeds_complement_range": report.exceeds_complement_range,
         "quotient_genus": genus_quotient_by_core(params, report.core_dim),
     }
     return [CheckResult("closure-order-condition", passed, detail)], payload

@@ -252,10 +252,16 @@ def row_space_array(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def matpow_array(a: np.ndarray, e: int, q: int) -> np.ndarray:
-    """a^e mod q by repeated squaring; e >= 0."""
-    n = a.shape[0]
-    result = np.eye(n, dtype=np.int64)
+    """a^e mod q by repeated squaring, for a square integer matrix `a` and an integer e >= 0."""
+    q = check_prime_modulus(q)
     base = as_residues(a, q)
+    e = check_integer(e, "exponent")
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise InvalidParamsError(f"expected a square 2-d array, got shape {base.shape}")
+    check_row_products(len(base), q)
+    if e < 0:
+        raise InvalidParamsError(f"exponent {e} is negative")
+    result = np.eye(len(base), dtype=np.int64)
     while e > 0:
         if e & 1:
             result = (result @ base) % q
@@ -313,7 +319,7 @@ def iter_echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray
     then free entries lexicographic in the order of `entries`; each form once.
     """
     if not 0 <= k <= blocks:
-        raise ValueError(f"need 0 <= k <= blocks, got k={k}, blocks={blocks}")
+        raise InvalidParamsError(f"need 0 <= k <= blocks, got k={k}, blocks={blocks}")
     entries = np.asarray(entries, dtype=np.int64)
     width = entries.shape[1]
     values = entries.tolist()

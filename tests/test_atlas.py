@@ -3,7 +3,7 @@ import re
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gonal import atlas
 from gonal.action import CoverParams, build_action
 from gonal.atlas import (
+    GaloisReport,
     Hyperplane,
     _codes_at,
     _normal_of_code,
@@ -25,6 +26,7 @@ from gonal.atlas import (
     core_histogram,
     enumerate_hyperplanes,
     galois_closure,
+    hyperplane_from_words,
     orbit_classes,
     parse_generator_words,
     parse_word,
@@ -562,7 +564,94 @@ def test_galois_closure_small():
         assert report.k == 2
         assert report.group == "Z_2^2 ⋊ Z_3"
         assert report.group_order == 12
-        assert not report.exceeds_complement_range
+
+
+def test_galois_report_reads_everything_off_core_dim():
+    params = CoverParams(13, 3, 3)
+    action = build_action(params)
+    assert [f.name for f in fields(GaloisReport)] == ["params", "hyperplane", "core_dim"]
+    for name in ("L1", "L2", "L3", "L4"):
+        h = hyperplane_from_words(read_fixture(name + ".gens"), params, name)
+        report = galois_closure(h, params, action)
+        # A replaced core dimension carries every derived value with it.
+        for dim in core_histogram(params):
+            moved = replace(report, core_dim=dim)
+            k = params.n - dim
+            assert (moved.k, moved.group) == (k, f"Z_3^{k} ⋊ Z_13")
+            assert (moved.core_size, moved.group_order) == (3**dim, 13 * 3**k)
+            assert not moved.is_composite_galois
+
+
+def _assert_k_is_s0_times_components(report):
+    # k = s0 |J| for the nonempty set J of the normal's primary components, one
+    # of the (p - 1)/s0 factors of Phi_p each, so k never passes p - 1.
+    params = report.params
+    assert report.k % params.s0 == 0 and params.s0 <= report.k <= params.p - 1
+
+
+@pytest.mark.parametrize("triple", [(7, 2, 4), (5, 3, 4)])
+def test_galois_k_is_a_multiple_of_s0_at_most_p_minus_1_on_every_class(triple):
+    params = CoverParams(*triple)
+    action = build_action(params)
+    for cls in orbit_classes(params, action=action):
+        _assert_k_is_s0_times_components(galois_closure(cls.representative, params, action))
+
+
+def test_galois_k_is_a_multiple_of_s0_at_most_p_minus_1_on_seeded_normals():
+    params = CoverParams(13, 3, 5)
+    action = build_action(params)
+    normals = np.random.default_rng(20).integers(0, params.q, size=(1000, params.n))
+    normals[:, 0] = 1  # nonzero
+    for normal in normals:
+        _assert_k_is_s0_times_components(galois_closure(Hyperplane(normal, params.q), params, action))
+
+
+_READER_TRIPLES = [(5, 2, 3), (3, 2, 4), (13, 3, 3)]
+
+
+@st.composite
+def _word_lists(draw):
+    """(params, words): generator words over every symbol, the eliminated
+    a_(n+j) included, with negative and absent exponents."""
+    params = CoverParams(*draw(st.sampled_from(_READER_TRIPLES)))
+    q, top = params.q, params.n + params.r - 2
+    token = st.tuples(st.integers(1, top), st.none() | st.integers(-2 * q, 2 * q))
+    word = st.lists(token, min_size=1, max_size=4).map(
+        lambda tokens: " ".join(f"a_{i}" if e is None else f"a_{i}^{e}" for i, e in tokens)
+    )
+    # As many lists too short to span a hyperplane as long enough ones.
+    n = params.n
+    count = draw(st.integers(0, n - 2) | st.integers(n - 1, n + 1))
+    return params, draw(st.lists(word, min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_lists())
+@example(drawn=(CoverParams(5, 2, 3), ["a_1", "a_2^-1", "a_3 a_5"]))
+@example(drawn=(CoverParams(5, 2, 3), ["a_1", "a_1^3", "a_5^-1"]))
+@example(drawn=(CoverParams(3, 2, 4), ["a_5"]))
+@example(drawn=(CoverParams(13, 3, 3), read_fixture("L3.gens").splitlines()[1:]))
+@example(drawn=(CoverParams(13, 3, 3), read_fixture("L3.gens").splitlines()[1:] + ["a_13^-1"]))
+def test_hyperplane_from_words_reads_a_hyperplane_or_refuses_naming_the_source(drawn):
+    params, words = drawn
+    q, n = params.q, params.n
+    text = "\n".join(words)
+    source = "drawn (words).gens"
+    tail = f"not a maximal subgroup of Z_{q}^{n}"
+    if len(words) < n - 1:
+        message = f"{source} has {len(words)} words and spans dimension at most {len(words)}, {tail}"
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            hyperplane_from_words(text, params, source)
+        return
+    sub = parse_generator_words(text, params)
+    if sub.dim == n - 1:
+        h = hyperplane_from_words(text, params, source)
+        assert h == Hyperplane.from_subspace(sub)
+        assert h.kernel() == sub
+    else:
+        message = f"{source} spans dimension {sub.dim}, {tail}"
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            hyperplane_from_words(text, params, source)
 
 
 def test_parse_word_basic():

@@ -263,6 +263,7 @@ def test_galois_fixture(tmp_path, capsys):
     assert data["payload"]["galois_group"] == "Z_3^6 ⋊ Z_13"
     assert data["payload"]["quotient_genus"] == "3646"
     assert data["payload"]["is_composite_galois"] is False
+    assert "exceeds_complement_range" not in data["payload"]
     assert data["checks"] == [
         {"name": "closure-order-condition", "status": "pass", "detail": "q^6 = 1 mod 13"}
     ]

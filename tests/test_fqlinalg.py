@@ -24,7 +24,9 @@ from gonal.fqlinalg import (
     encode_rows,
     inverse_table,
     is_prime,
+    iter_echelon_forms,
     kernel_array,
+    matpow_array,
     row_space_array,
     rref_array,
 )
@@ -720,3 +722,48 @@ def test_a_vector_is_read_as_one_row():
     assert row_space_array([0, 2, 1], 3).tolist() == [[0, 1, 2]]
     assert kernel_array([0, 2, 1], 3).tolist() == [[1, 0, 0], [0, 1, 1]]
     assert rref_array(np.zeros(0, dtype=np.int64), 2)[0].shape == (1, 0)
+
+
+def test_matpow_array_reads_nested_lists_and_numpy_exponents():
+    # A nested list raised AttributeError: the shape was read before the residues.
+    assert matpow_array([[1, 1], [0, 1]], 2, 3).tolist() == [[1, 2], [0, 1]]
+    assert matpow_array([[1, 1], [0, 1]], np.int64(3), 3).tolist() == [[1, 0], [0, 1]]
+    assert matpow_array([[2, 1], [0, 2]], 0, 3).tolist() == [[1, 0], [0, 1]]
+    assert matpow_array([[4, 3], [0, 7]], 1, 3).tolist() == [[1, 0], [0, 1]]
+    q = 3037000493
+    assert matpow_array([[q - 1]], 2, q).tolist() == [[1]]
+
+
+@pytest.mark.parametrize(
+    "a, e, q, message",
+    [
+        # numpy's bare ValueError from matmul.
+        (np.ones((2, 3), dtype=np.int64), 2, 3, r"^expected a square 2-d array, got shape \(2, 3\)$"),
+        ([1, 2], 2, 3, r"^expected a square 2-d array, got shape \(2,\)$"),
+        (np.ones((2, 2, 2), dtype=np.int64), 1, 3, r"^expected a square 2-d array, got shape \(2, 2, 2\)$"),
+        # The identity came back.
+        ([[1, 1], [0, 1]], -1, 3, r"^exponent -1 is negative$"),
+        # Read as 1.
+        ([[1, 1], [0, 1]], True, 3, r"^exponent True is not an integer$"),
+        ([[1, 1], [0, 1]], 2.0, 3, r"^exponent 2\.0 is not an integer$"),
+        # Accepted, while rref_array refuses it.
+        ([[1, 1], [0, 1]], 2, 4, r"^modulus 4 is not prime$"),
+        ([[1.5, 0], [0, 1]], 2, 3, r"^expected integer entries, got float64 values$"),
+        # The largest modulus whose (q - 1)^2 fits int64: a sum of two such products
+        # wrapped, and [[q - 1] * 2] * 2 squared gave 290948288 for 2.
+        ([[3037000492] * 2] * 2, 2, 3037000493, r"^modulus 3037000493 with rows of length 2: .*2\^63"),
+    ],
+    ids=["2x3", "vector", "cube", "negative-exponent", "bool-exponent", "float-exponent",
+         "modulus-4", "float-entries", "products-past-int64"],
+)
+def test_matpow_array_refuses_what_the_other_kernels_refuse(a, e, q, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        matpow_array(a, e, q)
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_iter_echelon_forms_refuses_k_outside_0_to_blocks(k):
+    # A bare ValueError; InvalidParamsError is still one.
+    forms = iter_echelon_forms(3, k, np.ones(1, dtype=np.int64), np.arange(2)[:, None])
+    with pytest.raises(InvalidParamsError, match=rf"^need 0 <= k <= blocks, got k={k}, blocks=3$"):
+        next(forms)

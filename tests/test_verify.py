@@ -58,22 +58,30 @@ def _fixture_report(**change):
         report = real(h, params, action)
         return dataclasses.replace(report, **{k: f(report) for k, f in change.items()})
 
-    return "galois_closure", wrong
+    return "gonal.verify.galois_closure", wrong
 
 
 def _genus_off_by_one():
     real = verify.genus_quotient_by_core
-    return "genus_quotient_by_core", lambda params, dim: real(params, dim) + 1
+    return "gonal.verify.genus_quotient_by_core", lambda params, dim: real(params, dim) + 1
+
+
+def _group_one_rank_short():
+    # The report derives its group from galois_group, looked up in gonal.atlas.
+    real = atlas.galois_group
+    return "gonal.atlas.galois_group", lambda params, k: real(params, k - 1)
 
 
 def _words_drop_a_row():
-    real = verify.parse_generator_words
+    # The fixture suite reads L1-L4 through hyperplane_from_words, which parses
+    # with the parse_generator_words of gonal.atlas.
+    real = atlas.parse_generator_words
 
     def wrong(text, params):
         sub = real(text, params)
         return Subspace(sub.basis_array[:-1], params.n, params.q)
 
-    return "parse_generator_words", wrong
+    return "gonal.atlas.parse_generator_words", wrong
 
 
 def _products_are_the_identity():
@@ -85,11 +93,11 @@ def _products_are_the_identity():
         group.mul = lambda a, b: np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         return real(group)
 
-    return "frobenius_check", wrong
+    return "gonal.verify.frobenius_check", wrong
 
 
 def _inverse_is_the_element():
-    return "FrobeniusGroup.inv", lambda self, a: a
+    return "gonal.groupring.FrobeniusGroup.inv", lambda self, a: a
 
 
 def _case(suite, corrupt, row, detail):
@@ -101,11 +109,11 @@ def _case(suite, corrupt, row, detail):
     [
         _case("fixtures", lambda: _fixture_report(core_dim=lambda r: r.core_dim + 3),
               "fixture-L1", "L1: core dim 3, expected 0"),
-        _case("fixtures", lambda: _fixture_report(group=lambda r: "Z_3^8 ⋊ Z_13"),
-              "fixture-L2", "L2: group Z_3^8 ⋊ Z_13"),
+        _case("fixtures", _group_one_rank_short, "fixture-L2", "L2: group Z_3^8 ⋊ Z_13"),
         _case("fixtures", _genus_off_by_one, "fixture-L3", "L3: quotient genus 3647"),
-        _case("fixtures", _words_drop_a_row, "fixture-L4", "L4 is not a hyperplane"),
-        _case("fixtures", lambda: ("core", lambda h, action: Subspace.zero(12, 3)),
+        _case("fixtures", _words_drop_a_row, "fixture-L4",
+              "L4.gens spans dimension 10, not a maximal subgroup of Z_3^12"),
+        _case("fixtures", lambda: ("gonal.verify.core", lambda h, action: Subspace.zero(12, 3)),
               "fixture-core-generators", "K2 does not span the core of L2"),
         _case("groupring", _inverse_is_the_element, "groupring-5-2-3-build",
               "inverse fails at 16"),
@@ -119,9 +127,8 @@ def _case(suite, corrupt, row, detail):
 )
 def test_each_suite_row_can_fail(monkeypatch, capsys, suite, corrupt, row, detail):
     # One program part broken at a time; the row names its witness and gonal exits 1.
-    name, wrong = corrupt()
-    owner, _, attr = name.rpartition(".")
-    monkeypatch.setattr(getattr(groupring, owner) if owner else verify, attr, wrong)
+    target, wrong = corrupt()
+    monkeypatch.setattr(target, wrong)
     code = main(["verify", "--suite", suite, "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert code == 1
