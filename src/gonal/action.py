@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import IdentityCheckError, InvalidParamsError, check_cap, quoted
+from .errors import IdentityCheckError, InvalidParamsError, check_cap, check_integer, quoted
 from .fqlinalg import (
     PRIMALITY_BOUND,
     Subspace,
@@ -109,6 +109,7 @@ def order_mod(q: int, p: int) -> int:
     divided out for as long as q^s stays 1: a few modular powers once p - 1
     is factored (`_prime_factors`), not up to p - 1 multiplications.
     """
+    q, p = check_integer(q, "q"), check_integer(p, "p")
     if p == q or q % p == 0:
         raise InvalidParamsError(f"order of {q} mod {p} undefined: p divides q")
     if not is_prime(p):
@@ -143,10 +144,9 @@ class CoverParams:
     r: int
 
     def __post_init__(self):
+        for name in ("p", "q", "r"):  # kept as check_integer reads them, so q^n is exact
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         p, q, r = self.p, self.q, self.r
-        for name, value in (("p", p), ("q", q), ("r", r)):
-            if type(value) is not int:
-                raise InvalidParamsError(f"{name} = {value!r} must be an int")
         check_row_products(1, q)
         if p >= PRIMALITY_BOUND:
             raise InvalidParamsError(

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import CoverParams
-from .errors import IdentityCheckError, InvalidParamsError
-from .fqlinalg import check_integer
+from .errors import IdentityCheckError, InvalidParamsError, check_integer
 
 
 def prym_dim(params: CoverParams) -> int:
@@ -35,8 +34,7 @@ def genus_quotient_by_core(params: CoverParams, core_dim: int, *, twisted: bool 
     complements of N/W are the stabilizers of the q^(n-w) points of X~/W over
     each of the r branch points, one each: C fixes r points, and
     Riemann–Hurwitz for X~/W -> X~/H, with 2g - 2 = n - 2, gives
-    (q^(n-w) - 1)(n - 2) / (2p).  A numpy integer is read as an int; a bool
-    or a float is refused.
+    (q^(n-w) - 1)(n - 2) / (2p).  core_dim is read by check_integer.
     """
     core_dim = check_integer(core_dim, "core_dim")
     if not 0 <= core_dim <= params.n:

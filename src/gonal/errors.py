@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all gonal modules, the int-to-str guard, and the one cap check."""
+"""Shared exceptions, the int-to-str guard, the one cap check and the one integer reading."""
 
 import math
 import sys
 from decimal import Context, Decimal
+
+import numpy as np
 
 
 class GonalError(Exception):
@@ -105,14 +107,54 @@ def quoted(value: int) -> str:
         return f"<{digit_count(value)} digits>"
 
 
+def _is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer, uint64 included; a bool is neither."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as an int if it is an int or a numpy integer; else InvalidParamsError naming `name`."""
+    if not _is_integer(value):
+        raise InvalidParamsError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def integer_array(a, what: str, modulus: int | None = None) -> np.ndarray:
+    """`a` (a scalar, nested lists or an array) as int64, each entry read as by check_integer;
+    anything else, or ragged rows, raise InvalidParamsError naming `what`.  With a `modulus`
+    the result is fresh and reduced mod it, exactly past int64; without, an entry past int64
+    is refused.  An int64 array, an int and a flat list of ints are converted at once; all
+    else entry by entry, as numpy reads bools among ints as ints, and 2^63 among ints as float."""
+    if type(a) is int or type(a) in (list, tuple) and a and {int}.issuperset(map(type, a)):
+        try:
+            a = np.array(a, dtype=np.int64)
+        except OverflowError:  # past int64: read entry by entry below
+            pass
+    if not (isinstance(a, np.ndarray) and a.dtype == np.int64):
+        try:
+            arr = np.asarray(a)
+        except ValueError as exc:
+            raise InvalidParamsError(f"expected a rectangular array of integers: {exc}") from None
+        values = list(np.asarray(a, dtype=object).flat)
+        if not all(map(_is_integer, values)):  # in an int array read from a list, only a bool
+            got = "bool" if arr.dtype.kind in "iu" else arr.dtype
+            raise InvalidParamsError(f"{what} must be integers, got {got} values")
+        values = [int(x) if modulus is None else int(x) % modulus for x in values]
+        for x in values:
+            if not -(2**63) <= x < 2**63:
+                raise InvalidParamsError(f"{what} must fit int64, got {quoted(x)}")
+        a = np.array(values, dtype=np.int64).reshape(arr.shape)
+    return a if modulus is None else a % modulus
+
+
 def positive_cap(cap, source: str) -> int:
-    """`cap` itself; InvalidParamsError naming `source` unless it is a positive int.
+    """`cap` read as check_integer reads it; InvalidParamsError naming `source` unless positive.
 
     A float, a bool or a digit string is refused, not read: 80.9 is not the cap 80.
     """
-    if type(cap) is not int or cap < 1:
+    if not _is_integer(cap) or cap < 1:
         raise InvalidParamsError(f"{source} must be a positive integer, got {cap!r}")
-    return cap
+    return int(cap)
 
 
 def check_cap(cap, source: str, message: str, base: int, exp: int = 1, factor: int = 1) -> int:

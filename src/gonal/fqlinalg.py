@@ -27,7 +27,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import IdentityCheckError, InvalidParamsError, quoted
+from .errors import IdentityCheckError, InvalidParamsError, check_integer, integer_array, quoted
 
 _PRIMES_SEEN: set[int] = set()
 
@@ -42,12 +42,13 @@ _FOUR_BASES_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
-    """Whether the int `n` is prime, by a deterministic Miller-Rabin test.
+    """Whether the integer `n` (read by check_integer) is prime, by deterministic Miller-Rabin.
 
     Exact below PRIMALITY_BOUND, in 4 modular powers below _FOUR_BASES_BOUND
     and 13 from it on; InvalidParamsError at or past PRIMALITY_BOUND, where
     these bases no longer decide.
     """
+    n = check_integer(n, "n")
     if n >= PRIMALITY_BOUND:
         raise InvalidParamsError(
             f"{quoted(n)} is at or past {PRIMALITY_BOUND}, below which primality is decided exactly"
@@ -74,14 +75,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_integer(value, name: str) -> int:
-    """`value` as an int; a numpy integer is read as one, while a bool, a float
-    or any other type is refused with InvalidParamsError naming `name`."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise InvalidParamsError(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
 def check_row_products(n: int, q: int) -> None:
     """InvalidParamsError unless n (q-1)^2, the largest sum of n products of two
     residues mod q, is below 2^63: past it int64 arithmetic wraps."""
@@ -94,8 +87,7 @@ def check_row_products(n: int, q: int) -> None:
 def check_prime_modulus(q: int) -> int:
     """`q` as an int; InvalidParamsError unless it is an integer that is prime
     and whose products of two residues fit int64 (`check_row_products`)."""
-    if type(q) is not int:
-        q = check_integer(q, "modulus")
+    q = check_integer(q, "modulus")
     if q not in _PRIMES_SEEN:
         check_row_products(1, q)
         if not is_prime(q):
@@ -116,35 +108,9 @@ def inverse_table(q: int) -> np.ndarray:
     return table
 
 
-def _integer_array(a) -> np.ndarray:
-    """`a` as an ndarray, for the caller to refuse if not integer; InvalidParamsError if ragged.
-    numpy reads a list mixing ints in [2^63, 2^64) with other ints as float64: such a list
-    is read again, as objects, and kept so when every entry is an int or a numpy integer."""
-    try:
-        arr = np.asarray(a)
-    except ValueError as exc:
-        raise InvalidParamsError(f"expected a rectangular array of integers: {exc}") from None
-    if arr.dtype.kind == "f" and arr.size:
-        entries = np.asarray(a, dtype=object)
-        if all(isinstance(x, (int, np.integer)) for x in entries.flat):
-            return entries
-    return arr
-
-
 def as_residues(a, q: int) -> np.ndarray:
-    """Copy `a` into a fresh int64 array reduced mod q.
-
-    Only integers are taken: float, complex, string or other values and ragged
-    rows raise InvalidParamsError rather than being truncated.  Integers past
-    int64 (Python ints, uint64) are reduced exactly, through an object array.
-    """
-    arr = _integer_array(a)
-    kind = arr.dtype.kind
-    if kind in "ib" or (kind == "u" and arr.itemsize < 8) or arr.size == 0:
-        return arr.astype(np.int64, copy=False) % q
-    if kind in "uO" and all(isinstance(x, (int, np.integer)) for x in arr.flat):
-        return (arr.astype(object) % q).astype(np.int64)
-    raise InvalidParamsError(f"expected integer entries, got {arr.dtype} values")
+    """A fresh int64 array of the integers `a` reduced mod q, read by integer_array."""
+    return integer_array(a, "entries", q)
 
 
 def rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -229,7 +195,7 @@ def kernel_array(a: np.ndarray, q: int) -> np.ndarray:
     unless p'_i < f) on the n-1-p'_i, which lead no row.  So the x_f by descending f are the RREF.
     `a` is a vector or a 2-d array, as for rref_array.
     """
-    a = _integer_array(a)
+    a = as_residues(a, check_prime_modulus(q))
     if a.ndim not in (1, 2):
         raise InvalidParamsError(f"expected a vector or a 2-d array, got shape {a.shape}")
     red, pivots = rref_array(a[..., ::-1], q)
@@ -317,10 +283,14 @@ def iter_echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray
     block, zeros before it and in the other rows' pivot blocks, and any
     entry in each other block after it.  Order: pivot blocks lexicographic,
     then free entries lexicographic in the order of `entries`; each form once.
+    `k` is checked at the call, not at the first form.
     """
     if not 0 <= k <= blocks:
         raise InvalidParamsError(f"need 0 <= k <= blocks, got k={k}, blocks={blocks}")
-    entries = np.asarray(entries, dtype=np.int64)
+    return _echelon_forms(blocks, k, one, np.asarray(entries, dtype=np.int64))
+
+
+def _echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray):
     width = entries.shape[1]
     values = entries.tolist()
     for pivots in combinations(range(blocks), k):
@@ -435,11 +405,8 @@ class Subspace:
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True iff every row of `rows` (or the vector `rows`) lies in this subspace."""
-        rows = self._as_rows(rows)
-        for row_basis in self._rows:
-            pc = int(np.nonzero(row_basis)[0][0])
-            rows = (rows - np.outer(rows[:, pc], row_basis)) % self.modulus
-        return not np.any(rows)
+        stacked = np.vstack([self._rows, self._as_rows(rows)])
+        return len(row_space_array(stacked, self.modulus)) == self.dim  # the rank stays dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim or self.modulus != other.modulus:

@@ -34,8 +34,8 @@ import numpy as np
 
 from .action import CoverParams, build_action
 from .atlas import Hyperplane, _check_space
-from .errors import IdentityCheckError, InvalidParamsError, check_cap
-from .fqlinalg import Subspace, _integer_array, decode_codes, encode_rows
+from .errors import IdentityCheckError, InvalidParamsError, check_cap, check_integer, integer_array
+from .fqlinalg import Subspace, decode_codes, encode_rows
 
 DEFAULT_GROUP_CAP = 512
 # Associativity is spot-checked on this many triples, drawn from this seed.
@@ -43,23 +43,18 @@ AXIOM_TRIALS = 64
 AXIOM_SEED = 0
 
 
-def _integers(values, what: str, length: int | None = None) -> np.ndarray:
-    """`values` as int64, refusing floats, ints past int64, ragged rows, a last axis not `length`."""
-    values = _integer_array(values)
-    if not np.can_cast(values.dtype, np.int64):
-        raise InvalidParamsError(f"{what} must be int64 integers, got {values.dtype} values")
-    if length is not None and values.shape[-1:] != (length,):
-        raise InvalidParamsError(f"{what} of shape {values.shape}: need a last axis of {length}")
-    return values.astype(np.int64, copy=False)
-
-
-def _refuse_overflow(weight: int, vec: np.ndarray, what: str, terms: str) -> None:
-    """InvalidParamsError when `weight` times max |vec|, which bounds every entry
-    of a sum of `weight` copies of vec up to sign, reaches 2^63, where int64 wraps."""
+def _vectors(vec, order: int, weight: int, what: str, terms: str) -> np.ndarray:
+    """`vec` read by integer_array, with a last axis of `order`; InvalidParamsError when `weight`
+    times max |vec|, a bound on each entry of a sum of `weight` copies of vec up to sign,
+    reaches 2^63, where int64 wraps."""
+    vec = integer_array(vec, "group-ring vectors")
+    if vec.shape[-1:] != (order,):
+        raise InvalidParamsError(f"group-ring vectors of shape {vec.shape}: need a last axis of {order}")
     # The uint64 view reads |-2^63|, which wraps to itself in int64, as 2^63.
     peak = int(np.abs(vec).view(np.uint64).max(initial=0))
     if weight * peak >= 2**63:
         raise InvalidParamsError(f"{what} may overflow int64: {terms} on entries up to {peak} in size")
+    return vec
 
 
 class FrobeniusGroup:
@@ -96,7 +91,7 @@ class FrobeniusGroup:
 
     def _parts(self, a) -> tuple[np.ndarray, np.ndarray]:
         """(twists, translation codes) of the element codes `a`, each in 0 .. |G| - 1."""
-        codes = _integers(a, "element codes")
+        codes = integer_array(a, "element codes")
         outside = codes[(codes < 0) | (codes >= self.order)]
         if outside.size:
             raise InvalidParamsError(f"element code {outside[0]} is outside 0 .. {self.order - 1}")
@@ -122,12 +117,11 @@ class FrobeniusGroup:
         """perm with perm[x] = g * x, for every element code x.
 
         For x = f q^n + i the product is g i shifted by f twists, so one
-        product with the q^n translations gives every row.  `g` must be an
-        int: 3.0 and True hash like the codes 3 and 1, so the cache would
-        answer for them.
+        product with the q^n translations gives every row.  `g` is read by
+        check_integer before the cache is asked: 3.0 and True hash like the
+        codes 3 and 1, so the cache would answer for them.
         """
-        if type(g) is not int and not isinstance(g, np.integer):
-            raise InvalidParamsError(f"element code must be an integer, got {g!r}")
+        g = check_integer(g, "element code")
         cached = self._perm_cache.get(g)
         if cached is None:
             size = len(self._translations)
@@ -218,7 +212,7 @@ class GroupRingOperator:
 
     def __init__(self, group: FrobeniusGroup, terms: dict[int, int]):
         self.group = group
-        self.terms = {g: int(_integers(c, "coefficients")) for g, c in terms.items() if c != 0}
+        self.terms = {g: int(integer_array(c, "coefficients")) for g, c in terms.items() if c != 0}
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to rows of an integer vector/matrix over the regular module.
@@ -226,9 +220,9 @@ class GroupRingOperator:
         Every entry of the result is at most sum |c| times max |vec| in size;
         InvalidParamsError when that bound reaches 2^63, where int64 wraps.
         """
-        vec = _integers(vec, "group-ring vectors", self.group.order)
         weight = sum(abs(c) for c in self.terms.values())
-        _refuse_overflow(weight, vec, "group-ring product", f"coefficients of total size {weight}")
+        terms = f"coefficients of total size {weight}"
+        vec = _vectors(vec, self.group.order, weight, "group-ring product", terms)
         out = np.zeros_like(vec)
         for g, c in self.terms.items():
             moved = np.zeros_like(vec)
@@ -259,9 +253,8 @@ def apply_subgroup_sum(group: FrobeniusGroup, L: Subspace, vec: np.ndarray) -> n
     q, n = group.params.q, group.params.n
     if L.modulus != q or L.ambient_dim != n:
         raise InvalidParamsError(f"subgroup of F_{L.modulus}^{L.ambient_dim} is not in F_{q}^{n}")
-    out = _integers(vec, "group-ring vectors", group.order)
     terms = q**L.dim
-    _refuse_overflow(terms, out, "subgroup sum", f"{terms} terms")
+    out = _vectors(vec, group.order, terms, "subgroup sum", f"{terms} terms")
     for row_codes in _multiple_codes(L.basis_array, q):
         acc = out.copy()
         for code in row_codes[1:]:

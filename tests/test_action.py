@@ -122,8 +122,14 @@ def test_cover_params_rejects(p, q, r):
     [(5, 2, 3.0, "r"), (5.0, 2, 3, "p"), (5, np.int64(2), 3, "q"), (True, 2, 3, "p")],
 )
 def test_cover_params_refuses_a_non_int(p, q, r, name):
-    # A float r would give float n and m, and a numpy q would wrap q^n at int64.
-    with pytest.raises(InvalidParamsError, match=f"^{name} = .* must be an int$"):
+    # A float r would give float n and m.  A numpy q was refused, since q^n would
+    # wrap at int64; it is read as the int it holds, so q^n is exact.
+    if isinstance(q, np.integer):
+        assert CoverParams(p, q, r) == CoverParams(5, 2, 3)
+        params = CoverParams(p, q, 20)  # n = 72: 2^72 is past int64
+        assert type(params.q) is int and params.q**params.n == 2**72
+        return
+    with pytest.raises(InvalidParamsError, match=f"^{name} .* is not an integer$"):
         CoverParams(p, q, r)
 
 

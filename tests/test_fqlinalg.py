@@ -146,6 +146,30 @@ def test_contains_basics():
     assert not s.contains_rows([[1, 0, 1, 0], [1, 1, 0, 0]])
 
 
+@st.composite
+def _subspace_and_rows(draw):
+    """(basis, rows, q, n) at q^n <= 125: rows mix random vectors, which often lie
+    outside the span of basis, with combinations of basis rows, which lie inside."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-q, 2 * q), min_size=n, max_size=n)
+    basis = draw(st.lists(vector, max_size=n))
+    combination = st.lists(st.integers(0, q - 1), min_size=len(basis), max_size=len(basis)).map(
+        lambda c: (np.array(c, dtype=np.int64) @ np.array(basis, dtype=np.int64).reshape(-1, n)).tolist()
+    )
+    rows = draw(st.lists(st.one_of(vector, combination), min_size=1, max_size=3))
+    return basis, rows, q, n
+
+
+@settings(deadline=None, max_examples=200)
+@given(_subspace_and_rows())
+def test_contains_rows_matches_the_listed_vectors(drawn):
+    basis, rows, q, n = drawn
+    sub = Subspace(np.array(basis, dtype=np.int64).reshape(-1, n), n, q)
+    members = {tuple(v.tolist()) for v in sub.vectors()}
+    assert sub.contains_rows(rows) == all(tuple(x % q for x in row) in members for row in rows)
+
+
 def test_contains_mismatch_raises():
     s = Subspace([[1, 0, 1, 0]], 4, 2)
     with pytest.raises(InvalidParamsError, match=r"^expected a vector or rows of length 4, got shape \(3,\)$"):
@@ -748,7 +772,7 @@ def test_matpow_array_reads_nested_lists_and_numpy_exponents():
         ([[1, 1], [0, 1]], 2.0, 3, r"^exponent 2\.0 is not an integer$"),
         # Accepted, while rref_array refuses it.
         ([[1, 1], [0, 1]], 2, 4, r"^modulus 4 is not prime$"),
-        ([[1.5, 0], [0, 1]], 2, 3, r"^expected integer entries, got float64 values$"),
+        ([[1.5, 0], [0, 1]], 2, 3, r"^entries must be integers, got float64 values$"),
         # The largest modulus whose (q - 1)^2 fits int64: a sum of two such products
         # wrapped, and [[q - 1] * 2] * 2 squared gave 290948288 for 2.
         ([[3037000492] * 2] * 2, 2, 3037000493, r"^modulus 3037000493 with rows of length 2: .*2\^63"),
@@ -763,7 +787,7 @@ def test_matpow_array_refuses_what_the_other_kernels_refuse(a, e, q, message):
 
 @pytest.mark.parametrize("k", [-1, 4])
 def test_iter_echelon_forms_refuses_k_outside_0_to_blocks(k):
-    # A bare ValueError; InvalidParamsError is still one.
-    forms = iter_echelon_forms(3, k, np.ones(1, dtype=np.int64), np.arange(2)[:, None])
+    # A bare ValueError; InvalidParamsError is still one.  Refused at the call: the
+    # generator it was came back, and refused k only at its first form.
     with pytest.raises(InvalidParamsError, match=rf"^need 0 <= k <= blocks, got k={k}, blocks=3$"):
-        next(forms)
+        iter_echelon_forms(3, k, np.ones(1, dtype=np.int64), np.arange(2)[:, None])

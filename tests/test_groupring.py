@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -216,7 +217,7 @@ def test_left_perm_refuses_a_non_integer_after_its_code_is_cached(code):
     group = build_group(CoverParams(5, 2, 3))
     group.left_perm(3)
     group.left_perm(1)
-    with pytest.raises(InvalidParamsError, match="^element code must be an integer, got "):
+    with pytest.raises(InvalidParamsError, match=f"^element code {re.escape(repr(code))} is not an integer$"):
         group.left_perm(code)
     assert group.left_perm(np.int64(3)) is group.left_perm(3)
 
@@ -284,7 +285,7 @@ def test_subgroup_sum_refuses_a_sum_past_int64():
 
 def test_element_codes_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
-    with pytest.raises(InvalidParamsError, match="element codes must be int64 integers, got float64"):
+    with pytest.raises(InvalidParamsError, match="element codes must be integers, got float64"):
         group.mul(1.5, 3)
 
 
@@ -297,7 +298,7 @@ def test_ragged_element_codes_are_refused():
 
 def test_group_ring_coefficients_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
-    with pytest.raises(InvalidParamsError, match="coefficients must be int64 integers, got float64"):
+    with pytest.raises(InvalidParamsError, match="coefficients must be integers, got float64"):
         GroupRingOperator(group, {0: 1.5})  # was truncated to {0: 1}
     assert GroupRingOperator(group, {0: np.int64(2), 1: 0}).terms == {0: 2}
 
@@ -305,8 +306,8 @@ def test_group_ring_coefficients_must_be_integers():
 @pytest.mark.parametrize(
     "vec, message",
     [
-        pytest.param(np.full(80, 0.7), "must be int64 integers, got float64", id="float"),
-        pytest.param([2**70] * 80, "must be int64 integers, got object", id="past-int64"),
+        pytest.param(np.full(80, 0.7), "must be integers, got float64", id="float"),
+        pytest.param([2**70] * 80, f"must fit int64, got {2**70}$", id="past-int64"),
         pytest.param(np.ones(3, dtype=np.int64), r"of shape \(3,\): need a last axis of 80", id="short"),
         pytest.param(np.ones((80, 3), dtype=np.int64), r"of shape \(80, 3\)", id="transposed"),
         pytest.param(np.int64(1), r"of shape \(\)", id="scalar"),
