@@ -236,11 +236,9 @@ class PrimaryProjections:
     basis: U, the canonical (RREF) bases of V_1, ..., V_k stacked, s0 rows each.
     coordinates: U^(-1), so a block v is (v U^(-1)) U, and its V_i-component is
         nonzero exactly when the i-th s0 entries of v U^(-1) are.
-    table: [U^(-1) | (U^(-1) U - I) mod q], built on first access from this
-        instance's own basis and coordinates (the dataclass is frozen, not
-        slotted, so `dataclasses.replace` gets a table of its own).  One
-        product v table mod q gives v's coordinates and, in the right half,
-        (v U^(-1)) U - v mod q, which is zero when the coordinates give v back.
+
+    However made, U and U^(-1) are square of one side with U U^(-1) = I mod q, hence
+    U^(-1) U = I: IdentityCheckError names the first entry off the identity.
     """
 
     q: int
@@ -248,13 +246,13 @@ class PrimaryProjections:
     basis: np.ndarray
     coordinates: np.ndarray
 
-    @cached_property
-    def table(self) -> np.ndarray:
+    def __post_init__(self):
         d = self.basis.shape[0]
-        residual = (self.coordinates @ self.basis - np.eye(d, dtype=np.int64)) % self.q
-        table = np.hstack([self.coordinates, residual])
-        table.flags.writeable = False
-        return table
+        if self.basis.shape != (d, d) or self.coordinates.shape != (d, d):
+            raise IdentityCheckError(f"U {self.basis.shape} and U^-1 {self.coordinates.shape}: not square")
+        wrong = np.argwhere((self.basis @ self.coordinates) % self.q != np.eye(d, dtype=np.int64))
+        if wrong.size:
+            raise IdentityCheckError(f"U U^-1 differs from the identity at entry {tuple(wrong[0].tolist())}")
 
     @classmethod
     def from_components(
@@ -276,18 +274,16 @@ class PrimaryProjections:
                 f"not (p-1)/s0 = {d // s0} of dimension s0 = {s0}"
             )
         basis = np.vstack(components)
-        eye = np.eye(d, dtype=np.int64)
         # [U | I] reduces to [I | U^-1] exactly when U is invertible.
-        red, pivots = rref_array(np.hstack([basis, eye]), q)
+        red, pivots = rref_array(np.hstack([basis, np.eye(d, dtype=np.int64)]), q)
         rank = sum(c < d for c in pivots)
         if rank != d:
             raise IdentityCheckError(
                 f"the {len(dims)} components have stacked rank {rank}, not p - 1 = {d}"
             )
         coordinates = np.ascontiguousarray(red[:, d:])
-        wrong = np.argwhere((basis @ coordinates) % q != eye)
-        if wrong.size:
-            raise IdentityCheckError(f"U U^-1 differs from the identity at entry {tuple(wrong[0].tolist())}")
+        basis.flags.writeable = coordinates.flags.writeable = False
+        primary = cls(q, s0, basis, coordinates)  # checks U U^-1 = I before invariance
         # Invariance: U B U^-1 has nothing outside its diagonal s0 x s0 blocks.
         moved = (basis @ block % q) @ coordinates % q
         owner = np.arange(d) // s0
@@ -298,9 +294,7 @@ class PrimaryProjections:
                 f"component {row // s0} with basis {components[row // s0].tolist()} is not "
                 f"invariant: its row {row % s0} moves into component {col // s0}"
             )
-        basis.flags.writeable = False
-        coordinates.flags.writeable = False
-        return cls(q, s0, basis, coordinates)
+        return primary
 
 
 def _gauss_period_eigenspaces(block: np.ndarray, q: int, s0: int) -> list[np.ndarray]:
@@ -478,8 +472,6 @@ def invariant_subspaces(action: AdaptedAction, cap: int) -> list[Subspace]:
     summands = []
     for i in range(k):
         piece = row_space_array(columns[:, i * s0 : (i + 1) * s0].T, q)
-        if piece.shape[0] != s0:
-            raise IdentityCheckError(f"column component {i} has dim {piece.shape[0]}, not s0 = {s0}")
         spans = []
         for e in range(blocks + 1):
             for form in iter_echelon_forms(blocks, e, piece[0], coefficients @ piece % q):

@@ -221,27 +221,17 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     squarefree, so that polynomial is the product of the f_i over
     J = {i : h has a nonzero f_i-component}, read off the coordinates
     h U^(-1) of each block in the stacked component bases U; core dim =
-    n - s0 |J|.  Those coordinates times U must give h back, else
-    IdentityCheckError naming h, J and the entry that differs.  Both come
-    from one product with the cached table [U^(-1) | U^(-1) U - I]: since
-    (X mod q) U = X U mod q, its right half is (h U^(-1) mod q) U - h mod q,
-    each entry a sum of p - 1 <= n products of residues, which the action's
+    n - s0 |J|.  `PrimaryProjections` checks U U^(-1) = I when it is made,
+    so those coordinates give h back.  They are one product mod q, each
+    entry a sum of p - 1 <= n products of residues, which the action's
     int64 bound (`check_row_products(n, q)`) covers.
     """
     params = action.params
     p, q, n = params.p, params.q, params.n
     _check_space(h, params)
     primary = action.primary
-    blocks = h.normal_array().reshape(params.r - 2, p - 1)
-    product = blocks @ primary.table % q
-    components = product[:, : p - 1].reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
-    rest = product[:, p - 1 :]
-    if np.count_nonzero(rest):
-        block, entry = np.argwhere(rest)[0].tolist()
-        raise IdentityCheckError(
-            f"{h} has components {np.flatnonzero(components).tolist()} but their bases "
-            f"do not give back entry {block * (p - 1) + entry}"
-        )
+    coordinates = h.normal_array().reshape(params.r - 2, p - 1) @ primary.coordinates % q
+    components = coordinates.reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
     return n - primary.s0 * int(np.count_nonzero(components))
 
 

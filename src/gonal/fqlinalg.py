@@ -265,9 +265,13 @@ def encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Residue rows of length n with base-q codes `codes` (any shape); inverts encode_rows."""
+    """Residue rows of length n with base-q codes `codes` (any shape, read by integer_array);
+    inverts encode_rows.  InvalidParamsError naming the first code outside 0 .. q^n - 1."""
     check_code_width(n, q)
-    codes = np.array(codes, dtype=np.int64)
+    codes = integer_array(codes, "codes")
+    outside = codes[(codes < 0) | (codes > q**n - 1)]
+    if outside.size:
+        raise InvalidParamsError(f"code {outside[0]} is outside 0 .. {q**n - 1}")
     out = np.empty(codes.shape + (n,), dtype=np.int64)
     for i in range(n - 1, -1, -1):
         out[..., i] = codes % q
@@ -283,11 +287,12 @@ def iter_echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray
     block, zeros before it and in the other rows' pivot blocks, and any
     entry in each other block after it.  Order: pivot blocks lexicographic,
     then free entries lexicographic in the order of `entries`; each form once.
-    `k` is checked at the call, not at the first form.
+    `one` and `entries` are read by integer_array, and `k` is checked, at the
+    call, not at the first form.
     """
     if not 0 <= k <= blocks:
         raise InvalidParamsError(f"need 0 <= k <= blocks, got k={k}, blocks={blocks}")
-    return _echelon_forms(blocks, k, one, np.asarray(entries, dtype=np.int64))
+    return _echelon_forms(blocks, k, integer_array(one, "pivot entries"), integer_array(entries, "entries"))
 
 
 def _echelon_forms(blocks: int, k: int, one: np.ndarray, entries: np.ndarray):

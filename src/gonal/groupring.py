@@ -14,16 +14,18 @@ For a hyperplane L < N the checked subspace is
 which depends on L alone: N = L + <u> for every u outside L, so on
 functions fixed by L the sum of the q multiples of u is the sum over N/L.
 The checks take u = e_j, j the last nonzero entry of L's normal, and read
-A_L in closed form off the L-coset space, so no elimination runs.  The
-right coset L (v, e) is fixed by e and normal . v, and left multiplication
-by j u shifts normal . v by j (normal . u) != 0, so the q multiples of u
-sum each coset to all q cosets of its twist fibre: the coset matrix is one
-all-ones q x q block per fibre, and A_L is spanned by the differences of
-two cosets in one fibre, p(q-1) of them.  The headline identity: (sum over
-h in L) composed with (sum over powers of the twist) acts on A_L as
-multiplication by q^(n-1), with every twisted cross term vanishing
-identically.  The sum over L is applied once per hyperplane, to the p
-twisted copies of the basis stacked; the scalar image is their sum.
+A_L in closed form off the cosets of L's elements, the translations its
+normal annihilates; L.kernel() is eliminated only for the basis that
+factors the sum over L.  The right coset L (v, e) is fixed by e and
+normal . v, and left multiplication by j u shifts normal . v by
+j (normal . u) != 0, so the q multiples of u sum each coset to all q
+cosets of its twist fibre: the coset matrix is one all-ones q x q block per
+fibre, and A_L is spanned by the differences of two cosets in one fibre,
+p(q-1) of them.  The headline identity: (sum over h in L) composed with
+(sum over powers of the twist) acts on A_L as multiplication by q^(n-1),
+with every twisted cross term vanishing identically.  The sum over L is
+applied once per hyperplane, to the p twisted copies of the basis stacked;
+the scalar image is their sum.
 """
 
 from __future__ import annotations
@@ -207,12 +209,21 @@ class GroupRingOperator:
     """Finitely supported integer combination of group elements, keyed by code.
 
     Operators act on the regular module by permutation sums; integer
-    coefficients keep everything exact.
+    coefficients keep everything exact.  Each key is read by check_integer as a
+    code in 0 .. |G| - 1, and each coefficient by integer_array as a scalar,
+    when built; zero terms are dropped.
     """
 
     def __init__(self, group: FrobeniusGroup, terms: dict[int, int]):
         self.group = group
-        self.terms = {g: int(integer_array(c, "coefficients")) for g, c in terms.items() if c != 0}
+        self.terms = {}
+        for g, c in terms.items():
+            g, c = check_integer(g, "element code"), integer_array(c, "coefficients")
+            group._parts(g)  # refuses a code outside 0 .. |G| - 1
+            if c.ndim:
+                raise InvalidParamsError(f"coefficient of element {g} has shape {c.shape}, not a scalar")
+            if c:
+                self.terms[g] = int(c)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to rows of an integer vector/matrix over the regular module.
@@ -316,10 +327,9 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     if group._fixed_last[0] == L:
         return group._fixed_last[1]
     u = _transversal(L)
-    ker = L.kernel()
-    # All q^(n-1) elements of L at once: coefficient grid times the RREF basis.
-    span = (decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
-    coset_idx, reps = _coset_partition(group, encode_rows(span, q).tolist())
+    # The q^(n-1) elements of L: the translation codes whose rows the normal annihilates.
+    members = np.flatnonzero(group._translations @ L.normal_array() % q == 0)
+    coset_idx, reps = _coset_partition(group, members.tolist())
     ncos = len(reps)
     smat = np.zeros((ncos, ncos), dtype=np.int64)
     for code in _multiple_codes(np.array([u]), q)[0]:
@@ -339,8 +349,9 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     free = np.flatnonzero(np.arange(ncos) % q)
     basis = (coset_idx == free[:, None]).astype(np.int64)
     basis -= coset_idx == (free - free % q)[:, None]
-    twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
-    images = apply_subgroup_sum(group, ker, twisted)
+    # twist^k z is z gathered along the left permutation of twist^(-k).
+    twisted = np.stack([basis.take(group.left_perm(-k % p * q**n), axis=-1) for k in range(p)])
+    images = apply_subgroup_sum(group, L.kernel(), twisted)
     basis.flags.writeable = images.flags.writeable = False
     group._fixed_last = (L, (basis, images))
     return group._fixed_last[1]

@@ -324,18 +324,49 @@ def test_primary_at_q_near_a_million_within_a_second(p):
 
 @pytest.mark.parametrize("p,q,r", [(7, 2, 4), (13, 3, 5), (13, 876706483, 3), (13, 876706517, 3)])
 def test_primary_table_is_the_coordinates_beside_their_residual(p, q, r):
+    # U^-1 U - I is zero on every pair that is built, so only U^-1 is kept beside U.
     primary = build_action(CoverParams(p, q, r)).primary
-    assert primary.q == q
-    table = primary.table
-    assert table.shape == (p - 1, 2 * (p - 1)) and table.dtype == np.int64
-    assert not table.flags.writeable and primary.table is table
-    # U^-1 U = I on the true tables, so the right half is zero.
-    assert np.array_equal(table[:, : p - 1], primary.coordinates) and not table[:, p - 1 :].any()
-    # A copy with other coordinates builds its own table and leaves this one alone.
+    assert primary.q == q and not hasattr(primary, "table")
     eye = np.eye(p - 1, dtype=np.int64)
-    other = dataclasses.replace(primary, coordinates=eye).table
-    assert np.array_equal(other, np.hstack([eye, (primary.basis - eye) % q]))
-    assert primary.table is table and np.array_equal(table[:, : p - 1], primary.coordinates)
+    for left, right in [(primary.basis, primary.coordinates), (primary.coordinates, primary.basis)]:
+        assert right.shape == (p - 1, p - 1) and right.dtype == np.int64 and not right.flags.writeable
+        assert np.array_equal(left @ right % q, eye)
+    # A copy with U^-1 + I as coordinates, whose product with U is I + U, is
+    # refused when built, at U's first nonzero entry, and leaves this one alone.
+    i, j = np.argwhere(primary.basis)[0].tolist()
+    refused = rf"^U U\^-1 differs from the identity at entry \({i}, {j}\)$"
+    with pytest.raises(IdentityCheckError, match=refused):
+        dataclasses.replace(primary, coordinates=(primary.coordinates + eye) % q)
+    other = dataclasses.replace(primary, basis=eye, coordinates=eye)
+    assert other.coordinates is eye and primary.coordinates is not eye
+
+
+def test_every_way_of_building_the_tables_refuses_a_wrong_inverse(monkeypatch):
+    # U^-1 with the entry (2, 4) flipped mod 2 gives U U^-1 = I plus U's column 2
+    # moved to column 4: the first wrong entry is (i, 4), i the first row of U
+    # with a 1 in column 2.
+    action = build_action(CoverParams(7, 2, 3))
+    primary = action.primary
+    wrong = primary.coordinates.copy()
+    wrong[2, 4] ^= 1
+    entry = rf"\({np.flatnonzero(primary.basis[:, 2])[0]}, 4\)"
+    refused = rf"^U U\^-1 differs from the identity at entry {entry}$"
+    with pytest.raises(IdentityCheckError, match=refused):
+        dataclasses.replace(primary, coordinates=wrong)
+    with pytest.raises(IdentityCheckError, match=refused):
+        PrimaryProjections(2, 3, primary.basis, wrong)
+    with pytest.raises(IdentityCheckError, match=r"^U \(6, 6\) and U\^-1 \(6, 5\): not square$"):
+        PrimaryProjections(2, 3, primary.basis, wrong[:, :5])
+
+    def corrupted(a, q):
+        red, pivots = row_reduce(a, q)
+        red[2, 6 + 4] ^= 1
+        return red, pivots
+
+    row_reduce = action_module.rref_array
+    monkeypatch.setattr(action_module, "rref_array", corrupted)
+    with pytest.raises(IdentityCheckError, match=refused):
+        PrimaryProjections.from_components(_components(action), action.inverse_array, 2, 3)
 
 
 def test_primary_build_refuses_a_space_that_is_not_invariant():
@@ -486,25 +517,27 @@ def test_invariant_subspace_count_check_fails_on_a_wrong_closed_form(monkeypatch
         invariant_subspaces(build_action(CoverParams(5, 2, 4)), cap=1000)
 
 
+def _permuted_primary(primary, order):
+    """U's rows and U^-1's columns in `order`: a pair that is built, since
+    U U^-1 is still I, whose column components are not the primary ones."""
+    order = list(order)
+    return dataclasses.replace(primary, basis=primary.basis[order], coordinates=primary.coordinates[:, order])
+
+
 def test_invariant_subspace_count_check_fails_on_corrupted_factors():
-    # Both column components of (7,2,4) read from the first s0 columns of
-    # U^-1: the 121 listed sums are the 11 subspaces of that component, over and over.
+    # The even columns of U^-1, then the odd ones, as the column components of
+    # (7,2,4): neither is invariant, and the 121 listed sums coincide in pairs.
     action = build_action(CoverParams(7, 2, 4))
-    primary = action.primary
-    twice = np.hstack([primary.coordinates[:, :3]] * 2)
-    action.__dict__["primary"] = dataclasses.replace(primary, coordinates=twice)
-    with pytest.raises(IdentityCheckError, match="listed 121 invariant subspaces of F_2\\^12, 11 distinct"):
+    action.__dict__["primary"] = _permuted_primary(action.primary, (0, 2, 4, 1, 3, 5))
+    with pytest.raises(IdentityCheckError, match="listed 121 invariant subspaces of F_2\\^12, 105 distinct"):
         invariant_subspaces(action, cap=1000)
 
 
 def test_invariant_subspace_listing_fails_on_a_subspace_that_is_not_invariant():
-    # Columns of U^-1 whose span, the first three coordinates, is no primary
-    # component: the listing keeps its count but not its invariance.
+    # Columns 2 and 3 of U^-1 swapped: the listing keeps its count but not its invariance.
     action = build_action(CoverParams(7, 2, 3))
-    primary = action.primary
-    columns = np.hstack([np.eye(6, dtype=np.int64)[:, :3], primary.coordinates[:, 3:]])
-    action.__dict__["primary"] = dataclasses.replace(primary, coordinates=columns)
-    with pytest.raises(IdentityCheckError, match=r"basis \[\[1, 0, 0, 0, 0, 0\], .* is not T-invariant"):
+    action.__dict__["primary"] = _permuted_primary(action.primary, (0, 1, 3, 2, 4, 5))
+    with pytest.raises(IdentityCheckError, match=r"basis \[\[1, 0, 0, 1, 0, 0\], .* is not T-invariant"):
         invariant_subspaces(action, cap=1000)
 
 

@@ -895,8 +895,7 @@ def test_core_dim_matches_elimination_at_q_near_a_million(p):
 
 # (13, 876706517, 3): the largest q that (13, q, 3) admits, where Phi_13 stays
 # irreducible (s0 = 12); 876706483 is the largest with a split (s0 = 3).  In
-# both, one product with the cached table sums 12 products of residues just
-# below 2^63.
+# both, one product with U^-1 sums 12 products of residues just below 2^63.
 @pytest.mark.parametrize("p,q,r", [(13, 876706517, 3), (13, 876706483, 3), (13, 3, 5), (7, 2, 4), (5, 3, 4)])
 def test_core_dim_matches_elimination_up_to_the_int64_edge(p, q, r):
     # 100 dense seeded normals, and 100 sparse ones (one to three nonzero
@@ -935,17 +934,22 @@ def test_core_dim_alternating_between_two_component_sets():
 
 def test_core_dim_does_not_reuse_a_product_built_from_other_tables(monkeypatch):
     params = CoverParams(13, 3, 5)
+    n, s0 = params.n, params.s0
     action = build_action(params)
     h = _normal_with_components(action, (0, 1, 2, 3))
-    assert core_dim(h, action) == params.n - 12
-    # Tables whose U^-1 is the identity: h = e_1 reads as a first component
-    # alone, and U times it is not h.
+    assert core_dim(h, action) == n - 12
     primary = action.primary
     eye = np.eye(params.p - 1, dtype=np.int64)
-    monkeypatch.setattr(action, "primary", replace(primary, coordinates=eye))
-    with pytest.raises(IdentityCheckError, match=r"has components \[0\] but their bases "
-                       r"do not give back entry \d+"):
-        core_dim(h, action)
+    # Coordinates that are not U^-1 are refused when the tables are built.
+    with pytest.raises(IdentityCheckError, match=r"^U U\^-1 differs from the identity at entry"):
+        replace(primary, coordinates=eye)
+    # Tables with U = U^-1 = I are built, and core_dim reads them: e_1 lies in
+    # their first component alone.
+    e_1 = Hyperplane(eye[0].tolist() + [0] * (n - params.p + 1), params.q)
+    assert core_dim(e_1, action) == core(e_1, action).dim == n - 12
+    monkeypatch.setattr(action, "primary", replace(primary, basis=eye, coordinates=eye))
+    assert core_dim(e_1, action) == n - s0
+    assert core_dim(h, action) == n - s0 * len({i // s0 for i in np.flatnonzero(h.normal_array())})
 
 
 def test_core_dim_histogram_over_representatives_at_13_3_3():
@@ -964,13 +968,17 @@ def test_galois_closure_rejects_a_corrupted_coordinate_table(monkeypatch):
     action = build_action(params)
     primary = action.primary
     assert not primary.basis.flags.writeable and not primary.coordinates.flags.writeable
-    # Zeroing the first s0 columns of U^-1 hides every first component: J
-    # loses index 0 and the coordinates no longer give the normal back.
+    # Zeroing the first s0 columns of U^-1 zeroes the first column of U U^-1:
+    # refused when the tables are built.
     coordinates = primary.coordinates.copy()
     coordinates[:, : params.s0] = 0
-    monkeypatch.setattr(action, "primary", replace(primary, coordinates=coordinates))
+    with pytest.raises(IdentityCheckError, match=r"^U U\^-1 differs from the identity at entry \(0, 0\)$"):
+        replace(primary, coordinates=coordinates)
+    # Tables built with s0 = 1 read L1's coordinates one by one: 10 of its 12
+    # are nonzero, and 3^10 != 1 mod 13.
+    monkeypatch.setattr(action, "primary", replace(primary, s0=1))
     h = Hyperplane.from_subspace(parse_generator_words(read_fixture("L1.gens"), params))
-    with pytest.raises(IdentityCheckError, match=r"has components \[1, 2, 3\] but their bases"):
+    with pytest.raises(IdentityCheckError, match=r"^q\^k != 1 mod p for k = 10; core computation is wrong$"):
         galois_closure(h, params, action)
 
 

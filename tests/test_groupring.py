@@ -13,7 +13,7 @@ from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes
 from gonal import groupring
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
-from gonal.fqlinalg import Subspace, decode_codes
+from gonal.fqlinalg import Subspace, decode_codes, encode_rows
 from gonal.groupring import (
     FrobeniusGroup,
     GroupRingOperator,
@@ -300,6 +300,8 @@ def test_group_ring_coefficients_must_be_integers():
     group = build_group(CoverParams(5, 2, 3))
     with pytest.raises(InvalidParamsError, match="coefficients must be integers, got float64"):
         GroupRingOperator(group, {0: 1.5})  # was truncated to {0: 1}
+    with pytest.raises(InvalidParamsError, match=r"^coefficient of element 0 has shape \(2,\), not a scalar$"):
+        GroupRingOperator(group, {0: np.array([1, 2])})  # raised numpy's bare ValueError
     assert GroupRingOperator(group, {0: np.int64(2), 1: 0}).terms == {0: 2}
 
 
@@ -517,6 +519,33 @@ def _coset_matrix(group, coset_idx, reps, u):
     return smat
 
 
+def _fixed_from_the_kernel(group, L):
+    """Reference: A_L and its twisted images as built from L's kernel: L's elements
+    from the grid of kernel coefficients times its basis, each twist k applied by the
+    operator of the element k q^n."""
+    p, q, n = group.params.p, group.params.q, group.params.n
+    ker = L.kernel()
+    span = (decode_codes(np.arange(q**ker.dim), ker.dim, q) @ ker.basis_array) % q
+    coset_idx, reps = groupring._coset_partition(group, encode_rows(span, q).tolist())
+    free = np.flatnonzero(np.arange(len(reps)) % q)
+    basis = (coset_idx == free[:, None]).astype(np.int64)
+    basis -= coset_idx == (free - free % q)[:, None]
+    twisted = np.stack([GroupRingOperator(group, {k * q**n: 1}).apply(basis) for k in range(p)])
+    return basis, apply_subgroup_sum(group, ker, twisted)
+
+
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (3, 2, 6), (7, 2, 3), (5, 3, 3)])
+def test_fixed_reads_a_l_as_the_kernel_construction_does(p, q, r):
+    # L's codes read off the translation table, and the twists as gathers, give
+    # the basis and images bit for bit on every hyperplane.
+    params = CoverParams(p, q, r)
+    group = build_group(params, cap=params.group_order)
+    for h in enumerate_hyperplanes(params):
+        for got, expected in zip(groupring._fixed(group, h), _fixed_from_the_kernel(group, h)):
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3)])
 def test_fixed_subspace_is_the_null_space_of_the_coset_matrix(p, q, r):
     # A_L depends on L alone: for every u outside L, the Fraction elimination's
@@ -635,8 +664,9 @@ def test_memoised_basis_is_read_only():
 
 
 def test_cross_terms_name_the_broken_twist(monkeypatch):
+    # Twist 3 is applied as a gather along the left permutation of its inverse.
     group = build_group(CoverParams(5, 2, 3))
-    broken = 3 * group.params.q ** group.params.n
+    broken = (-3 % group.params.p) * group.params.q ** group.params.n
     left_perm = group.left_perm
     identity = np.arange(group.order)
     monkeypatch.setattr(

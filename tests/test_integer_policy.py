@@ -19,8 +19,10 @@ from gonal.fqlinalg import (
     Subspace,
     as_residues,
     check_prime_modulus,
+    decode_codes,
     gaussian_count,
     is_prime,
+    iter_echelon_forms,
     kernel_array,
     matpow_array,
     row_space_array,
@@ -45,6 +47,12 @@ def _plain(value):
     if isinstance(value, tuple):
         return tuple(map(_plain, value))
     return value
+
+
+def _forms(one, entries) -> list:
+    """The echelon forms of one row over two blocks, as lists: [one, e] for
+    each row e of `entries`, then [0, one]."""
+    return [form.tolist() for form in iter_echelon_forms(2, 1, one, entries)]
 
 
 def _vector(x):
@@ -78,6 +86,7 @@ SCALAR_EDGES = {
     "FrobeniusGroup.inv": (lambda x: GROUP.inv(x), PAST_INT64),
     "FrobeniusGroup.left_perm": (lambda x: GROUP.left_perm(x), PAST_INT64),
     "GroupRingOperator.coefficients": (lambda x: GroupRingOperator(GROUP, {0: x}).terms, PAST_INT64),
+    "GroupRingOperator.keys": (lambda x: GroupRingOperator(GROUP, {x: 1}).terms, PAST_INT64),
 }
 ARRAY_EDGES = {
     "as_residues": (lambda x: as_residues([[x, 1]], 5), [[BIG % 5, 1]]),
@@ -95,6 +104,9 @@ ARRAY_EDGES = {
     "FrobeniusGroup.mul": (lambda x: GROUP.mul([[x, 1]], 0), PAST_INT64),
     "GroupRingOperator.apply": (lambda x: GroupRingOperator(GROUP, {0: 1}).apply([_vector(x)]), PAST_INT64),
     "apply_subgroup_sum": (lambda x: apply_subgroup_sum(GROUP, Subspace.zero(4, 2), [_vector(x)]), PAST_INT64),
+    "decode_codes": (lambda x: decode_codes([x, 1], 2, 2), PAST_INT64),
+    "iter_echelon_forms.one": (lambda x: _forms([x], [[0], [1]]), PAST_INT64),
+    "iter_echelon_forms.entries": (lambda x: _forms([1], [[x], [1]]), PAST_INT64),
 }
 EDGES = {f"scalar:{k}": v for k, v in SCALAR_EDGES.items()} | {f"array:{k}": v for k, v in ARRAY_EDGES.items()}
 
@@ -164,8 +176,11 @@ def test_every_array_reader_agrees_on_mixed_lists(drawn):
         "Subspace": lambda a: Subspace(a, n, q),
         "contains_rows": lambda a: Subspace.full(n, q).contains_rows(a),
     }
+    # Codes of pairs over F_(2^31): exact up to 2^62 - 1, the largest code.
     exact = {
         "integer_array": lambda a: integer_array(a, "entries"),
+        "decode_codes": lambda a: decode_codes(a, 2, 2**31),
+        "iter_echelon_forms": lambda a: np.array([form[0][n:] for form in _forms([0] * n, a)][: len(a)]),
         "GroupRingOperator.apply": lambda a: GroupRingOperator(GROUP, {0: 1}).apply(
             [row + [0] * (80 - n) for row in a]
         )[:, :n],
@@ -180,9 +195,15 @@ def test_every_array_reader_agrees_on_mixed_lists(drawn):
     for name, read in modular.items():
         assert _plain(read(rows)) == _plain(read(reduced)), name
     past = next((x for x in entries if not -(2**63) <= int(x) < 2**63), None)
+    outside = next((x for x in entries if not 0 <= int(x) < 2**62), None)
     for name, read in exact.items():
         if past is not None:
             with pytest.raises(InvalidParamsError, match=f"must fit int64, got {int(past)}$"):
                 read(rows)
+        elif name == "decode_codes" and outside is not None:
+            with pytest.raises(InvalidParamsError, match=f"^code {int(outside)} is outside 0 .. {2**62 - 1}"):
+                read(rows)
+        elif name == "decode_codes":
+            assert read(rows).tolist() == [[list(divmod(x, 2**31)) for x in row] for row in values]
         elif name == "integer_array" or -(2**63) not in map(int, entries):
             assert read(rows).tolist() == values, name
