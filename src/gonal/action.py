@@ -237,8 +237,11 @@ class PrimaryProjections:
     coordinates: U^(-1), so a block v is (v U^(-1)) U, and its V_i-component is
         nonzero exactly when the i-th s0 entries of v U^(-1) are.
 
-    However made, U and U^(-1) are square of one side with U U^(-1) = I mod q, hence
-    U^(-1) U = I: IdentityCheckError names the first entry off the identity.
+    However made, U and U^(-1) are square of one side d = p - 1, their entries
+    are residues in 0 .. q - 1 (the int64 bound `core_dim` relies on holds only
+    for those), s0 = ord_p(q), and U U^(-1) = I mod q, hence U^(-1) U = I:
+    IdentityCheckError names the first entry out of range or off the identity,
+    or both values of s0.
     """
 
     q: int
@@ -250,6 +253,19 @@ class PrimaryProjections:
         d = self.basis.shape[0]
         if self.basis.shape != (d, d) or self.coordinates.shape != (d, d):
             raise IdentityCheckError(f"U {self.basis.shape} and U^-1 {self.coordinates.shape}: not square")
+        for name, table in (("U", self.basis), ("U^-1", self.coordinates)):
+            outside = np.argwhere((table < 0) | (table >= self.q))
+            if outside.size:
+                entry = tuple(outside[0].tolist())
+                raise IdentityCheckError(
+                    f"{name} entry {entry} is {table[entry]}, not a residue in 0 .. {self.q - 1}"
+                )
+        # s0 = ord_p(q) iff q^s0 = 1 and q^(s0/f) != 1 for each prime f | s0; the
+        # order itself is computed only to name it (CoverParams already holds it).
+        s0, p = check_integer(self.s0, "s0"), d + 1
+        if not (s0 >= 1 and pow(self.q, s0, p) == 1
+                and all(pow(self.q, s0 // f, p) != 1 for f in _prime_factors(s0))):
+            raise IdentityCheckError(f"s0 = {s0}, not ord_{p}({self.q}) = {order_mod(self.q, p)}")
         wrong = np.argwhere((self.basis @ self.coordinates) % self.q != np.eye(d, dtype=np.int64))
         if wrong.size:
             raise IdentityCheckError(f"U U^-1 differs from the identity at entry {tuple(wrong[0].tolist())}")

@@ -26,12 +26,14 @@ searched or sorted.  p - 2 gathers give every normal its orbit minimum, a
 normal is an orbit representative iff it is its own minimum, p - 1 more
 gathers read the orbits off the representatives, one boolean array checks
 that they cover every normal, and only the (t, p) result is turned into
-codes.  At (13,3,3) the sweep takes about 0.17 s and peaks at about 8.8 MB
-of allocations, four length-m index arrays.  Cores are extracted per class
-afterwards, one chunk of classes at a time; classes with equal cores share
-one read-only Subspace (at (13,3,3) the t = 20,440 classes have 15 distinct
-cores), which checks its invariance once, and a class keeps its orbit as p
-integer codes and decodes its members only when asked.  Its check
+codes.  The sweep is cheap because every step is a whole-array gather or
+comparison on indices, with no search, sort or table of codes, and it
+holds no more than four length-m index arrays at once.  Cores are
+extracted per class afterwards, one chunk of classes at a time; classes
+with equal cores share one read-only Subspace (at (13,3,3) the t = 20,440
+classes have 15 distinct cores), which checks its invariance once, and a
+class keeps its orbit as p integer codes and decodes its members only
+when asked.  Its check
 (`OrbitClass.verify`) walks the chain from the representative by the block
 rule, matching each conjugate against the next stored member, decoded from
 its code by two table lookups: the sweep's product with T^(-1) and the block
@@ -126,9 +128,18 @@ class Hyperplane:
         return self._array
 
     def kernel(self) -> Subspace:
-        """The subgroup itself: {x : normal . x = 0}, dimension n - 1."""
-        rows = kernel_array(self.normal_array().reshape(1, -1), self.modulus)
-        return Subspace._from_canonical(rows, self.ambient_dim, self.modulus)
+        """The subgroup itself: {x : normal . x = 0}, dimension n - 1, with no elimination.
+
+        With l the last nonzero entry of the normal h, the canonical RREF basis
+        is e_i - h_i h_l^(-1) e_l for i < l and e_i for i > l: every column but
+        l leads a row.  Each product h_i h_l^(-1) is below (q-1)^2 < 2^63.
+        """
+        q = self.modulus
+        last = max(i for i, x in enumerate(self.normal) if x)
+        scale = pow(self.normal[last], -1, q)
+        rows = np.delete(np.eye(self.ambient_dim, dtype=np.int64), last, axis=0)
+        rows[:last, last] = -self.normal_array()[:last] * scale % q
+        return Subspace._from_canonical(rows, self.ambient_dim, q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hyperplane):

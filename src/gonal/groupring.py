@@ -15,13 +15,13 @@ which depends on L alone: N = L + <u> for every u outside L, so on
 functions fixed by L the sum of the q multiples of u is the sum over N/L.
 The checks take u = e_j, j the last nonzero entry of L's normal, and read
 A_L in closed form off the cosets of L's elements, the translations its
-normal annihilates; L.kernel() is eliminated only for the basis that
-factors the sum over L.  The right coset L (v, e) is fixed by e and
-normal . v, and left multiplication by j u shifts normal . v by
-j (normal . u) != 0, so the q multiples of u sum each coset to all q
-cosets of its twist fibre: the coset matrix is one all-ones q x q block per
-fibre, and A_L is spanned by the differences of two cosets in one fibre,
-p(q-1) of them.  The headline identity: (sum over h in L) composed with
+normal annihilates.  The basis that factors the sum over L, L.kernel(),
+is in closed form too, so no step eliminates.  The right coset L (v, e)
+is fixed by e and normal . v, and left multiplication by j u shifts
+normal . v by j (normal . u) != 0, so the q multiples of u sum each coset
+to all q cosets of its twist fibre: the coset matrix is one all-ones q x q
+block per fibre, and A_L is spanned by the differences of two cosets in
+one fibre, p(q-1) of them.  The headline identity: (sum over h in L) composed with
 (sum over powers of the twist) acts on A_L as multiplication by q^(n-1),
 with every twisted cross term vanishing identically.  The sum over L is
 applied once per hyperplane, to the p twisted copies of the basis stacked;
@@ -119,10 +119,16 @@ class FrobeniusGroup:
         """perm with perm[x] = g * x, for every element code x.
 
         For x = f q^n + i the product is g i shifted by f twists, so one
-        product with the q^n translations gives every row.  `g` is read by
-        check_integer before the cache is asked: 3.0 and True hash like the
-        codes 3 and 1, so the cache would answer for them.
+        product with the q^n translations gives every row.  Each code is read
+        once: a plain int already cached is answered at once, and anything
+        else, a miss or any other type, is read by check_integer first.  The
+        guard is `type(g) is int`, not a cache lookup, because 3.0 and True
+        hash like the codes 3 and 1, so the cache would answer for them.
         """
+        if type(g) is int:
+            cached = self._perm_cache.get(g)
+            if cached is not None:
+                return cached
         g = check_integer(g, "element code")
         cached = self._perm_cache.get(g)
         if cached is None:
@@ -267,8 +273,8 @@ def apply_subgroup_sum(group: FrobeniusGroup, L: Subspace, vec: np.ndarray) -> n
     terms = q**L.dim
     out = _vectors(vec, group.order, terms, "subgroup sum", f"{terms} terms")
     for row_codes in _multiple_codes(L.basis_array, q):
-        acc = out.copy()
-        for code in row_codes[1:]:
+        acc = out + out.take(group.left_perm(row_codes[1]), axis=-1)
+        for code in row_codes[2:]:
             acc += out.take(group.left_perm(code), axis=-1)
         out = acc
     return out
@@ -319,7 +325,8 @@ def _fixed(group: FrobeniusGroup, L: Hyperplane) -> tuple:
     kept on the group, keyed by L: calls for one hyperplane made back to
     back (its scalar check, then its cross terms) build A_L and apply the
     sum over L once, while a sweep over all hyperplanes in turn holds one
-    entry.
+    entry.  L.kernel(), which factors the sum over L, is read off the normal
+    in closed form, so no elimination is made here.
     """
     params = group.params
     p, q, n = params.p, params.q, params.n
@@ -383,9 +390,9 @@ def verify_cross_terms(group: FrobeniusGroup, L: Hyperplane) -> dict:
     """
     q, n, p = group.params.q, group.params.n, group.params.p
     basis, images = _fixed(group, L)
-    expected = np.zeros_like(images)
-    expected[0] = q ** (n - 1) * basis
-    failed = (images != expected).any(axis=(1, 2))
-    if failed.any():
-        raise IdentityCheckError(f"cross term k = {np.argmax(failed)} fails on A_L of {L}")
+    if not np.array_equal(images[0], q ** (n - 1) * basis):
+        raise IdentityCheckError(f"cross term k = 0 fails on A_L of {L}")
+    twisted = images[1:].any(axis=(1, 2))
+    if twisted.any():
+        raise IdentityCheckError(f"cross term k = {1 + np.argmax(twisted)} fails on A_L of {L}")
     return {"k0_scalar": q ** (n - 1), "cross_terms_zero": True, "checked_k": list(range(p))}

@@ -52,11 +52,6 @@ class RepTable:
     def rational_irreducible_count(self) -> int:
         return sum(e.count for e in self.rational_entries)
 
-    @property
-    def kernel_inside_kernel_group_count(self) -> int:
-        """Rational irreducibles whose kernel lies properly inside N."""
-        return sum(e.count for e in self.rational_entries if e.label == "U_j")
-
 
 def complex_table(params: CoverParams) -> tuple[RepEntry, ...]:
     """Complex census: p linear characters and (q^n - 1)/p of degree p."""

@@ -125,7 +125,8 @@ def test_criterion_7_representation_census():
     for p, q, r in [(3, 2, 4), (5, 2, 3)]:
         params = CoverParams(p, q, r)
         table = rep_table(params)
-        assert table.kernel_inside_kernel_group_count == len(orbit_classes(params))
+        u_j = next(e for e in table.rational_entries if e.label == "U_j")
+        assert u_j.count == len(orbit_classes(params))
     _report(7, "representation census identities", time.perf_counter() - start, 30)
 
 

@@ -369,6 +369,31 @@ def test_every_way_of_building_the_tables_refuses_a_wrong_inverse(monkeypatch):
         PrimaryProjections.from_components(_components(action), action.inverse_array, 2, 3)
 
 
+@pytest.mark.parametrize("table, shift", [("coordinates", 3), ("basis", -1)])
+def test_primary_tables_refuse_entries_that_are_not_residues(table, shift):
+    # core_dim's int64 bound holds for residues only: U^-1 + q has the same
+    # product mod q with U, and is refused at its first entry, as is U - 1.
+    params = CoverParams(13, 3, 3)
+    primary = build_action(params).primary
+    moved = getattr(primary, table) + shift
+    i, j = np.argwhere((moved < 0) | (moved >= params.q))[0].tolist()
+    name = {"basis": "U", "coordinates": r"U\^-1"}[table]
+    refused = rf"^{name} entry \({i}, {j}\) is {moved[i, j]}, not a residue in 0 \.\. 2$"
+    with pytest.raises(IdentityCheckError, match=refused):
+        dataclasses.replace(primary, **{table: moved})
+
+
+def test_primary_tables_refuse_an_s0_that_is_not_the_order_of_q():
+    # With s0 = 1, core_dim would count single coordinates: L1 would read k = 10.
+    params = CoverParams(13, 3, 3)
+    primary = build_action(params).primary
+    assert primary.s0 == params.s0 == 3
+    for s0 in (1, 6, 12):
+        with pytest.raises(IdentityCheckError, match=rf"^s0 = {s0}, not ord_13\(3\) = 3$"):
+            dataclasses.replace(primary, s0=s0)
+    assert dataclasses.replace(primary, s0=3).s0 == 3
+
+
 def test_primary_build_refuses_a_space_that_is_not_invariant():
     # The first three coordinates, with the second true component: full rank, not invariant.
     action = build_action(CoverParams(7, 2, 3))

@@ -50,6 +50,7 @@ from gonal.fqlinalg import (
     encode_rows,
     gaussian_count,
     inverse_table,
+    kernel_array,
 )
 from subspace_oracle import all_subspaces
 
@@ -89,6 +90,35 @@ def test_hyperplane_refuses_a_normal_that_is_not_a_vector():
     for bad in ([[1, 0], [0, 1]], [[1, 0, 2, 1]], 1):
         with pytest.raises(InvalidParamsError, match="vector"):
             Hyperplane(bad, 2)
+
+
+def _assert_kernel_is_the_eliminated_one(h):
+    got = h.kernel()
+    want = kernel_array(h.normal_array().reshape(1, -1), h.modulus)
+    rows = got.basis_array
+    assert (got.ambient_dim, got.modulus) == (h.ambient_dim, h.modulus)
+    assert rows.dtype == want.dtype == np.int64
+    assert rows.shape == want.shape == (h.ambient_dim - 1, h.ambient_dim)
+    assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p,q,r", [(5, 2, 3), (3, 2, 4), (5, 3, 3), (7, 2, 4)])
+def test_hyperplane_kernel_in_closed_form_is_the_eliminated_null_space(p, q, r):
+    for h in enumerate_hyperplanes(CoverParams(p, q, r)):
+        _assert_kernel_is_the_eliminated_one(h)
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 876706517, 3037000493])
+def test_hyperplane_kernel_matches_the_elimination_on_random_normals(q):
+    # 3037000493 is the largest prime modulus admitted: h_i h_l^-1 < (q-1)^2 < 2^63.
+    rng = np.random.default_rng(q % 2**32)
+    for n in range(1, 9):
+        for zeros in range(n):  # normals whose last `zeros` entries are zero, n = 1 included
+            for _ in range(5):
+                normal = rng.integers(0, q, size=n)
+                normal[n - zeros - 1] = rng.integers(1, q)
+                normal[n - zeros :] = 0
+                _assert_kernel_is_the_eliminated_one(Hyperplane(normal, q))
 
 
 def test_hyperplane_from_subspace_roundtrip():
@@ -974,11 +1004,12 @@ def test_galois_closure_rejects_a_corrupted_coordinate_table(monkeypatch):
     coordinates[:, : params.s0] = 0
     with pytest.raises(IdentityCheckError, match=r"^U U\^-1 differs from the identity at entry \(0, 0\)$"):
         replace(primary, coordinates=coordinates)
-    # Tables built with s0 = 1 read L1's coordinates one by one: 10 of its 12
-    # are nonzero, and 3^10 != 1 mod 13.
-    monkeypatch.setattr(action, "primary", replace(primary, s0=1))
+    # A core dimension off by one gives L1 k = 11, and 3^11 != 1 mod 13.
     h = Hyperplane.from_subspace(parse_generator_words(read_fixture("L1.gens"), params))
-    with pytest.raises(IdentityCheckError, match=r"^q\^k != 1 mod p for k = 10; core computation is wrong$"):
+    assert galois_closure(h, params, action).k == 12
+    true_core_dim = atlas.core_dim
+    monkeypatch.setattr(atlas, "core_dim", lambda h, action: true_core_dim(h, action) + 1)
+    with pytest.raises(IdentityCheckError, match=r"^q\^k != 1 mod p for k = 11; core computation is wrong$"):
         galois_closure(h, params, action)
 
 

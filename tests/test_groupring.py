@@ -11,7 +11,7 @@ import pytest
 
 from gonal.action import CoverParams
 from gonal.atlas import Hyperplane, enumerate_hyperplanes
-from gonal import groupring
+from gonal import atlas, fqlinalg, groupring
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
 from gonal.fqlinalg import Subspace, decode_codes, encode_rows
 from gonal.groupring import (
@@ -220,6 +220,24 @@ def test_left_perm_refuses_a_non_integer_after_its_code_is_cached(code):
     with pytest.raises(InvalidParamsError, match=f"^element code {re.escape(repr(code))} is not an integer$"):
         group.left_perm(code)
     assert group.left_perm(np.int64(3)) is group.left_perm(3)
+
+
+def test_left_perm_reads_each_code_once(monkeypatch):
+    # A plain int already cached is answered without a second reading; a miss,
+    # and any other type, is read by check_integer first.
+    group = build_group(CoverParams(5, 2, 3))
+    reads = []
+    check_integer = groupring.check_integer
+    monkeypatch.setattr(
+        groupring, "check_integer", lambda g, what: reads.append(g) or check_integer(g, what)
+    )
+    first = group.left_perm(3)
+    assert reads == [3]
+    assert group.left_perm(3) is first and reads == [3]
+    assert group.left_perm(np.int64(3)) is first and reads == [3, np.int64(3)]
+    with pytest.raises(InvalidParamsError, match="^element code 3.0 is not an integer$"):
+        group.left_perm(3.0)
+    assert reads[-1] == 3.0 and group.left_perm(3) is first and len(reads) == 3
 
 
 @pytest.mark.parametrize(
@@ -675,6 +693,34 @@ def test_cross_terms_name_the_broken_twist(monkeypatch):
     for h in enumerate_hyperplanes(group.params):
         with pytest.raises(IdentityCheckError, match="cross term k = 3 fails"):
             verify_cross_terms(group, h)
+
+
+def test_cross_terms_name_the_first_failing_twist_of_the_memoised_images():
+    # images[0] must be q^(n-1) times the basis and images[1:] zero; the first k off is named.
+    group = build_group(CoverParams(5, 2, 3))
+    for h in list(enumerate_hyperplanes(group.params))[:3]:
+        assert verify_cross_terms(group, h)["cross_terms_zero"]
+        basis, images = group._fixed_last[1]
+        for broken, k in [([0], 0), ([0, 3], 0), ([2, 4], 2), ([4], 4)]:
+            corrupted = images.copy()
+            corrupted[broken, -1, -1] += 1
+            group._fixed_last = (h, (basis, corrupted))
+            named = rf"^cross term k = {k} fails on A_L of {re.escape(str(h))}$"
+            with pytest.raises(IdentityCheckError, match=named):
+                verify_cross_terms(group, h)
+
+
+def test_group_ring_checks_eliminate_nothing(monkeypatch):
+    # L's basis is read off its normal and A_L off its cosets: no elimination on the sweep.
+    def refuse(*args):
+        pytest.fail("an elimination on the group-ring path")
+
+    group = build_group(CoverParams(3, 2, 4))
+    for module, name in [(fqlinalg, "rref_array"), (fqlinalg, "kernel_array"), (atlas, "kernel_array")]:
+        monkeypatch.setattr(module, name, refuse)
+    for h in enumerate_hyperplanes(group.params):
+        assert verify_scalar_identity(group, h) == 8
+        assert verify_cross_terms(group, h)["cross_terms_zero"]
 
 
 def test_scalar_identity_names_the_broken_twist_row(monkeypatch):

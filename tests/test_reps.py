@@ -70,5 +70,6 @@ def test_rational_kernel_count_matches_atlas():
         params = CoverParams(p, q, r)
         table = rep_table(params)
         classes = orbit_classes(params)
-        assert table.kernel_inside_kernel_group_count == len(classes) == params.t
+        # U_j: the rational irreducibles whose kernel lies properly inside N, one per class.
+        assert _by_label(table.rational_entries, "U_j").count == len(classes) == params.t
 
