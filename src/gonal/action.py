@@ -230,59 +230,64 @@ class PrimaryProjections:
 
     Phi_p = f_1 ... f_k over F_q with k = (p-1)/s0, so a (p-1)-entry block of
     a normal splits into components in V_i = {v : v f_i(B^(-1)) = 0}, B the
-    companion block, each of dimension s0, over F_q for q = `q`.  All arrays
-    are read-only:
+    companion block, each of dimension s0, for p, q and s0 those of `params`.
+    All arrays are read-only:
 
-    basis: U, the canonical (RREF) bases of V_1, ..., V_k stacked, s0 rows each.
+    basis: U, bases of V_1, ..., V_k stacked, s0 rows each (`from_components`
+        stacks their canonical bases, in the order given).
     coordinates: U^(-1), so a block v is (v U^(-1)) U, and its V_i-component is
         nonzero exactly when the i-th s0 entries of v U^(-1) are.
 
-    However made, U and U^(-1) are square of one side d = p - 1, their entries
-    are residues in 0 .. q - 1 (the int64 bound `core_dim` relies on holds only
-    for those), s0 = ord_p(q), and U U^(-1) = I mod q, hence U^(-1) U = I:
-    IdentityCheckError names the first entry out of range or off the identity,
-    or both values of s0.
+    However made (the constructor, `dataclasses.replace` or `from_components`),
+    the table passes one check list, or IdentityCheckError names its witness:
+    U and U^(-1) are (p-1) x (p-1); their entries are residues in 0 .. q - 1
+    (the int64 bound `core_dim` relies on holds only for those); U U^(-1) = I
+    mod q, hence U^(-1) U = I; and U B U^(-1) has nothing outside its diagonal
+    s0 x s0 blocks, so each block of U spans a B-invariant space, which is
+    then B^(-1) = B^(p-1)-invariant too.  Phi_p is squarefree with every factor
+    of degree s0, so an invariant space of dimension s0 is one component: the
+    checks pin the decomposition down, up to the order of its components.
     """
 
-    q: int
-    s0: int
+    params: CoverParams
     basis: np.ndarray
     coordinates: np.ndarray
 
     def __post_init__(self):
-        d = self.basis.shape[0]
-        if self.basis.shape != (d, d) or self.coordinates.shape != (d, d):
-            raise IdentityCheckError(f"U {self.basis.shape} and U^-1 {self.coordinates.shape}: not square")
+        p, q, s0 = self.params.p, self.params.q, self.params.s0
+        d = p - 1
         for name, table in (("U", self.basis), ("U^-1", self.coordinates)):
-            outside = np.argwhere((table < 0) | (table >= self.q))
+            if table.shape != (d, d):
+                raise IdentityCheckError(f"{name} has shape {table.shape}, not (p - 1) x (p - 1) = {d} x {d}")
+            outside = np.argwhere((table < 0) | (table >= q))
             if outside.size:
                 entry = tuple(outside[0].tolist())
-                raise IdentityCheckError(
-                    f"{name} entry {entry} is {table[entry]}, not a residue in 0 .. {self.q - 1}"
-                )
-        # s0 = ord_p(q) iff q^s0 = 1 and q^(s0/f) != 1 for each prime f | s0; the
-        # order itself is computed only to name it (CoverParams already holds it).
-        s0, p = check_integer(self.s0, "s0"), d + 1
-        if not (s0 >= 1 and pow(self.q, s0, p) == 1
-                and all(pow(self.q, s0 // f, p) != 1 for f in _prime_factors(s0))):
-            raise IdentityCheckError(f"s0 = {s0}, not ord_{p}({self.q}) = {order_mod(self.q, p)}")
-        wrong = np.argwhere((self.basis @ self.coordinates) % self.q != np.eye(d, dtype=np.int64))
+                raise IdentityCheckError(f"{name} entry {entry} is {table[entry]}, not a residue in 0 .. {q - 1}")
+        wrong = np.argwhere((self.basis @ self.coordinates) % q != np.eye(d, dtype=np.int64))
         if wrong.size:
             raise IdentityCheckError(f"U U^-1 differs from the identity at entry {tuple(wrong[0].tolist())}")
+        moved = (self.basis @ _companion_block(p, q) % q) @ self.coordinates % q
+        owner = np.arange(d) // s0
+        stray = np.argwhere(moved * (owner[:, None] != owner[None, :]))
+        if stray.size:
+            row, col = stray[0].tolist()
+            start = row - row % s0
+            raise IdentityCheckError(
+                f"component {row // s0} with basis {self.basis[start : start + s0].tolist()} is not "
+                f"invariant: its row {row % s0} moves into component {col // s0}"
+            )
 
     @classmethod
-    def from_components(
-        cls, components: list[np.ndarray], block: np.ndarray, q: int, s0: int
-    ) -> PrimaryProjections:
-        """The tables for `components` (row bases), claimed to be those of v -> v `block`,
-        s0 = ord_p(q) for p - 1 the size of `block`.
+    def from_components(cls, components: list[np.ndarray], params: CoverParams) -> PrimaryProjections:
+        """The tables for `components` (row bases), claimed to be the primary
+        components of one block of T^(-1) for `params`, stacked, with U^(-1)
+        from one elimination.
 
         IdentityCheckError with a witness unless there are (p-1)/s0 of them,
-        each of dimension s0 and invariant, with stacked rank p - 1.  Phi_p is
-        squarefree with every factor of degree s0, so an invariant space of
-        dimension s0 is one component: the checks pin the decomposition down.
+        each of dimension s0, with stacked rank p - 1; the constructor checks
+        the rest.
         """
-        d = block.shape[0]
+        d, q, s0 = params.p - 1, params.q, params.s0
         dims = [c.shape[0] for c in components]
         if dims != [s0] * (d // s0):
             raise IdentityCheckError(
@@ -299,18 +304,7 @@ class PrimaryProjections:
             )
         coordinates = np.ascontiguousarray(red[:, d:])
         basis.flags.writeable = coordinates.flags.writeable = False
-        primary = cls(q, s0, basis, coordinates)  # checks U U^-1 = I before invariance
-        # Invariance: U B U^-1 has nothing outside its diagonal s0 x s0 blocks.
-        moved = (basis @ block % q) @ coordinates % q
-        owner = np.arange(d) // s0
-        stray = np.argwhere(moved * (owner[:, None] != owner[None, :]))
-        if stray.size:
-            row, col = stray[0].tolist()
-            raise IdentityCheckError(
-                f"component {row // s0} with basis {components[row // s0].tolist()} is not "
-                f"invariant: its row {row % s0} moves into component {col // s0}"
-            )
-        return primary
+        return cls(params, basis, coordinates)
 
 
 def _gauss_period_eigenspaces(block: np.ndarray, q: int, s0: int) -> list[np.ndarray]:
@@ -446,8 +440,8 @@ class AdaptedAction:
         the components are those of that block of the inverse.
         """
         block = self._inverse[: self.params.p - 1, : self.params.p - 1]
-        q, s0 = self.params.q, self.params.s0
-        return PrimaryProjections.from_components(_gauss_period_eigenspaces(block, q, s0), block, q, s0)
+        components = _gauss_period_eigenspaces(block, self.params.q, self.params.s0)
+        return PrimaryProjections.from_components(components, self.params)
 
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"

@@ -232,18 +232,18 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     squarefree, so that polynomial is the product of the f_i over
     J = {i : h has a nonzero f_i-component}, read off the coordinates
     h U^(-1) of each block in the stacked component bases U; core dim =
-    n - s0 |J|.  `PrimaryProjections` checks U U^(-1) = I when it is made,
-    so those coordinates give h back.  They are one product mod q, each
-    entry a sum of p - 1 <= n products of residues, which the action's
-    int64 bound (`check_row_products(n, q)`) covers.
+    n - s0 |J|.  However it was made, `PrimaryProjections` checked that its
+    blocks of U are the components and that U U^(-1) = I, so those
+    coordinates give h back.  They are one product mod q, each entry a sum
+    of p - 1 <= n products of residues, which the action's int64 bound
+    (`check_row_products(n, q)`) covers.
     """
     params = action.params
-    p, q, n = params.p, params.q, params.n
+    p, q, n, s0 = params.p, params.q, params.n, params.s0
     _check_space(h, params)
-    primary = action.primary
-    coordinates = h.normal_array().reshape(params.r - 2, p - 1) @ primary.coordinates % q
-    components = coordinates.reshape(params.r - 2, -1, primary.s0).any(axis=(0, 2))
-    return n - primary.s0 * int(np.count_nonzero(components))
+    coordinates = h.normal_array().reshape(params.r - 2, p - 1) @ action.primary.coordinates % q
+    components = coordinates.reshape(params.r - 2, -1, s0).any(axis=(0, 2))
+    return n - s0 * int(np.count_nonzero(components))
 
 
 @cache

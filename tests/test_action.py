@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gonal.action as action_module
 from gonal.action import (
@@ -21,7 +25,7 @@ from gonal.action import (
     order_mod,
     parameter_sweep,
 )
-from gonal.atlas import orbit_classes
+from gonal.atlas import Hyperplane, core_dim, orbit_classes
 from gonal.errors import CapExceededError, IdentityCheckError, InvalidParamsError
 from gonal.fqlinalg import (
     PRIMALITY_BOUND,
@@ -87,7 +91,7 @@ def test_derived_values_are_computed_once(monkeypatch):
     assert params.s0 == 3
     monkeypatch.setattr(action_module, "order_mod", lambda q, p: pytest.fail("s0 recomputed"))
     assert (params.g, params.n, params.s0, params.m, params.t) == (6, 12, 3, 265720, 20440)
-    assert build_action(params).primary.s0 == 3
+    assert build_action(params).primary.params.s0 == 3
     assert params == CoverParams(13, 3, 3) and hash(params) == hash(CoverParams(13, 3, 3))
 
 
@@ -232,7 +236,7 @@ def _one_block_params(p: int, q: int) -> CoverParams:
 
 
 def _components(action) -> list[np.ndarray]:
-    s0 = action.primary.s0
+    s0 = action.params.s0
     basis = action.primary.basis
     return [basis[i : i + s0] for i in range(0, len(basis), s0)]
 
@@ -244,7 +248,7 @@ def _components(action) -> list[np.ndarray]:
 def test_cyclotomic_factor_shapes(p, q, factor_count, factor_degree):
     # One primary component per irreducible factor of Phi_p, of its degree.
     action = build_action(_one_block_params(p, q))
-    assert action.primary.s0 == factor_degree
+    assert action.params.s0 == factor_degree
     assert [c.shape[0] for c in _components(action)] == [factor_degree] * factor_count
 
 
@@ -319,14 +323,16 @@ def test_primary_at_q_near_a_million_within_a_second(p):
     start = time.perf_counter()
     primary = build_action(params).primary
     assert time.perf_counter() - start < 1.0
-    assert primary.basis.shape == (p - 1, p - 1) and primary.s0 == params.s0
+    assert primary.basis.shape == (p - 1, p - 1) and primary.params is params
 
 
 @pytest.mark.parametrize("p,q,r", [(7, 2, 4), (13, 3, 5), (13, 876706483, 3), (13, 876706517, 3)])
 def test_primary_table_is_the_coordinates_beside_their_residual(p, q, r):
     # U^-1 U - I is zero on every pair that is built, so only U^-1 is kept beside U.
-    primary = build_action(CoverParams(p, q, r)).primary
-    assert primary.q == q and not hasattr(primary, "table")
+    params = CoverParams(p, q, r)
+    primary = build_action(params).primary
+    assert [f.name for f in dataclasses.fields(primary)] == ["params", "basis", "coordinates"]
+    assert primary.params is params
     eye = np.eye(p - 1, dtype=np.int64)
     for left, right in [(primary.basis, primary.coordinates), (primary.coordinates, primary.basis)]:
         assert right.shape == (p - 1, p - 1) and right.dtype == np.int64 and not right.flags.writeable
@@ -337,15 +343,20 @@ def test_primary_table_is_the_coordinates_beside_their_residual(p, q, r):
     refused = rf"^U U\^-1 differs from the identity at entry \({i}, {j}\)$"
     with pytest.raises(IdentityCheckError, match=refused):
         dataclasses.replace(primary, coordinates=(primary.coordinates + eye) % q)
-    other = dataclasses.replace(primary, basis=eye, coordinates=eye)
-    assert other.coordinates is eye and primary.coordinates is not eye
+    # The components in reverse order are the decomposition too.
+    s0 = params.s0
+    order = [i for start in reversed(range(0, p - 1, s0)) for i in range(start, start + s0)]
+    basis, coordinates = primary.basis[order], primary.coordinates[:, order]
+    other = dataclasses.replace(primary, basis=basis, coordinates=coordinates)
+    assert other.coordinates is coordinates and primary.coordinates is not coordinates
 
 
 def test_every_way_of_building_the_tables_refuses_a_wrong_inverse(monkeypatch):
     # U^-1 with the entry (2, 4) flipped mod 2 gives U U^-1 = I plus U's column 2
     # moved to column 4: the first wrong entry is (i, 4), i the first row of U
     # with a 1 in column 2.
-    action = build_action(CoverParams(7, 2, 3))
+    params = CoverParams(7, 2, 3)
+    action = build_action(params)
     primary = action.primary
     wrong = primary.coordinates.copy()
     wrong[2, 4] ^= 1
@@ -354,9 +365,9 @@ def test_every_way_of_building_the_tables_refuses_a_wrong_inverse(monkeypatch):
     with pytest.raises(IdentityCheckError, match=refused):
         dataclasses.replace(primary, coordinates=wrong)
     with pytest.raises(IdentityCheckError, match=refused):
-        PrimaryProjections(2, 3, primary.basis, wrong)
-    with pytest.raises(IdentityCheckError, match=r"^U \(6, 6\) and U\^-1 \(6, 5\): not square$"):
-        PrimaryProjections(2, 3, primary.basis, wrong[:, :5])
+        PrimaryProjections(params, primary.basis, wrong)
+    with pytest.raises(IdentityCheckError, match=r"^U\^-1 has shape \(6, 5\), not \(p - 1\) x \(p - 1\) = 6 x 6$"):
+        PrimaryProjections(params, primary.basis, wrong[:, :5])
 
     def corrupted(a, q):
         red, pivots = row_reduce(a, q)
@@ -366,7 +377,59 @@ def test_every_way_of_building_the_tables_refuses_a_wrong_inverse(monkeypatch):
     row_reduce = action_module.rref_array
     monkeypatch.setattr(action_module, "rref_array", corrupted)
     with pytest.raises(IdentityCheckError, match=refused):
-        PrimaryProjections.from_components(_components(action), action.inverse_array, 2, 3)
+        PrimaryProjections.from_components(_components(action), params)
+
+
+_PARAMS_13_3_3 = CoverParams(13, 3, 3)
+# The identity table at (13,3,3) moves e_0 to -e_11 under B: out of component 0, into 3.
+_IDENTITY_REFUSED = (r"^component 0 with basis \[\[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\], .*\] is not "
+                     r"invariant: its row 0 moves into component 3$")
+_FOUR_WRONG_TABLES = {  # refusal at (13,3,3), U[0, 0] = 1
+    "another side": r"^U has shape \(6, 6\), not \(p - 1\) x \(p - 1\) = 12 x 12$",
+    "U + 3": r"^U entry \(0, 0\) is 4, not a residue in 0 \.\. 2$",
+    "U^-1 with (0, 0) + 1": r"^U U\^-1 differs from the identity at entry \(0, 0\)$",
+    "identity": _IDENTITY_REFUSED,
+}
+
+
+@pytest.mark.parametrize("case", _FOUR_WRONG_TABLES)
+@pytest.mark.parametrize("way", ["constructor", "replace", "from_components"])
+def test_every_way_of_building_the_tables_refuses_the_same_four_tables(way, case, monkeypatch):
+    params = _PARAMS_13_3_3
+    primary = build_action(params).primary
+    six, twelve = np.eye(6, dtype=np.int64), np.eye(12, dtype=np.int64)
+    flipped = primary.coordinates.copy()
+    flipped[0, 0] = (flipped[0, 0] + 1) % 3
+    basis, coordinates = {
+        "another side": (six, six),
+        "U + 3": (primary.basis + 3, primary.coordinates),
+        "U^-1 with (0, 0) + 1": (primary.basis, flipped),
+        "identity": (twelve, twelve),
+    }[case]
+    refused = _FOUR_WRONG_TABLES[case]
+    if way == "from_components":
+        # It stacks the s0-row blocks of U and finds U^-1 by one elimination,
+        # here made to return the flipped inverse; a side other than p - 1
+        # meets its own check of the components' dimensions.
+        if case == "another side":
+            refused = r"^F_3\^12 split into spaces of dimensions \[3, 3\], not \(p-1\)/s0 = 4 of dimension s0 = 3$"
+        if case == "U^-1 with (0, 0) + 1":
+            def corrupted(a, q):
+                red, pivots = row_reduce(a, q)
+                red[0, 12] = (red[0, 12] + 1) % q
+                return red, pivots
+
+            row_reduce = action_module.rref_array
+            monkeypatch.setattr(action_module, "rref_array", corrupted)
+    builds = {
+        "constructor": lambda: PrimaryProjections(params, basis, coordinates),
+        "replace": lambda: dataclasses.replace(primary, basis=basis, coordinates=coordinates),
+        "from_components": lambda: PrimaryProjections.from_components(
+            [basis[i : i + 3] for i in range(0, len(basis), 3)], params
+        ),
+    }
+    with pytest.raises(IdentityCheckError, match=refused):
+        builds[way]()
 
 
 @pytest.mark.parametrize("table, shift", [("coordinates", 3), ("basis", -1)])
@@ -383,32 +446,100 @@ def test_primary_tables_refuse_entries_that_are_not_residues(table, shift):
         dataclasses.replace(primary, **{table: moved})
 
 
-def test_primary_tables_refuse_an_s0_that_is_not_the_order_of_q():
-    # With s0 = 1, core_dim would count single coordinates: L1 would read k = 10.
-    params = CoverParams(13, 3, 3)
+def test_primary_tables_refuse_a_table_of_another_side():
+    # The tables hold no side, q or s0 of their own: p - 1 comes from params.
+    # Without that, core_dim met a 6 x 6 table at (13,3,3) with numpy's bare
+    # ValueError (matmul core dimension 6 vs 12).
+    params = _PARAMS_13_3_3
     primary = build_action(params).primary
-    assert primary.s0 == params.s0 == 3
-    for s0 in (1, 6, 12):
-        with pytest.raises(IdentityCheckError, match=rf"^s0 = {s0}, not ord_13\(3\) = 3$"):
-            dataclasses.replace(primary, s0=s0)
-    assert dataclasses.replace(primary, s0=3).s0 == 3
+    eye = np.eye(6, dtype=np.int64)
+    refused = r"^U has shape \(6, 6\), not \(p - 1\) x \(p - 1\) = 12 x 12$"
+    with pytest.raises(IdentityCheckError, match=refused):
+        dataclasses.replace(primary, basis=eye, coordinates=eye)
+    # A true table for (7,3,3), where s0 = ord_7(3) = 6, claimed for (13,3,3).
+    other = build_action(CoverParams(7, 3, 3)).primary
+    with pytest.raises(IdentityCheckError, match=refused):
+        dataclasses.replace(other, params=params)
+    # The same table for another r is the same decomposition.
+    assert dataclasses.replace(primary, params=CoverParams(13, 3, 5)).basis is primary.basis
 
 
 def test_primary_build_refuses_a_space_that_is_not_invariant():
     # The first three coordinates, with the second true component: full rank, not invariant.
-    action = build_action(CoverParams(7, 2, 3))
-    block = action.inverse_array
+    params = CoverParams(7, 2, 3)
+    action = build_action(params)
     first = np.eye(6, dtype=np.int64)[:3]
     with pytest.raises(IdentityCheckError, match=r"component 0 with basis \[\[1, 0, 0, 0, 0, 0\], "
                        r".* is not invariant: its row \d moves into component 1"):
-        PrimaryProjections.from_components([first, _components(action)[1]], block, 2, 3)
+        PrimaryProjections.from_components([first, _components(action)[1]], params)
 
 
 def test_primary_build_refuses_a_repeated_component():
-    action = build_action(CoverParams(7, 2, 3))
-    twice = [_components(action)[0]] * 2
+    params = CoverParams(7, 2, 3)
+    twice = [_components(build_action(params))[0]] * 2
     with pytest.raises(IdentityCheckError, match=r"the 2 components have stacked rank 3, not p - 1 = 6"):
-        PrimaryProjections.from_components(twice, action.inverse_array, 2, 3)
+        PrimaryProjections.from_components(twice, params)
+
+
+_PERMUTED_TRIPLES = [(5, 2, 3), (7, 2, 3), (11, 3, 3), (13, 3, 3), (31, 2, 3)]
+
+
+@functools.cache
+def _tables_and_normals(triple):
+    """The primary tables of `triple` and 50 seeded nonzero normals with their core dims."""
+    params = CoverParams(*triple)
+    action = build_action(params)
+    rng = np.random.default_rng(sum(triple))
+    normals = [h for h in rng.integers(0, params.q, (80, params.n)).tolist() if any(h)][:50]
+    hyperplanes = [Hyperplane(h, params.q) for h in normals]
+    return action.primary, hyperplanes, [core_dim(h, action) for h in hyperplanes]
+
+
+@st.composite
+def _permuted_tables(draw):
+    """A triple, a start table (the primary one or the identity) and an order of
+    its rows: mostly a permutation of the components and of the rows inside
+    each, then up to two swaps that may carry a row into another component."""
+    triple = draw(st.sampled_from(_PERMUTED_TRIPLES))
+    d, s0 = triple[0] - 1, CoverParams(*triple).s0
+    blocks = draw(st.permutations(range(d // s0)))
+    order = [b * s0 + i for b in blocks for i in draw(st.permutations(range(s0)))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=2)):
+        order[i], order[j] = order[j], order[i]
+    return triple, draw(st.sampled_from(["primary", "identity"])), order
+
+
+@settings(deadline=None, max_examples=200)
+@given(_permuted_tables())
+@example(((13, 3, 3), "identity", list(range(12))))
+def test_primary_tables_accept_exactly_the_component_preserving_permutations(drawn):
+    # U's rows and U^-1's columns in one order give U U^-1 = I again; the table
+    # is the decomposition iff each s0-row block lies inside one component, read
+    # off the true coordinates: the components where row U^-1 is nonzero.
+    triple, start, order = drawn
+    params = CoverParams(*triple)
+    p, q, s0 = params.p, params.q, params.s0
+    primary, hyperplanes, dims = _tables_and_normals(triple)
+    basis, coordinates = primary.basis, primary.coordinates
+    if start == "identity":
+        basis = coordinates = np.eye(p - 1, dtype=np.int64)
+    basis, coordinates = basis[order], coordinates[:, order]
+    nonzero = (basis @ primary.coordinates % q).reshape(p - 1, -1, s0).any(axis=2)
+    owners = [set(np.flatnonzero(nonzero[i : i + s0].any(axis=0)).tolist()) for i in range(0, p - 1, s0)]
+    strays = [c for c, owner in enumerate(owners) if len(owner) != 1]
+    if strays:
+        with pytest.raises(IdentityCheckError, match=r"^component (\d+) with basis .* is not invariant: "
+                           r"its row \d+ moves into component \d+$") as refused:
+            dataclasses.replace(primary, basis=basis, coordinates=coordinates)
+        # The component named is one whose rows leave a single component.
+        assert int(re.match(r"component (\d+)", str(refused.value)).group(1)) in strays
+        if (triple, start, order) == ((13, 3, 3), "identity", list(range(12))):
+            refused.match(_IDENTITY_REFUSED)
+        return
+    table = dataclasses.replace(primary, basis=basis, coordinates=coordinates)
+    action = build_action(params)
+    action.__dict__["primary"] = table
+    assert [core_dim(h, action) for h in hyperplanes] == dims
 
 
 def test_primary_build_refuses_a_wrong_inverse(monkeypatch):
@@ -542,27 +673,37 @@ def test_invariant_subspace_count_check_fails_on_a_wrong_closed_form(monkeypatch
         invariant_subspaces(build_action(CoverParams(5, 2, 4)), cap=1000)
 
 
-def _permuted_primary(primary, order):
-    """U's rows and U^-1's columns in `order`: a pair that is built, since
-    U U^-1 is still I, whose column components are not the primary ones."""
-    order = list(order)
-    return dataclasses.replace(primary, basis=primary.basis[order], coordinates=primary.coordinates[:, order])
+def test_invariant_subspace_count_check_fails_on_corrupted_factors(monkeypatch):
+    # The tables refuse any split that is not the primary one, so the corruption
+    # is in the listing: each list of F_Q-echelon forms with its last form
+    # replaced by its first.  At (5,2,4) that keeps the count, 19, and leaves
+    # 18 distinct subspaces.
+    def repeated(*args):
+        forms = list(echelon_forms(*args))
+        return forms[:-1] + forms[:1] if len(forms) > 1 else forms
+
+    echelon_forms = action_module.iter_echelon_forms
+    monkeypatch.setattr(action_module, "iter_echelon_forms", repeated)
+    with pytest.raises(IdentityCheckError, match=r"^listed 19 invariant subspaces of F_2\^8, 18 distinct; "
+                       r"the closed form .* is 19$"):
+        invariant_subspaces(build_action(CoverParams(5, 2, 4)), cap=1000)
 
 
-def test_invariant_subspace_count_check_fails_on_corrupted_factors():
-    # The even columns of U^-1, then the odd ones, as the column components of
-    # (7,2,4): neither is invariant, and the 121 listed sums coincide in pairs.
+def test_invariant_subspace_listing_fails_on_a_subspace_that_is_not_invariant(monkeypatch):
+    # Coordinates 2 and 3 swapped in every listed subspace of F_2^12 (the 6-wide
+    # pieces of U^-1 are left alone): the listing keeps its count and its
+    # distinct subspaces, but not their invariance.
+    def swapped(a, q):
+        a = np.asarray(a)
+        if a.shape[1] == 12:
+            a = a[:, [0, 1, 3, 2, *range(4, 12)]]
+        return row_space(a, q)
+
     action = build_action(CoverParams(7, 2, 4))
-    action.__dict__["primary"] = _permuted_primary(action.primary, (0, 2, 4, 1, 3, 5))
-    with pytest.raises(IdentityCheckError, match="listed 121 invariant subspaces of F_2\\^12, 105 distinct"):
-        invariant_subspaces(action, cap=1000)
-
-
-def test_invariant_subspace_listing_fails_on_a_subspace_that_is_not_invariant():
-    # Columns 2 and 3 of U^-1 swapped: the listing keeps its count but not its invariance.
-    action = build_action(CoverParams(7, 2, 3))
-    action.__dict__["primary"] = _permuted_primary(action.primary, (0, 1, 3, 2, 4, 5))
-    with pytest.raises(IdentityCheckError, match=r"basis \[\[1, 0, 0, 1, 0, 0\], .* is not T-invariant"):
+    row_space = action_module.row_space_array
+    monkeypatch.setattr(action_module, "row_space_array", swapped)
+    with pytest.raises(IdentityCheckError, match=r"^listed subspace with basis \[\[1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0\], "
+                       r".*\] is not T-invariant$"):
         invariant_subspaces(action, cap=1000)
 
 

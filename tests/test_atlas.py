@@ -970,16 +970,23 @@ def test_core_dim_does_not_reuse_a_product_built_from_other_tables(monkeypatch):
     assert core_dim(h, action) == n - 12
     primary = action.primary
     eye = np.eye(params.p - 1, dtype=np.int64)
-    # Coordinates that are not U^-1 are refused when the tables are built.
+    # Coordinates that are not U^-1 are refused when the tables are built, and
+    # so is U = U^-1 = I, whose first block is not a component: the table that
+    # made core_dim read e_1 in one component alone.
     with pytest.raises(IdentityCheckError, match=r"^U U\^-1 differs from the identity at entry"):
         replace(primary, coordinates=eye)
-    # Tables with U = U^-1 = I are built, and core_dim reads them: e_1 lies in
-    # their first component alone.
+    with pytest.raises(IdentityCheckError, match=r"^component 0 with basis .* is not invariant"):
+        replace(primary, basis=eye, coordinates=eye)
+    # The components in reverse order are built, and core_dim reads them: every
+    # table that can be built gives the same dimensions.
     e_1 = Hyperplane(eye[0].tolist() + [0] * (n - params.p + 1), params.q)
-    assert core_dim(e_1, action) == core(e_1, action).dim == n - 12
-    monkeypatch.setattr(action, "primary", replace(primary, basis=eye, coordinates=eye))
-    assert core_dim(e_1, action) == n - s0
-    assert core_dim(h, action) == n - s0 * len({i // s0 for i in np.flatnonzero(h.normal_array())})
+    part = _normal_with_components(action, (1, 3))
+    expected = [core(g, action).dim for g in (e_1, h, part)]
+    assert expected == [n - 12, n - 12, n - 6]
+    order = [i for start in reversed(range(0, params.p - 1, s0)) for i in range(start, start + s0)]
+    reordered = replace(primary, basis=primary.basis[order], coordinates=primary.coordinates[:, order])
+    monkeypatch.setattr(action, "primary", reordered)
+    assert [core_dim(g, action) for g in (e_1, h, part)] == expected
 
 
 def test_core_dim_histogram_over_representatives_at_13_3_3():
