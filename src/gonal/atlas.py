@@ -31,15 +31,16 @@ comparison on indices, with no search, sort or table of codes, and it
 holds no more than four length-m index arrays at once.  Cores are
 extracted per class afterwards, one chunk of classes at a time; classes
 with equal cores share one read-only Subspace (at (13,3,3) the t = 20,440
-classes have 15 distinct cores), which checks its invariance once, and a
-class keeps its orbit as p integer codes and decodes its members only
-when asked.  Its check
-(`OrbitClass.verify`) walks the chain from the representative by the block
-rule, matching each conjugate against the next stored member, decoded from
-its code by two table lookups: the sweep's product with T^(-1) and the block
-rule are two independent computations of the conjugation.  Output order (by
-representative) is deterministic; per-class work is independent, so the
-merge would be identical under any parallel schedule.
+classes have 15 distinct cores), which is checked once, when it is first
+found: T-invariant, of a dimension divisible by s0 and at least n - p.  A
+class keeps its orbit as p integer codes and decodes its members only when
+asked.  Its check (`OrbitClass.verify`) walks the chain from the
+representative by the block rule, matching each conjugate against the next
+stored member, decoded from its code by two table lookups: the sweep's
+product with T^(-1) and the block rule are two independent computations of
+the conjugation.  Output order (by representative) is deterministic;
+per-class work is independent, so the merge would be identical under any
+parallel schedule.
 """
 
 from __future__ import annotations
@@ -306,29 +307,33 @@ class OrbitClass:
     def verify(self, action: AdaptedAction) -> None:
         """Recheck the orbit invariants, reading the stored members off their codes.
 
-        Raises IdentityCheckError on any hard failure (orbit size, least
-        member first, chain consistency, core invariance, dimension
-        quantization, rank bound).  Size and least member are read off the
-        codes, which sort like the normals.  The chain is walked from the
-        representative: each conjugate (`conjugate_hyperplane`, the
-        companion-block rule) must be the next stored member, decoded by
-        `_normal_of_code`, and the p-th the representative again; a stored
-        code that is no normal's code breaks the chain as well.  The sweep
-        found those codes by its own product with `action.inverse_array`,
-        so the walk checks one computation of T^(-1) against another.
+        Raises IdentityCheckError on any failure: orbit size, least member
+        first, chain consistency, or a first or least code that is no
+        normal's code.  Size and least member are read off the codes, which
+        sort like the normals.  The chain is walked from the representative:
+        each conjugate (`conjugate_hyperplane`, the companion-block rule)
+        must be the next stored member, decoded by `_normal_of_code`, and the
+        p-th the representative again; a later code that is no normal's code
+        breaks the chain as well.  The sweep found those codes by its own
+        product with `action.inverse_array`, so the walk checks one
+        computation of T^(-1) against another.  The core is not read here:
+        `orbit_classes` checked it when it interned it.
         """
         params = action.params
-        p, q, n, s0 = params.p, params.q, params.n, params.s0
+        p, q, n = params.p, params.q, params.n
         codes = self.codes
         if len(codes) != p or len(set(codes)) != p:
             raise IdentityCheckError(f"orbit with codes {list(codes)} has size != {p}")
         least = min(codes)
-        if codes[0] != least:
-            raise IdentityCheckError(
-                f"representative {self.representative} is not the least orbit member "
-                f"{self._hyperplane(least)}"
-            )
-        representative = member = self._hyperplane(codes[0])
+        try:
+            member = self._hyperplane(codes[0])
+            if codes[0] != least:
+                raise IdentityCheckError(
+                    f"representative {member} is not the least orbit member "
+                    f"{self._hyperplane(least)}"
+                )
+        except InvalidParamsError as exc:
+            raise IdentityCheckError(str(exc)) from None
         for code in codes[1:] + codes[:1]:
             image = conjugate_hyperplane(member, action)
             try:
@@ -338,14 +343,6 @@ class OrbitClass:
             if image.normal != stored:
                 raise IdentityCheckError(f"conjugation chain broken at {member}")
             member = image
-        if not self.core.is_invariant_under(action.matrix_array):
-            raise IdentityCheckError(f"core of {representative} not invariant")
-        if self.core_dim % s0 != 0:
-            raise IdentityCheckError(
-                f"core dim {self.core_dim} not a multiple of s0 = {s0}"
-            )
-        if self.core_dim < n - p:
-            raise IdentityCheckError(f"core dim {self.core_dim} below rank bound {n - p}")
 
 
 # Rows decoded at once by the sweep, and classes decoded at once for their core eliminations.
@@ -484,9 +481,12 @@ def orbit_classes(
     Deterministic: classes are ordered by representative normal, members by
     successive conjugation starting at the representative.  Each class still
     gets its own elimination, but classes with equal cores share one
-    Subspace, interned by the kernel's shape and bytes.
+    Subspace, interned by the kernel's shape and bytes.  Each distinct core
+    is checked once, where it is interned: IdentityCheckError unless it is
+    T-invariant (naming the representative of the class that found it), its
+    dimension a multiple of s0 and at least the rank bound n - p.
     """
-    q, n = params.q, params.n
+    p, q, n, s0 = params.p, params.q, params.n, params.s0
     check_cap(cap, "atlas cap", "orbit classification needs ambient size {}", q, n)
     action = _action_for(params, action)
     orbit_codes = _orbit_codes(params, action)
@@ -500,6 +500,13 @@ def orbit_classes(
             core = cores.get(key)
             if core is None:
                 core = cores[key] = Subspace._from_canonical(basis, n, q)
+                if not core.is_invariant_under(action.matrix_array):
+                    representative = Hyperplane._from_normalized(tuple(rows[0].tolist()), q)
+                    raise IdentityCheckError(f"core of {representative} not invariant")
+                if core.dim % s0 != 0:
+                    raise IdentityCheckError(f"core dim {core.dim} not a multiple of s0 = {s0}")
+                if core.dim < n - p:
+                    raise IdentityCheckError(f"core dim {core.dim} below rank bound {n - p}")
             classes.append(OrbitClass(codes=tuple(codes), core=core))
     return classes
 

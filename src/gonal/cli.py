@@ -158,7 +158,8 @@ def cmd_atlas(args, params: CoverParams):
     # One pass in class order, popping each class off the reversed list once it
     # is counted, verified and rendered, so classes and rows are never all alive.
     # verify raises on a class that breaks an orbit invariant: size p, least
-    # member first, the conjugation chain, core invariance, quantization, rank bound.
+    # member first, the conjugation chain.  orbit_classes checked each distinct
+    # core (invariance, quantization, rank bound) when it found it.
     classes.reverse()
     histogram: dict[int, int] = {}
     groups: dict[int, str] = {}

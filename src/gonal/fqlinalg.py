@@ -11,8 +11,7 @@ Subspaces are value objects: a subspace is identified with the unique
 reduced row-echelon basis of its row space, so equality and hashing are
 cheap and orbit/core deduplication elsewhere in the package is exact.
 Everything here is immutable after construction and safe to share across
-threads; the one thing a subspace adds to later is its memo of invariance
-answers, where two threads racing on one entry at worst both compute it.
+threads.
 Every null space costs a single elimination (see :func:`kernel_array`).
 Within an elimination the entries leave {0, ..., q-1}: `rref_array` reads
 each pivot column and row mod q, but reduces the whole array only at the
@@ -343,13 +342,9 @@ def _check_ambient_dim(ambient_dim) -> int:
 
 
 class Subspace:
-    """Subspace of F_q^n, held as the unique RREF basis of its row space.
+    """Subspace of F_q^n, held as the unique RREF basis of its row space."""
 
-    `is_invariant_under` remembers its answer per matrix, so a subspace that
-    many callers share is checked once for each matrix they ask about.
-    """
-
-    __slots__ = ("ambient_dim", "modulus", "_rows", "_invariance")
+    __slots__ = ("ambient_dim", "modulus", "_rows")
 
     def __init__(self, basis_rows, ambient_dim: int, modulus: int):
         self.modulus = check_prime_modulus(modulus)
@@ -357,7 +352,6 @@ class Subspace:
         rows = row_space_array(self._as_rows(basis_rows), self.modulus)
         rows.flags.writeable = False
         self._rows = rows
-        self._invariance = {}
 
     @classmethod
     def _from_canonical(cls, rows: np.ndarray, ambient_dim: int, modulus: int):
@@ -368,7 +362,6 @@ class Subspace:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         rows.flags.writeable = False
         self._rows = rows
-        self._invariance = {}
         return self
 
     @classmethod
@@ -432,18 +425,8 @@ class Subspace:
         return Subspace(image, self.ambient_dim, self.modulus)
 
     def is_invariant_under(self, m: np.ndarray) -> bool:
-        """True iff M maps this subspace into itself (M as for transform).
-
-        The answer is kept, keyed by the bytes of M mod q, and read back for
-        any later matrix with the same residues.
-        """
-        matrix = self._square(m)
-        key = matrix.tobytes()
-        invariant = self._invariance.get(key)
-        if invariant is None:
-            image = (self._rows @ matrix.T) % self.modulus
-            invariant = self._invariance[key] = self.contains_rows(image)
-        return invariant
+        """True iff M maps this subspace into itself (M as for transform)."""
+        return self.contains_rows(self._rows @ self._square(m).T % self.modulus)
 
     def vectors(self):
         """Iterate all q^dim vectors of the subspace (small spaces only)."""

@@ -371,8 +371,8 @@ def test_classes_with_equal_cores_share_one_core_object(p, q, r, count):
 
 
 def test_the_atlas_checks_each_distinct_core_for_invariance_once(monkeypatch, capsys):
-    # The 585 classes of (7,2,4) share 99 core objects; each object keeps its
-    # answer for the action's matrix, so 99 invariance checks run, not 585.
+    # The 585 classes of (7,2,4) share 99 core objects; orbit_classes checks
+    # each once, where it interns it, so 99 invariance checks run, not 585.
     params = CoverParams(7, 2, 4)
     honest = Subspace.contains_rows
     calls = []
@@ -452,55 +452,96 @@ def test_orbit_class_with_no_codes_has_no_representative():
 
 
 def _corrupted_class_checks():
-    """(triple, corrupt(cls, params), expected message(cls, params), force invariance) per check."""
+    """(triple, corrupt(cls, params), expected message(cls, params)) per orbit check."""
     return [
         pytest.param(
             (3, 2, 4), lambda c, P: replace(c, codes=c.codes[:-1] + c.codes[:1]),
-            lambda c, P: f"orbit with codes {list(c.codes[:-1] + c.codes[:1])} has size != 3", False,
+            lambda c, P: f"orbit with codes {list(c.codes[:-1] + c.codes[:1])} has size != 3",
             id="size"),
         pytest.param(
             (3, 2, 4), lambda c, P: replace(c, codes=()),
-            lambda c, P: "orbit with codes [] has size != 3", False, id="size-empty"),
+            lambda c, P: "orbit with codes [] has size != 3", id="size-empty"),
         pytest.param(
             (3, 2, 4), lambda c, P: replace(c, codes=c.codes + (max(c.codes) + 1,)),
-            lambda c, P: f"orbit with codes {[*c.codes, max(c.codes) + 1]} has size != 3", False,
+            lambda c, P: f"orbit with codes {[*c.codes, max(c.codes) + 1]} has size != 3",
             id="size-long"),
         pytest.param(
             (5, 3, 3), lambda c, P: replace(c, codes=c.codes[1:] + c.codes[:1]),
             lambda c, P: f"representative {c.members[1]} is not the least orbit member {c.members[0]}",
-            False, id="least-first"),
+            id="least-first"),
+        pytest.param(
+            # 0 is the zero normal: the least code, first, and no normal's code.
+            (5, 3, 3), lambda c, P: replace(c, codes=(0,) + c.codes[1:]),
+            lambda c, P: "0 is not the code of a normalized normal in F_3^4", id="first-no-normal"),
+        pytest.param(
+            # -1 is the least code but not first, and no normal's code.
+            (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + (-1,) + c.codes[2:]),
+            lambda c, P: "-1 is not the code of a normalized normal in F_3^4", id="least-no-normal"),
         pytest.param(
             (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + c.codes[2:3] + c.codes[1:2] + c.codes[3:]),
-            lambda c, P: f"conjugation chain broken at {c.members[0]}", False, id="chain"),
+            lambda c, P: f"conjugation chain broken at {c.members[0]}", id="chain"),
         pytest.param(
             # 2 q^(n-1) leads with 2 and is past every normal's code, so the least member stays first.
             (5, 3, 3), lambda c, P: replace(c, codes=c.codes[:1] + (2 * P.q ** (P.n - 1),) + c.codes[2:]),
-            lambda c, P: f"conjugation chain broken at {c.members[0]}", False, id="chain-no-normal"),
-        pytest.param(
-            (5, 3, 3), lambda c, P: replace(c, core=c.representative.kernel()),
-            lambda c, P: f"core of {c.members[0]} not invariant", False, id="invariance"),
-        pytest.param(
-            (5, 3, 3), lambda c, P: replace(c, core=Subspace([[1, 0, 0, 0]], P.n, P.q)),
-            lambda c, P: f"core dim 1 not a multiple of s0 = {P.s0}", True, id="quantization"),
-        pytest.param(
-            (3, 2, 4), lambda c, P: replace(c, core=Subspace.zero(P.n, P.q)),
-            lambda c, P: f"core dim 0 below rank bound {P.n - P.p}", False, id="rank-bound"),
+            lambda c, P: f"conjugation chain broken at {c.members[0]}", id="chain-no-normal"),
     ]
 
 
-@pytest.mark.parametrize("triple, corrupt, message, force_invariance", _corrupted_class_checks())
-def test_every_orbit_class_check_can_fail(triple, corrupt, message, force_invariance, monkeypatch):
+@pytest.mark.parametrize("triple, corrupt, message", _corrupted_class_checks())
+def test_every_orbit_class_check_can_fail(triple, corrupt, message):
     params = CoverParams(*triple)
     action = build_action(params)
     cls = orbit_classes(params, action=action)[1]
     cls.verify(action)
+    with pytest.raises(IdentityCheckError) as exc:
+        corrupt(cls, params).verify(action)
+    assert str(exc.value) == message(cls, params)
+
+
+def _wrong_cores():
+    """(triple, kernel_array stand-in, expected message(params, first class), force invariance)."""
+    return [
+        pytest.param(
+            (5, 3, 3), lambda rows, q: Hyperplane(rows[0], q).kernel().basis_array,
+            lambda P, first: f"core of {first.representative} not invariant", False, id="invariance"),
+        pytest.param(
+            (5, 3, 3), lambda rows, q: np.array([[1, 0, 0, 0]]),
+            lambda P, first: f"core dim 1 not a multiple of s0 = {P.s0}", True, id="quantization"),
+        pytest.param(
+            (3, 2, 4), lambda rows, q: np.zeros((0, 4), dtype=np.int64),
+            lambda P, first: f"core dim 0 below rank bound {P.n - P.p}", False, id="rank-bound"),
+    ]
+
+
+@pytest.mark.parametrize("triple, kernel, message, force_invariance", _wrong_cores())
+def test_orbit_classes_refuses_a_wrong_core(triple, kernel, message, force_invariance, monkeypatch):
+    # The first class interns the first core, so the message names its representative.
+    params = CoverParams(*triple)
+    action = build_action(params)
+    first = orbit_classes(params, action=action)[0]
+    monkeypatch.setattr(atlas, "kernel_array", kernel)
     if force_invariance:
         # Every T-invariant subspace has a dimension divisible by s0, so the
         # quantization check fails only past an invariance check that passes.
         monkeypatch.setattr(Subspace, "is_invariant_under", lambda self, matrix: True)
     with pytest.raises(IdentityCheckError) as exc:
-        corrupt(cls, params).verify(action)
-    assert str(exc.value) == message(cls, params)
+        orbit_classes(params, action=action)
+    assert str(exc.value) == message(params, first)
+
+
+def test_orbit_classes_checks_each_distinct_core_once(monkeypatch):
+    # The 585 classes of (7,2,4) have 99 distinct cores: orbit_classes checks
+    # each once for invariance, and verify reads no core.
+    params = CoverParams(7, 2, 4)
+    action = build_action(params)
+    honest = Subspace.contains_rows
+    calls = []
+    monkeypatch.setattr(Subspace, "contains_rows", lambda self, rows: calls.append(1) or honest(self, rows))
+    classes = orbit_classes(params, action=action)
+    assert len(classes) == 585 and len(calls) == 99
+    for cls in classes:
+        cls.verify(action)
+    assert len(calls) == 99
 
 
 def _oracle_partition(params, conjugate):
