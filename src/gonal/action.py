@@ -134,9 +134,12 @@ class CoverParams:
     q: prime != p with gcd(p, q-1) = 1, exponent of the homology cover.
     r: number of fixed points, >= 3.
 
-    The base genus g = (p-1)(r-2)/2 must be >= 2.  The derived values g, n,
-    s0, m and t are computed on first access and kept (the dataclass is
-    frozen, not slotted).
+    The base genus g = (p-1)(r-2)/2 must be >= 2.  g, the rank n = 2g of
+    the homology group Z_q^n and s0 = ord_p(q) are computed once, when the
+    triple is built, and kept as plain attributes beside the fields, so
+    equality, hashing, repr and dataclasses.replace see only (p, q, r).  m
+    and t are computed exactly on each read: r has no bound, so q^n is only
+    built where it is asked for.
     """
 
     p: int
@@ -165,30 +168,19 @@ class CoverParams:
             raise InvalidParamsError(
                 f"gcd(p, q-1) must be 1, got gcd({p}, {q - 1}) = {math.gcd(p, q - 1)}"
             )
-        if self.g < 2:
-            raise InvalidParamsError(f"base genus g = {self.g} < 2")
+        g = (p - 1) * (r - 2) // 2
+        if g < 2:
+            raise InvalidParamsError(f"base genus g = {g} < 2")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", 2 * g)
+        object.__setattr__(self, "s0", order_mod(q, p))
 
-    @cached_property
-    def g(self) -> int:
-        """Genus of the base curve, (p-1)(r-2)/2."""
-        return (self.p - 1) * (self.r - 2) // 2
-
-    @cached_property
-    def n(self) -> int:
-        """Rank 2g of the homology group Z_q^n."""
-        return (self.p - 1) * (self.r - 2)
-
-    @cached_property
-    def s0(self) -> int:
-        """Multiplicative order of q mod p."""
-        return order_mod(self.q, self.p)
-
-    @cached_property
+    @property
     def m(self) -> int:
         """Number of maximal subgroups of Z_q^n: (q^n - 1)/(q - 1)."""
         return (self.q**self.n - 1) // (self.q - 1)
 
-    @cached_property
+    @property
     def t(self) -> int:
         """Number of conjugation orbits of maximal subgroups: m/p."""
         # gcd(p, q-1) = 1 forces p | m; anything else is a transcription bug.

@@ -186,7 +186,7 @@ def _action_for(params: CoverParams, action: AdaptedAction | None) -> AdaptedAct
     """`action`, or the action of `params` built here when it is None; one built for other params is refused."""
     if action is None:
         return build_action(params)
-    if action.params != params:
+    if action.params is not params and action.params != params:
         raise InvalidParamsError(f"action built for {action.params}, not {params}")
     return action
 

@@ -73,26 +73,46 @@ def test_order_mod_equals_sympy_on_large_primes(p):
 
 
 def test_s0_of_a_large_p_returns_within_a_second():
-    # order_mod multiplied by q up to p - 1 times: this call ran past a 5 s timeout.
-    code = (
-        "import time; from gonal.action import CoverParams; t = time.perf_counter(); "
-        "s0 = CoverParams(10**18 + 3, 2, 3).s0; print(s0, time.perf_counter() - t)"
-    )
+    # order_mod multiplied by q up to p - 1 times: this call ran past a 5 s timeout.  Each
+    # construction pays for s0, also at the 80-bit p whose p - 1 Pollard rho factors.
     env = {**os.environ, "PYTHONPATH": str(Path(action_module.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=30)
-    assert done.returncode == 0, done.stderr
-    s0, seconds = done.stdout.split()
-    assert int(s0) == sympy.n_order(2, 10**18 + 3) and float(seconds) < 1
+    for p in (10**18 + 3, 1071380017931843606530541):
+        code = (
+            "import time; from gonal.action import CoverParams; t = time.perf_counter(); "
+            f"s0 = CoverParams({p}, 2, 3).s0; print(s0, time.perf_counter() - t)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+        s0, seconds = done.stdout.split()
+        assert int(s0) == sympy.n_order(2, p) and float(seconds) < 1, (p, seconds)
 
 
 def test_derived_values_are_computed_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(action_module, "order_mod", lambda q, p: calls.append((q, p)) or order_mod(q, p))
     params = CoverParams(13, 3, 3)
-    assert params.s0 == 3
-    monkeypatch.setattr(action_module, "order_mod", lambda q, p: pytest.fail("s0 recomputed"))
+    assert calls == [(3, 13)]
+    # g, n and s0 are plain attributes beside the fields; m and t are computed on each read.
+    assert vars(params) == {"p": 13, "q": 3, "r": 3, "g": 6, "n": 12, "s0": 3}
     assert (params.g, params.n, params.s0, params.m, params.t) == (6, 12, 3, 265720, 20440)
+    assert params.group_order == 13 * 3**12
+    assert params.describe()["t"] == 20440
     assert build_action(params).primary.params.s0 == 3
-    assert params == CoverParams(13, 3, 3) and hash(params) == hash(CoverParams(13, 3, 3))
+    assert vars(params) == {"p": 13, "q": 3, "r": 3, "g": 6, "n": 12, "s0": 3}
+    assert calls == [(3, 13)]
+    # The record is still the triple (p, q, r).
+    assert [f.name for f in dataclasses.fields(params)] == ["p", "q", "r"]
+    twin = CoverParams(13, 3, 3)
+    assert calls == [(3, 13)] * 2
+    assert params == twin and hash(params) == hash(twin) == hash((13, 3, 3))
+    assert repr(params) == "CoverParams(p=13, q=3, r=3)"
+    wider = dataclasses.replace(params, r=4)
+    assert (wider.g, wider.n, wider.s0) == (12, 24, 3) and calls == [(3, 13)] * 3
+    assert params != wider
+    # r has no bound: q^n is built only where m, t or group_order are read.
+    huge = CoverParams(3, 5, 10**7)
+    assert vars(huge) == {"p": 3, "q": 5, "r": 10**7, "g": 10**7 - 2, "n": 2 * (10**7 - 2), "s0": 2}
 
 
 def test_cover_params_derived():

@@ -788,13 +788,24 @@ def test_parse_word_reads_an_exponent_past_the_int_to_str_limit_mod_q(triple):
     assert parse_word("a_" + "0" * 5000 + "1", params).tolist() == parse_word("a_1", params).tolist()
 
 
-def test_params_action_mismatch_rejected():
-    action = build_action(CoverParams(3, 2, 4))
-    other = CoverParams(5, 2, 3)
-    with pytest.raises(InvalidParamsError):
-        orbit_classes(other, action=action)
-    with pytest.raises(InvalidParamsError):
-        galois_closure(Hyperplane([1, 0, 0, 0], 2), other, action)
+def test_params_action_mismatch_rejected(monkeypatch):
+    params, other = CoverParams(5, 2, 3), CoverParams(3, 2, 4)
+    h = Hyperplane([1, 0, 1, 1], 2)
+    refusal = re.escape(f"action built for {other}, not {params}")
+    with pytest.raises(InvalidParamsError, match=f"^{refusal}$"):
+        orbit_classes(params, action=build_action(other))
+    with pytest.raises(InvalidParamsError, match=f"^{refusal}$"):
+        galois_closure(h, params, build_action(other))
+    # An action built for an equal but distinct record is accepted.
+    twin = CoverParams(5, 2, 3)
+    assert twin is not params
+    assert orbit_classes(params, action=build_action(twin)) == orbit_classes(params)
+    assert galois_closure(h, params, build_action(twin)) == galois_closure(h, params)
+    # The action's own record is accepted by identity, with no field-by-field comparison.
+    action = build_action(params)
+    monkeypatch.setattr(CoverParams, "__eq__", lambda self, other: pytest.fail("params compared"))
+    assert galois_closure(h, params, action).core_dim == core_dim(h, action)
+    assert len(orbit_classes(params, action=action)) == params.t
 
 
 def test_parse_word_errors():
