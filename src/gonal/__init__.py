@@ -21,6 +21,7 @@ from .atlas import (
     conjugate_hyperplane,
     core,
     core_dim,
+    core_dims,
     enumerate_hyperplanes,
     galois_closure,
     orbit_classes,
@@ -81,6 +82,7 @@ __all__ = [
     "conjugate_hyperplane",
     "core",
     "core_dim",
+    "core_dims",
     "decomposition_report",
     "enumerate_hyperplanes",
     "fixed_subspace",

@@ -435,6 +435,21 @@ class AdaptedAction:
         components = _gauss_period_eigenspaces(block, self.params.q, self.params.s0)
         return PrimaryProjections.from_components(components, self.params)
 
+    @cached_property
+    def component_sums(self) -> np.ndarray:
+        """Read-only 0/1 table S of shape (n, k), n = (r-2)(p-1) and k = (p-1)/s0, built on first use.
+
+        S[b(p-1) + j, j // s0] = 1: the coordinates of the r-2 blocks of a
+        normal in U^(-1) (`PrimaryProjections`), laid out flat, times S give
+        one sum per primary component, over the s0 entries of that component
+        in every block.
+        """
+        d, s0 = self.params.p - 1, self.params.s0
+        owner = np.arange(self.params.n) % d // s0
+        table = (owner[:, None] == np.arange(d // s0)).astype(np.int64)
+        table.flags.writeable = False
+        return table
+
     def __repr__(self) -> str:
         return f"AdaptedAction({self.params!r})"
 

@@ -236,15 +236,65 @@ def core_dim(h: Hyperplane, action: AdaptedAction) -> int:
     n - s0 |J|.  However it was made, `PrimaryProjections` checked that its
     blocks of U are the components and that U U^(-1) = I, so those
     coordinates give h back.  They are one product mod q, each entry a sum
-    of p - 1 <= n products of residues, which the action's int64 bound
-    (`check_row_products(n, q)`) covers.
+    of p - 1 <= n products of residues.  One product with the 0/1 table
+    `action.component_sums` then sums each component's coordinates: they
+    are residues in 0 .. q - 1, so a sum is 0 exactly when its component
+    is, and none passes n(q - 1).  The action's int64 bound
+    (`check_row_products(n, q)`, n (q - 1)^2 < 2^63) covers both products.
+    """
+    params = action.params
+    _check_space(h, params)
+    # ndarray.dot, not @: on products this small it skips matmul's ufunc dispatch, about 0.2 µs each.
+    coordinates = h.normal_array().reshape(params.r - 2, params.p - 1).dot(action.primary.coordinates)
+    coordinates %= params.q
+    return params.n - params.s0 * int(np.count_nonzero(coordinates.ravel().dot(action.component_sums)))
+
+
+def core_dims(action: AdaptedAction, normals) -> np.ndarray:
+    """dim core(h) for each row h of a (k, n) array of normals, by `core_dim`'s rule.
+
+    The rows are read by `as_residues` (any integers, reduced mod q) and need
+    not be normalized: a normal and its multiples have one core.  Returns an
+    int64 vector of k dimensions.  No table is checked here:
+    `PrimaryProjections` checked its tables when they were built.
+    InvalidParamsError for anything but a 2-d array, rows of another length
+    than n, and a zero row, which is no hyperplane's normal (naming it).
     """
     params = action.params
     p, q, n, s0 = params.p, params.q, params.n, params.s0
-    _check_space(h, params)
-    coordinates = h.normal_array().reshape(params.r - 2, p - 1) @ action.primary.coordinates % q
-    components = coordinates.reshape(params.r - 2, -1, s0).any(axis=(0, 2))
-    return n - s0 * int(np.count_nonzero(components))
+    rows = as_residues(normals, q)
+    if rows.ndim != 2:
+        raise InvalidParamsError(f"core_dims takes a 2-d array of normals, got shape {rows.shape}")
+    if rows.shape[1] != n:
+        raise InvalidParamsError(f"normals of {rows.shape[1]} entries, not n = {n}")
+    zero = np.flatnonzero(~rows.any(axis=1))
+    if zero.size:
+        raise InvalidParamsError(f"normal {zero[0]} is zero, not a hyperplane normal")
+    coordinates = rows.reshape(-1, p - 1) @ action.primary.coordinates
+    coordinates %= q
+    sums = coordinates.reshape(rows.shape[0], n) @ action.component_sums
+    return n - s0 * np.count_nonzero(sums, axis=1)
+
+
+def core_dim_counts(
+    params: CoverParams,
+    cap: int = DEFAULT_ATLAS_CAP,
+    action: AdaptedAction | None = None,
+) -> dict[int, int]:
+    """Exact number of the m normals with each core dimension, largest dimension first.
+
+    `core_dims` on the sweep's chunks of normals (`_normal_chunks`), so no
+    more than one chunk is held at once; `cap` bounds the ambient size q^n
+    as in `orbit_classes`.  Every orbit has p members with one core, so the
+    counts are p times `core_histogram`'s.
+    """
+    q, n = params.q, params.n
+    check_cap(cap, "atlas cap", "counting core dimensions needs ambient size {}", q, n)
+    action = _action_for(params, action)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, rows in _normal_chunks(n, q):
+        counts += np.bincount(core_dims(action, rows), minlength=n + 1)
+    return {dim: int(counts[dim]) for dim in range(n, -1, -1) if counts[dim]}
 
 
 @cache

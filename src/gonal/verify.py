@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 from .action import CoverParams, build_action, parameter_sweep
 from .atlas import (
+    DEFAULT_ATLAS_CAP,
     core,
+    core_dim_counts,
+    core_histogram,
     enumerate_hyperplanes,
     galois_closure,
     hyperplane_from_words,
@@ -36,7 +39,7 @@ from .groupring import (
 )
 from .reps import RepTable, rep_table
 
-SUITES = ("groupring", "identities", "fixtures", "all")
+SUITES = ("groupring", "identities", "fixtures", "histogram", "all")
 
 
 @dataclass
@@ -216,6 +219,30 @@ def suite_fixtures() -> list[CheckResult]:
     return results
 
 
+def suite_histogram() -> list[CheckResult]:
+    """One row `histogram-<p>-<q>-<r>` per sweep triple whose ambient size q^n is within
+    the atlas cap: the core dimensions of all m normals, counted one by one
+    (`core_dim_counts`), are p times the closed-form class histogram.  A failure names
+    the triple, the first dimension (largest first) whose counts differ and both counts."""
+    results = []
+    for params in parameter_sweep():
+        if params.q**params.n > DEFAULT_ATLAS_CAP:
+            continue
+        p, q, r = params.p, params.q, params.r
+
+        def run(params=params, p=p, q=q, r=r):
+            counts = core_dim_counts(params)
+            expected = {dim: p * count for dim, count in core_histogram(params).items()}
+            for dim in sorted(counts.keys() | expected.keys(), reverse=True):
+                got, want = counts.get(dim, 0), expected.get(dim, 0)
+                _require(got == want, f"({p}, {q}, {r}) core dim {dim}: counted {decimal(got)}, "
+                                      f"p · core_histogram {decimal(want)}")
+            return f"all {decimal(params.m)} normals match p · core_histogram"
+
+        results.append(_checked(f"histogram-{p}-{q}-{r}", run))
+    return results
+
+
 def run_suite(suite: str, cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
     """Rows of the named suite; `cap` bounds the group order.
 
@@ -231,4 +258,6 @@ def run_suite(suite: str, cap: int = DEFAULT_GROUP_CAP) -> list[CheckResult]:
         results += suite_groupring(cap=cap)
     if suite in ("fixtures", "all"):
         results += suite_fixtures()
+    if suite in ("histogram", "all"):
+        results += suite_histogram()
     return results

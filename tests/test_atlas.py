@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gonal import atlas
-from gonal.action import CoverParams, build_action
+from gonal.action import CoverParams, build_action, parameter_sweep
 from gonal.atlas import (
     GaloisReport,
     Hyperplane,
@@ -23,6 +23,8 @@ from gonal.atlas import (
     conjugate_hyperplane,
     core,
     core_dim,
+    core_dim_counts,
+    core_dims,
     core_histogram,
     enumerate_hyperplanes,
     galois_closure,
@@ -1042,14 +1044,145 @@ def test_core_dim_does_not_reuse_a_product_built_from_other_tables(monkeypatch):
 
 
 def test_core_dim_histogram_over_representatives_at_13_3_3():
+    # Each class's core is one elimination in orbit_classes: core(h).dim of its representative.
     params = CoverParams(13, 3, 3)
     action = build_action(params)
-    reps = decode_codes(_orbit_codes(params, action)[:, 0], params.n, params.q)
+    classes = orbit_classes(params, action=action)
+    reps = [cls.representative for cls in classes]
+    eliminated = [cls.core_dim for cls in classes]
+    assert [core_dim(h, action) for h in reps] == eliminated
+    assert core_dims(action, np.array([h.normal for h in reps])).tolist() == eliminated
     observed = {}
-    for row in reps.tolist():
-        dim = core_dim(Hyperplane._from_normalized(tuple(row), params.q), action)
+    for dim in eliminated:
         observed[dim] = observed.get(dim, 0) + 1
     assert observed == core_histogram(params) == {9: 4, 6: 156, 3: 2704, 0: 17576}
+
+
+@pytest.mark.parametrize("p,q,r", [(7, 2, 4), (5, 3, 4)])
+def test_core_dims_on_every_normal(p, q, r):
+    params = CoverParams(p, q, r)
+    action = build_action(params)
+    hyperplanes = list(enumerate_hyperplanes(params))
+    expected = [core(h, action).dim for h in hyperplanes]
+    assert [core_dim(h, action) for h in hyperplanes] == expected
+    assert core_dims(action, np.array([h.normal for h in hyperplanes])).tolist() == expected
+
+
+def test_core_dims_on_seeded_normals_at_the_int64_edge():
+    # (13, 876706517, 3): each coordinate sums 12 products of residues just below 2^63.
+    params = CoverParams(13, 876706517, 3)
+    action = build_action(params)
+    normals = np.random.default_rng(876706517).integers(0, params.q, size=(1000, params.n))
+    assert normals.any(axis=1).all()
+    dims = core_dims(action, normals)
+    hyperplanes = [Hyperplane(v, params.q) for v in normals]
+    assert dims.tolist() == [core_dim(h, action) for h in hyperplanes]
+    assert dims.tolist() == [core(h, action).dim for h in hyperplanes]
+
+
+@pytest.mark.parametrize("triple", [(13, 3, 3), (13, 3, 5)])
+def test_a_component_whose_coordinates_sum_to_a_multiple_of_q_is_nonzero(triple):
+    # Coordinates (1, 2, 0) of one component sum to 3 = 0 mod 3: a sum reduced
+    # mod q, or taken over centered residues (1, -1, 0), would read the
+    # component as zero and the core as all of F_3^n.
+    params = CoverParams(*triple)
+    action = build_action(params)
+    n, s0 = params.n, params.s0
+    primary = action.primary
+    for component in range((params.p - 1) // s0):
+        coordinates = np.zeros(params.p - 1, dtype=np.int64)
+        coordinates[component * s0 : (component + 1) * s0] = (1, 2, 0)
+        block = coordinates @ primary.basis % params.q
+        normal = np.concatenate([block, np.zeros(n - params.p + 1, dtype=np.int64)])
+        read_back = normal.reshape(-1, params.p - 1) @ primary.coordinates % params.q
+        assert read_back[0].tolist() == coordinates.tolist() and not read_back[1:].any()
+        h = Hyperplane(normal, params.q)
+        assert core_dim(h, action) == n - s0 == core(h, action).dim
+        assert core_dims(action, normal[None, :]).tolist() == [n - s0]
+
+
+@pytest.mark.parametrize(
+    "normals, message",
+    [
+        ([1] + [0] * 35, r"^core_dims takes a 2-d array of normals, got shape \(36,\)$"),
+        (np.ones((2, 3, 12), dtype=np.int64),
+         r"^core_dims takes a 2-d array of normals, got shape \(2, 3, 12\)$"),
+        ([[1] * 12], r"^normals of 12 entries, not n = 36$"),
+        ([[1] * 36, [3] * 36, [0] * 36], r"^normal 1 is zero, not a hyperplane normal$"),
+        ([[1.5] * 36], r"^entries must be integers, got float64 values$"),
+    ],
+    ids=["vector", "3-d", "width", "zero-row", "float"],
+)
+def test_core_dims_refuses_what_is_not_a_stack_of_normals(normals, message):
+    action = build_action(CoverParams(13, 3, 5))
+    with pytest.raises(InvalidParamsError, match=message):
+        core_dims(action, normals)
+
+
+def test_core_dims_reads_rows_that_are_not_normalized():
+    action = build_action(CoverParams(13, 3, 5))
+    h = _normal_with_components(action, (1, 3))
+    # Scaled, shifted by a multiple of q past int64, negated: one hyperplane each time.
+    changes = [(1, 0), (2, 0), (1, 3 * 2**70), (-1, 0)]
+    rows = [[c * scale + shift for c in h.normal] for scale, shift in changes]
+    assert core_dims(action, rows).tolist() == [core_dim(h, action)] * 4 == [30] * 4
+
+
+_SWEEP_ACTIONS = {params: build_action(params) for params in parameter_sweep()}
+
+
+@st.composite
+def _normal_stacks(draw):
+    """A sweep triple and a (k, n) stack of nonzero rows: dense, sparse (at most
+    three nonzero entries) or with exactly one nonzero primary component."""
+    params = draw(st.sampled_from(list(_SWEEP_ACTIONS)))
+    action = _SWEEP_ACTIONS[params]
+    p, q, n, s0 = params.p, params.q, params.n, params.s0
+    entries = st.integers(0, q - 1)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "single"]), min_size=1, max_size=5)):
+        row = np.zeros(n, dtype=np.int64)
+        if kind == "dense":
+            row[:] = draw(st.lists(entries, min_size=n, max_size=n))
+        elif kind == "sparse":
+            for i, c in draw(st.lists(st.tuples(st.integers(0, n - 1), entries), min_size=1, max_size=3)):
+                row[i] = c
+        else:
+            start = s0 * draw(st.integers(0, (p - 1) // s0 - 1))
+            coordinates = np.zeros((params.r - 2, p - 1), dtype=np.int64)
+            coordinates[:, start : start + s0] = np.reshape(
+                draw(st.lists(entries, min_size=(params.r - 2) * s0, max_size=(params.r - 2) * s0)),
+                (params.r - 2, s0),
+            )
+            row[:] = (coordinates @ action.primary.basis % q).ravel()
+        assume(row.any())
+        rows.append(row)
+    return params, np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_normal_stacks())
+def test_core_dims_matches_elimination_on_random_stacks(drawn):
+    params, rows = drawn
+    action = _SWEEP_ACTIONS[params]
+    expected = [core(Hyperplane(row, params.q), action).dim for row in rows]
+    assert core_dims(action, rows).tolist() == expected
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 2, 3), (7, 2, 4), (5, 3, 4), (13, 3, 3)])
+def test_core_dim_counts_are_p_times_the_closed_form(p, q, r):
+    params = CoverParams(p, q, r)
+    counts = core_dim_counts(params)
+    assert counts == {dim: p * count for dim, count in core_histogram(params).items()}
+    assert list(counts) == sorted(counts, reverse=True) and sum(counts.values()) == params.m
+
+
+def test_core_dim_counts_refuses_past_the_cap_before_building_the_action(monkeypatch):
+    monkeypatch.setattr(atlas, "build_action", lambda params: pytest.fail("built the action"))
+    with pytest.raises(CapExceededError, match=r"^counting core dimensions needs ambient size 4096"):
+        core_dim_counts(CoverParams(7, 2, 4), cap=4095)
+    with pytest.raises(InvalidParamsError, match=r"^action built for "):
+        core_dim_counts(CoverParams(7, 2, 4), action=build_action(CoverParams(5, 2, 3)))
 
 
 def test_galois_closure_rejects_a_corrupted_coordinate_table(monkeypatch):

@@ -662,6 +662,9 @@ def test_verify_suite_all_aggregates(capsys):
     assert "identities-sweep" in names
     assert "groupring-5-2-3-scalar" in names
     assert "fixture-core-generators" in names
+    assert "histogram-13-3-3" in names
+    # identities 2, groupring 8, fixtures 5, histogram 25.
+    assert len(data["checks"]) == len(names) == 40
 
 
 def test_verify_suite_counts_is_gone(capsys):

@@ -14,6 +14,7 @@ from gonal import (
     invariant_subspaces,
     orbit_classes,
 )
+from gonal.atlas import core_dim_counts
 from gonal.verify import run_suite
 
 PUBLIC_NAMES = [
@@ -38,6 +39,7 @@ PUBLIC_NAMES = [
     "conjugate_hyperplane",
     "core",
     "core_dim",
+    "core_dims",
     "decomposition_report",
     "enumerate_hyperplanes",
     "fixed_subspace",
@@ -75,6 +77,7 @@ def test_every_public_name_resolves():
 CAP_TAKERS = {
     "enumerate_hyperplanes": lambda cap: enumerate_hyperplanes(CoverParams(3, 2, 4), cap=cap),
     "orbit_classes": lambda cap: orbit_classes(CoverParams(3, 2, 4), cap=cap),
+    "core_dim_counts": lambda cap: core_dim_counts(CoverParams(3, 2, 4), cap=cap),
     "FrobeniusGroup": lambda cap: FrobeniusGroup(CoverParams(5, 2, 3), cap=cap),
     "invariant_subspaces": lambda cap: invariant_subspaces(build_action(CoverParams(3, 2, 4)), cap),
     "run_suite": lambda cap: run_suite("fixtures", cap=cap),

@@ -135,6 +135,61 @@ def test_each_suite_row_can_fail(monkeypatch, capsys, suite, corrupt, row, detai
     assert {"name": row, "status": "fail", "detail": detail} in checks
 
 
+_HISTOGRAM_TRIPLES = [params for params in action.parameter_sweep()
+                      if params.q**params.n <= atlas.DEFAULT_ATLAS_CAP]
+
+
+def _histogram_moves_a_class():
+    # One class of the largest core dimension moved to dimension n, which no core has.
+    real = verify.core_histogram
+
+    def wrong(params):
+        histogram = real(params)
+        histogram[max(histogram)] -= 1
+        histogram[params.n] = 1
+        return histogram
+
+    return "gonal.verify.core_histogram", wrong, lambda params: (params.n, 0, params.p)
+
+
+def _component_table_loses_an_entry():
+    # The first coordinate of each block no longer counts towards component 0, so
+    # the one normal whose only nonzero coordinate it is reads as having core F_q^n.
+    real = action.AdaptedAction.component_sums.func
+
+    def wrong(self):
+        table = real(self).copy()
+        table[0, 0] = 0
+        return table
+
+    return "gonal.action.AdaptedAction.component_sums", property(wrong), lambda params: (params.n, 1, 0)
+
+
+def test_histogram_suite_passes_one_row_per_triple_within_the_atlas_cap():
+    rows = verify.suite_histogram()
+    assert len(rows) == len(_HISTOGRAM_TRIPLES) == 25
+    assert [row.name for row in rows] == [f"histogram-{c.p}-{c.q}-{c.r}" for c in _HISTOGRAM_TRIPLES]
+    assert all(row.passed for row in rows)
+    assert rows[-1].detail == "all 265720 normals match p · core_histogram"
+
+
+@pytest.mark.parametrize("corrupt", [_histogram_moves_a_class, _component_table_loses_an_entry])
+def test_each_histogram_row_can_fail(monkeypatch, capsys, corrupt):
+    # Every row fails at the first dimension whose counts differ, naming the
+    # triple, the dimension and both counts; gonal exits 1.
+    target, wrong, witness = corrupt()
+    monkeypatch.setattr(target, wrong)
+    code = main(["verify", "--suite", "histogram", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    expected = []
+    for params in _HISTOGRAM_TRIPLES:
+        (p, q, r), (dim, got, want) = (params.p, params.q, params.r), witness(params)
+        detail = f"({p}, {q}, {r}) core dim {dim}: counted {got}, p · core_histogram {want}"
+        expected.append({"name": f"histogram-{p}-{q}-{r}", "status": "fail", "detail": detail})
+    assert checks == expected
+
+
 def test_groupring_suite_builds_each_a_l_once(monkeypatch):
     import gonal.groupring as groupring
 
