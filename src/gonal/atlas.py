@@ -260,9 +260,8 @@ def core_dims(action: AdaptedAction, normals) -> np.ndarray:
     InvalidParamsError for anything but a 2-d array, rows of another length
     than n, and a zero row, which is no hyperplane's normal (naming it).
     """
-    params = action.params
-    p, q, n, s0 = params.p, params.q, params.n, params.s0
-    rows = as_residues(normals, q)
+    n = action.params.n
+    rows = as_residues(normals, action.params.q)
     if rows.ndim != 2:
         raise InvalidParamsError(f"core_dims takes a 2-d array of normals, got shape {rows.shape}")
     if rows.shape[1] != n:
@@ -270,30 +269,34 @@ def core_dims(action: AdaptedAction, normals) -> np.ndarray:
     zero = np.flatnonzero(~rows.any(axis=1))
     if zero.size:
         raise InvalidParamsError(f"normal {zero[0]} is zero, not a hyperplane normal")
-    coordinates = rows.reshape(-1, p - 1) @ action.primary.coordinates
-    coordinates %= q
-    sums = coordinates.reshape(rows.shape[0], n) @ action.component_sums
-    return n - s0 * np.count_nonzero(sums, axis=1)
+    return _core_dims_of_residues(action, rows)
 
 
-def core_dim_counts(
-    params: CoverParams,
-    cap: int = DEFAULT_ATLAS_CAP,
-    action: AdaptedAction | None = None,
-) -> dict[int, int]:
+def _core_dims_of_residues(action: AdaptedAction, rows: np.ndarray) -> np.ndarray:
+    """`core_dims` on a (k, n) int64 array of nonzero residue rows, which is not checked."""
+    params = action.params
+    coordinates = rows.reshape(-1, params.p - 1) @ action.primary.coordinates
+    coordinates %= params.q
+    sums = coordinates.reshape(rows.shape[0], params.n) @ action.component_sums
+    return params.n - params.s0 * np.count_nonzero(sums, axis=1)
+
+
+def core_dim_counts(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP) -> dict[int, int]:
     """Exact number of the m normals with each core dimension, largest dimension first.
 
-    `core_dims` on the sweep's chunks of normals (`_normal_chunks`), so no
-    more than one chunk is held at once; `cap` bounds the ambient size q^n
-    as in `orbit_classes`.  Every orbit has p members with one core, so the
-    counts are p times `core_histogram`'s.
+    `core_dims`' rule on the sweep's chunks of normals (`_normal_chunks`),
+    which are nonzero residue rows already, so no more than one chunk is
+    held at once and none is re-read; `cap` bounds the ambient size q^n as
+    in `orbit_classes`, and is checked before the action is built.  Every
+    orbit has p members with one core, so the counts are p times
+    `core_histogram`'s.
     """
     q, n = params.q, params.n
     check_cap(cap, "atlas cap", "counting core dimensions needs ambient size {}", q, n)
-    action = _action_for(params, action)
+    action = build_action(params)
     counts = np.zeros(n + 1, dtype=np.int64)
     for _, rows in _normal_chunks(n, q):
-        counts += np.bincount(core_dims(action, rows), minlength=n + 1)
+        counts += np.bincount(_core_dims_of_residues(action, rows), minlength=n + 1)
     return {dim: int(counts[dim]) for dim in range(n, -1, -1) if counts[dim]}
 
 

@@ -153,7 +153,7 @@ def _histogram_moves_a_class():
 
 
 def _component_table_loses_an_entry():
-    # The first coordinate of each block no longer counts towards component 0, so
+    # The first coordinate of the first block no longer counts towards component 0, so
     # the one normal whose only nonzero coordinate it is reads as having core F_q^n.
     real = action.AdaptedAction.component_sums.func
 
