@@ -13,7 +13,7 @@ from gonal import CoverParams, build_action, galois_closure, orbit_classes
 
 params = CoverParams(p=3, q=2, r=4)
 action = build_action(params)
-classes = orbit_classes(params, action=action)
+classes = orbit_classes(params)
 print(f"p=3, q=2, r=4: {params.m} hyperplanes in {len(classes)} orbits of size {params.p}")
 for cls in classes:
     rep = cls.representative

@@ -28,7 +28,7 @@ action = build_action(params)
 
 print(f"n = {params.n}, m = {params.m:,} hyperplanes, t = {params.t:,} orbits")
 start = time.perf_counter()
-classes = orbit_classes(params, action=action)
+classes = orbit_classes(params)
 print(f"classified all orbits in {time.perf_counter() - start:.1f}s")
 histogram = Counter(c.core_dim for c in classes)
 for dim in sorted(histogram):

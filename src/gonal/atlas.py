@@ -34,13 +34,14 @@ with equal cores share one read-only Subspace (at (13,3,3) the t = 20,440
 classes have 15 distinct cores), which is checked once, when it is first
 found: T-invariant, of a dimension divisible by s0 and at least n - p.  A
 class keeps its orbit as p integer codes and decodes its members only when
-asked.  Its check (`OrbitClass.verify`) walks the chain from the
-representative by the block rule, matching each conjugate against the next
-stored member, decoded from its code by two table lookups: the sweep's
-product with T^(-1) and the block rule are two independent computations of
-the conjugation.  Output order (by representative) is deterministic;
-per-class work is independent, so the merge would be identical under any
-parallel schedule.
+asked.  Once every class is built, `orbit_classes` runs each one's check
+(`OrbitClass.verify`) before it returns, so every caller gets checked
+classes.  The check walks the chain from the representative by the block
+rule, matching each conjugate against the next stored member, decoded from
+its code by two table lookups: the sweep's product with T^(-1) and the
+block rule are two independent computations of the conjugation.  Output
+order (by representative) is deterministic; per-class work is independent,
+so the merge would be identical under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -180,15 +181,6 @@ def enumerate_hyperplanes(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP):
 def _check_space(h: Hyperplane, params: CoverParams) -> None:
     if h.modulus != params.q or h.ambient_dim != params.n:
         raise InvalidParamsError("hyperplane and action live over different spaces")
-
-
-def _action_for(params: CoverParams, action: AdaptedAction | None) -> AdaptedAction:
-    """`action`, or the action of `params` built here when it is None; one built for other params is refused."""
-    if action is None:
-        return build_action(params)
-    if action.params is not params and action.params != params:
-        raise InvalidParamsError(f"action built for {action.params}, not {params}")
-    return action
 
 
 def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
@@ -524,24 +516,23 @@ def _orbit_codes(params: CoverParams, action: AdaptedAction) -> np.ndarray:
     return _codes_at(orbits, n, q)
 
 
-def orbit_classes(
-    params: CoverParams,
-    cap: int = DEFAULT_ATLAS_CAP,
-    action: AdaptedAction | None = None,
-) -> list[OrbitClass]:
+def orbit_classes(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP) -> list[OrbitClass]:
     """Classify all hyperplanes into their t conjugation orbits, with cores.
 
     Deterministic: classes are ordered by representative normal, members by
-    successive conjugation starting at the representative.  Each class still
-    gets its own elimination, but classes with equal cores share one
+    successive conjugation starting at the representative.  `cap` bounds the
+    ambient size q^n and is checked before the action is built.  Each class
+    still gets its own elimination, but classes with equal cores share one
     Subspace, interned by the kernel's shape and bytes.  Each distinct core
     is checked once, where it is interned: IdentityCheckError unless it is
     T-invariant (naming the representative of the class that found it), its
-    dimension a multiple of s0 and at least the rank bound n - p.
+    dimension a multiple of s0 and at least the rank bound n - p.  Every
+    class then passes `OrbitClass.verify`, in order, before any is returned:
+    the first that breaks an orbit invariant raises its IdentityCheckError.
     """
     p, q, n, s0 = params.p, params.q, params.n, params.s0
     check_cap(cap, "atlas cap", "orbit classification needs ambient size {}", q, n)
-    action = _action_for(params, action)
+    action = build_action(params)
     orbit_codes = _orbit_codes(params, action)
     classes = []
     cores: dict[tuple, Subspace] = {}
@@ -561,6 +552,8 @@ def orbit_classes(
                 if core.dim < n - p:
                     raise IdentityCheckError(f"core dim {core.dim} below rank bound {n - p}")
             classes.append(OrbitClass(codes=tuple(codes), core=core))
+    for cls in classes:
+        cls.verify(action)
     return classes
 
 
@@ -627,8 +620,13 @@ def galois_closure(
     h: Hyperplane, params: CoverParams, action: AdaptedAction | None = None
 ) -> GaloisReport:
     """The Galois closure Z_q^k x| Z_p of the composite cover, k = n - core_dim(h) (no
-    elimination, no conjugate built); IdentityCheckError unless q^k = 1 mod p."""
-    report = GaloisReport(params, h, core_dim(h, _action_for(params, action)))
+    elimination, no conjugate built); IdentityCheckError unless q^k = 1 mod p.
+    `action` is built here when it is None; one built for other params is refused."""
+    if action is None:
+        action = build_action(params)
+    elif action.params is not params and action.params != params:
+        raise InvalidParamsError(f"action built for {action.params}, not {params}")
+    report = GaloisReport(params, h, core_dim(h, action))
     if pow(params.q, report.k, params.p) != 1:
         raise IdentityCheckError(f"q^k != 1 mod p for k = {report.k}; core computation is wrong")
     return report
@@ -728,17 +726,18 @@ def hyperplane_from_file(path: str, params: CoverParams) -> Hyperplane:
 def hyperplane_from_words(text: str, params: CoverParams, source: str) -> Hyperplane:
     """The maximal subgroup spanned by the generator words of `text`; InvalidParamsError,
     naming `source`, if they span none.  Fewer than n - 1 words cannot, and are
-    refused before any is parsed (each takes a length-n row)."""
+    refused before any is parsed (each takes a length-n row).  One elimination:
+    the words span n - dim(kernel), and a hyperplane's normal is its one row."""
     q, n = params.q, params.n
-    words = len(_generator_words(text))
-    if words < n - 1:
+    words = _generator_words(text)
+    if len(words) < n - 1:
         raise InvalidParamsError(
-            f"{source} has {words} words and spans dimension at most {words}, "
+            f"{source} has {len(words)} words and spans dimension at most {len(words)}, "
             f"not a maximal subgroup of Z_{q}^{n}"
         )
-    sub = parse_generator_words(text, params)
-    if sub.dim != n - 1:
+    normals = kernel_array(np.vstack([parse_word(word, params) for word in words]), q)
+    if len(normals) != 1:
         raise InvalidParamsError(
-            f"{source} spans dimension {sub.dim}, not a maximal subgroup of Z_{q}^{n}"
+            f"{source} spans dimension {n - len(normals)}, not a maximal subgroup of Z_{q}^{n}"
         )
-    return Hyperplane.from_subspace(sub)
+    return Hyperplane(normals[0], q)

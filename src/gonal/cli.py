@@ -1,7 +1,8 @@
 """Command-line reports over the whole toolkit.
 
 Subcommands: `invariants` (genus/dimension formulas with identity checks),
-`atlas` (orbit classification with cores and Galois descriptors), `galois`
+`atlas` (counts and renders the orbit classes, with cores and Galois
+descriptors, that `orbit_classes` has checked), `galois`
 (closure of the cover attached to a subgroup file), `reps` (representation
 census), and `verify` (named check suites).
 
@@ -40,7 +41,6 @@ from .errors import (
     GonalError,
     IdentityCheckError,
     InvalidParamsError,
-    check_cap,
     decimal,
     refuse_unprintable,
 )
@@ -149,17 +149,13 @@ def cmd_invariants(args, params: CoverParams):
 
 
 def cmd_atlas(args, params: CoverParams):
-    # Refuse past the cap before build_action spends O(n^3) on an n x n matrix.
-    check_cap(args.cap, "atlas cap", "orbit classification needs ambient size {}", params.q, params.n)
-    action = build_action(params)
-    classes = orbit_classes(params, cap=args.cap, action=action)
+    # orbit_classes refuses past the cap before it builds the action, and
+    # returns only classes whose orbit and core passed their checks.
+    classes = orbit_classes(params, cap=args.cap)
     class_count = len(classes)
     limit = args.limit if args.limit is not None else class_count
     # One pass in class order, popping each class off the reversed list once it
-    # is counted, verified and rendered, so classes and rows are never all alive.
-    # verify raises on a class that breaks an orbit invariant: size p, least
-    # member first, the conjugation chain.  orbit_classes checked each distinct
-    # core (invariance, quantization, rank bound) when it found it.
+    # is counted and rendered, so classes and rows are never all alive.
     classes.reverse()
     histogram: dict[int, int] = {}
     groups: dict[int, str] = {}
@@ -168,7 +164,6 @@ def cmd_atlas(args, params: CoverParams):
         cls = classes.pop()
         dim = cls.core_dim
         histogram[dim] = histogram.get(dim, 0) + 1
-        cls.verify(action)
         if len(rows) == limit:
             continue
         group = groups.get(dim)

@@ -390,7 +390,8 @@ class Subspace:
             raise InvalidParamsError(
                 f"expected a vector or rows of length {self.ambient_dim}, got shape {a.shape}"
             )
-        return a.reshape(-1, self.ambient_dim)
+        # A vector is one row: no -1 inference, which numpy refuses on an empty array.
+        return a if a.ndim == 2 else a.reshape(1, self.ambient_dim)
 
     def _square(self, m) -> np.ndarray:
         """`m` mod q, a square integer matrix of side ambient_dim acting on columns."""

@@ -93,13 +93,13 @@ def test_criterion_4_counting_oracle():
 def test_criterion_5_orbit_structure(p, q, r, budget):
     start = time.perf_counter()
     params = CoverParams(p, q, r)
-    action = build_action(params)
-    classes = orbit_classes(params, action=action)
+    # orbit_classes raises unless every core is invariant and quantized and
+    # every class passes OrbitClass.verify.
+    classes = orbit_classes(params)
     assert len(classes) == params.t
     stated_bound = (p - 1) * (r - 3)
     for cls in classes:
         assert len(set(cls.members)) == params.p
-        cls.verify(action)  # raises unless core invariant + quantized
         assert cls.core_dim % params.s0 == 0
         assert cls.core_dim >= stated_bound
     _report(5, f"orbit structure ({p},{q},{r}): {params.t} classes", time.perf_counter() - start, budget)

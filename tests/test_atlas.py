@@ -17,6 +17,7 @@ from gonal.action import CoverParams, build_action, parameter_sweep
 from gonal.atlas import (
     GaloisReport,
     Hyperplane,
+    OrbitClass,
     _codes_at,
     _normal_of_code,
     _orbit_codes,
@@ -314,7 +315,7 @@ def test_no_hyperplane_is_fixed():
 def test_orbit_classes_small(p, q, r, t, core_dims):
     params = CoverParams(p, q, r)
     action = build_action(params)
-    classes = orbit_classes(params, action=action)
+    classes = orbit_classes(params)
     assert len(classes) == t == params.t
     assert {c.core_dim for c in classes} == core_dims
     all_members = [h for c in classes for h in c.members]
@@ -333,7 +334,7 @@ def test_core_bound_exhaustive(p, q, r):
     params = CoverParams(p, q, r)
     action = build_action(params)
     bound = (p - 1) * (r - 3)
-    for cls in orbit_classes(params, action=action):
+    for cls in orbit_classes(params):
         assert cls.core_dim >= bound
         cls.verify(action)
 
@@ -394,12 +395,11 @@ def test_orbit_classes_retained_memory_at_7_2_4():
     # One core Subspace per distinct core and no per-class __dict__: the
     # classes retained 1,120 bytes each with one core per class and 420 without.
     params = CoverParams(7, 2, 4)
-    action = build_action(params)
-    orbit_classes(params, action=action)  # fills the caches
+    orbit_classes(params)  # fills the caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        classes = orbit_classes(params, action=action)
+        classes = orbit_classes(params)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -417,8 +417,7 @@ def test_orbit_classes_deterministic():
 
 def test_orbit_classes_hold_the_codes_of_their_members():
     params = CoverParams(5, 3, 3)
-    action = build_action(params)
-    for cls in orbit_classes(params, action=action):
+    for cls in orbit_classes(params):
         assert len(cls.codes) == params.p and all(type(c) is int for c in cls.codes)
         normals = np.array([h.normal for h in cls.members])
         assert encode_rows(normals, params.q).tolist() == list(cls.codes)
@@ -493,7 +492,7 @@ def _corrupted_class_checks():
 def test_every_orbit_class_check_can_fail(triple, corrupt, message):
     params = CoverParams(*triple)
     action = build_action(params)
-    cls = orbit_classes(params, action=action)[1]
+    cls = orbit_classes(params)[1]
     cls.verify(action)
     with pytest.raises(IdentityCheckError) as exc:
         corrupt(cls, params).verify(action)
@@ -519,15 +518,14 @@ def _wrong_cores():
 def test_orbit_classes_refuses_a_wrong_core(triple, kernel, message, force_invariance, monkeypatch):
     # The first class interns the first core, so the message names its representative.
     params = CoverParams(*triple)
-    action = build_action(params)
-    first = orbit_classes(params, action=action)[0]
+    first = orbit_classes(params)[0]
     monkeypatch.setattr(atlas, "kernel_array", kernel)
     if force_invariance:
         # Every T-invariant subspace has a dimension divisible by s0, so the
         # quantization check fails only past an invariance check that passes.
         monkeypatch.setattr(Subspace, "is_invariant_under", lambda self, matrix: True)
     with pytest.raises(IdentityCheckError) as exc:
-        orbit_classes(params, action=action)
+        orbit_classes(params)
     assert str(exc.value) == message(params, first)
 
 
@@ -539,11 +537,36 @@ def test_orbit_classes_checks_each_distinct_core_once(monkeypatch):
     honest = Subspace.contains_rows
     calls = []
     monkeypatch.setattr(Subspace, "contains_rows", lambda self, rows: calls.append(1) or honest(self, rows))
-    classes = orbit_classes(params, action=action)
+    classes = orbit_classes(params)
     assert len(classes) == 585 and len(calls) == 99
     for cls in classes:
         cls.verify(action)
     assert len(calls) == 99
+
+
+def test_orbit_classes_verifies_every_class_before_it_returns(monkeypatch):
+    # The 585 classes of (7,2,4) are each verified once, in order, inside
+    # orbit_classes: no caller gets a class that has not passed its check.
+    params = CoverParams(7, 2, 4)
+    honest = OrbitClass.verify
+    verified = []
+    monkeypatch.setattr(OrbitClass, "verify", lambda self, action: verified.append(self.codes) or honest(self, action))
+    classes = orbit_classes(params)
+    assert len(verified) == params.t == 585
+    assert verified == [cls.codes for cls in classes]
+    # A row whose 2nd and 3rd members trade places keeps its members and its
+    # core, so only the chain check can tell, and it names the class.
+    real = atlas._orbit_codes
+
+    def swapped(params, action):
+        codes = real(params, action)
+        codes[100, [1, 2]] = codes[100, [2, 1]]
+        return codes
+
+    monkeypatch.setattr(atlas, "_orbit_codes", swapped)
+    message = f"conjugation chain broken at {classes[100].representative}"
+    with pytest.raises(IdentityCheckError, match=f"^{re.escape(message)}$"):
+        orbit_classes(params)
 
 
 def _oracle_partition(params, conjugate):
@@ -578,15 +601,14 @@ def test_orbit_classes_match_subspace_oracle_under_both_conventions(p, q, r):
 def test_core_direct_matches_orbit_core():
     params = CoverParams(3, 2, 4)
     action = build_action(params)
-    for c in orbit_classes(params, action=action):
+    for c in orbit_classes(params):
         for h in c.members:
             assert core(h, action) == c.core
 
 
 def test_core_is_intersection_of_member_kernels():
     params = CoverParams(5, 2, 3)
-    action = build_action(params)
-    for c in orbit_classes(params, action=action):
+    for c in orbit_classes(params):
         meet = Subspace.full(params.n, params.q)
         for h in c.members:
             meet = meet.intersect(h.kernel())
@@ -670,7 +692,7 @@ def _assert_k_is_s0_times_components(report):
 def test_galois_k_is_a_multiple_of_s0_at_most_p_minus_1_on_every_class(triple):
     params = CoverParams(*triple)
     action = build_action(params)
-    for cls in orbit_classes(params, action=action):
+    for cls in orbit_classes(params):
         _assert_k_is_s0_times_components(galois_closure(cls.representative, params, action))
 
 
@@ -795,19 +817,15 @@ def test_params_action_mismatch_rejected(monkeypatch):
     h = Hyperplane([1, 0, 1, 1], 2)
     refusal = re.escape(f"action built for {other}, not {params}")
     with pytest.raises(InvalidParamsError, match=f"^{refusal}$"):
-        orbit_classes(params, action=build_action(other))
-    with pytest.raises(InvalidParamsError, match=f"^{refusal}$"):
         galois_closure(h, params, build_action(other))
     # An action built for an equal but distinct record is accepted.
     twin = CoverParams(5, 2, 3)
     assert twin is not params
-    assert orbit_classes(params, action=build_action(twin)) == orbit_classes(params)
     assert galois_closure(h, params, build_action(twin)) == galois_closure(h, params)
     # The action's own record is accepted by identity, with no field-by-field comparison.
     action = build_action(params)
     monkeypatch.setattr(CoverParams, "__eq__", lambda self, other: pytest.fail("params compared"))
     assert galois_closure(h, params, action).core_dim == core_dim(h, action)
-    assert len(orbit_classes(params, action=action)) == params.t
 
 
 def test_parse_word_errors():
@@ -882,7 +900,7 @@ def test_core_histogram_closed_form_at_13_3_3():
 def test_core_dim_matches_elimination_on_every_class_member(p, q, r):
     params = CoverParams(p, q, r)
     action = build_action(params)
-    for cls in orbit_classes(params, action=action):
+    for cls in orbit_classes(params):
         assert [core_dim(h, action) for h in cls.members] == [cls.core_dim] * p
 
 
@@ -1047,7 +1065,7 @@ def test_core_dim_histogram_over_representatives_at_13_3_3():
     # Each class's core is one elimination in orbit_classes: core(h).dim of its representative.
     params = CoverParams(13, 3, 3)
     action = build_action(params)
-    classes = orbit_classes(params, action=action)
+    classes = orbit_classes(params)
     reps = [cls.representative for cls in classes]
     eliminated = [cls.core_dim for cls in classes]
     assert [core_dim(h, action) for h in reps] == eliminated
@@ -1373,23 +1391,28 @@ def _action_with_inverse_t_squared(params):
 
 
 @pytest.mark.parametrize("triple", [(5, 3, 3), (7, 2, 3)], ids=lambda t: "-".join(map(str, t)))
-def test_the_chain_check_does_not_share_the_sweep_inverse(triple):
+def test_the_chain_check_does_not_share_the_sweep_inverse(triple, monkeypatch):
     # The sweep follows the wrong inverse and still finds every orbit, so only
     # a chain check that computes T^(-1) by itself can tell.
     params = CoverParams(*triple)
-    honest = orbit_classes(params)
+    honest = _orbit_codes(params, build_action(params))
     action = _action_with_inverse_t_squared(params)
-    classes = orbit_classes(params, action=action)
-    assert [set(c.codes) for c in classes] == [set(c.codes) for c in honest]
-    assert [c.codes for c in classes] != [c.codes for c in honest]
-    message = f"conjugation chain broken at {classes[0].representative}"
+    swept = _orbit_codes(params, action)
+    assert [set(row) for row in swept.tolist()] == [set(row) for row in honest.tolist()]
+    assert swept.tolist() != honest.tolist()
+    first = orbit_classes(params)[0]
+    message = f"conjugation chain broken at {first.representative}"
     with pytest.raises(IdentityCheckError, match=f"^{re.escape(message)}$"):
-        classes[0].verify(action)
+        replace(first, codes=tuple(swept[0].tolist())).verify(action)
+    # orbit_classes, on the same action, runs that check on its first class.
+    monkeypatch.setattr("gonal.atlas.build_action", _action_with_inverse_t_squared)
+    with pytest.raises(IdentityCheckError, match=f"^{re.escape(message)}$"):
+        orbit_classes(params)
 
 
 @pytest.mark.parametrize("triple", [(5, 3, 3), (7, 2, 3)], ids=lambda t: "-".join(map(str, t)))
 def test_atlas_exits_1_when_the_sweep_follows_the_wrong_inverse(triple, monkeypatch, capsys):
-    monkeypatch.setattr("gonal.cli.build_action", _action_with_inverse_t_squared)
+    monkeypatch.setattr("gonal.atlas.build_action", _action_with_inverse_t_squared)
     p, q, r = (str(x) for x in triple)
     code = main(["atlas", "--p", p, "--q", q, "--r", r])
     out, err = capsys.readouterr()

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -90,17 +89,18 @@ def test_atlas_count_row_fails_on_a_lost_class(capsys, monkeypatch):
 
 
 def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
-    # OrbitClass.verify runs on every class and raises on an orbit of the wrong
-    # size, so no row of its own is needed for it.
-    real = gonal.cli.orbit_classes
+    # orbit_classes runs OrbitClass.verify on every class, which raises on an
+    # orbit of the wrong size, so no row of its own is needed for it.  The
+    # first orbit repeats its representative in place of its last member; the
+    # members it keeps span the same core, so only verify can tell.
+    real = gonal.atlas._orbit_codes
 
-    def short_orbit(*args, **kw):
-        classes = real(*args, **kw)
-        cls = classes[0]
-        classes[0] = dataclasses.replace(cls, codes=cls.codes[:-1] + cls.codes[:1])
-        return classes
+    def short_orbit(params, action):
+        codes = real(params, action)
+        codes[0, -1] = codes[0, 0]
+        return codes
 
-    monkeypatch.setattr("gonal.cli.orbit_classes", short_orbit)
+    monkeypatch.setattr("gonal.atlas._orbit_codes", short_orbit)
     code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "2", "--r", "4", "--json")
     assert (code, out) == (1, "")
     assert err == "identity check failed: orbit with codes [1, 2, 1] has size != 3\n"
@@ -109,21 +109,20 @@ def test_atlas_exits_1_on_a_class_that_is_not_an_orbit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("limit", [[], ["--limit", "0"], ["--limit", "5"]])
 def test_atlas_exits_1_on_the_first_broken_class_past_the_first(capsys, monkeypatch, limit):
-    # Each class is verified in order before it is rendered and released, so a
-    # broken class in the middle is named, whether or not its row is shown,
-    # and a later broken class is not reached.
-    real = gonal.cli.orbit_classes
+    # orbit_classes verifies every class in order before it returns any, so a
+    # broken class in the middle is named, whether or not its row would be
+    # shown, and a later broken class is not reached.
+    real = gonal.atlas._orbit_codes
     witnesses = []
 
-    def broken(*args, **kw):
-        classes = real(*args, **kw)
-        for i in (len(classes) // 2, len(classes) - 1):
-            codes = classes[i].codes[:-1] + classes[i].codes[:1]
-            classes[i] = dataclasses.replace(classes[i], codes=codes)
-            witnesses.append(f"orbit with codes {list(codes)} has size != 7")
-        return classes
+    def broken(params, action):
+        codes = real(params, action)
+        for i in (len(codes) // 2, len(codes) - 1):
+            codes[i, -1] = codes[i, 0]
+            witnesses.append(f"orbit with codes {codes[i].tolist()} has size != 7")
+        return codes
 
-    monkeypatch.setattr("gonal.cli.orbit_classes", broken)
+    monkeypatch.setattr("gonal.atlas._orbit_codes", broken)
     code, out, err = run_cli(capsys, "atlas", "--p", "7", "--q", "2", "--r", "4", "--json", *limit)
     assert (code, out) == (1, "")
     assert err == f"identity check failed: {witnesses[0]}\n"
@@ -183,7 +182,7 @@ def test_atlas_json_peak_memory_at_7_2_4():
     # The members decoded from the codes are the representative's conjugation chain.
     params = CoverParams(7, 2, 4)
     action = build_action(params)
-    for cls in orbit_classes(params, action=action):
+    for cls in orbit_classes(params):
         chain = [cls.representative]
         for _ in range(params.p - 1):
             chain.append(conjugate_hyperplane(chain[-1], action))
@@ -459,6 +458,7 @@ def test_atlas_past_the_cap_exits_3_before_building_the_action(capsys, monkeypat
     def unbounded(params):
         pytest.fail("build_action ran before the cap refused the run")
 
+    monkeypatch.setattr("gonal.atlas.build_action", unbounded)
     monkeypatch.setattr("gonal.cli.build_action", unbounded)
     code, out, err = run_cli(capsys, "atlas", "--p", "3", "--q", "5", "--r", "2000")
     assert (code, out) == (3, "")

@@ -61,7 +61,7 @@ def test_demo_03_exits_naming_a_core_that_does_not_match(monkeypatch, capsys):
     from gonal.fqlinalg import Subspace
 
     # No atlas: the check under test is the last loop, over the bundled cores.
-    monkeypatch.setattr(gonal, "orbit_classes", lambda params, action: [])
+    monkeypatch.setattr(gonal, "orbit_classes", lambda params: [])
     monkeypatch.setattr(gonal, "core", lambda h, action: Subspace.zero(12, 3))
     with pytest.raises(SystemExit, match="^K2.gens does not span the computed core of L2$"):
         runpy.run_path(str(ROOT / "demos" / "03_large_atlas_and_samples.py"))

@@ -304,6 +304,16 @@ def test_subspace_refuses_an_ambient_dim_that_is_no_non_negative_integer(dim):
             make(dim, 3)
 
 
+def test_subspaces_of_the_zero_space_are_the_zero_subspace():
+    # F_q^0 is accepted as an ambient space; its rows used to meet numpy's
+    # reshape(-1, 0), which refuses an empty array.
+    for q in (2, 3):
+        spaces = [Subspace.zero(0, q), Subspace.full(0, q), Subspace([], 0, q)]
+        assert [sub.dim for sub in spaces] == [0, 0, 0]
+        assert all(sub.basis_array.shape == (0, 0) for sub in spaces)
+        assert Subspace.full(0, q) == Subspace.zero(0, q)
+
+
 def test_subspace_reads_a_numpy_integer_ambient_dim_as_an_int():
     for make in (lambda d, q: Subspace([[1, 0]], d, q), Subspace.zero, Subspace.full):
         sub = make(np.int32(2), 3)

@@ -74,14 +74,14 @@ def _group_one_rank_short():
 
 def _words_drop_a_row():
     # The fixture suite reads L1-L4 through hyperplane_from_words, which parses
-    # with the parse_generator_words of gonal.atlas.
-    real = atlas.parse_generator_words
+    # each word with the parse_word of gonal.atlas.  Every file's 11 words are
+    # independent and its first is a_1, which now reads as the zero row.
+    real = atlas.parse_word
 
-    def wrong(text, params):
-        sub = real(text, params)
-        return Subspace(sub.basis_array[:-1], params.n, params.q)
+    def wrong(word, params):
+        return real(word, params) * (word != "a_1")
 
-    return "gonal.atlas.parse_generator_words", wrong
+    return "gonal.atlas.parse_word", wrong
 
 
 def _products_are_the_identity():
