@@ -19,16 +19,17 @@ The full classification (`orbit_classes`) applies the conjugation to the
 m = (q^n - 1)/(q - 1) normals once, in fixed-size chunks, as a successor
 permutation of their indices in lexicographic order.  Indices are closed
 form: the normal whose leading 1 has w entries after it and whose tail has
-base-q code c sits at index (q^w - 1)/(q - 1) + c, so the sweep decodes
-each chunk of normals from its indices and reads each image's index off its
-code and the position of its leading 1; no table of the m codes is built,
-searched or sorted.  p - 2 gathers give every normal its orbit minimum, a
-normal is an orbit representative iff it is its own minimum, p - 1 more
-gathers read the orbits off the representatives, one boolean array checks
-that they cover every normal, and only the (t, p) result is turned into
-codes.  The sweep is cheap because every step is a whole-array gather or
-comparison on indices, with no search, sort or table of codes, and it
-holds no more than four length-m index arrays at once.  Cores are
+base-q code c sits at index (q^w - 1)/(q - 1) + c, so the sweep reads each
+chunk of normals off its indices' codes, each split at q^(n // 2) and its
+two halves gathered from two cached digit tables, and reads each image's
+index off its code and the position of its leading 1; no table of the m
+codes is built, searched or sorted.  p - 2 gathers give every normal its
+orbit minimum, a normal is an orbit representative iff it is its own
+minimum, p - 1 more gathers read the orbits off the representatives, one
+boolean array checks that they cover every normal, and only the (t, p)
+result is turned into codes.  The sweep is cheap because every step is a
+whole-array gather or comparison on indices, with no search, sort or table
+of codes, and it holds no more than four length-m index arrays at once.  Cores are
 extracted per class afterwards, one chunk of classes at a time; classes
 with equal cores share one read-only Subspace (at (13,3,3) the t = 20,440
 classes have 15 distinct cores), which is checked once, when it is first
@@ -38,10 +39,11 @@ asked.  Once every class is built, `orbit_classes` runs each one's check
 (`OrbitClass.verify`) before it returns, so every caller gets checked
 classes.  The check walks the chain from the representative by the block
 rule, matching each conjugate against the next stored member, decoded from
-its code by two table lookups: the sweep's product with T^(-1) and the
-block rule are two independent computations of the conjugation.  Output
-order (by representative) is deterministic; per-class work is independent,
-so the merge would be identical under any parallel schedule.
+its code by two lookups in the digit tables, fetched once per class: the
+sweep's product with T^(-1) and the block rule are two independent
+computations of the conjugation.  Output order (by representative) is
+deterministic; per-class work is independent, so the merge would be
+identical under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -194,7 +196,9 @@ def conjugate_hyperplane(h: Hyperplane, action: AdaptedAction) -> Hyperplane:
     """
     params = action.params
     q = params.q
-    _check_space(h, params)
+    # `_check_space`, inline: this runs once per orbit member of every class.
+    if h.modulus != q or len(h.normal) != params.n:
+        raise InvalidParamsError("hyperplane and action live over different spaces")
     image = companion_inverse_row(h.normal, params.p, q)
     # T^(-1) is invertible, so the image of a normal is nonzero.
     lead = next(filter(None, image))
@@ -293,29 +297,46 @@ def core_dim_counts(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP) -> dict[i
 
 
 @cache
-def _digit_tables(n: int, q: int) -> tuple[int, tuple, tuple, tuple]:
-    """(q^h, high, low, lead) for h = n // 2: high[c] and low[c] are the digits of c
-    as n - h and h residues, lead[c] the leading nonzero digit of c (0 for c = 0)."""
-    def digits(width):
-        return tuple(map(tuple, decode_codes(np.arange(q**width), width, q).tolist()))
-
+def _digit_arrays(n: int, q: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(q^h, high, low) for h = n // 2: rows c of the read-only arrays high and
+    low, of the least unsigned dtype that holds q - 1, are the digits of c as
+    n - h and h residues.  A code below q^n is q^h top + bottom, and its
+    digits are high[top] followed by low[bottom]."""
     h = n // 2
-    high = digits(n - h)
+    dtype = np.min_scalar_type(q - 1)
+    high, low = (decode_codes(np.arange(q**width), width, q).astype(dtype) for width in (n - h, h))
+    high.flags.writeable = low.flags.writeable = False
+    return q**h, high, low
+
+
+@cache
+def _digit_tables(n: int, q: int) -> tuple[int, tuple, tuple, tuple]:
+    """`_digit_arrays` as tuples, (q^h, high, low, lead), with lead[c] the leading
+    nonzero digit of c as n - h digits (0 for c = 0)."""
+    size, high, low = _digit_arrays(n, q)
+    high, low = (tuple(map(tuple, digits.tolist())) for digits in (high, low))
     lead = tuple(next((x for x in row if x), 0) for row in high)
-    return q**h, high, digits(h), lead
+    return size, high, low, lead
+
+
+def _decoded(code: int, tables: tuple) -> tuple | None:
+    """The normalized normal with base-q code `code`, read off `_digit_tables`'
+    `tables`; None unless the leading base-q digit is 1 and the code has at
+    most n digits, i.e. unless `code` is in q^w + [0, q^w) for some w < n."""
+    size, high, low, lead = tables
+    top, bottom = divmod(code, size)
+    if 0 <= top < len(high) and lead[top or bottom] == 1:
+        return high[top] + low[bottom]
+    return None
 
 
 def _normal_of_code(code: int, n: int, q: int) -> tuple:
-    """The normalized normal in F_q^n with base-q code `code`, as two table halves.
-
-    InvalidParamsError unless the leading base-q digit is 1 and the code has
-    at most n digits, i.e. unless `code` is in q^w + [0, q^w) for some w < n.
-    """
-    size, high, low, lead = _digit_tables(n, q)
-    top, bottom = divmod(code, size)
-    if not 0 <= top < len(high) or lead[top or bottom] != 1:
+    """The normalized normal in F_q^n with base-q code `code` (`_decoded`);
+    InvalidParamsError if no normalized normal has that code."""
+    normal = _decoded(code, _digit_tables(n, q))
+    if normal is None:
         raise InvalidParamsError(f"{code} is not the code of a normalized normal in F_{q}^{n}")
-    return high[top] + low[bottom]
+    return normal
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,9 +378,10 @@ class OrbitClass:
         normal's code.  Size and least member are read off the codes, which
         sort like the normals.  The chain is walked from the representative:
         each conjugate (`conjugate_hyperplane`, the companion-block rule)
-        must be the next stored member, decoded by `_normal_of_code`, and the
-        p-th the representative again; a later code that is no normal's code
-        breaks the chain as well.  The sweep found those codes by its own
+        must be the next stored member, read off its code by `_decoded` in
+        the digit tables fetched once for the class, and the p-th the
+        representative again; a later code that is no normal's code breaks
+        the chain as well.  The sweep found those codes by its own
         product with `action.inverse_array`, so the walk checks one
         computation of T^(-1) against another.  The core is not read here:
         `orbit_classes` checked it when it interned it.
@@ -370,21 +392,21 @@ class OrbitClass:
         if len(codes) != p or len(set(codes)) != p:
             raise IdentityCheckError(f"orbit with codes {list(codes)} has size != {p}")
         least = min(codes)
-        try:
-            member = self._hyperplane(codes[0])
-            if codes[0] != least:
-                raise IdentityCheckError(
-                    f"representative {member} is not the least orbit member "
-                    f"{self._hyperplane(least)}"
-                )
-        except InvalidParamsError as exc:
-            raise IdentityCheckError(str(exc)) from None
-        for code in codes[1:] + codes[:1]:
-            image = conjugate_hyperplane(member, action)
+        tables = _digit_tables(n, q)
+        normal = _decoded(codes[0], tables)
+        if normal is None or codes[0] != least:
             try:
-                stored = _normal_of_code(code, n, q)
-            except InvalidParamsError:
-                stored = None
+                witness = (
+                    f"representative {self._hyperplane(codes[0])} is not the least orbit "
+                    f"member {self._hyperplane(least)}"
+                )
+            except InvalidParamsError as exc:  # names the first or least code, no normal's
+                witness = str(exc)
+            raise IdentityCheckError(witness)
+        member = Hyperplane._from_normalized(normal, q)
+        # The p-th conjugate must be the representative, decoded above.
+        for stored in [_decoded(code, tables) for code in codes[1:]] + [normal]:
+            image = conjugate_hyperplane(member, action)
             if image.normal != stored:
                 raise IdentityCheckError(f"conjugation chain broken at {member}")
             member = image
@@ -421,13 +443,26 @@ def _codes_at(index: np.ndarray, n: int, q: int) -> np.ndarray:
     return codes
 
 
+def _rows_of_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """int64 residue rows of length n with base-q codes `codes`, an int64 array
+    (any shape) of codes below q^n, which are not checked: each code split at
+    q^(n // 2) and its two halves gathered from `_digit_arrays`, one divmod in
+    all rather than one `%` and one `//` per coordinate as in `decode_codes`."""
+    size, high, low = _digit_arrays(n, q)
+    top, bottom = np.divmod(codes, size)
+    rows = np.empty(codes.shape + (n,), dtype=np.int64)
+    rows[..., : high.shape[1]] = high[top]
+    rows[..., high.shape[1] :] = low[bottom]
+    return rows
+
+
 def _normal_chunks(n: int, q: int):
     """(start, rows) over the m normalized normals in lexicographic order,
-    with rows the (_SWEEP_CHUNK, n) array of the normals from index start on."""
+    with rows the (_SWEEP_CHUNK, n) int64 array of the normals from index start on."""
     m = (q**n - 1) // (q - 1)
     for start in range(0, m, _SWEEP_CHUNK):
         index = np.arange(start, min(start + _SWEEP_CHUNK, m), dtype=np.int64)
-        yield start, decode_codes(_codes_at(index, n, q), n, q)
+        yield start, _rows_of_codes(_codes_at(index, n, q), n, q)
 
 
 def _successors(action: AdaptedAction) -> np.ndarray:
@@ -538,7 +573,7 @@ def orbit_classes(params: CoverParams, cap: int = DEFAULT_ATLAS_CAP) -> list[Orb
     cores: dict[tuple, Subspace] = {}
     for start in range(0, orbit_codes.shape[0], _CLASS_CHUNK):
         chunk = orbit_codes[start : start + _CLASS_CHUNK]
-        for codes, rows in zip(chunk.tolist(), decode_codes(chunk, n, q)):
+        for codes, rows in zip(chunk.tolist(), _rows_of_codes(chunk, n, q)):
             basis = kernel_array(rows, q)
             key = (basis.shape, basis.tobytes())
             core = cores.get(key)

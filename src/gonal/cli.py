@@ -8,9 +8,12 @@ census), and `verify` (named check suites).
 
 Each `cmd_*(args, params)` returns its `verify.CheckResult` rows and a
 payload; `_run` alone times it, serializes the result into one
-ReportEnvelope, renders it as text or, with --json, streams it as JSON
-in which all integers are decimal strings (genus values overflow doubles
-long before they get interesting), and picks the exit code.  Exit codes:
+ReportEnvelope (`jsonify`), renders it as text or, with --json, streams it
+as JSON in which all integers are decimal strings (genus values overflow
+doubles long before they get interesting), and picks the exit code.  The
+JSON is the bytes of `json.dumps(envelope, indent=2)`, written by
+`_write_json` one class row (or other flat key or item) at a time, with
+strings escaped by json's C encoder.  Exit codes:
 0 success, 1 a verification check failed, 2 bad input, 3 a resource cap
 refused the run.  `atlas --cap` bounds the ambient size q^n, `verify --cap`
 the group order.
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 from .action import CoverParams, build_action
 from .atlas import (
@@ -33,6 +38,7 @@ from .atlas import (
     galois_group,
     hyperplane_from_file,
     orbit_classes,
+    _normal_of_code,
 )
 from .calculus import decomposition_report, genus_quotient_by_core
 from .errors import (
@@ -70,8 +76,91 @@ def jsonify(value):
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
+        # The digits of a normal, most list items, take the shared decimals without a call.
+        return [_SMALL_DECIMALS[v] if type(v) is int and 0 <= v < 256 else jsonify(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str) -> str | None:
+    """`json.dumps(value, indent=2)`'s text for `value` at the indent `newline`
+    ("\\n" and two spaces a level), if it is a scalar, an empty container, a
+    list of strings or a dict whose values all have such a text (one class row
+    of an atlas); None for any other container.  Values are made of str,
+    None, bool, float, lists, tuples and dicts with str keys: what `jsonify`
+    returns, and the envelope's None.  TypeError for anything else, an int
+    included, which the envelope carries only as a decimal string."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            items = ("," + inner).join(map(_encode_string, value))
+        except TypeError:  # an item that is no string
+            return None
+        return "[" + inner + items + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        fields = []
+        for key, item in value.items():
+            text = _json_text(item, inner)
+            if text is None:
+                return None
+            fields.append(_encode_string(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write_json(value, write, newline: str = "\n") -> None:
+    """Write `json.dumps(value, indent=2)` through `write`, for the values `_json_text` reads."""
+    text = _json_text(value, newline)
+    if text is None:
+        _write_container(value, write, newline)
+    else:
+        write(text)
+
+
+def _write_container(value, write, newline: str) -> None:
+    """`_write_json` on a container `_json_text` leaves unwritten: one write per
+    key or item that has a text, so no more than one such item's text (one
+    class row of an atlas) is held at once."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing, colon = "{", "}", ": "
+        items = zip(map(_encode_string, value), value.values())
+    else:
+        opening, closing, colon = "[", "]", ""
+        items = zip(repeat(""), value)
+    separator = opening + inner
+    for key, item in items:
+        text = _json_text(item, inner)
+        if text is None:
+            write(separator + key + colon)
+            _write_container(item, write, inner)
+        else:
+            write(separator + key + colon + text)
+        separator = "," + inner
+    write(newline + closing)
 
 
 @dataclass
@@ -94,11 +183,14 @@ class ReportEnvelope:
         }
 
     def to_json(self, fp) -> None:
-        """Write the envelope as indented JSON and a newline to `fp`.
+        """Write the envelope and a newline to `fp`, byte for byte as
+        `json.dumps(self.to_dict(), indent=2) + "\\n"`.
 
-        json.dump writes chunk by chunk, so the whole text is never held.
+        `_write_json` streams it: one write per key or item that has a text of
+        its own (`_json_text`), such as each class row of an atlas, so the
+        whole text is never held.
         """
-        json.dump(self.to_dict(), fp, indent=2)
+        _write_json(self.to_dict(), fp.write)
         fp.write("\n")
 
     def render_text(self) -> str:
@@ -152,6 +244,7 @@ def cmd_atlas(args, params: CoverParams):
     # orbit_classes refuses past the cap before it builds the action, and
     # returns only classes whose orbit and core passed their checks.
     classes = orbit_classes(params, cap=args.cap)
+    n, q = params.n, params.q
     class_count = len(classes)
     limit = args.limit if args.limit is not None else class_count
     # One pass in class order, popping each class off the reversed list once it
@@ -169,13 +262,14 @@ def cmd_atlas(args, params: CoverParams):
         group = groups.get(dim)
         if group is None:
             group = groups[dim] = galois_group(params, params.n - dim)
+        # Normals read off their codes, with no Hyperplane built.
         row = {
-            "representative": list(cls.representative.normal),
+            "representative": list(_normal_of_code(cls.codes[0], n, q)),
             "core_dim": dim,
             "galois_group": group,
         }
         if args.orbits:
-            row["members"] = [list(h.normal) for h in cls.members]
+            row["members"] = [list(_normal_of_code(code, n, q)) for code in cls.codes]
         if args.cores:
             row["core_basis"] = [list(v) for v in cls.core.basis_array.tolist()]
         rows.append(row)

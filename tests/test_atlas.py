@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gonal import atlas
 from gonal.action import CoverParams, build_action, parameter_sweep
 from gonal.atlas import (
+    DEFAULT_ATLAS_CAP,
     GaloisReport,
     Hyperplane,
     OrbitClass,
@@ -444,6 +445,16 @@ def test_digit_tables_decode_every_normal_code_like_decode_codes(n, q):
     codes = normal_codes(n, q)
     decoded = [tuple(row) for row in decode_codes(codes, n, q).tolist()]
     assert [_normal_of_code(c, n, q) for c in codes.tolist()] == decoded
+
+
+# (16, 2) has m = 65,535 normals: four sweep chunks, the last one short.
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (6, 2), (5, 3), (16, 2)])
+def test_normal_chunks_gather_the_normals_decode_codes_gives(n, q):
+    chunks = list(atlas._normal_chunks(n, q))
+    assert [start for start, _ in chunks] == list(range(0, (q**n - 1) // (q - 1), atlas._SWEEP_CHUNK))
+    rows = np.concatenate([rows for _, rows in chunks])
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, decode_codes(normal_codes(n, q), n, q))
 
 
 def test_orbit_class_with_no_codes_has_no_representative():
@@ -1187,7 +1198,10 @@ def test_core_dims_matches_elimination_on_random_stacks(drawn):
     assert core_dims(action, rows).tolist() == expected
 
 
-@pytest.mark.parametrize("p,q,r", [(3, 2, 4), (5, 2, 3), (7, 2, 4), (5, 3, 4), (13, 3, 3)])
+@pytest.mark.parametrize(
+    "p,q,r",
+    [(P.p, P.q, P.r) for P in parameter_sweep() if P.q**P.n <= DEFAULT_ATLAS_CAP],
+)
 def test_core_dim_counts_are_p_times_the_closed_form(p, q, r):
     params = CoverParams(p, q, r)
     counts = core_dim_counts(params)

@@ -10,11 +10,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gonal
 from gonal.action import CoverParams, build_action
 from gonal.atlas import conjugate_hyperplane, orbit_classes, read_fixture
-from gonal.cli import ReportEnvelope, build_parser, cmd_atlas, jsonify, main
+from gonal.cli import ReportEnvelope, _write_json, build_parser, cmd_atlas, jsonify, main
 from gonal.errors import InvalidParamsError
 
 
@@ -683,6 +685,69 @@ def test_json_round_trips(capsys):
     out = io.StringIO()
     envelope.to_json(out)
     assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+
+
+_FIXTURES = Path(gonal.__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--p", "13", "--q", "3", "--r", "3"],
+        ["atlas", "--p", "7", "--q", "2", "--r", "4", "--orbits", "--cores"],
+        ["atlas", "--p", "7", "--q", "2", "--r", "4", "--limit", "0"],
+        ["galois", "--p", "13", "--q", "3", "--r", "3", "--subgroup", str(_FIXTURES / "L1.gens")],
+        ["reps", "--p", "5", "--q", "2", "--r", "3"],
+        ["verify", "--suite", "groupring"],
+    ],
+    ids=["invariants", "atlas-orbits-cores", "atlas-limit-0", "galois-L1", "reps", "verify-groupring"],
+)
+def test_every_json_envelope_is_the_indent_2_rendering_of_its_content(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# The values the writer meets: what `jsonify` makes of ints (negative and past
+# 255 included), the envelope's None and float, and strings that json escapes:
+# quotes, backslashes, control characters, DEL, and non-ASCII text such as the
+# semidirect-product sign of every Galois group.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('⋊"\\/\x00\x1f\n\t\r\x7fé\u2028'), st.characters()))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**30), 10**30).map(jsonify),
+    _JSON_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(
+            st.one_of(_JSON_TEXT, st.integers(-300, 300).map(jsonify)), children, max_size=6
+        ),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, [["⋊"]]], "d": (1.5, float("nan"), -float("inf"))})
+@example(jsonify([256, -1, 0, 255, True, -0.0, "\\\"\x00"]) + [None, ()])
+def test_json_writer_matches_json_dumps_byte_for_byte(value):
+    out = io.StringIO()
+    _write_json(value, out.write)
+    assert out.getvalue() == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_jsonify_never_returns():
+    # An int would break the envelope's promise that every integer is a decimal string.
+    for value in (7, [7], {"x": 7}, object()):
+        with pytest.raises(TypeError):
+            _write_json(value, io.StringIO().write)
 
 
 def test_json_and_text_share_one_envelope(capsys):
